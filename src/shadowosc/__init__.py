@@ -23,6 +23,7 @@ from .errors import (
     DegenerateBranch,
     InvalidTau,
     NoHamiltonian,
+    NonFinite,
     NotApplicable,
     NotDefective,
     NotSymplectic,
@@ -38,6 +39,7 @@ from .flow import (
     continuous_state,
     discrete_orbit,
     euler_closed_form,
+    euler_trajectory,
     measure_period,
     rotation_sense,
     sample_trajectory,

@@ -141,6 +141,38 @@ def taylor_exp(z: Mat2C, terms: int = DEFAULT_EXP_TERMS) -> Mat2C:
     return acc
 
 
+# Entries of Mat2C.identity(); closed_exp_entries multiplies by them, as
+# Mat2C.scaled would, so signed zeros and non-finite parts propagate the same.
+_ONE = complex(1.0, 0.0)
+_ZERO = complex(0.0, 0.0)
+
+
+def closed_exp_entries(e11: complex, e12: complex, e21: complex,
+                       e22: complex) -> tuple[complex, complex, complex, complex]:
+    """Entries of ``closed_exp(Mat2C(e11, e12, e21, e22))`` without building a Mat2C.
+
+    Performs the same complex operations in the same order as the matrix
+    form, including the products with the identity's entries, so the
+    result is bit-for-bit equal to it.
+    """
+    mu = (e11 + e22) / 2.0
+    mu_one, mu_zero = mu * _ONE, mu * _ZERO
+    # z - mu I: traceless, eigenvalues +-d
+    o11, o12, o21, o22 = e11 - mu_one, e12 - mu_zero, e21 - mu_zero, e22 - mu_one
+    d_sq = o11 * o11 + o12 * o21
+    if abs(d_sq) < 1e-8:
+        cosh_d = 1.0 + d_sq / 2.0 + d_sq * d_sq / 24.0
+        sinch_d = 1.0 + d_sq / 6.0 + d_sq * d_sq / 120.0
+    else:
+        d = cmath.sqrt(d_sq)
+        cosh_d = cmath.cosh(d)
+        sinch_d = cmath.sinh(d) / d
+    c_one, c_zero = cosh_d * _ONE, cosh_d * _ZERO
+    scale = cmath.exp(mu)
+    return (scale * (c_one + sinch_d * o11), scale * (c_zero + sinch_d * o12),
+            scale * (c_zero + sinch_d * o21), scale * (c_one + sinch_d * o22))
+
+
 def closed_exp(z: Mat2C) -> Mat2C:
     """Closed-form exponential of a 2x2 complex matrix.
 
@@ -151,20 +183,10 @@ def closed_exp(z: Mat2C) -> Mat2C:
     cosh(d) and sinh(d)/d are even in d, so they are evaluated from d**2
     (a series below the crossover), which stays fully conditioned through
     the defective limit d -> 0 where the identity degenerates to the
-    exact nilpotent form e^mu (I + (z - mu I)).
+    exact nilpotent form e^mu (I + (z - mu I)).  The arithmetic lives in
+    ``closed_exp_entries``.
     """
-    mu = z.trace() / 2.0
-    ident = Mat2C.identity()
-    offset = z - ident.scaled(mu)  # traceless, eigenvalues +-d
-    d_sq = offset.e11 * offset.e11 + offset.e12 * offset.e21
-    if abs(d_sq) < 1e-8:
-        cosh_d = 1.0 + d_sq / 2.0 + d_sq * d_sq / 24.0
-        sinch_d = 1.0 + d_sq / 6.0 + d_sq * d_sq / 120.0
-    else:
-        d = cmath.sqrt(d_sq)
-        cosh_d = cmath.cosh(d)
-        sinch_d = cmath.sinh(d) / d
-    return (ident.scaled(cosh_d) + offset.scaled(sinch_d)).scaled(cmath.exp(mu))
+    return Mat2C(*closed_exp_entries(z.e11, z.e12, z.e21, z.e22))
 
 
 def re_im(z: complex) -> dict[str, float]:

@@ -20,24 +20,27 @@ from .errors import (
     BadParams,
     CriticalTau,
     InvalidTau,
+    NonFinite,
     NotSymplectic,
     ShadowOscError,
     UnknownIntegrator,
 )
 from .flow import (
-    Trajectory,
-    TrajectorySource,
     discrete_orbit,
-    euler_closed_form,
-    sample_times,
+    euler_trajectory,
     sample_trajectory,
     trajectory_to_json,
     write_trajectory_csv,
 )
+# The Euler rows are sampled through euler_trajectory; bench/tracer.py still
+# looks this name up on the CLI module.
+from .flow import euler_closed_form  # noqa: F401
 from .integrators import BUILDERS, TransitionMatrix, custom, make
 from .shadow import (
     CaseIIParams,
     PARAM_PRESETS,
+    GeneratorFamily,
+    ShadowHamiltonian,
     enumerate_branches,
     euler_hamiltonian,
     generators_for,
@@ -196,23 +199,20 @@ def cmd_classify(args) -> int:
     return 0
 
 
-def _hamiltonian_rows(r: TransitionMatrix, config_branches: range,
-                      params: CaseIIParams | None):
-    """Per-branch Hamiltonians; the Euler map uses its closed form so the
-    reported rate column matches the coefficients row by row."""
-    family = enumerate_branches(r, config_branches, params)
-    if family.obstruction is not None:
-        return family, ()
+def _hamiltonian_rows(r: TransitionMatrix, family: GeneratorFamily,
+                      config_branches: range) -> tuple[ShadowHamiltonian, ...]:
+    """Per-branch Hamiltonians of an unobstructed family; the Euler map uses
+    its closed form so the reported rate column matches the coefficients
+    row by row."""
     if r.label == "euler":
-        rows = tuple(euler_hamiltonian(r.tau, m) for m in config_branches)
-        return family, rows
-    return family, family.hamiltonians
+        return tuple(euler_hamiltonian(r.tau, m) for m in config_branches)
+    return tuple(hamiltonian_from_generator(g) for g in family.generators)
 
 
 def cmd_hamiltonian(args) -> int:
     config = _config_from(args)
     r = _resolve_matrix(args)
-    family, rows = _hamiltonian_rows(r, config.branches, config.case2_params)
+    family = generators_for(r, config.branches, config.case2_params)
     if family.obstruction is not None:
         message = (f"case {family.case.value}: {family.obstruction.reason}")
         if config.format == "json":
@@ -222,6 +222,7 @@ def cmd_hamiltonian(args) -> int:
         else:
             _emit(HAMILTONIAN_CSV_HEADER + "\n# " + message, config.output_path)
         return 0
+    rows = _hamiltonian_rows(r, family, config.branches)
     if config.format == "json":
         _emit(json.dumps({"case": family.case.value, "tau": r.tau,
                           "hamiltonians": [h.to_json_dict() for h in rows]}, indent=2),
@@ -243,13 +244,6 @@ def cmd_hamiltonian(args) -> int:
     return 0
 
 
-def _euler_trajectory(tau: float, branch: int, q0: float, p0: float,
-                      t_end: float, dt: float) -> Trajectory:
-    states = tuple(euler_closed_form(tau, branch, q0, p0, t)
-                   for t in sample_times(t_end, dt))
-    return Trajectory(states, TrajectorySource("euler", tau, None, branch))
-
-
 def cmd_flow(args) -> int:
     config = _config_from(args)
     r = _resolve_matrix(args)
@@ -263,22 +257,21 @@ def cmd_flow(args) -> int:
     _write_trajectory(discrete_path, discrete, None, config.format)
     written = [discrete_path]
 
-    family, rows = _hamiltonian_rows(r, config.branches, config.case2_params)
+    family = generators_for(r, config.branches, config.case2_params)
     if family.obstruction is not None:
         print(f"case {family.case.value}: no interpolating flow exists; "
               f"wrote discrete points to {discrete_path}")
         return 0
 
+    rows = _hamiltonian_rows(r, family, config.branches)
     if r.label == "euler":
-        trajectories = [(_euler_trajectory(r.tau, h.branch, config.q0, config.p0,
-                                           config.t_end, config.dt), h) for h in rows]
+        trajectories = [euler_trajectory(r.tau, h.branch, config.q0, config.p0,
+                                         config.t_end, config.dt) for h in rows]
     else:
-        generators = generators_for(r, config.branches, config.case2_params).generators
-        trajectories = [(sample_trajectory(g, config.q0, config.p0, config.t_end,
-                                           config.dt), hamiltonian_from_generator(g))
-                        for g in generators]
+        trajectories = [sample_trajectory(g, config.q0, config.p0, config.t_end, config.dt)
+                        for g in family.generators]
 
-    for trajectory, h in trajectories:
+    for trajectory, h in zip(trajectories, rows):
         path = outdir / f"flow_m{h.branch}.{suffix}"
         _write_trajectory(path, trajectory, h, config.format)
         written.append(path)
@@ -415,7 +408,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (NotSymplectic, UnknownIntegrator, InvalidTau, BadParams,
+    except (NotSymplectic, NonFinite, UnknownIntegrator, InvalidTau, BadParams,
             CriticalTau, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

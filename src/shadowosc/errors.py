@@ -15,6 +15,10 @@ class InvalidTau(ShadowOscError):
     """Time increment must be strictly positive."""
 
 
+class NonFinite(ShadowOscError):
+    """A matrix entry or the time increment is infinite or NaN."""
+
+
 class NotSymplectic(ShadowOscError):
     """Determinant differs from one beyond tolerance."""
 

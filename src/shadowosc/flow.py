@@ -1,10 +1,18 @@
 """Discrete orbits, interpolating continuous flows, and trajectory output.
 
 The continuous state is exp((t/tau) Z) applied to the initial phase
-vector, evaluated through the closed-form matrix exponential at every
-sample; no ODE stepping is involved, so samples carry no accumulated
-integration error.  At t = n*tau the continuous state coincides with the
-n-th discrete state for every branch.
+vector, evaluated in closed form at every sample; no ODE stepping is
+involved, so samples carry no accumulated integration error.  At
+t = n*tau the continuous state coincides with the n-th discrete state
+for every branch.
+
+A trajectory reads its per-trajectory constants once: the entries of Z
+and tau for a generic branch, and the rate, the root and the sin/cos or
+sinh/cosh pair for the Euler closed form.  Each sample then costs a few
+scalar ``cmath`` calls and no Mat2C.  The generic sample runs the
+arithmetic of ``closed_exp`` on the scaled entries of Z
+(``closed_exp_entries``), so every state is bit-for-bit equal to
+``closed_exp(Z.scaled(t/tau)).apply(q0, p0)``.
 
 Deviations between states are reported relative to max(1, |reference|):
 bounded orbits are then compared absolutely, while diverging orbits
@@ -22,14 +30,18 @@ import cmath
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable, Iterator
 
-from .algebra import closed_exp, re_im
+# closed_exp is the matrix form of the per-sample arithmetic; bench/tracer.py
+# looks it up on this module.
+from .algebra import closed_exp, closed_exp_entries, re_im  # noqa: F401
 from .classifier import CaseTag
 from .errors import NotApplicable
 from .integrators import TransitionMatrix
 from .shadow import Generator, ShadowHamiltonian, euler_rate
 
 CSV_HEADER = "t,q_re,q_im,p_re,p_im,H_re,H_im"
+_CSV_ROW = ",".join(["%.17g"] * 7)
 
 
 @dataclass(frozen=True)
@@ -79,11 +91,38 @@ def discrete_orbit(r: TransitionMatrix, q0: float, p0: float, n: int) -> Traject
     return Trajectory(tuple(states), TrajectorySource(r.label, r.tau))
 
 
+def _flow_states(g: Generator, q0: complex, p0: complex,
+                 times: Iterable[float]) -> Iterator[PhaseState]:
+    """exp((t/tau) Z) (q0, p0) for each t, reading Z and tau once."""
+    z11, z12, z21, z22 = g.matrix.entries()
+    tau = g.tau
+    for t in times:
+        s = t / tau
+        e11, e12, e21, e22 = closed_exp_entries(s * z11, s * z12, s * z21, s * z22)
+        yield PhaseState(e11 * q0 + e12 * p0, e21 * q0 + e22 * p0, t)
+
+
 def continuous_state(g: Generator, q0: complex, p0: complex, t: float) -> PhaseState:
     """State of the branch flow at time t: exp((t/tau) Z) (q0, p0)."""
-    propagator = closed_exp(g.matrix.scaled(t / g.tau))
-    q, p = propagator.apply(q0, p0)
-    return PhaseState(q, p, t)
+    return next(_flow_states(g, q0, p0, (t,)))
+
+
+def _euler_states(tau: float, branch: int, q0: float, p0: float,
+                  times: Iterable[float]) -> Iterator[PhaseState]:
+    """Closed-form Euler branch flow at each t; rate and root computed once."""
+    rate = euler_rate(tau, branch)
+    if tau < 2.0:
+        root = math.sqrt((2.0 - tau) * (2.0 + tau))
+        osc_of, base_of = cmath.sin, cmath.cos
+    else:
+        root = math.sqrt((tau - 2.0) * (tau + 2.0))
+        osc_of, base_of = cmath.sinh, cmath.cosh
+    q_osc = 2.0 * p0 - tau * q0
+    p_osc = tau * p0 - 2.0 * q0
+    for t in times:
+        s = rate * t / tau
+        osc, base = osc_of(s), base_of(s)
+        yield PhaseState(q_osc * osc / root + q0 * base, p_osc * osc / root + p0 * base, t)
 
 
 def euler_closed_form(tau: float, branch: int, q0: float, p0: float, t: float) -> PhaseState:
@@ -97,17 +136,7 @@ def euler_closed_form(tau: float, branch: int, q0: float, p0: float, t: float) -
     for 0 < tau < 2, and the same shape with sinh, cosh and
     sqrt(tau**2 - 4) for tau > 2, where s is then complex.
     """
-    rate = euler_rate(tau, branch)
-    s = rate * t / tau
-    if tau < 2.0:
-        root = math.sqrt((2.0 - tau) * (2.0 + tau))
-        osc, base = cmath.sin(s), cmath.cos(s)
-    else:
-        root = math.sqrt((tau - 2.0) * (tau + 2.0))
-        osc, base = cmath.sinh(s), cmath.cosh(s)
-    q = (2.0 * p0 - tau * q0) * osc / root + q0 * base
-    p = (tau * p0 - 2.0 * q0) * osc / root + p0 * base
-    return PhaseState(q, p, t)
+    return next(_euler_states(tau, branch, q0, p0, (t,)))
 
 
 def sample_times(t_end: float, dt: float) -> list[float]:
@@ -123,9 +152,16 @@ def sample_times(t_end: float, dt: float) -> list[float]:
 def sample_trajectory(g: Generator, q0: complex, p0: complex,
                       t_end: float, dt: float) -> Trajectory:
     """Dense samples of the branch flow on [0, t_end]."""
-    states = tuple(continuous_state(g, q0, p0, t) for t in sample_times(t_end, dt))
+    states = tuple(_flow_states(g, q0, p0, sample_times(t_end, dt)))
     source = TrajectorySource(f"flow<{g.case}>", g.tau, g.case, g.branch)
     return Trajectory(states, source)
+
+
+def euler_trajectory(tau: float, branch: int, q0: float, p0: float,
+                     t_end: float, dt: float) -> Trajectory:
+    """Dense samples of the closed-form Euler branch flow on [0, t_end]."""
+    states = tuple(_euler_states(tau, branch, q0, p0, sample_times(t_end, dt)))
+    return Trajectory(states, TrajectorySource("euler", tau, None, branch))
 
 
 def rotation_sense(h: ShadowHamiltonian) -> str:
@@ -198,8 +234,8 @@ def write_trajectory_csv(path: str | Path, trajectory: Trajectory,
     lines = [CSV_HEADER]
     for s in trajectory.states:
         energy = _energy(s, hamiltonian)
-        values = (s.t, s.q.real, s.q.imag, s.p.real, s.p.imag, energy.real, energy.imag)
-        lines.append(",".join(format(v, ".17g") for v in values))
+        lines.append(_CSV_ROW % (s.t, s.q.real, s.q.imag, s.p.real, s.p.imag,
+                                 energy.real, energy.imag))
     Path(path).write_text("\n".join(lines) + "\n")
 
 

@@ -8,11 +8,12 @@ advances the phase vector (q, p) by one time increment tau.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 from .algebra import Mat2C
-from .errors import InvalidTau, NotSymplectic, UnknownIntegrator
+from .errors import InvalidTau, NonFinite, NotSymplectic, UnknownIntegrator
 
 SYMPLECTIC_TOL = 1e-12
 CUSTOM_DET_TOL = 1e-9
@@ -30,6 +31,13 @@ class TransitionMatrix:
     label: str
 
     def __post_init__(self):
+        # every tolerance test below is false for NaN, so NaN and inf are
+        # rejected here before any of them runs
+        values = (self.r1, self.r2, self.r3, self.r4, self.tau)
+        if not all(math.isfinite(v) for v in values):
+            raise NonFinite(f"{self.label}: entries and tau must be finite, got "
+                            f"r = ({self.r1!r}, {self.r2!r}, {self.r3!r}, {self.r4!r}), "
+                            f"tau = {self.tau!r}")
         if not self.tau > 0:
             raise InvalidTau(f"tau must be positive, got {self.tau!r}")
         residual = abs(self.det() - 1.0)

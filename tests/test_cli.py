@@ -228,6 +228,26 @@ class TestConfigValidation:
         assert code == 2
 
 
+NON_FINITE = [
+    ["--integrator", "euler", "--tau=inf"],
+    ["--integrator", "vp", "--tau=nan"],
+    ["--integrator", "velocity-verlet", "--tau=-inf"],
+    ["--integrator", "custom", "--tau=1.0", "--r=nan,0,0,nan"],
+    ["--integrator", "custom", "--tau=1.0", "--r=inf,1,-1,0"],
+    ["--integrator", "custom", "--tau=inf", "--r=1,0,0,1"],
+    ["--integrator", "custom", "--tau=1.0", "--r=1,nan,0,1"],
+]
+
+
+@pytest.mark.parametrize("command", ["classify", "hamiltonian"])
+@pytest.mark.parametrize("flags", NON_FINITE, ids=lambda f: " ".join(f[1:]))
+def test_non_finite_input_is_usage_error(capsys, command, flags):
+    code, out, err = run(capsys, command, *flags)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_unknown_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as err:
         main(["frobnicate"])

@@ -3,8 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from shadowosc.classifier import classify
+from shadowosc.algebra import Mat2C, closed_exp
+from shadowosc.classifier import CaseTag, classify
 from shadowosc.errors import CriticalTau, NotApplicable
 from shadowosc.flow import (
     PhaseState,
@@ -13,6 +16,7 @@ from shadowosc.flow import (
     continuous_state,
     discrete_orbit,
     euler_closed_form,
+    euler_trajectory,
     measure_period,
     rotation_sense,
     sample_times,
@@ -21,12 +25,14 @@ from shadowosc.flow import (
     trajectory_to_json,
     write_trajectory_csv,
 )
-from shadowosc.integrators import double_euler, euler, make
+from shadowosc.integrators import custom, double_euler, euler, make
 from shadowosc.shadow import (
+    Generator,
     euler_hamiltonian,
     euler_rate,
     generator_distinct,
     generator_jordan,
+    generator_scalar,
     hamiltonian_from_generator,
 )
 
@@ -258,3 +264,51 @@ class TestUniqueCaseFlow:
         for ref in orbit.states:
             got = continuous_state(g, 0.3, -1.1, ref.t)
             assert state_deviation(got, ref) <= 1e-8
+
+
+entries = st.builds(complex, st.floats(-4.0, 4.0), st.floats(-4.0, 4.0))
+
+
+def _built_in_generator(case):
+    name, tau, m = case
+    return branch_generator(make(name, tau), m)
+
+
+# generic traceless matrices (signed zeros included) plus the built-in
+# branches, the nilpotent iii-a generator and the zero generator of R = I,
+# which take the series side of closed_exp
+generators = st.one_of(
+    st.builds(lambda a, b, c, tau: Generator(Mat2C(a, b, c, -a), 0, tau, CaseTag.IA),
+              entries, entries, entries, st.floats(1e-3, 10.0)),
+    st.sampled_from([("euler", 0.66, -2), ("euler", 3.0, 1), ("velocity-verlet", 1.5, 3),
+                     ("double-euler", 4.8, -1), ("vp", 5.0, 0)]).map(_built_in_generator),
+    st.just(generator_jordan(double_euler(4.0))),
+    st.just(generator_scalar(custom(1.0, 0.0, 0.0, 1.0, 1.0), 0)),
+)
+
+
+class TestEvaluatorIsClosedExp:
+    """The per-trajectory evaluator runs closed_exp's arithmetic bit for bit."""
+
+    @settings(max_examples=300)
+    @given(generators, st.floats(-2.0, 2.0), st.floats(-2.0, 2.0), st.floats(0.0, 20.0))
+    def test_state_equals_closed_exp_propagator(self, g, q0, p0, periods):
+        t = periods * g.tau
+        want = closed_exp(g.matrix.scaled(t / g.tau)).apply(q0, p0)
+        got = continuous_state(g, q0, p0, t)
+        assert (got.q, got.p) == want
+        assert repr((got.q, got.p)) == repr(want)  # signed zeros too
+
+    @pytest.mark.parametrize("case", [("velocity-verlet", 0.66, 1), ("velocity-verlet", 3.0, -1),
+                                      ("double-euler", 4.8, 0)])
+    def test_trajectory_repeats_single_states(self, case):
+        g = _built_in_generator(case)
+        traj = sample_trajectory(g, 0.3, -1.1, 5.0, 0.07)
+        assert traj.states == tuple(continuous_state(g, 0.3, -1.1, s.t) for s in traj.states)
+
+    @pytest.mark.parametrize("tau, m", [(0.66, -1), (0.66, 2), (3.0, 0), (3.0, -2)])
+    def test_euler_trajectory_repeats_single_states(self, tau, m):
+        traj = euler_trajectory(tau, m, 0.3, -1.1, 5.0, 0.07)
+        assert traj.source.branch == m
+        assert traj.states == tuple(euler_closed_form(tau, m, 0.3, -1.1, s.t)
+                                    for s in traj.states)

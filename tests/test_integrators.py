@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shadowosc.errors import InvalidTau, NotSymplectic, UnknownIntegrator
+from shadowosc.errors import InvalidTau, NonFinite, NotSymplectic, UnknownIntegrator
 from shadowosc.integrators import (
+    TransitionMatrix,
     compose,
     custom,
     double_euler,
@@ -141,6 +142,25 @@ class TestCustom:
     def test_zero_r1_projects_through_r3(self):
         r = custom(0.0, 1.0, -1.0 + 3e-10, 0.7, 1.0)
         assert abs(r.det() - 1.0) < 1e-16
+
+
+@pytest.mark.parametrize("values", [
+    (float("nan"), 0.0, 0.0, float("nan"), 1.0),
+    (float("inf"), 1.0, -1.0, 0.0, 1.0),
+    (1.0, float("nan"), 0.0, 1.0, 1.0),
+    (1.0, 0.0, float("-inf"), 1.0, 1.0),
+    (1.0, 0.0, 0.0, 1.0, float("inf")),
+])
+def test_non_finite_matrix_rejected(values):
+    with pytest.raises(NonFinite):
+        TransitionMatrix(*values, label="custom")
+
+
+@pytest.mark.parametrize("name", ["euler", "velocity-verlet", "position-verlet",
+                                  "double-euler", "vp"])
+def test_non_finite_tau_rejected(name):
+    with pytest.raises(NonFinite):
+        make(name, float("inf"))
 
 
 @pytest.mark.parametrize("name", ["euler", "velocity-verlet", "position-verlet",
