@@ -29,7 +29,6 @@ from .errors import (
     NotSymplectic,
     NotTraceless,
     ShadowOscError,
-    Singular,
     UnknownIntegrator,
     ZeroEigenvalue,
 )

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .algebra import Mat2C, max_diff
-from .errors import NotDefective, Singular
+from .errors import NotDefective
 from .integrators import TransitionMatrix
 
 DEFAULT_TOL = 1e-9
@@ -73,8 +73,6 @@ def criticality_gap(r: TransitionMatrix) -> float:
 
 def classify(r: TransitionMatrix, tol: float = DEFAULT_TOL) -> tuple[CaseTag, EigenStructure]:
     """Assign the taxonomy tag and extract the representative eigenstructure."""
-    if abs(abs(r.det()) - 1.0) > 1e-6:
-        raise Singular(f"{r.label}: |det| = {abs(r.det()):.12g}")
     t = r.trace()
     # (T - 2)(T + 2) keeps full precision near the ridge where T**2 - 4 cancels
     gap = (t - 2.0) * (t + 2.0)
@@ -98,9 +96,9 @@ def classify(r: TransitionMatrix, tol: float = DEFAULT_TOL) -> tuple[CaseTag, Ei
     return tag, EigenStructure(complex(sign, 0.0), 0.0 if sign > 0 else math.pi, 1.0, True, basis)
 
 
-def jordan_decompose(r: TransitionMatrix, tol: float = DEFAULT_TOL) -> EigenStructure:
+def jordan_decompose(r: TransitionMatrix) -> EigenStructure:
     """Eigenstructure with the Jordan similarity basis for a defective map."""
-    tag, eigen = classify(r, tol)
+    tag, eigen = classify(r)
     if tag in DEFECTIVE_TAGS:
         return eigen
     raise NotDefective(f"{r.label} at tau={r.tau:g} classifies as {tag}")

@@ -10,8 +10,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .algebra import re_im
@@ -28,6 +28,7 @@ from .errors import (
 from .flow import (
     discrete_orbit,
     euler_trajectory,
+    sample_times,
     sample_trajectory,
     trajectory_to_json,
     write_trajectory_csv,
@@ -53,33 +54,20 @@ USAGE_ERROR = 2
 HAMILTONIAN_CSV_HEADER = ("m,case,tau,cA_re,cA_im,cB_re,cB_im,cC_re,cC_im,"
                           "real_valued,lambda_re,lambda_im")
 
+_FLAG = re.compile(r"--[\w-]+")
+_NEGATIVE_VALUE = re.compile(r"-(\d|\.|inf|nan)", re.IGNORECASE)
 
-@dataclass(frozen=True)
-class RunConfig:
-    integrator: str
-    tau: float
-    m_min: int = -1
-    m_max: int = 1
-    q0: float = 1.0
-    p0: float = 0.0
-    t_end: float = 1.0
-    dt: float = 0.01
-    case2_params: CaseIIParams | None = None
-    seed: int = DEFAULT_SEED
-    output_path: str | None = None
-    format: str = "csv"
 
-    def __post_init__(self):
-        if self.m_min > self.m_max:
-            raise ValueError("m-min must not exceed m-max")
-        if not self.dt > 0:
-            raise ValueError("dt must be positive")
-        if not self.tau > 0:
-            raise ValueError("tau must be positive")
-
-    @property
-    def branches(self) -> range:
-        return range(self.m_min, self.m_max + 1)
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """Write `--flag -2e5` as `--flag=-2e5`: argparse takes a value that starts
+    with '-' for an option unless it is a plain number such as -2 or -0.5."""
+    joined: list[str] = []
+    for token in argv:
+        if joined and _FLAG.fullmatch(joined[-1]) and _NEGATIVE_VALUE.match(token):
+            joined[-1] += "=" + token
+        else:
+            joined.append(token)
+    return joined
 
 
 def _parse_complex(text: str) -> complex:
@@ -109,23 +97,6 @@ def _parse_grid(text: str) -> list[float]:
     return [start + k * step for k in range(count)]
 
 
-def _config_from(args) -> RunConfig:
-    return RunConfig(
-        integrator=args.integrator,
-        tau=getattr(args, "tau", 1.0),
-        m_min=getattr(args, "m_min", -1),
-        m_max=getattr(args, "m_max", 1),
-        q0=getattr(args, "q0", 1.0),
-        p0=getattr(args, "p0", 0.0),
-        t_end=getattr(args, "t_end", 1.0),
-        dt=getattr(args, "dt", 0.01),
-        case2_params=_resolve_params(args),
-        seed=getattr(args, "seed", DEFAULT_SEED),
-        output_path=args.out,
-        format=args.format,
-    )
-
-
 def _resolve_matrix(args) -> TransitionMatrix:
     if args.integrator == "custom":
         if args.r is None:
@@ -136,16 +107,18 @@ def _resolve_matrix(args) -> TransitionMatrix:
 
 
 def _resolve_params(args) -> CaseIIParams | None:
-    c1 = getattr(args, "c1", None)
-    c2 = getattr(args, "c2", None)
-    c3 = getattr(args, "c3", None)
-    given = [v for v in (c1, c2, c3) if v is not None]
+    given = [v for v in (args.c1, args.c2, args.c3) if v is not None]
     if not given:
-        preset = getattr(args, "params", None)
-        return PARAM_PRESETS[preset]() if preset else None
+        return PARAM_PRESETS[args.params]() if args.params else None
     if len(given) != 3:
         raise ValueError("--c1, --c2 and --c3 must be given together")
-    return CaseIIParams(_parse_complex(c1), _parse_complex(c2), _parse_complex(c3))
+    return CaseIIParams(*(_parse_complex(c) for c in given))
+
+
+def _branches(args) -> range:
+    if args.m_min > args.m_max:
+        raise ValueError("m-min must not exceed m-max")
+    return range(args.m_min, args.m_max + 1)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -200,33 +173,34 @@ def cmd_classify(args) -> int:
 
 
 def _hamiltonian_rows(r: TransitionMatrix, family: GeneratorFamily,
-                      config_branches: range) -> tuple[ShadowHamiltonian, ...]:
+                      branches: range) -> tuple[ShadowHamiltonian, ...]:
     """Per-branch Hamiltonians of an unobstructed family; the Euler map uses
     its closed form so the reported rate column matches the coefficients
     row by row."""
     if r.label == "euler":
-        return tuple(euler_hamiltonian(r.tau, m) for m in config_branches)
+        return tuple(euler_hamiltonian(r.tau, m) for m in branches)
     return tuple(hamiltonian_from_generator(g) for g in family.generators)
 
 
 def cmd_hamiltonian(args) -> int:
-    config = _config_from(args)
+    params = _resolve_params(args)
+    branches = _branches(args)
     r = _resolve_matrix(args)
-    family = generators_for(r, config.branches, config.case2_params)
+    family = generators_for(r, branches, params)
     if family.obstruction is not None:
         message = (f"case {family.case.value}: {family.obstruction.reason}")
-        if config.format == "json":
+        if args.format == "json":
             _emit(json.dumps({"case": family.case.value, "tau": r.tau,
                               "hamiltonians": [], "obstruction": message}, indent=2),
-                  config.output_path)
+                  args.out)
         else:
-            _emit(HAMILTONIAN_CSV_HEADER + "\n# " + message, config.output_path)
+            _emit(HAMILTONIAN_CSV_HEADER + "\n# " + message, args.out)
         return 0
-    rows = _hamiltonian_rows(r, family, config.branches)
-    if config.format == "json":
+    rows = _hamiltonian_rows(r, family, branches)
+    if args.format == "json":
         _emit(json.dumps({"case": family.case.value, "tau": r.tau,
                           "hamiltonians": [h.to_json_dict() for h in rows]}, indent=2),
-              config.output_path)
+              args.out)
         return 0
     lines = [HAMILTONIAN_CSV_HEADER]
     for h in rows:
@@ -240,40 +214,42 @@ def cmd_hamiltonian(args) -> int:
         else:
             text += ",,"
         lines.append(text)
-    _emit("\n".join(lines), config.output_path)
+    _emit("\n".join(lines), args.out)
     return 0
 
 
 def cmd_flow(args) -> int:
-    config = _config_from(args)
+    params = _resolve_params(args)
+    branches = _branches(args)
+    sample_times(args.t_end, args.dt)  # rejects dt and t_end before any file is written
     r = _resolve_matrix(args)
-    outdir = Path(config.output_path) if config.output_path else Path(".")
+    outdir = Path(args.out) if args.out else Path(".")
     outdir.mkdir(parents=True, exist_ok=True)
-    suffix = "json" if config.format == "json" else "csv"
+    suffix = "json" if args.format == "json" else "csv"
 
-    steps = max(0, int(math.floor(config.t_end / r.tau + 1e-9)))
-    discrete = discrete_orbit(r, config.q0, config.p0, steps)
+    steps = max(0, int(math.floor(args.t_end / r.tau + 1e-9)))
+    discrete = discrete_orbit(r, args.q0, args.p0, steps)
     discrete_path = outdir / f"discrete.{suffix}"
-    _write_trajectory(discrete_path, discrete, None, config.format)
+    _write_trajectory(discrete_path, discrete, None, args.format)
     written = [discrete_path]
 
-    family = generators_for(r, config.branches, config.case2_params)
+    family = generators_for(r, branches, params)
     if family.obstruction is not None:
         print(f"case {family.case.value}: no interpolating flow exists; "
               f"wrote discrete points to {discrete_path}")
         return 0
 
-    rows = _hamiltonian_rows(r, family, config.branches)
+    rows = _hamiltonian_rows(r, family, branches)
     if r.label == "euler":
-        trajectories = [euler_trajectory(r.tau, h.branch, config.q0, config.p0,
-                                         config.t_end, config.dt) for h in rows]
+        trajectories = [euler_trajectory(r.tau, h.branch, args.q0, args.p0,
+                                         args.t_end, args.dt) for h in rows]
     else:
-        trajectories = [sample_trajectory(g, config.q0, config.p0, config.t_end, config.dt)
+        trajectories = [sample_trajectory(g, args.q0, args.p0, args.t_end, args.dt)
                         for g in family.generators]
 
     for trajectory, h in zip(trajectories, rows):
         path = outdir / f"flow_m{h.branch}.{suffix}"
-        _write_trajectory(path, trajectory, h, config.format)
+        _write_trajectory(path, trajectory, h, args.format)
         written.append(path)
     print("\n".join(str(p) for p in written))
     return 0
@@ -295,24 +271,25 @@ def cmd_sweep(args) -> int:
     if args.integrator == "custom":
         print("sweep requires a named integrator", file=sys.stderr)
         return USAGE_ERROR
-    config = _config_from(args)
+    params = _resolve_params(args)
+    branches = _branches(args)
     header = "tau,case,trace,criticality_gap,n_real_hamiltonians"
     lines = [header]
     records = []
     for tau in taus:
-        r = make(config.integrator, tau)
-        tag, _ = classify(r)
-        family = enumerate_branches(r, config.branches, config.case2_params)
+        r = make(args.integrator, tau)
+        family = enumerate_branches(r, branches, params)
+        case = family.case.value
+        gap = criticality_gap(r)
         n_real = sum(1 for h in family.hamiltonians if h.real_valued)
-        records.append({"tau": tau, "case": tag.value, "trace": r.trace(),
-                        "criticality_gap": criticality_gap(r), "n_real": n_real})
-        lines.append(f"{tau:.17g},{tag.value},{r.trace():.17g},"
-                     f"{criticality_gap(r):.17g},{n_real}")
-    if config.format == "json":
-        _emit(json.dumps({"integrator": config.integrator, "rows": records},
-                         indent=2), config.output_path)
+        records.append({"tau": tau, "case": case, "trace": r.trace(),
+                        "criticality_gap": gap, "n_real": n_real})
+        lines.append(f"{tau:.17g},{case},{r.trace():.17g},{gap:.17g},{n_real}")
+    if args.format == "json":
+        _emit(json.dumps({"integrator": args.integrator, "rows": records},
+                         indent=2), args.out)
     else:
-        _emit("\n".join(lines), config.output_path)
+        _emit("\n".join(lines), args.out)
     return 0
 
 
@@ -405,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except (NotSymplectic, NonFinite, UnknownIntegrator, InvalidTau, BadParams,

@@ -27,10 +27,6 @@ class NotSymplectic(ShadowOscError):
         super().__init__(message or f"determinant differs from 1 by {residual:.3e}")
 
 
-class Singular(ShadowOscError):
-    """Defensive: a matrix reached the classifier with |det| far from 1."""
-
-
 class NotDefective(ShadowOscError):
     """Jordan-block decomposition requested for a diagonalizable matrix."""
 

@@ -19,6 +19,12 @@ SYMPLECTIC_TOL = 1e-12
 CUSTOM_DET_TOL = 1e-9
 
 
+def _check_tau(tau: float) -> None:
+    """tau > 0; the composites check it too, as their half-steps see tau/2."""
+    if not tau > 0:
+        raise InvalidTau(f"tau must be positive, got {tau!r}")
+
+
 @dataclass(frozen=True)
 class TransitionMatrix:
     """Real 2x2 symplectic one-step map [[r1, r2], [r3, r4]] for increment tau."""
@@ -38,8 +44,7 @@ class TransitionMatrix:
             raise NonFinite(f"{self.label}: entries and tau must be finite, got "
                             f"r = ({self.r1!r}, {self.r2!r}, {self.r3!r}, {self.r4!r}), "
                             f"tau = {self.tau!r}")
-        if not self.tau > 0:
-            raise InvalidTau(f"tau must be positive, got {self.tau!r}")
+        _check_tau(self.tau)
         residual = abs(self.det() - 1.0)
         if residual > SYMPLECTIC_TOL:
             raise NotSymplectic(residual, f"{self.label}: det = 1 violated by {residual:.3e}")
@@ -57,29 +62,29 @@ class TransitionMatrix:
         return Mat2C(self.r1, self.r2, self.r3, self.r4)
 
 
-def _check_tau(tau: float) -> None:
-    if not tau > 0:
-        raise InvalidTau(f"tau must be positive, got {tau!r}")
+def _cube(tau: float) -> float:
+    """tau**3, or a signed infinity where it overflows, for TransitionMatrix to reject."""
+    try:
+        return tau ** 3
+    except OverflowError:
+        return math.copysign(math.inf, tau)
 
 
 def euler(tau: float) -> TransitionMatrix:
     """Symplectic Euler step: kick by tau, then drift by tau."""
-    _check_tau(tau)
     return TransitionMatrix(1.0 - tau * tau, tau, -tau, 1.0, tau, "euler")
 
 
 def velocity_verlet(tau: float) -> TransitionMatrix:
     """Kick-drift-kick step with half kicks."""
-    _check_tau(tau)
     half_sq = 1.0 - tau * tau / 2.0
-    return TransitionMatrix(half_sq, tau, tau ** 3 / 4.0 - tau, half_sq, tau, "velocity-verlet")
+    return TransitionMatrix(half_sq, tau, _cube(tau) / 4.0 - tau, half_sq, tau, "velocity-verlet")
 
 
 def position_verlet(tau: float) -> TransitionMatrix:
     """Drift-kick-drift step with half drifts."""
-    _check_tau(tau)
     half_sq = 1.0 - tau * tau / 2.0
-    return TransitionMatrix(half_sq, tau - tau ** 3 / 4.0, -tau, half_sq, tau, "position-verlet")
+    return TransitionMatrix(half_sq, tau - _cube(tau) / 4.0, -tau, half_sq, tau, "position-verlet")
 
 
 def compose(a: TransitionMatrix, b: TransitionMatrix, label: str | None = None) -> TransitionMatrix:
@@ -114,7 +119,6 @@ def custom(r1: float, r2: float, r3: float, r4: float, tau: float,
     exactly through r4 (or r3 when r1 is numerically zero); downstream
     classification is sensitive to the unit-determinant identity.
     """
-    _check_tau(tau)
     residual = abs(r1 * r4 - r2 * r3 - 1.0)
     if residual > CUSTOM_DET_TOL:
         raise NotSymplectic(residual)

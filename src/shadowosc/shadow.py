@@ -295,15 +295,14 @@ def euler_hamiltonian(tau: float, branch: int) -> ShadowHamiltonian:
 
 
 def generators_for(r: TransitionMatrix, branches: Iterable[int],
-                   params: CaseIIParams | None = None,
-                   tol: float = 1e-9) -> GeneratorFamily:
+                   params: CaseIIParams | None = None) -> GeneratorFamily:
     """All generators of r for the requested branches, or the obstruction.
 
     Distinct and scalar cases give one generator per branch; a defective
     map with eigenvalue +1 gives a singleton independent of the request;
     eigenvalue -1 gives an empty family carrying the proof.
     """
-    tag, eigen = classify(r, tol)
+    tag, eigen = classify(r)
     ordered = sorted(set(int(b) for b in branches))
     if tag in DISTINCT_TAGS:
         gens = tuple(generator_distinct(r, eigen, m) for m in ordered)
@@ -322,9 +321,8 @@ def generators_for(r: TransitionMatrix, branches: Iterable[int],
 
 
 def enumerate_branches(r: TransitionMatrix, branches: Iterable[int],
-                       params: CaseIIParams | None = None,
-                       tol: float = 1e-9) -> BranchFamily:
+                       params: CaseIIParams | None = None) -> BranchFamily:
     """Hamiltonians of r over the requested branches, ordered by branch."""
-    family = generators_for(r, branches, params, tol)
+    family = generators_for(r, branches, params)
     hams = tuple(hamiltonian_from_generator(g) for g in family.generators)
     return BranchFamily(family.case, r.tau, hams, family.obstruction)

@@ -9,7 +9,7 @@ from shadowosc.classifier import (
     criticality_gap,
     jordan_decompose,
 )
-from shadowosc.errors import NotDefective, Singular
+from shadowosc.errors import NotDefective
 from shadowosc.integrators import (
     compose,
     custom,
@@ -133,10 +133,3 @@ class TestJordan:
     def test_distinct_matrix_rejected(self):
         with pytest.raises(NotDefective):
             jordan_decompose(euler(1.0))
-
-
-def test_singular_guard():
-    r = euler(1.0)
-    object.__setattr__(r, "r1", 5.0)  # bypass construction validation
-    with pytest.raises(Singular):
-        classify(r)

@@ -227,6 +227,62 @@ class TestConfigValidation:
                            "--tau", "1", "--c1", "0")
         assert code == 2
 
+    @pytest.mark.parametrize("tau", ["1", "2"])
+    def test_negative_t_end_writes_nothing(self, capsys, tmp_path, tau):
+        code, out, err = run(capsys, "flow", "--integrator", "euler", "--tau", tau,
+                             "--t-end=-1", "--out", str(tmp_path))
+        assert code == 2
+        assert "t_end" in err
+        assert list(tmp_path.iterdir()) == []
+
+
+MATRICES = [["--integrator", name] for name in ("euler", "velocity-verlet", "position-verlet",
+                                                "double-euler", "vp")]
+MATRICES.append(["--integrator", "custom", "--r", "1,1,0,1"])
+
+
+@pytest.mark.parametrize("tau", ["-1", "0"])
+@pytest.mark.parametrize("matrix", MATRICES, ids=lambda m: " ".join(m[1:]))
+def test_rejected_tau_reads_the_same_in_every_command(capsys, tmp_path, matrix, tau):
+    errors = set()
+    for command in ("classify", "hamiltonian", "flow"):
+        code, out, err = run(capsys, command, *matrix, f"--tau={tau}",
+                             "--out", str(tmp_path / command))
+        assert code == 2
+        errors.add(err)
+    assert errors == {f"error: tau must be positive, got {float(tau)!r}\n"}
+
+
+# (command without the negative values, [(flag, negative value), ...])
+SPACED_NEGATIVE = [
+    (["flow", "--integrator", "velocity-verlet", "--tau", "1", "--t-end", "2", "--dt", "0.5"],
+     [("--q0", "-2e5"), ("--p0", "-1e-3")]),
+    (["classify", "--integrator", "custom", "--tau", "1"], [("--r", "-1,0,0,-1")]),
+    (["hamiltonian", "--integrator", "custom", "--r", "1,0,0,1", "--tau", "1",
+      "--c2", "0", "--c3", "0"], [("--c1", "-1:0")]),
+    (["sweep", "--integrator", "euler"], [("--grid", "-1:1:0.5")]),
+    (["classify", "--integrator", "euler"], [("--tau", "-inf")]),
+    (["classify", "--integrator", "euler"], [("--tau", "-NaN")]),
+    (["classify", "--integrator", "euler"], [("--tau", "-.5")]),
+]
+
+
+@pytest.mark.parametrize("base, negatives", SPACED_NEGATIVE,
+                         ids=[" ".join(f"{flag} {value}" for flag, value in negatives)
+                              for _, negatives in SPACED_NEGATIVE])
+def test_spaced_negative_value_parses_like_equals_form(capsys, tmp_path, base, negatives):
+    def outcome(flags):
+        try:
+            code = main([*base, *flags, *(["--out", str(tmp_path)] if base[0] == "flow" else [])])
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    spaced = outcome([token for pair in negatives for token in pair])
+    joined = outcome([f"{flag}={value}" for flag, value in negatives])
+    assert spaced == joined
+
 
 NON_FINITE = [
     ["--integrator", "euler", "--tau=inf"],

@@ -1,11 +1,13 @@
-"""Byte-identity of `flow` output against stored digests.
+"""Byte-identity of CLI output against stored digests.
 
-Each case is one short `flow` call.  The sha256 of its stdout and of every
-file it writes is stored in ``golden_flow_sha256.json``; a change to the
-flow evaluator, the Euler closed form or the serialisers that moves a
-single output byte fails here.  The digests were taken from the code
-before the per-trajectory flow sampler replaced the per-sample matrix
-exponential.  Print the digests of the current code with
+Each case is one short CLI call.  The exit status and the sha256 of its
+stdout and of every file it writes are stored in ``golden_flow_sha256.json``
+(`flow` calls) and ``golden_cli_sha256.json`` (`hamiltonian`, `sweep` and
+`verify` calls); a change that moves a single output byte fails here.
+The flow digests were taken from the code before the per-trajectory flow
+sampler replaced the per-sample matrix exponential, the others from the
+code before the repeated input checks were removed.  Print the digests of
+the current code with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -20,7 +22,9 @@ import pytest
 
 from shadowosc.cli import main
 
-GOLDEN = Path(__file__).with_name("golden_flow_sha256.json")
+FLOW_GOLDEN = Path(__file__).with_name("golden_flow_sha256.json")
+CLI_GOLDEN = Path(__file__).with_name("golden_cli_sha256.json")
+OUT = "<out>"  # replaced by the path the call writes to
 
 FLOW_CASES = {
     "velocity-verlet-i-a": ["--integrator", "velocity-verlet", "--tau", "0.66",
@@ -55,37 +59,80 @@ FLOW_CASES = {
                                  "--t-end", "6", "--dt", "0.1", "--format", "json"],
 }
 
+HAMILTONIAN_MAPS = {
+    "euler-i-a": ["--integrator", "euler", "--tau", "0.66", "--m-min", "-2", "--m-max", "2"],
+    "velocity-verlet-i-a": ["--integrator", "velocity-verlet", "--tau", "1.5"],
+    "euler-i-c": ["--integrator", "euler", "--tau", "3", "--m-min", "0", "--m-max", "1"],
+    "velocity-verlet-i-c": ["--integrator", "velocity-verlet", "--tau", "3"],
+    "identity-real-rotation": ["--integrator", "custom", "--r", "1,0,0,1", "--tau", "1",
+                               "--params", "real-rotation"],
+    "minus-identity-hyperbolic": ["--integrator", "custom", "--r=-1,0,0,-1", "--tau", "1",
+                                  "--params", "hyperbolic"],
+    "double-euler-iii-a": ["--integrator", "double-euler", "--tau", "4"],
+    "euler-iii-b": ["--integrator", "euler", "--tau", "2"],
+}
 
-def flow_digests(workdir: Path, flags: list[str]) -> dict:
-    """Run one `flow` call into ``workdir/out``; sha256 of stdout and each file."""
+SWEEP_INTEGRATORS = ("double-euler", "euler", "position-verlet", "velocity-verlet", "vp")
+
+CLI_CASES = {
+    **{f"hamiltonian-{name}-{fmt}": ["hamiltonian", *flags, "--format", fmt]
+       for name, flags in HAMILTONIAN_MAPS.items() for fmt in ("csv", "json")},
+    **{f"sweep-{name}": ["sweep", "--integrator", name, "--grid", "0.5:5:0.25"]
+       for name in SWEEP_INTEGRATORS},
+    "sweep-vp-json": ["sweep", "--integrator", "vp", "--grid", "0.5:5:0.25",
+                      "--format", "json"],
+    "verify-seed-7": ["verify", "--seed", "7", "--out", OUT],
+    "verify-seed-7-perturbed": ["verify", "--seed", "7", "--perturb=1e-3", "--out", OUT],
+}
+
+
+def cli_digests(workdir: Path, argv: list[str]) -> dict:
+    """Run one CLI call that may write to ``workdir/out``: its exit status and
+    the sha256 of its stdout and of each file it wrote."""
     out = workdir / "out"
     stdout = io.StringIO()
     with redirect_stdout(stdout):
-        code = main(["flow", *flags, "--out", str(out)])
-    assert code == 0
+        code = main([str(out) if a == OUT else a for a in argv])
     text = stdout.getvalue().replace(str(workdir), "<dir>")
+    paths = sorted(out.iterdir()) if out.is_dir() else [out] if out.exists() else []
     return {
+        "exit": code,
         "stdout": hashlib.sha256(text.encode()).hexdigest(),
-        "files": {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
-                  for p in sorted(out.iterdir())},
+        "files": {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in paths},
     }
 
 
+def flow_digests(workdir: Path, flags: list[str]) -> dict:
+    digests = cli_digests(workdir, ["flow", *flags, "--out", OUT])
+    assert digests.pop("exit") == 0
+    return digests
+
+
 def test_golden_covers_every_case():
-    assert sorted(json.loads(GOLDEN.read_text())) == sorted(FLOW_CASES)
+    assert sorted(json.loads(FLOW_GOLDEN.read_text())) == sorted(FLOW_CASES)
+    assert sorted(json.loads(CLI_GOLDEN.read_text())) == sorted(CLI_CASES)
 
 
 @pytest.mark.parametrize("case", sorted(FLOW_CASES))
 def test_flow_output_is_byte_identical(case, tmp_path):
-    golden = json.loads(GOLDEN.read_text())[case]
+    golden = json.loads(FLOW_GOLDEN.read_text())[case]
     assert flow_digests(tmp_path, FLOW_CASES[case]) == golden
+
+
+@pytest.mark.parametrize("case", sorted(CLI_CASES))
+def test_cli_output_is_byte_identical(case, tmp_path):
+    golden = json.loads(CLI_GOLDEN.read_text())[case]
+    assert cli_digests(tmp_path, CLI_CASES[case]) == golden
 
 
 if __name__ == "__main__":
     import tempfile
 
     digests = {}
-    for name, flags in FLOW_CASES.items():
-        with tempfile.TemporaryDirectory() as tmp:
-            digests[name] = flow_digests(Path(tmp), flags)
+    for golden, cases, digest_of in ((FLOW_GOLDEN, FLOW_CASES, flow_digests),
+                                     (CLI_GOLDEN, CLI_CASES, cli_digests)):
+        digests[golden.name] = {}
+        for name, argv in cases.items():
+            with tempfile.TemporaryDirectory() as tmp:
+                digests[golden.name][name] = digest_of(Path(tmp), argv)
     print(json.dumps(digests, indent=1, sort_keys=True))

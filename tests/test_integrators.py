@@ -163,6 +163,23 @@ def test_non_finite_tau_rejected(name):
         make(name, float("inf"))
 
 
+@pytest.mark.parametrize("tau", [0.0, -1.0, -1e-300])
+@pytest.mark.parametrize("name", ["euler", "velocity-verlet", "position-verlet",
+                                  "double-euler", "vp", "custom"])
+def test_nonpositive_tau_error_names_the_tau_passed(name, tau):
+    with pytest.raises(InvalidTau, match=f"got {tau!r}$"):
+        custom(1.0, 0.0, 0.0, 1.0, tau) if name == "custom" else make(name, tau)
+
+
+@pytest.mark.parametrize("name, tau", [
+    ("velocity-verlet", 1e103), ("velocity-verlet", -1e103),
+    ("position-verlet", 1e103), ("position-verlet", -1e103), ("vp", 1e200),
+])
+def test_overflowing_cube_is_non_finite(name, tau):
+    with pytest.raises(NonFinite):
+        make(name, tau)
+
+
 @pytest.mark.parametrize("name", ["euler", "velocity-verlet", "position-verlet",
                                   "double-euler", "vp"])
 def test_unit_determinant_over_grid(name):
