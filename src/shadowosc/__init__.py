@@ -10,17 +10,15 @@ continuous trajectories that pass through every discrete phase point.
 from .algebra import (
     Mat2C,
     closed_exp,
-    eigenvalues2,
     log_branch,
     max_diff,
     principal_polar,
     taylor_exp,
 )
-from .classifier import CaseTag, EigenStructure, classify, criticality_gap, jordan_decompose
+from .classifier import CaseTag, EigenStructure, classify, criticality_gap
 from .errors import (
     BadParams,
     CriticalTau,
-    DegenerateBranch,
     InvalidTau,
     NoHamiltonian,
     NonFinite,
@@ -56,13 +54,10 @@ from .integrators import (
     vp,
 )
 from .shadow import (
-    BranchFamily,
     CaseIIParams,
     Generator,
     GeneratorFamily,
-    Obstruction,
     ShadowHamiltonian,
-    enumerate_branches,
     euler_hamiltonian,
     euler_rate,
     generator_distinct,

@@ -1,4 +1,4 @@
-"""Complex 2x2 matrix arithmetic: eigenvalues, branch logarithms, exponentials.
+"""Complex 2x2 matrix arithmetic: branch logarithms and exponentials.
 
 Everything is plain double precision on top of ``cmath``; matrices are
 immutable values.  ``taylor_exp`` is deliberately a bare partial sum so it
@@ -36,10 +36,6 @@ class Mat2C:
     @staticmethod
     def identity() -> "Mat2C":
         return Mat2C(1.0, 0.0, 0.0, 1.0)
-
-    @staticmethod
-    def zero() -> "Mat2C":
-        return Mat2C(0.0, 0.0, 0.0, 0.0)
 
     def trace(self) -> complex:
         return self.e11 + self.e22
@@ -80,28 +76,6 @@ class Mat2C:
 def max_diff(a: Mat2C, b: Mat2C) -> float:
     """Entrywise maximum absolute difference."""
     return max(abs(x - y) for x, y in zip(a.entries(), b.entries()))
-
-
-def eigenvalues2(m: Mat2C) -> tuple[complex, complex]:
-    """Roots of lambda**2 - tr(m)*lambda + det(m), ordered by (re, im) descending.
-
-    An exact double root is returned twice.  Always solvable over C.
-    """
-    tr = m.trace()
-    dt = m.det()
-    disc = tr * tr - 4.0 * dt
-    s = cmath.sqrt(disc)
-    # pick the sign that avoids cancellation in tr + s
-    if (tr.conjugate() * s).real < 0.0:
-        s = -s
-    r1 = (tr + s) / 2.0
-    if abs(tr - s) > 1e-3 * (abs(tr) + abs(s)):
-        # safe subtraction; keeps conjugate pairs exactly mirrored
-        r2 = (tr - s) / 2.0
-    else:
-        r2 = dt / r1 if r1 != 0 else (tr - s) / 2.0
-    roots = sorted((r1, r2), key=lambda z: (z.real, z.imag), reverse=True)
-    return roots[0], roots[1]
 
 
 def principal_polar(y: complex) -> tuple[float, float]:

@@ -46,7 +46,6 @@ class CaseTag(str, Enum):
 
 DISTINCT_TAGS = (CaseTag.IA, CaseTag.IB, CaseTag.IC)
 SCALAR_TAGS = (CaseTag.II_PLUS, CaseTag.II_MINUS)
-DEFECTIVE_TAGS = (CaseTag.IIIA, CaseTag.IIIB)
 
 
 @dataclass(frozen=True)
@@ -94,14 +93,6 @@ def classify(r: TransitionMatrix, tol: float = DEFAULT_TOL) -> tuple[CaseTag, Ei
     tag = CaseTag.IIIA if sign > 0 else CaseTag.IIIB
     basis = _jordan_basis(r, sign)
     return tag, EigenStructure(complex(sign, 0.0), 0.0 if sign > 0 else math.pi, 1.0, True, basis)
-
-
-def jordan_decompose(r: TransitionMatrix) -> EigenStructure:
-    """Eigenstructure with the Jordan similarity basis for a defective map."""
-    tag, eigen = classify(r)
-    if tag in DEFECTIVE_TAGS:
-        return eigen
-    raise NotDefective(f"{r.label} at tau={r.tau:g} classifies as {tag}")
 
 
 def _jordan_basis(r: TransitionMatrix, sign: float) -> Mat2C:

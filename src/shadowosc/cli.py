@@ -16,15 +16,7 @@ from pathlib import Path
 
 from .algebra import re_im
 from .classifier import CaseTag, classify, criticality_gap
-from .errors import (
-    BadParams,
-    CriticalTau,
-    InvalidTau,
-    NonFinite,
-    NotSymplectic,
-    ShadowOscError,
-    UnknownIntegrator,
-)
+from .errors import ShadowOscError
 from .flow import (
     discrete_orbit,
     euler_trajectory,
@@ -42,7 +34,6 @@ from .shadow import (
     PARAM_PRESETS,
     GeneratorFamily,
     ShadowHamiltonian,
-    enumerate_branches,
     euler_hamiltonian,
     generators_for,
     hamiltonian_from_generator,
@@ -188,7 +179,7 @@ def cmd_hamiltonian(args) -> int:
     r = _resolve_matrix(args)
     family = generators_for(r, branches, params)
     if family.obstruction is not None:
-        message = (f"case {family.case.value}: {family.obstruction.reason}")
+        message = f"case {family.case.value}: {family.obstruction}"
         if args.format == "json":
             _emit(json.dumps({"case": family.case.value, "tau": r.tau,
                               "hamiltonians": [], "obstruction": message}, indent=2),
@@ -268,9 +259,6 @@ def cmd_sweep(args) -> int:
     if not taus:
         print("empty sweep grid", file=sys.stderr)
         return USAGE_ERROR
-    if args.integrator == "custom":
-        print("sweep requires a named integrator", file=sys.stderr)
-        return USAGE_ERROR
     params = _resolve_params(args)
     branches = _branches(args)
     header = "tau,case,trace,criticality_gap,n_real_hamiltonians"
@@ -278,10 +266,10 @@ def cmd_sweep(args) -> int:
     records = []
     for tau in taus:
         r = make(args.integrator, tau)
-        family = enumerate_branches(r, branches, params)
+        family = generators_for(r, branches, params)
         case = family.case.value
         gap = criticality_gap(r)
-        n_real = sum(1 for h in family.hamiltonians if h.real_valued)
+        n_real = sum(hamiltonian_from_generator(g).real_valued for g in family.generators)
         records.append({"tau": tau, "case": case, "trace": r.trace(),
                         "criticality_gap": gap, "n_real": n_real})
         lines.append(f"{tau:.17g},{case},{r.trace():.17g},{gap:.17g},{n_real}")
@@ -308,13 +296,9 @@ def cmd_verify(args) -> int:
     return 1 if failed else 0
 
 
-def _add_matrix_flags(sub, with_tau_default=None):
-    choices = sorted(BUILDERS) + ["custom"]
-    sub.add_argument("--integrator", required=True, choices=choices)
-    if with_tau_default is None:
-        sub.add_argument("--tau", type=float, required=True)
-    else:
-        sub.add_argument("--tau", type=float, default=with_tau_default)
+def _add_matrix_flags(sub):
+    sub.add_argument("--integrator", required=True, choices=sorted(BUILDERS) + ["custom"])
+    sub.add_argument("--tau", type=float, required=True)
     sub.add_argument("--r", default=None, metavar="R1,R2,R3,R4",
                      help="matrix entries for --integrator custom")
 
@@ -363,8 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_flow)
 
     p = subs.add_parser("sweep", help="regime table over a tau grid")
-    choices = sorted(BUILDERS) + ["custom"]
-    p.add_argument("--integrator", required=True, choices=choices)
+    p.add_argument("--integrator", required=True, choices=sorted(BUILDERS))
     p.add_argument("--grid", required=True, metavar="START:STOP:STEP")
     _add_branch_flags(p)
     _add_output_flags(p)
@@ -385,8 +368,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
-    except (NotSymplectic, NonFinite, UnknownIntegrator, InvalidTau, BadParams,
-            CriticalTau, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except ShadowOscError as exc:

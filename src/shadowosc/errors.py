@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+The usage errors, raised for input that the caller can correct, also
+derive from ValueError; the CLI exits with status 2 for them and with
+status 1 for every other error of the package.
+"""
 
 from __future__ import annotations
 
@@ -11,15 +16,15 @@ class ZeroEigenvalue(ShadowOscError):
     """A zero eigenvalue has no logarithm; the map would be singular."""
 
 
-class InvalidTau(ShadowOscError):
+class InvalidTau(ShadowOscError, ValueError):
     """Time increment must be strictly positive."""
 
 
-class NonFinite(ShadowOscError):
+class NonFinite(ShadowOscError, ValueError):
     """A matrix entry or the time increment is infinite or NaN."""
 
 
-class NotSymplectic(ShadowOscError):
+class NotSymplectic(ShadowOscError, ValueError):
     """Determinant differs from one beyond tolerance."""
 
     def __init__(self, residual: float, message: str | None = None):
@@ -31,19 +36,15 @@ class NotDefective(ShadowOscError):
     """Jordan-block decomposition requested for a diagonalizable matrix."""
 
 
-class BadParams(ShadowOscError):
+class BadParams(ShadowOscError, ValueError):
     """Scalar-case parameters violate the constraint c1**2 + c2*c3 = 1."""
-
-
-class DegenerateBranch(ShadowOscError):
-    """The requested branch has a zero generator (identity flow only)."""
 
 
 class NotTraceless(ShadowOscError):
     """Generator trace exceeds tolerance; no quadratic Hamiltonian exists."""
 
 
-class CriticalTau(ShadowOscError):
+class CriticalTau(ShadowOscError, ValueError):
     """Closed forms for the explicit Euler family are undefined at tau = 2."""
 
 
@@ -68,5 +69,5 @@ class NotApplicable(ShadowOscError):
     """Operation defined only for bounded real orbits."""
 
 
-class UnknownIntegrator(ShadowOscError):
+class UnknownIntegrator(ShadowOscError, ValueError):
     """Name not present in the integrator registry."""

@@ -19,12 +19,6 @@ SYMPLECTIC_TOL = 1e-12
 CUSTOM_DET_TOL = 1e-9
 
 
-def _check_tau(tau: float) -> None:
-    """tau > 0; the composites check it too, as their half-steps see tau/2."""
-    if not tau > 0:
-        raise InvalidTau(f"tau must be positive, got {tau!r}")
-
-
 @dataclass(frozen=True)
 class TransitionMatrix:
     """Real 2x2 symplectic one-step map [[r1, r2], [r3, r4]] for increment tau."""
@@ -44,7 +38,8 @@ class TransitionMatrix:
             raise NonFinite(f"{self.label}: entries and tau must be finite, got "
                             f"r = ({self.r1!r}, {self.r2!r}, {self.r3!r}, {self.r4!r}), "
                             f"tau = {self.tau!r}")
-        _check_tau(self.tau)
+        if not self.tau > 0:
+            raise InvalidTau(f"tau must be positive, got {self.tau!r}")
         residual = abs(self.det() - 1.0)
         if residual > SYMPLECTIC_TOL:
             raise NotSymplectic(residual, f"{self.label}: det = 1 violated by {residual:.3e}")
@@ -70,45 +65,64 @@ def _cube(tau: float) -> float:
         return math.copysign(math.inf, tau)
 
 
+# Entries (r1, r2, r3, r4) of the elementary steps.  The composites multiply
+# the entries of their half-steps, so only the composite map is validated
+# and any error it raises names the composite and the tau asked for.
+Entries = tuple[float, float, float, float]
+
+
+def _euler(tau: float) -> Entries:
+    return (1.0 - tau * tau, tau, -tau, 1.0)
+
+
+def _velocity_verlet(tau: float) -> Entries:
+    half_sq = 1.0 - tau * tau / 2.0
+    return (half_sq, tau, _cube(tau) / 4.0 - tau, half_sq)
+
+
+def _position_verlet(tau: float) -> Entries:
+    half_sq = 1.0 - tau * tau / 2.0
+    return (half_sq, tau - _cube(tau) / 4.0, -tau, half_sq)
+
+
+def _product(a: Entries, b: Entries) -> Entries:
+    """Entries of the matrix product a*b."""
+    return (a[0] * b[0] + a[1] * b[2], a[0] * b[1] + a[1] * b[3],
+            a[2] * b[0] + a[3] * b[2], a[2] * b[1] + a[3] * b[3])
+
+
 def euler(tau: float) -> TransitionMatrix:
     """Symplectic Euler step: kick by tau, then drift by tau."""
-    return TransitionMatrix(1.0 - tau * tau, tau, -tau, 1.0, tau, "euler")
+    return TransitionMatrix(*_euler(tau), tau, "euler")
 
 
 def velocity_verlet(tau: float) -> TransitionMatrix:
     """Kick-drift-kick step with half kicks."""
-    half_sq = 1.0 - tau * tau / 2.0
-    return TransitionMatrix(half_sq, tau, _cube(tau) / 4.0 - tau, half_sq, tau, "velocity-verlet")
+    return TransitionMatrix(*_velocity_verlet(tau), tau, "velocity-verlet")
 
 
 def position_verlet(tau: float) -> TransitionMatrix:
     """Drift-kick-drift step with half drifts."""
-    half_sq = 1.0 - tau * tau / 2.0
-    return TransitionMatrix(half_sq, tau - _cube(tau) / 4.0, -tau, half_sq, tau, "position-verlet")
+    return TransitionMatrix(*_position_verlet(tau), tau, "position-verlet")
 
 
 def compose(a: TransitionMatrix, b: TransitionMatrix, label: str | None = None) -> TransitionMatrix:
     """Matrix product a*b applied as "b first, then a"; increments add."""
-    return TransitionMatrix(
-        a.r1 * b.r1 + a.r2 * b.r3,
-        a.r1 * b.r2 + a.r2 * b.r4,
-        a.r3 * b.r1 + a.r4 * b.r3,
-        a.r3 * b.r2 + a.r4 * b.r4,
-        a.tau + b.tau,
-        label if label is not None else f"{a.label}*{b.label}",
-    )
+    return TransitionMatrix(*_product((a.r1, a.r2, a.r3, a.r4), (b.r1, b.r2, b.r3, b.r4)),
+                            a.tau + b.tau,
+                            label if label is not None else f"{a.label}*{b.label}")
 
 
 def double_euler(tau: float) -> TransitionMatrix:
     """Two symplectic Euler half-steps; regular where a single step is not."""
-    _check_tau(tau)
-    return compose(euler(tau / 2.0), euler(tau / 2.0), label="double-euler")
+    half = _euler(tau / 2.0)
+    return TransitionMatrix(*_product(half, half), tau, "double-euler")
 
 
 def vp(tau: float) -> TransitionMatrix:
     """Velocity-Verlet half-step followed by a position-Verlet half-step."""
-    _check_tau(tau)
-    return compose(velocity_verlet(tau / 2.0), position_verlet(tau / 2.0), label="vp")
+    return TransitionMatrix(*_product(_velocity_verlet(tau / 2.0), _position_verlet(tau / 2.0)),
+                            tau, "vp")
 
 
 def custom(r1: float, r2: float, r3: float, r4: float, tau: float,

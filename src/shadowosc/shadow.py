@@ -38,7 +38,6 @@ from .classifier import (
 from .errors import (
     BadParams,
     CriticalTau,
-    DegenerateBranch,
     InvalidTau,
     NoHamiltonian,
     NotDefective,
@@ -50,6 +49,8 @@ TRACE_TOL = 1e-10
 EXP_RESIDUAL_TOL = 1e-9
 PARAM_TOL = 1e-10
 REAL_TOL = 1e-10
+OBSTRUCTION = ("similar to a Jordan block with eigenvalue -1: any logarithm has "
+               "equal nonzero eigenvalues and cannot be traceless")
 
 
 @dataclass(frozen=True)
@@ -120,8 +121,8 @@ class CaseIIParams:
         return cls(0.0, 1j, -1j)
 
     @classmethod
-    def hyperbolic(cls, c3: complex = 1.0) -> "CaseIIParams":
-        return cls(1.0, 0.0, c3)
+    def hyperbolic(cls) -> "CaseIIParams":
+        return cls(1.0, 0.0, 1.0)
 
     @classmethod
     def projected(cls, c1: complex, c2: complex) -> "CaseIIParams":
@@ -139,30 +140,17 @@ PARAM_PRESETS = {
 
 
 @dataclass(frozen=True)
-class Obstruction:
-    """Proof that no Hamiltonian exists: defective map with eigenvalue -1."""
-
-    case: CaseTag
-    label: str
-    tau: float
-    eigen: EigenStructure
-    reason: str
-
-
-@dataclass(frozen=True)
 class GeneratorFamily:
+    """Case tag and every requested branch generator of a map.
+
+    For iii-b, where no Hamiltonian exists, ``generators`` is empty,
+    ``obstruction`` holds the reason and ``eigen.jordan_basis`` the evidence.
+    """
+
     case: CaseTag
     eigen: EigenStructure
     generators: tuple[Generator, ...]
-    obstruction: Obstruction | None = None
-
-
-@dataclass(frozen=True)
-class BranchFamily:
-    case: CaseTag
-    tau: float
-    hamiltonians: tuple[ShadowHamiltonian, ...]
-    obstruction: Obstruction | None = None
+    obstruction: str | None = None
 
 
 def _distinct_case(eigen: EigenStructure) -> CaseTag:
@@ -200,8 +188,7 @@ def generator_distinct(r: TransitionMatrix, eigen: EigenStructure, branch: int) 
 
 
 def generator_scalar(r: TransitionMatrix, branch: int,
-                     params: CaseIIParams | None = None,
-                     require_nontrivial: bool = False) -> Generator:
+                     params: CaseIIParams | None = None) -> Generator:
     """Branch-m generator for a scalar map R = +-I.
 
     Any traceless direction (c1, c2, c3) with c1**2 + c2*c3 = 1 works;
@@ -212,8 +199,6 @@ def generator_scalar(r: TransitionMatrix, branch: int,
     params = params if params is not None else CaseIIParams.default()
     plus = r.trace() > 0
     x1 = 1j * math.pi * (2 * branch if plus else 2 * branch + 1)
-    if x1 == 0 and require_nontrivial:
-        raise DegenerateBranch("branch 0 of the identity map has Z = 0")
     diag = x1 * params.c1
     z = Mat2C(diag, x1 * params.c2, x1 * params.c3, -diag)
     case = CaseTag.II_PLUS if plus else CaseTag.II_MINUS
@@ -300,7 +285,7 @@ def generators_for(r: TransitionMatrix, branches: Iterable[int],
 
     Distinct and scalar cases give one generator per branch; a defective
     map with eigenvalue +1 gives a singleton independent of the request;
-    eigenvalue -1 gives an empty family carrying the proof.
+    eigenvalue -1 gives an empty family carrying the obstruction.
     """
     tag, eigen = classify(r)
     ordered = sorted(set(int(b) for b in branches))
@@ -312,17 +297,4 @@ def generators_for(r: TransitionMatrix, branches: Iterable[int],
         return GeneratorFamily(tag, eigen, gens)
     if tag is CaseTag.IIIA:
         return GeneratorFamily(tag, eigen, (generator_jordan(r),))
-    obstruction = Obstruction(
-        tag, r.label, r.tau, eigen,
-        "similar to a Jordan block with eigenvalue -1: any logarithm has "
-        "equal nonzero eigenvalues and cannot be traceless",
-    )
-    return GeneratorFamily(tag, eigen, (), obstruction)
-
-
-def enumerate_branches(r: TransitionMatrix, branches: Iterable[int],
-                       params: CaseIIParams | None = None) -> BranchFamily:
-    """Hamiltonians of r over the requested branches, ordered by branch."""
-    family = generators_for(r, branches, params)
-    hams = tuple(hamiltonian_from_generator(g) for g in family.generators)
-    return BranchFamily(family.case, r.tau, hams, family.obstruction)
+    return GeneratorFamily(tag, eigen, (), OBSTRUCTION)

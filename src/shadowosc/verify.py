@@ -85,19 +85,19 @@ def report_table(reports: list[VerificationReport]) -> str:
     return "\n".join(rows)
 
 
-def series_exp(z: Mat2C, terms: int = 40) -> Mat2C:
+def series_exp(z: Mat2C) -> Mat2C:
     """Exponential through the raw series on an exactly halved argument.
 
     Halve z (exact scaling by powers of two) until its entries are at
-    most 1/2, sum the series, then square back; the truncation tail of
-    the halved sum is below 1e-60.
+    most 1/2, sum 40 terms of the series, then square back; the truncation
+    tail of the halved sum is below 1e-60.
     """
     halvings = 0
     w = z
     while w.max_abs() > 0.5 and halvings < 64:
         w = w.scaled(0.5)
         halvings += 1
-    result = taylor_exp(w, terms)
+    result = taylor_exp(w)
     for _ in range(halvings):
         result = result @ result
     return result

@@ -30,7 +30,6 @@ from shadowosc.flow import (
 from shadowosc.integrators import custom, double_euler, euler, make, position_verlet, velocity_verlet
 from shadowosc.shadow import (
     CaseIIParams,
-    enumerate_branches,
     euler_hamiltonian,
     euler_rate,
     generator_distinct,
@@ -79,8 +78,8 @@ def test_criterion_02_euler_regime_map():
         tau = round(0.1 * k, 10)
         assert classify(euler(tau))[0] is CaseTag.IC, tau
     assert classify(euler(2.0))[0] is CaseTag.IIIB
-    family = enumerate_branches(euler(2.0), range(-3, 4))
-    assert family.hamiltonians == () and family.obstruction is not None
+    family = generators_for(euler(2.0), range(-3, 4))
+    assert family.generators == () and family.obstruction is not None
     with pytest.raises(NoHamiltonian):
         generator_jordan(euler(2.0))
     announce(2, "i-a on (0,2), iii-b at 2 with no-Hamiltonian outcome, i-c on (2,5]")

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from shadowosc.algebra import (
     Mat2C,
     closed_exp,
-    eigenvalues2,
     log_branch,
     max_diff,
     principal_polar,
@@ -18,7 +17,7 @@ from shadowosc.algebra import (
 )
 from shadowosc.errors import ZeroEigenvalue
 
-from conftest import quadratic_roots, to_numpy
+from conftest import to_numpy
 
 finite = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
 
@@ -31,41 +30,6 @@ def small_matrices():
         st.builds(complex, finite, finite),
         st.builds(complex, finite, finite),
     )
-
-
-class TestEigenvalues:
-    def test_identity(self):
-        assert eigenvalues2(Mat2C.identity()) == (1.0, 1.0)
-
-    def test_rotation_generator(self):
-        l1, l2 = eigenvalues2(Mat2C(0.0, 1.0, -1.0, 0.0))
-        assert l1 == 1j
-        assert l2 == -1j
-
-    def test_euler_tau1_matches_quadratic_formula(self):
-        # [[0, 1], [-1, 1]] has characteristic polynomial x**2 - x + 1
-        got = eigenvalues2(Mat2C(0.0, 1.0, -1.0, 1.0))
-        want = sorted(quadratic_roots(1.0, 1.0), key=lambda z: (z.real, z.imag),
-                      reverse=True)
-        np.testing.assert_allclose(got, want, atol=1e-15)
-        np.testing.assert_allclose(got[0], cmath.exp(1j * math.pi / 3), atol=1e-15)
-        np.testing.assert_allclose(got[1], cmath.exp(-1j * math.pi / 3), atol=1e-15)
-
-    def test_ordering_descending(self):
-        l1, l2 = eigenvalues2(Mat2C(-2.0, 0.0, 0.0, 5.0))
-        assert (l1.real, l1.imag) >= (l2.real, l2.imag)
-        assert l1 == 5.0
-
-    def test_double_root_returned_twice(self):
-        assert eigenvalues2(Mat2C(3.0, 0.0, 0.0, 3.0)) == (3.0, 3.0)
-        assert eigenvalues2(Mat2C(1.0, 1.0, 0.0, 1.0)) == (1.0, 1.0)
-
-    @settings(max_examples=200)
-    @given(small_matrices())
-    def test_roots_satisfy_characteristic_polynomial(self, m):
-        tr, det = m.trace(), m.det()
-        for root in eigenvalues2(m):
-            assert abs(root * root - tr * root + det) <= 1e-12 * max(1.0, abs(det))
 
 
 class TestPrincipalPolar:
@@ -125,7 +89,7 @@ class TestLogBranch:
 
 class TestTaylorExp:
     def test_zero(self):
-        assert taylor_exp(Mat2C.zero(), 1) == Mat2C.identity()
+        assert taylor_exp(Mat2C(0.0, 0.0, 0.0, 0.0), 1) == Mat2C.identity()
 
     def test_rotation_block(self):
         theta = math.pi / 3
@@ -139,12 +103,12 @@ class TestTaylorExp:
 
     def test_terms_validated(self):
         with pytest.raises(ValueError):
-            taylor_exp(Mat2C.zero(), 0)
+            taylor_exp(Mat2C(0.0, 0.0, 0.0, 0.0), 0)
 
 
 class TestClosedExp:
     def test_zero(self):
-        assert closed_exp(Mat2C.zero()) == Mat2C.identity()
+        assert closed_exp(Mat2C(0.0, 0.0, 0.0, 0.0)) == Mat2C.identity()
 
     def test_diagonal(self):
         got = closed_exp(Mat2C(0.3, 0.0, 0.0, -0.3))

@@ -7,9 +7,7 @@ from shadowosc.classifier import (
     CaseTag,
     classify,
     criticality_gap,
-    jordan_decompose,
 )
-from shadowosc.errors import NotDefective
 from shadowosc.integrators import (
     compose,
     custom,
@@ -104,32 +102,24 @@ class TestEigenStructure:
 
 class TestJordan:
     def test_shift_block_basis_is_identity(self):
-        eigen = jordan_decompose(custom(1.0, 1.0, 0.0, 1.0, 1.0))
+        eigen = classify(custom(1.0, 1.0, 0.0, 1.0, 1.0))[1]
         np.testing.assert_array_equal(to_numpy(eigen.jordan_basis), np.eye(2))
 
     def test_euler_critical_rebuild(self):
         r = euler(2.0)
-        eigen = jordan_decompose(r)
+        eigen = classify(r)[1]
         assert eigen.eigenvalue == -1.0
         residual = np.max(np.abs(rebuild_from_jordan(eigen) - to_numpy(r)))
         assert residual <= 1e-10
 
     def test_double_step_rebuild_with_plus_one(self):
         r = compose(euler(2.0), euler(2.0))
-        eigen = jordan_decompose(r)
+        eigen = classify(r)[1]
         assert eigen.eigenvalue == 1.0
         residual = np.max(np.abs(rebuild_from_jordan(eigen) - to_numpy(r)))
         assert residual <= 1e-10
 
     def test_eigenvector_column_is_unit(self):
-        eigen = jordan_decompose(euler(2.0))
+        eigen = classify(euler(2.0))[1]
         b = eigen.jordan_basis
         assert math.hypot(abs(b.e11), abs(b.e21)) == pytest.approx(1.0, abs=1e-14)
-
-    def test_scalar_matrix_rejected(self):
-        with pytest.raises(NotDefective):
-            jordan_decompose(custom(1.0, 0.0, 0.0, 1.0, 1.0))
-
-    def test_distinct_matrix_rejected(self):
-        with pytest.raises(NotDefective):
-            jordan_decompose(euler(1.0))

@@ -3,7 +3,18 @@ import math
 
 import pytest
 
+from shadowosc import cli
 from shadowosc.cli import main
+from shadowosc.errors import (
+    BadParams,
+    CriticalTau,
+    InvalidTau,
+    NoHamiltonian,
+    NonFinite,
+    NotSymplectic,
+    ShadowOscError,
+    UnknownIntegrator,
+)
 
 
 def run(capsys, *argv):
@@ -302,6 +313,42 @@ def test_non_finite_input_is_usage_error(capsys, command, flags):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("integrator, tau", [("vp", "1e200"), ("double-euler", "1e103")])
+def test_composite_overflow_names_the_composite(capsys, integrator, tau):
+    code, out, err = run(capsys, "classify", "--integrator", integrator, "--tau", tau)
+    assert code == 2
+    assert err.startswith(f"error: {integrator}: entries and tau must be finite, got r = (")
+    assert err.endswith(f", tau = {float(tau)!r}\n")
+
+
+USAGE_ERRORS = (InvalidTau, NonFinite, NotSymplectic, BadParams, CriticalTau, UnknownIntegrator)
+
+
+def _raise(error_type):
+    if error_type is NotSymplectic:
+        raise NotSymplectic(1.0)
+    if error_type is NoHamiltonian:
+        raise NoHamiltonian("stub", 1.0, None)
+    raise error_type("stub")
+
+
+@pytest.mark.parametrize("error_type", ShadowOscError.__subclasses__(),
+                         ids=lambda t: t.__name__)
+def test_error_type_sets_exit_status(capsys, monkeypatch, error_type):
+    monkeypatch.setattr(cli, "cmd_classify", lambda args: _raise(error_type))
+    code, out, err = run(capsys, "classify", "--integrator", "euler", "--tau", "1")
+    assert code == (2 if error_type in USAGE_ERRORS else 1)
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_sweep_rejects_custom_in_the_parser(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["sweep", "--integrator", "custom", "--grid", "1:2:1"])
+    assert err.value.code == 2
+    assert "invalid choice: 'custom'" in capsys.readouterr().err
 
 
 def test_unknown_subcommand_exits_2(capsys):

@@ -2,11 +2,14 @@
 
 Each case is one short CLI call.  The exit status and the sha256 of its
 stdout and of every file it writes are stored in ``golden_flow_sha256.json``
-(`flow` calls) and ``golden_cli_sha256.json`` (`hamiltonian`, `sweep` and
-`verify` calls); a change that moves a single output byte fails here.
+(`flow` calls) and ``golden_cli_sha256.json`` (`classify`, `hamiltonian`,
+`sweep` and `verify` calls); a change that moves a single output byte fails
+here.
 The flow digests were taken from the code before the per-trajectory flow
-sampler replaced the per-sample matrix exponential, the others from the
-code before the repeated input checks were removed.  Print the digests of
+sampler replaced the per-sample matrix exponential, the `hamiltonian`,
+`sweep` and `verify` digests from the code before the repeated input checks
+were removed, and the `classify` digests from the code before the second
+family type and the obstruction record were removed.  Print the digests of
 the current code with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -72,9 +75,27 @@ HAMILTONIAN_MAPS = {
     "euler-iii-b": ["--integrator", "euler", "--tau", "2"],
 }
 
+CLASSIFY_MAPS = {
+    "euler-i-a": ["--integrator", "euler", "--tau", "0.66"],
+    "double-euler-i-b": ["--integrator", "double-euler", "--tau", "4.8"],
+    "euler-i-c": ["--integrator", "euler", "--tau", "3"],
+    "vp-tau-5": ["--integrator", "vp", "--tau", "5"],
+    "identity-ii-plus": ["--integrator", "custom", "--r", "1,0,0,1", "--tau", "1"],
+    "minus-identity-ii-minus": ["--integrator", "custom", "--r=-1,0,0,-1", "--tau", "1"],
+    "double-euler-ii-minus": ["--integrator", "double-euler", "--tau", "2.8284271247461903"],
+    "double-euler-iii-a": ["--integrator", "double-euler", "--tau", "4"],
+    "shear-iii-a": ["--integrator", "custom", "--r", "1,1,0,1", "--tau", "1"],
+    "euler-iii-b": ["--integrator", "euler", "--tau", "2"],
+    "custom-i-b": ["--integrator", "custom", "--r", "2,1,1,1", "--tau", "1"],
+    "custom-i-c": ["--integrator", "custom", "--r=-2,1,1,-1", "--tau", "0.5"],
+}
+
 SWEEP_INTEGRATORS = ("double-euler", "euler", "position-verlet", "velocity-verlet", "vp")
 
 CLI_CASES = {
+    **{f"classify-{name}-{label}": ["classify", *flags, "--format", fmt]
+       for name, flags in CLASSIFY_MAPS.items()
+       for label, fmt in (("text", "csv"), ("json", "json"))},
     **{f"hamiltonian-{name}-{fmt}": ["hamiltonian", *flags, "--format", fmt]
        for name, flags in HAMILTONIAN_MAPS.items() for fmt in ("csv", "json")},
     **{f"sweep-{name}": ["sweep", "--integrator", name, "--grid", "0.5:5:0.25"]

@@ -1,8 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shadowosc.classifier import CaseTag, classify
 from shadowosc.errors import InvalidTau, NonFinite, NotSymplectic, UnknownIntegrator
 from shadowosc.integrators import (
     TransitionMatrix,
@@ -178,6 +181,30 @@ def test_nonpositive_tau_error_names_the_tau_passed(name, tau):
 def test_overflowing_cube_is_non_finite(name, tau):
     with pytest.raises(NonFinite):
         make(name, tau)
+
+
+@pytest.mark.parametrize("tau", [float("nan"), float("inf"), float("-inf"),
+                                 1e103, -1e103, 1e200, -1e200])
+@pytest.mark.parametrize("name", ["double-euler", "vp"])
+def test_composite_error_names_the_composite(name, tau):
+    # the half-steps are not maps of their own: an overflow inside one is
+    # reported for the composite and the tau it was built for
+    with pytest.raises(NonFinite, match=f"^{name}: .*, tau = {re.escape(repr(tau))}$"):
+        make(name, tau)
+
+
+def test_composite_is_checked_as_a_whole():
+    # the half-step misses det = 1 by 1.8e-12; the composite holds it exactly
+    with pytest.raises(NotSymplectic):
+        velocity_verlet(23.79 / 2.0)
+    assert vp(23.79).det() == 1.0
+
+
+@pytest.mark.parametrize("name", ["double-euler", "vp"])
+def test_composite_of_subnormal_tau_is_identity(name):
+    r = make(name, 5e-324)
+    assert r.tau == 5e-324
+    assert classify(r)[0] is CaseTag.II_PLUS
 
 
 @pytest.mark.parametrize("name", ["euler", "velocity-verlet", "position-verlet",

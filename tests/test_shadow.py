@@ -5,12 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shadowosc.algebra import Mat2C, eigenvalues2, log_branch, max_diff, taylor_exp
+from shadowosc.algebra import Mat2C, log_branch, max_diff, taylor_exp
 from shadowosc.classifier import CaseTag, classify
 from shadowosc.errors import (
     BadParams,
     CriticalTau,
-    DegenerateBranch,
     NoHamiltonian,
     NotTraceless,
 )
@@ -18,15 +17,17 @@ from shadowosc.integrators import custom, double_euler, euler, make, velocity_ve
 from shadowosc.shadow import (
     CaseIIParams,
     Generator,
-    enumerate_branches,
     euler_hamiltonian,
     euler_rate,
     generator_distinct,
     generator_jordan,
     generator_scalar,
+    generators_for,
     hamiltonian_from_generator,
 )
 from shadowosc.verify import series_exp
+
+from conftest import quadratic_roots
 
 IDENTITY = custom(1.0, 0.0, 0.0, 1.0, 1.0, label="+identity")
 MINUS_IDENTITY = custom(-1.0, 0.0, 0.0, -1.0, 1.0, label="-identity")
@@ -36,10 +37,15 @@ def distinct_generator(r, branch):
     return generator_distinct(r, classify(r)[1], branch)
 
 
+def eigenvalues(z):
+    """Eigenvalues of a generator, the one with the larger imaginary part first."""
+    return sorted(quadratic_roots(z.trace(), z.det()), key=lambda x: x.imag, reverse=True)
+
+
 class TestGeneratorDistinct:
     def test_euler_unit_tau_eigenvalues(self):
         g = distinct_generator(euler(1.0), 0)
-        x1, x2 = eigenvalues2(g.matrix)
+        x1, x2 = eigenvalues(g.matrix)
         assert abs(x1 - 1j * math.pi / 3) <= 1e-14
         assert abs(x2 + 1j * math.pi / 3) <= 1e-14
 
@@ -69,7 +75,7 @@ class TestGeneratorDistinct:
         _, eigen = classify(r)
         g = generator_distinct(r, eigen, branch)
         x1 = log_branch(eigen.eigenvalue, branch)
-        got = sorted(eigenvalues2(g.matrix), key=lambda z: z.imag)
+        got = sorted(eigenvalues(g.matrix), key=lambda z: z.imag)
         want = sorted((x1, -x1), key=lambda z: z.imag)
         assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-10
 
@@ -77,13 +83,9 @@ class TestGeneratorDistinct:
 class TestGeneratorScalar:
     def test_identity_branch_zero_is_trivial(self):
         g = generator_scalar(IDENTITY, 0)
-        assert g.matrix == Mat2C.zero()
+        assert g.matrix == Mat2C(0.0, 0.0, 0.0, 0.0)
         h = hamiltonian_from_generator(g)
         assert h.evaluate(1.3, -0.4) == 0.0
-
-    def test_identity_branch_zero_nontrivial_refused(self):
-        with pytest.raises(DegenerateBranch):
-            generator_scalar(IDENTITY, 0, require_nontrivial=True)
 
     def test_rotation_preset_gives_real_hamiltonian(self):
         g = generator_scalar(IDENTITY, 1, CaseIIParams.real_rotation())
@@ -97,7 +99,7 @@ class TestGeneratorScalar:
 
     def test_default_params_minus_identity(self):
         g = generator_scalar(MINUS_IDENTITY, 0)
-        x1, x2 = eigenvalues2(g.matrix)
+        x1, x2 = eigenvalues(g.matrix)
         assert abs(x1 - 1j * math.pi) <= 1e-14
         assert abs(x2 + 1j * math.pi) <= 1e-14
         assert max_diff(taylor_exp(g.matrix, 40), MINUS_IDENTITY.as_mat2c()) <= 1e-9
@@ -225,31 +227,34 @@ class TestClosedFormAgainstGeneric:
 
 
 class TestEnumerateBranches:
+    """generators_for over a requested set of branches."""
+
     def test_three_real_hamiltonians(self):
-        family = enumerate_branches(euler(0.66), range(-1, 2))
+        family = generators_for(euler(0.66), range(-1, 2))
         assert family.case is CaseTag.IA
-        assert [h.branch for h in family.hamiltonians] == [-1, 0, 1]
-        assert all(h.real_valued for h in family.hamiltonians)
+        assert [g.branch for g in family.generators] == [-1, 0, 1]
+        assert all(hamiltonian_from_generator(g).real_valued for g in family.generators)
 
     def test_critical_is_empty_with_obstruction(self):
-        family = enumerate_branches(euler(2.0), range(-5, 6))
+        family = generators_for(euler(2.0), range(-5, 6))
         assert family.case is CaseTag.IIIB
-        assert family.hamiltonians == ()
-        assert family.obstruction is not None
-        assert family.obstruction.eigen.jordan_basis is not None
+        assert family.generators == ()
+        assert "Jordan block with eigenvalue -1" in family.obstruction
+        assert family.eigen.jordan_basis is not None
 
     def test_unique_case_is_singleton(self):
-        family = enumerate_branches(double_euler(4.0), range(-5, 6))
+        family = generators_for(double_euler(4.0), range(-5, 6))
         assert family.case is CaseTag.IIIA
-        assert len(family.hamiltonians) == 1
+        assert len(family.generators) == 1
+        assert family.obstruction is None
 
     def test_scalar_case_uses_params(self):
-        family = enumerate_branches(IDENTITY, [1], CaseIIParams.real_rotation())
-        assert family.hamiltonians[0].real_valued
+        family = generators_for(IDENTITY, [1], CaseIIParams.real_rotation())
+        assert hamiltonian_from_generator(family.generators[0]).real_valued
 
     def test_branches_sorted_and_deduplicated(self):
-        family = enumerate_branches(euler(1.0), [2, -1, 0, 2])
-        assert [h.branch for h in family.hamiltonians] == [-1, 0, 2]
+        family = generators_for(euler(1.0), [2, -1, 0, 2])
+        assert [g.branch for g in family.generators] == [-1, 0, 2]
 
 
 class TestExponentialIdentityProperty:
@@ -273,6 +278,6 @@ class TestExponentialIdentityProperty:
             r = euler(tau)
             for m in (-1, 0, 1):
                 g = distinct_generator(r, m)
-                x1, _ = eigenvalues2(g.matrix)
+                x1, _ = eigenvalues(g.matrix)
                 assert abs(x1) < 8.0
                 assert max_diff(taylor_exp(g.matrix, 40), r.as_mat2c()) <= 1e-9
