@@ -26,12 +26,14 @@ from .errors import (
     NotDefective,
     NotSymplectic,
     NotTraceless,
+    OutOfRange,
     ShadowOscError,
     UnknownIntegrator,
     ZeroEigenvalue,
 )
 from .flow import (
     PhaseState,
+    SampleTimes,
     Trajectory,
     continuous_state,
     discrete_orbit,
@@ -41,6 +43,7 @@ from .flow import (
     rotation_sense,
     sample_trajectory,
     write_trajectory_csv,
+    write_trajectory_json,
 )
 from .integrators import (
     TransitionMatrix,

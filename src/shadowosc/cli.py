@@ -18,16 +18,18 @@ from .algebra import re_im
 from .classifier import CaseTag, classify, criticality_gap
 from .errors import ShadowOscError
 from .flow import (
+    MAX_SAMPLES,
     discrete_orbit,
     euler_trajectory,
     sample_times,
     sample_trajectory,
-    trajectory_to_json,
     write_trajectory_csv,
+    write_trajectory_json,
 )
-# The Euler rows are sampled through euler_trajectory; bench/tracer.py still
-# looks this name up on the CLI module.
-from .flow import euler_closed_form  # noqa: F401
+# The Euler rows are sampled through euler_trajectory and JSON is written by
+# write_trajectory_json; bench/tracer.py still looks these names up on the CLI
+# module.
+from .flow import euler_closed_form, trajectory_to_json  # noqa: F401
 from .integrators import BUILDERS, TransitionMatrix, custom, make
 from .shadow import (
     CaseIIParams,
@@ -213,24 +215,28 @@ def cmd_flow(args) -> int:
     params = _resolve_params(args)
     branches = _branches(args)
     sample_times(args.t_end, args.dt)  # rejects dt and t_end before any file is written
+    if not (math.isfinite(args.q0) and math.isfinite(args.p0)):
+        raise ValueError(f"q0 and p0 must be finite, got {args.q0!r}, {args.p0!r}")
     r = _resolve_matrix(args)
+    family = generators_for(r, branches, params)
+    rows = () if family.obstruction is not None else _hamiltonian_rows(r, family, branches)
+    steps = args.t_end / r.tau + 1e-9
+    if not steps < MAX_SAMPLES:
+        raise ValueError(f"t_end / tau = {steps:g} discrete steps; at most 2**52 are supported")
     outdir = Path(args.out) if args.out else Path(".")
     outdir.mkdir(parents=True, exist_ok=True)
     suffix = "json" if args.format == "json" else "csv"
 
-    steps = max(0, int(math.floor(args.t_end / r.tau + 1e-9)))
-    discrete = discrete_orbit(r, args.q0, args.p0, steps)
+    discrete = discrete_orbit(r, args.q0, args.p0, max(0, int(math.floor(steps))))
     discrete_path = outdir / f"discrete.{suffix}"
     _write_trajectory(discrete_path, discrete, None, args.format)
     written = [discrete_path]
 
-    family = generators_for(r, branches, params)
     if family.obstruction is not None:
         print(f"case {family.case.value}: no interpolating flow exists; "
               f"wrote discrete points to {discrete_path}")
         return 0
 
-    rows = _hamiltonian_rows(r, family, branches)
     if r.label == "euler":
         trajectories = [euler_trajectory(r.tau, h.branch, args.q0, args.p0,
                                          args.t_end, args.dt) for h in rows]
@@ -247,11 +253,8 @@ def cmd_flow(args) -> int:
 
 
 def _write_trajectory(path: Path, trajectory, hamiltonian, fmt: str) -> None:
-    if fmt == "json":
-        path.write_text(json.dumps(trajectory_to_json(trajectory, hamiltonian),
-                                   indent=2) + "\n")
-    else:
-        write_trajectory_csv(path, trajectory, hamiltonian)
+    write = write_trajectory_json if fmt == "json" else write_trajectory_csv
+    write(path, trajectory, hamiltonian)
 
 
 def cmd_sweep(args) -> int:

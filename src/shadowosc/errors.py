@@ -65,6 +65,10 @@ class NoHamiltonian(ShadowOscError):
         )
 
 
+class OutOfRange(ShadowOscError):
+    """A computed result leaves the range of double precision."""
+
+
 class NotApplicable(ShadowOscError):
     """Operation defined only for bounded real orbits."""
 

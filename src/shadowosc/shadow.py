@@ -23,6 +23,7 @@ and the set of Hamiltonians over all integers m is identical.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Iterable
@@ -42,6 +43,7 @@ from .errors import (
     NoHamiltonian,
     NotDefective,
     NotTraceless,
+    OutOfRange,
 )
 from .integrators import TransitionMatrix
 
@@ -75,6 +77,13 @@ class ShadowHamiltonian:
     case: CaseTag
     real_valued: bool
     rate: complex | None = None
+
+    def __post_init__(self):
+        if not (cmath.isfinite(self.c_pp) and cmath.isfinite(self.c_qq)
+                and cmath.isfinite(self.c_pq)):
+            raise OutOfRange(
+                f"branch m={self.branch} Hamiltonian at tau={self.tau:g} has non-finite "
+                f"coefficients cA = {self.c_pp}, cB = {self.c_qq}, cC = {self.c_pq}")
 
     def evaluate(self, q: complex, p: complex) -> complex:
         return self.c_pp * p * p + self.c_qq * q * q + self.c_pq * p * q

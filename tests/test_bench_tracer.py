@@ -3,11 +3,14 @@
 ``bench/tracer.py`` looks each function up on its defining module and
 replaces it on the modules its callers read it from.  A renamed or
 deleted attribute breaks a traced benchmark run; this test catches it
-first.  The tracer is loaded from its file, unchanged.
+first.  A short traced flow in each format checks the counters the tracer
+takes from the trajectories it sees and that ``uninstall`` restores every
+attribute.  The tracer is loaded from its file, unchanged.
 """
 
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -27,3 +30,32 @@ def test_traced_attribute_resolves(home, lookups, attr):
     original = getattr(importlib.import_module(f"shadowosc.{home}"), attr)
     for module in lookups:
         assert getattr(importlib.import_module(f"shadowosc.{module}"), attr) is original
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_tracer_counts_the_rows_written_and_uninstalls(tmp_path, capsys, fmt):
+    import shadowosc.cli
+    import shadowosc.verify  # noqa: F401  (the tracer wraps verify's attributes too)
+
+    package = importlib.import_module("shadowosc")
+    before = {(module, attr): getattr(getattr(package, module), attr)
+              for _, _, lookups, attr in WRAPPED for module in lookups}
+    tracer = _tracer.Tracer(package)
+    try:
+        code = package.cli.main(["flow", "--integrator", "velocity-verlet", "--tau", "0.66",
+                                 "--t-end", "3", "--dt", "0.1", "--format", fmt,
+                                 "--out", str(tmp_path)])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    written = 0
+    for path in tmp_path.iterdir():
+        if fmt == "json":
+            written += len(json.loads(path.read_text())["states"])
+        else:
+            written += len(path.read_text().splitlines()) - 1
+    assert written == 5 + 3 * 31  # discrete t = 0, tau, ..., 4*tau; three branches t = 0..3
+    assert tracer.rows_serialized == written
+    assert tracer.calls("cli._write_trajectory") == 4
+    for (module, attr), original in before.items():
+        assert getattr(getattr(package, module), attr) is original

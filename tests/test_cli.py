@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import pytest
 
@@ -158,6 +159,72 @@ class TestFlow:
                 "--m-min", "0", "--m-max", "0", "--t-end", "9", "--dt", "0.25",
                 "--out", str(out))
         assert (a / "flow_m0.csv").read_bytes() == (b / "flow_m0.csv").read_bytes()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("integrator, label, t", [("velocity-verlet", "flow<i-c>", "1113"),
+                                                  ("euler", "euler", "1106")])
+def test_flow_leaving_double_range_is_an_error(capsys, tmp_path, fmt, integrator, label, t):
+    code, out, err = run(capsys, "flow", "--integrator", integrator, "--tau", "3",
+                         "--t-end", "1500", "--dt", "7", "--format", fmt,
+                         "--out", str(tmp_path))
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {label} m=-1 leaves double range at t = {t}\n"
+    assert [p.name for p in tmp_path.iterdir()] == [f"discrete.{fmt}"]
+
+
+@pytest.mark.parametrize("integrator", ["velocity-verlet", "vp", "double-euler", "euler"])
+@pytest.mark.parametrize("command", ["hamiltonian", "flow"])
+def test_non_finite_coefficients_are_an_error(capsys, tmp_path, command, integrator):
+    out_dir = tmp_path / "out"
+    code, out, err = run(capsys, command, "--integrator", integrator, "--tau", "5e-324",
+                         "--out", str(out_dir))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: branch m=-1 Hamiltonian at tau=4.94066e-324 has "
+                          "non-finite coefficients")
+    assert err.count("\n") == 1
+    assert not out_dir.exists()
+
+
+def test_flow_too_many_discrete_steps_is_usage_error(capsys, tmp_path):
+    code, _, err = run(capsys, "flow", "--integrator", "velocity-verlet", "--tau", "5e-324",
+                       "--m-min", "0", "--m-max", "0", "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert err == "error: t_end / tau = inf discrete steps; at most 2**52 are supported\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flags", [["--q0=inf"], ["--p0=nan"], ["--t-end=inf"],
+                                   ["--t-end=1e300", "--dt=1e-300"]])
+def test_flow_non_finite_start_or_horizon_is_usage_error(capsys, tmp_path, flags):
+    code, _, err = run(capsys, "flow", "--integrator", "euler", "--tau", "0.5", *flags,
+                       "--out", str(tmp_path / "out"))
+    assert code == 2
+    assert err.startswith("error: ")
+    assert not (tmp_path / "out").exists()
+
+
+def _flow_peak_bytes(tmp_path, fmt, t_end):
+    out_dir = tmp_path / f"{fmt}-{t_end}"
+    tracemalloc.start()
+    try:
+        code = cli.main(["flow", "--integrator", "velocity-verlet", "--tau", "0.66",
+                         "--m-min", "0", "--m-max", "0", "--t-end", t_end, "--dt", "0.01",
+                         "--format", fmt, "--out", str(out_dir)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    return peak
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_flow_memory_is_independent_of_the_number_of_samples(capsys, tmp_path, fmt):
+    short = _flow_peak_bytes(tmp_path, fmt, "20")
+    long = _flow_peak_bytes(tmp_path, fmt, "200")  # 10 times the samples
+    assert long <= 2 * short
 
 
 class TestSweep:

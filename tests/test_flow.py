@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 
 from shadowosc.algebra import Mat2C, closed_exp
 from shadowosc.classifier import CaseTag, classify
-from shadowosc.errors import CriticalTau, NotApplicable
+from shadowosc.errors import CriticalTau, NotApplicable, OutOfRange
 from shadowosc.flow import (
+    CSV_HEADER,
     PhaseState,
+    SampleTimes,
     Trajectory,
     TrajectorySource,
     continuous_state,
@@ -24,6 +26,7 @@ from shadowosc.flow import (
     state_deviation,
     trajectory_to_json,
     write_trajectory_csv,
+    write_trajectory_json,
 )
 from shadowosc.integrators import custom, double_euler, euler, make
 from shadowosc.shadow import (
@@ -46,7 +49,7 @@ def branch_generator(r, m):
 class TestDiscreteOrbit:
     def test_zero_steps(self):
         orbit = discrete_orbit(euler(0.66), 1.0, 0.0, 0)
-        assert orbit.states == (PhaseState(1.0, 0.0, 0.0),)
+        assert tuple(orbit.states) == (PhaseState(1.0, 0.0, 0.0),)
 
     def test_single_step(self):
         orbit = discrete_orbit(euler(0.66), 1.0, 0.0, 1)
@@ -158,7 +161,7 @@ class TestSampling:
         assert len(traj.states) == 1
 
     def test_final_sample_exact(self):
-        assert sample_times(1.0, 0.3) == [0.0, 0.3, 0.6, 0.8999999999999999, 1.0]
+        assert list(sample_times(1.0, 0.3)) == [0.0, 0.3, 0.6, 0.8999999999999999, 1.0]
         assert sample_times(0.6, 0.3)[-1] == 0.6
         assert len(sample_times(0.6, 0.3)) == 3
 
@@ -188,8 +191,23 @@ class TestSampling:
 
     def test_monotone_times_required(self):
         with pytest.raises(ValueError):
-            Trajectory((PhaseState(0, 0, 0.0), PhaseState(0, 0, 0.0)),
-                       TrajectorySource("x", 1.0))
+            SampleTimes(1.0, 1, 0.0)  # 0.0, 0.0
+
+    def test_length_and_items_read_the_times_only(self):
+        def unsampled(times):
+            raise AssertionError("sampled")
+
+        traj = Trajectory(TrajectorySource("x", 1.0), sample_times(2000.0, 0.01), unsampled)
+        assert len(traj.states) == 200_001
+        assert traj.times[-1] == 2000.0
+        assert traj.times[3] == 3 * 0.01
+
+    def test_leaving_double_range_names_the_first_t(self):
+        g = branch_generator(make("velocity-verlet", 3.0), 0)
+        with pytest.raises(OutOfRange, match=r"flow<i-c> m=0 leaves double range at t = 1113$"):
+            list(sample_trajectory(g, 1.0, 0.0, 1500.0, 7.0).states)
+        with pytest.raises(OutOfRange, match=r"euler m=0 leaves double range at t = 1106$"):
+            list(euler_trajectory(3.0, 0, 1.0, 0.0, 1500.0, 7.0).states)
 
 
 class TestRotationSense:
@@ -304,11 +322,110 @@ class TestEvaluatorIsClosedExp:
     def test_trajectory_repeats_single_states(self, case):
         g = _built_in_generator(case)
         traj = sample_trajectory(g, 0.3, -1.1, 5.0, 0.07)
-        assert traj.states == tuple(continuous_state(g, 0.3, -1.1, s.t) for s in traj.states)
+        assert tuple(traj.states) == tuple(continuous_state(g, 0.3, -1.1, s.t)
+                                           for s in traj.states)
 
     @pytest.mark.parametrize("tau, m", [(0.66, -1), (0.66, 2), (3.0, 0), (3.0, -2)])
     def test_euler_trajectory_repeats_single_states(self, tau, m):
         traj = euler_trajectory(tau, m, 0.3, -1.1, 5.0, 0.07)
         assert traj.source.branch == m
-        assert traj.states == tuple(euler_closed_form(tau, m, 0.3, -1.1, s.t)
-                                    for s in traj.states)
+        assert tuple(traj.states) == tuple(euler_closed_form(tau, m, 0.3, -1.1, s.t)
+                                           for s in traj.states)
+
+
+def _parent_csv(trajectory, h):
+    """The CSV bytes as the writer made them while trajectories held their
+    states: every line joined, then written at once."""
+    lines = [CSV_HEADER]
+    for s in trajectory.states:
+        e = (s.q * s.q + s.p * s.p) / 2.0 if h is None else h.evaluate(s.q, s.p)
+        lines.append(",".join(["%.17g"] * 7) % (s.t, s.q.real, s.q.imag, s.p.real, s.p.imag,
+                                                 e.real, e.imag))
+    return ("\n".join(lines) + "\n").encode()
+
+
+def _euler_case(tau, m, q0, p0, t_end, dt):
+    return euler_trajectory(tau, m, q0, p0, t_end, dt), euler_hamiltonian(tau, m)
+
+
+def _generic_case(g, q0, p0, t_end, dt):
+    return sample_trajectory(g, q0, p0, t_end, dt), hamiltonian_from_generator(g)
+
+
+def _discrete_case(name, tau, q0, p0, t_end):
+    return discrete_orbit(make(name, tau), q0, p0, int(t_end / tau)), None
+
+
+starts = st.one_of(st.just(-0.0), st.just(0.0), st.floats(-2.0, 2.0))
+trajectories = st.one_of(
+    st.builds(_generic_case, generators, starts, starts, st.floats(0.0, 10.0),
+              st.floats(0.05, 1.0)),
+    st.builds(_euler_case, st.sampled_from([0.66, 1.9, 2.1, 3.0]), st.integers(-2, 2),
+              starts, starts, st.floats(0.0, 10.0), st.floats(0.05, 1.0)),
+    st.builds(_discrete_case, st.sampled_from(["euler", "velocity-verlet", "vp"]),
+              st.sampled_from([0.66, 3.0]), starts, starts, st.floats(0.0, 20.0)),
+)
+
+
+def _non_finite_cases():
+    """vv at tau = 3 to t = 600: finite states whose energies overflow to NaN;
+    Euler from q0 = 1e160: real energies that overflow to Infinity alone."""
+    r = make("velocity-verlet", 3.0)
+    g = branch_generator(r, 0)
+    return [(sample_trajectory(g, 1.0, 0.0, 600.0, 7.0), hamiltonian_from_generator(g)),
+            (discrete_orbit(r, 1.0, 0.0, 200), None),
+            _euler_case(0.66, 0, 1e160, 0.0, 2.0, 0.5)]
+
+
+class TestStreamingWriters:
+    """The streaming writers produce the bytes of the whole-file forms."""
+
+    @staticmethod
+    def _check(write, reference, directory, traj, h):
+        """The writer's bytes equal the reference's; a flow that leaves double
+        range raises in both and leaves no file."""
+        path = directory / "t"
+        try:
+            want = reference(traj, h)
+        except OutOfRange:
+            with pytest.raises(OutOfRange):
+                write(path, traj, h)
+            assert list(directory.iterdir()) == []
+            return
+        write(path, traj, h)
+        assert path.read_bytes() == want
+
+    @settings(max_examples=150, deadline=None)
+    @given(trajectories)
+    def test_json_bytes_equal_json_dumps(self, tmp_path_factory, case):
+        self._check(write_trajectory_json,
+                    lambda traj, h: (json.dumps(trajectory_to_json(traj, h), indent=2)
+                                     + "\n").encode(),
+                    tmp_path_factory.mktemp("json"), *case)
+
+    @settings(max_examples=150, deadline=None)
+    @given(trajectories)
+    def test_csv_bytes_equal_joined_lines(self, tmp_path_factory, case):
+        self._check(write_trajectory_csv, _parent_csv, tmp_path_factory.mktemp("csv"), *case)
+
+    def test_non_finite_values(self, tmp_path):
+        rows_with = set()
+        for traj, h in _non_finite_cases():
+            write_trajectory_json(tmp_path / "t.json", traj, h)
+            text = (tmp_path / "t.json").read_text()
+            assert text == json.dumps(trajectory_to_json(traj, h), indent=2) + "\n"
+            for state in json.loads(text)["states"]:
+                values = [v for part in ("q", "p", "H") for v in state[part].values()]
+                rows_with.add(frozenset("nan" if math.isnan(v) else "inf"
+                                        for v in values if not math.isfinite(v)))
+            write_trajectory_csv(tmp_path / "t.csv", traj, h)
+            assert (tmp_path / "t.csv").read_bytes() == _parent_csv(traj, h)
+        assert {frozenset({"inf"}), frozenset({"inf", "nan"})} <= rows_with
+
+    def test_failed_write_leaves_no_file(self, tmp_path):
+        g = branch_generator(make("velocity-verlet", 3.0), 0)
+        traj = sample_trajectory(g, 1.0, 0.0, 1500.0, 7.0)
+        for write, name in ((write_trajectory_csv, "t.csv"), (write_trajectory_json, "t.json")):
+            with pytest.raises(OutOfRange):
+                write(tmp_path / name, traj, hamiltonian_from_generator(g))
+        assert list(tmp_path.iterdir()) == []

@@ -9,7 +9,9 @@ The flow digests were taken from the code before the per-trajectory flow
 sampler replaced the per-sample matrix exponential, the `hamiltonian`,
 `sweep` and `verify` digests from the code before the repeated input checks
 were removed, and the `classify` digests from the code before the second
-family type and the obstruction record were removed.  Print the digests of
+family type and the obstruction record were removed.  The NaN-bearing flow
+case was added, with digests from the code before the trajectory writers
+streamed their rows.  Print the digests of
 the current code with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -60,6 +62,9 @@ FLOW_CASES = {
     "euler-iii-b": ["--integrator", "euler", "--tau", "2", "--t-end", "6"],
     "velocity-verlet-i-c-json": ["--integrator", "velocity-verlet", "--tau", "3",
                                  "--t-end", "6", "--dt", "0.1", "--format", "json"],
+    # states stay finite while their energies overflow: NaN in every file
+    "velocity-verlet-i-c-nan-json": ["--integrator", "velocity-verlet", "--tau", "3",
+                                     "--t-end", "600", "--dt", "7", "--format", "json"],
 }
 
 HAMILTONIAN_MAPS = {
