@@ -13,25 +13,49 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 
 from .errors import ZeroEigenvalue
 
 DEFAULT_EXP_TERMS = 40
 
 
-@dataclass(frozen=True)
 class Mat2C:
-    """Immutable 2x2 complex matrix [[e11, e12], [e21, e22]]."""
+    """Immutable 2x2 complex matrix [[e11, e12], [e21, e22]].
 
-    e11: complex
-    e12: complex
-    e21: complex
-    e22: complex
+    The constructor coerces each entry to ``complex`` once; every other
+    operation reads the stored entries.  Matrices compare and hash as the
+    tuple of their entries, and assigning or deleting an attribute raises
+    ``FrozenInstanceError``.
+    """
 
-    def __post_init__(self):
-        for name in ("e11", "e12", "e21", "e22"):
-            object.__setattr__(self, name, complex(getattr(self, name)))
+    __slots__ = ("e11", "e12", "e21", "e22")
+
+    def __init__(self, e11: complex, e12: complex, e21: complex, e22: complex):
+        _set_e11(self, complex(e11))
+        _set_e12(self, complex(e12))
+        _set_e21(self, complex(e21))
+        _set_e22(self, complex(e22))
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return Mat2C, self.entries()
+
+    def __repr__(self) -> str:
+        return f"Mat2C(e11={self.e11!r}, e12={self.e12!r}, e21={self.e21!r}, e22={self.e22!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.entries() == other.entries()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.entries())
 
     @staticmethod
     def identity() -> "Mat2C":
@@ -71,6 +95,11 @@ class Mat2C:
 
     def max_abs(self) -> float:
         return max(abs(e) for e in self.entries())
+
+
+# Slot setters: the constructor is the only writer of the entries.
+_set_e11, _set_e12, _set_e21, _set_e22 = (
+    Mat2C.__dict__[name].__set__ for name in Mat2C.__slots__)
 
 
 def max_diff(a: Mat2C, b: Mat2C) -> float:

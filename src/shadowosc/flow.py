@@ -49,7 +49,7 @@ from typing import Callable, Iterable, Iterator
 
 # closed_exp is the matrix form of the per-sample arithmetic; bench/tracer.py
 # looks it up on this module.
-from .algebra import closed_exp, closed_exp_entries, re_im  # noqa: F401
+from .algebra import Mat2C, closed_exp, closed_exp_entries, re_im  # noqa: F401
 from .classifier import CaseTag
 from .errors import NotApplicable, OutOfRange
 from .integrators import TransitionMatrix
@@ -187,16 +187,24 @@ def _flow_rows(g: Generator, q0: complex, p0: complex,
     raise OutOfRange(f"flow<{g.case}> m={g.branch} leaves double range at t = {t:.17g}")
 
 
-def continuous_state(g: Generator, q0: complex, p0: complex, t: float) -> PhaseState:
-    """State of the branch flow at time t: exp((t/tau) Z) (q0, p0).
+def flow_matrix(g: Generator, t: float) -> Mat2C:
+    """exp((t/tau) Z), the branch flow's propagator from time 0 to time t.
 
-    The arithmetic of one ``_flow_rows`` sample without its range check,
-    spelled out because the oracles in ``verify`` call this per state.
+    Bit-for-bit equal to ``closed_exp(Z.scaled(t/tau))``; an oracle that
+    needs many starts at one time computes it once and applies it to each.
     """
     s = t / g.tau
     z11, z12, z21, z22 = g.matrix.entries()
-    e11, e12, e21, e22 = closed_exp_entries(s * z11, s * z12, s * z21, s * z22)
-    return PhaseState(e11 * q0 + e12 * p0, e21 * q0 + e22 * p0, t)
+    return Mat2C(*closed_exp_entries(s * z11, s * z12, s * z21, s * z22))
+
+
+def continuous_state(g: Generator, q0: complex, p0: complex, t: float) -> PhaseState:
+    """State of the branch flow at time t: exp((t/tau) Z) (q0, p0).
+
+    The arithmetic of one ``_flow_rows`` sample without its range check.
+    """
+    q, p = flow_matrix(g, t).apply(q0, p0)
+    return PhaseState(q, p, t)
 
 
 def _euler_rows(tau: float, branch: int, q0: float, p0: float,

@@ -28,7 +28,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from .algebra import Mat2C, closed_exp, log_branch, max_diff, re_im
+from .algebra import Mat2C, closed_exp, log_branch, re_im
 from .classifier import (
     DISTINCT_TAGS,
     SCALAR_TAGS,
@@ -170,12 +170,22 @@ def _distinct_case(eigen: EigenStructure) -> CaseTag:
     return CaseTag.IA
 
 
+def _exp_residual(z: Mat2C, r: TransitionMatrix) -> float:
+    """``max_diff(closed_exp(z), r.as_mat2c())``, read straight from R's entries.
+
+    The same subtractions in the same order, so the value is bit-for-bit
+    equal, without building R as a Mat2C.
+    """
+    e = closed_exp(z)
+    return max(abs(e.e11 - r.r1), abs(e.e12 - r.r2), abs(e.e21 - r.r3), abs(e.e22 - r.r4))
+
+
 def _validated(z: Mat2C, branch: int, r: TransitionMatrix, case: CaseTag,
                exp_tol: float = EXP_RESIDUAL_TOL) -> Generator:
     trace_resid = abs(z.trace())
     if trace_resid > TRACE_TOL:
         raise NotTraceless(f"trace residual {trace_resid:.3e}")
-    exp_resid = max_diff(closed_exp(z), r.as_mat2c())
+    exp_resid = _exp_residual(z, r)
     if exp_resid > exp_tol:
         raise NotTraceless(
             f"exp(Z) reproduces {r.label} only to {exp_resid:.3e}"
@@ -221,7 +231,11 @@ def generator_jordan(r: TransitionMatrix) -> Generator:
     eigenvalue -1 admits no traceless logarithm; that outcome is reported
     through NoHamiltonian together with the Jordan evidence.
     """
-    tag, eigen = classify(r)
+    return _jordan_generator(r, *classify(r))
+
+
+def _jordan_generator(r: TransitionMatrix, tag: CaseTag, eigen: EigenStructure) -> Generator:
+    """``generator_jordan`` for a map already classified as (tag, eigen)."""
     if tag is CaseTag.IIIB:
         raise NoHamiltonian(r.label, r.tau, eigen)
     if tag is not CaseTag.IIIA:
@@ -305,5 +319,5 @@ def generators_for(r: TransitionMatrix, branches: Iterable[int],
         gens = tuple(generator_scalar(r, m, params) for m in ordered)
         return GeneratorFamily(tag, eigen, gens)
     if tag is CaseTag.IIIA:
-        return GeneratorFamily(tag, eigen, (generator_jordan(r),))
+        return GeneratorFamily(tag, eigen, (_jordan_generator(r, tag, eigen),))
     return GeneratorFamily(tag, eigen, (), OBSTRUCTION)

@@ -23,7 +23,16 @@ from dataclasses import dataclass, replace
 from .algebra import Mat2C, max_diff, taylor_exp
 from .classifier import CaseTag, classify
 from .errors import UnknownIntegrator
-from .flow import continuous_state, discrete_orbit, sample_times, state_deviation
+# continuous_state is not called here (the oracles apply one flow_matrix
+# per time); bench/tracer.py looks it up on this module.
+from .flow import (  # noqa: F401
+    PhaseState,
+    continuous_state,
+    discrete_orbit,
+    flow_matrix,
+    sample_times,
+    state_deviation,
+)
 from .integrators import TransitionMatrix, custom, make, vp
 from .shadow import (
     CaseIIParams,
@@ -126,12 +135,14 @@ def check_coincidence(g: Generator, r: TransitionMatrix, trials: int = 20,
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = random.Random(seed)
+    # one propagator per orbit time, applied to every trial's start
+    flows = [flow_matrix(g, t) for t in discrete_orbit(r, 0.0, 0.0, 20).times]
     worst = 0.0
     for _ in range(trials):
         q0 = rng.uniform(-2.0, 2.0)
         p0 = rng.uniform(-2.0, 2.0)
-        for ref in discrete_orbit(r, q0, p0, 20).states:
-            got = continuous_state(g, q0, p0, ref.t)
+        for flow, ref in zip(flows, discrete_orbit(r, q0, p0, 20).states):
+            got = PhaseState(*flow.apply(q0, p0), ref.t)
             worst = max(worst, state_deviation(got, ref))
     return VerificationReport(
         f"{r.label} tau={r.tau:g} m={g.branch}",
@@ -139,8 +150,8 @@ def check_coincidence(g: Generator, r: TransitionMatrix, trials: int = 20,
     )
 
 
-def _drift(h: ShadowHamiltonian, g: Generator, q0: float, p0: float) -> float:
-    """Relative drift of H over [0, 10*tau].
+def _drift(h: ShadowHamiltonian, flows: list[Mat2C], q0: float, p0: float) -> float:
+    """Relative drift of H along the states flows[k] (q0, p0).
 
     The denominator switches from |H(0)| to the magnitude sum of the
     three quadratic terms once the latter dominates, so that diverging
@@ -148,28 +159,29 @@ def _drift(h: ShadowHamiltonian, g: Generator, q0: float, p0: float) -> float:
     """
     h0 = h.evaluate(q0, p0)
     worst = 0.0
-    for t in sample_times(10.0 * g.tau, g.tau / 20.0):
-        s = continuous_state(g, q0, p0, t)
-        drift = abs(h.evaluate(s.q, s.p) - h0)
+    for flow in flows:
+        q, p = flow.apply(q0, p0)
+        drift = abs(h.evaluate(q, p) - h0)
         if drift == 0.0:
             continue
-        term_scale = (abs(h.c_pp * s.p * s.p) + abs(h.c_qq * s.q * s.q)
-                      + abs(h.c_pq * s.p * s.q))
+        term_scale = (abs(h.c_pp * p * p) + abs(h.c_qq * q * q)
+                      + abs(h.c_pq * p * q))
         worst = max(worst, drift / max(abs(h0), 2.2e-6 * term_scale, 1e-300))
     return worst
 
 
 def check_conservation(h: ShadowHamiltonian, g: Generator, trials: int = 5,
                        seed: int = DEFAULT_SEED) -> VerificationReport:
-    """H is constant along its own flow."""
+    """H is constant along its own flow over [0, 10*tau]."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = random.Random(seed)
+    flows = [flow_matrix(g, t) for t in sample_times(10.0 * g.tau, g.tau / 20.0)]
     worst = 0.0
     for _ in range(trials):
         q0 = rng.uniform(-2.0, 2.0)
         p0 = rng.uniform(-2.0, 2.0)
-        worst = max(worst, _drift(h, g, q0, p0))
+        worst = max(worst, _drift(h, flows, q0, p0))
     return VerificationReport(
         f"flow<{h.case}> tau={h.tau:g} m={h.branch}",
         (CheckResult.of("H conserved along flow", worst, CONSERVATION_TOL),),

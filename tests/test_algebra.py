@@ -1,5 +1,9 @@
 import cmath
+import copy
 import math
+import pickle
+import struct
+from dataclasses import FrozenInstanceError, dataclass
 
 import numpy as np
 import pytest
@@ -151,3 +155,196 @@ class TestClosedExp:
         want = scipy.linalg.expm(to_numpy(z))
         got = to_numpy(closed_exp(z))
         np.testing.assert_allclose(got, want, atol=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# Mat2C against a reference frozen dataclass
+#
+# RefMat2C is Mat2C as a frozen dataclass whose __post_init__ coerces every
+# field to complex, with the same operations spelled out; ref_closed_exp is
+# the matrix form of the closed-form exponential and ref_taylor_exp the raw
+# series on it.  The slotted Mat2C must give the same bits for every input,
+# signed zeros, infinities and NaNs included, and for int, float and
+# complex entries alike.
+
+
+@dataclass(frozen=True)
+class RefMat2C:
+    e11: complex
+    e12: complex
+    e21: complex
+    e22: complex
+
+    def __post_init__(self):
+        for name in ("e11", "e12", "e21", "e22"):
+            object.__setattr__(self, name, complex(getattr(self, name)))
+
+    @staticmethod
+    def identity():
+        return RefMat2C(1.0, 0.0, 0.0, 1.0)
+
+    def trace(self):
+        return self.e11 + self.e22
+
+    def det(self):
+        return self.e11 * self.e22 - self.e12 * self.e21
+
+    def scaled(self, s):
+        return RefMat2C(s * self.e11, s * self.e12, s * self.e21, s * self.e22)
+
+    def __add__(self, other):
+        return RefMat2C(self.e11 + other.e11, self.e12 + other.e12,
+                        self.e21 + other.e21, self.e22 + other.e22)
+
+    def __sub__(self, other):
+        return RefMat2C(self.e11 - other.e11, self.e12 - other.e12,
+                        self.e21 - other.e21, self.e22 - other.e22)
+
+    def __matmul__(self, other):
+        return RefMat2C(
+            self.e11 * other.e11 + self.e12 * other.e21,
+            self.e11 * other.e12 + self.e12 * other.e22,
+            self.e21 * other.e11 + self.e22 * other.e21,
+            self.e21 * other.e12 + self.e22 * other.e22,
+        )
+
+    def apply(self, q, p):
+        return (self.e11 * q + self.e12 * p, self.e21 * q + self.e22 * p)
+
+    def entries(self):
+        return (self.e11, self.e12, self.e21, self.e22)
+
+    def max_abs(self):
+        return max(abs(e) for e in self.entries())
+
+
+def ref_taylor_exp(z, terms=40):
+    acc = RefMat2C.identity()
+    term = RefMat2C.identity()
+    for k in range(1, terms + 1):
+        term = (term @ z).scaled(1.0 / k)
+        acc = acc + term
+    return acc
+
+
+def ref_closed_exp(z):
+    mu = z.trace() / 2.0
+    ident = RefMat2C.identity()
+    offset = z - ident.scaled(mu)
+    d_sq = offset.e11 * offset.e11 + offset.e12 * offset.e21
+    if abs(d_sq) < 1e-8:
+        cosh_d = 1.0 + d_sq / 2.0 + d_sq * d_sq / 24.0
+        sinch_d = 1.0 + d_sq / 6.0 + d_sq * d_sq / 120.0
+    else:
+        d = cmath.sqrt(d_sq)
+        cosh_d = cmath.cosh(d)
+        sinch_d = cmath.sinh(d) / d
+    return (ident.scaled(cosh_d) + offset.scaled(sinch_d)).scaled(cmath.exp(mu))
+
+
+def bits(value):
+    """Bit pattern of a scalar, a matrix or a tuple of them."""
+    if isinstance(value, (Mat2C, RefMat2C)):
+        return ("matrix",) + bits(value.entries())
+    if isinstance(value, tuple):
+        return tuple(bits(v) for v in value)
+    if isinstance(value, float):
+        return struct.pack("<d", value)
+    value = complex(value)
+    return struct.pack("<dd", value.real, value.imag)
+
+
+def outcome(fn, *args):
+    """Bits of fn(*args), or the type of the exception it raises."""
+    try:
+        return bits(fn(*args))
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc)
+
+
+special = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 1e308, -5e-324])
+any_float = st.one_of(special, st.floats(allow_nan=True, allow_infinity=True))
+scalars = st.one_of(
+    any_float,
+    st.integers(-2 ** 60, 2 ** 60),
+    st.builds(complex, any_float, any_float),
+)
+desk_scalars = st.one_of(
+    st.sampled_from([0.0, -0.0, 1, -2]),
+    st.floats(-3.0, 3.0),
+    st.integers(-3, 3),
+    st.builds(complex, st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+)
+
+
+def pair(entry):
+    """A Mat2C and the RefMat2C built from the same four raw inputs."""
+    return st.tuples(entry, entry, entry, entry).map(lambda e: (Mat2C(*e), RefMat2C(*e)))
+
+
+class TestSlimMat2CMatchesDataclass:
+    @settings(max_examples=300)
+    @given(pair(scalars), pair(scalars), scalars, scalars, scalars)
+    def test_arithmetic_bits(self, a, b, s, q, p):
+        (m, ref), (n, ref_n) = a, b
+        assert bits(m) == bits(ref)
+        assert bits(m + n) == bits(ref + ref_n)
+        assert bits(m - n) == bits(ref - ref_n)
+        assert bits(m @ n) == bits(ref @ ref_n)
+        assert bits(m.scaled(s)) == bits(ref.scaled(s))
+        assert bits(m.trace()) == bits(ref.trace())
+        assert bits(m.det()) == bits(ref.det())
+        assert bits(m.apply(q, p)) == bits(ref.apply(q, p))
+        assert outcome(Mat2C.max_abs, m) == outcome(RefMat2C.max_abs, ref)
+
+    @settings(max_examples=300)
+    @given(pair(scalars))
+    def test_closed_exp_bits(self, a):
+        m, ref = a
+        assert outcome(closed_exp, m) == outcome(ref_closed_exp, ref)
+
+    @settings(max_examples=100)
+    @given(pair(scalars))
+    def test_taylor_exp_bits(self, a):
+        m, ref = a
+        assert outcome(taylor_exp, m, 8) == outcome(ref_taylor_exp, ref, 8)
+
+    @settings(max_examples=100)
+    @given(pair(desk_scalars))
+    def test_desk_scale_exponentials_bits(self, a):
+        m, ref = a
+        assert bits(closed_exp(m)) == bits(ref_closed_exp(ref))
+        assert bits(taylor_exp(m)) == bits(ref_taylor_exp(ref))
+
+    def test_attribute_assignment_raises(self):
+        m = Mat2C(1.0, 2.0, 3.0, 4.0)
+        for name in ("e11", "e12", "e21", "e22", "other"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(m, name, 0.0)
+            with pytest.raises(FrozenInstanceError):
+                delattr(m, name)
+        assert m.entries() == (1.0, 2.0, 3.0, 4.0)
+
+    @given(pair(scalars))
+    def test_equal_matrices_compare_and_hash_equal(self, a):
+        m, ref = a
+        # the twins share entry objects, so NaN entries (hashed and compared
+        # by identity inside a tuple) behave as in the dataclass
+        twin, ref_twin = Mat2C(*m.entries()), RefMat2C(*ref.entries())
+        assert m == twin and not m != twin and ref == ref_twin
+        assert hash(m) == hash(twin) == hash(m.entries())
+        assert hash(ref) == hash(ref_twin) == hash(ref.entries())
+        assert (m == Mat2C(*ref.entries())) == (ref == RefMat2C(*m.entries()))
+        assert repr(m) == repr(ref).replace("RefMat2C", "Mat2C")
+
+    def test_coercion_makes_int_float_and_complex_inputs_equal(self):
+        a = Mat2C(1, 0, -0.0, 2)
+        b = Mat2C(1.0 + 0j, 0.0, complex(-0.0, 0.0), 2.0)
+        assert a == b and hash(a) == hash(b)
+        assert all(type(e) is complex for e in a.entries())
+        assert a != (1, 0, 0, 2) and a != RefMat2C(1, 0, 0, 2)
+
+    def test_copy_and_pickle_round_trip(self):
+        m = Mat2C(1.5, -0.0, complex(math.inf, 1.0), 2j)
+        for twin in (copy.copy(m), copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
+            assert type(twin) is Mat2C and bits(twin) == bits(m)

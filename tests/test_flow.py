@@ -19,6 +19,7 @@ from shadowosc.flow import (
     discrete_orbit,
     euler_closed_form,
     euler_trajectory,
+    flow_matrix,
     measure_period,
     rotation_sense,
     sample_times,
@@ -312,10 +313,12 @@ class TestEvaluatorIsClosedExp:
     @given(generators, st.floats(-2.0, 2.0), st.floats(-2.0, 2.0), st.floats(0.0, 20.0))
     def test_state_equals_closed_exp_propagator(self, g, q0, p0, periods):
         t = periods * g.tau
-        want = closed_exp(g.matrix.scaled(t / g.tau)).apply(q0, p0)
+        propagator = closed_exp(g.matrix.scaled(t / g.tau))
+        want = propagator.apply(q0, p0)
         got = continuous_state(g, q0, p0, t)
         assert (got.q, got.p) == want
         assert repr((got.q, got.p)) == repr(want)  # signed zeros too
+        assert repr(flow_matrix(g, t).entries()) == repr(propagator.entries())
 
     @pytest.mark.parametrize("case", [("velocity-verlet", 0.66, 1), ("velocity-verlet", 3.0, -1),
                                       ("double-euler", 4.8, 0)])

@@ -1,22 +1,26 @@
 import math
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shadowosc.algebra import Mat2C, log_branch, max_diff, taylor_exp
+import shadowosc.shadow
+from shadowosc.algebra import Mat2C, closed_exp, log_branch, max_diff, taylor_exp
 from shadowosc.classifier import CaseTag, classify
 from shadowosc.errors import (
     BadParams,
     CriticalTau,
     NoHamiltonian,
+    NotDefective,
     NotTraceless,
 )
-from shadowosc.integrators import custom, double_euler, euler, make, velocity_verlet
+from shadowosc.integrators import BUILDERS, custom, double_euler, euler, make, velocity_verlet
 from shadowosc.shadow import (
     CaseIIParams,
     Generator,
+    _exp_residual,
     euler_hamiltonian,
     euler_rate,
     generator_distinct,
@@ -133,6 +137,10 @@ class TestGeneratorJordan:
         assert g.matrix == Mat2C(4.0, -4.0, 4.0, -4.0)
         assert (g.matrix @ g.matrix).max_abs() == 0.0
         assert max_diff(taylor_exp(g.matrix, 40), r.as_mat2c()) <= 1e-10
+
+    def test_non_defective_map_rejected(self):
+        with pytest.raises(NotDefective):
+            generator_jordan(euler(1.0))
 
     def test_euler_critical_has_no_hamiltonian(self):
         with pytest.raises(NoHamiltonian) as err:
@@ -255,6 +263,55 @@ class TestEnumerateBranches:
     def test_branches_sorted_and_deduplicated(self):
         family = generators_for(euler(1.0), [2, -1, 0, 2])
         assert [g.branch for g in family.generators] == [-1, 0, 2]
+
+    @pytest.mark.parametrize("r, tag", [
+        (euler(0.66), CaseTag.IA), (velocity_verlet(2.5), CaseTag.IC),
+        (custom(2.0, 1.0, 1.0, 1.0, 1.0), CaseTag.IB), (IDENTITY, CaseTag.II_PLUS),
+        (MINUS_IDENTITY, CaseTag.II_MINUS), (double_euler(4.0), CaseTag.IIIA),
+        (euler(2.0), CaseTag.IIIB)])
+    def test_each_map_is_classified_once(self, monkeypatch, r, tag):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return classify(*args)
+
+        monkeypatch.setattr(shadowosc.shadow, "classify", counting)
+        assert generators_for(r, range(-1, 2)).case is tag
+        assert len(calls) == 1
+
+
+class TestExpResidual:
+    """_validated's exp residual is max_diff(closed_exp(Z), R) bit for bit."""
+
+    entries = st.one_of(
+        st.sampled_from([0.0, -0.0, 1e-300, 1e300, math.inf, -math.inf, math.nan]),
+        st.builds(complex, st.floats(-50.0, 50.0), st.floats(-50.0, 50.0)))
+    maps = st.one_of(
+        st.builds(make, st.sampled_from(sorted(BUILDERS)), st.floats(1e-3, 4.0)),
+        st.builds(lambda a, b, c: custom(a, b, c, (1.0 + b * c) / a, 1.0),
+                  st.floats(0.1, 5.0), st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)),
+        st.just(IDENTITY), st.just(MINUS_IDENTITY))
+
+    @settings(max_examples=300)
+    @given(st.tuples(entries, entries, entries, entries), maps)
+    def test_bits_equal_max_diff(self, z, r):
+        z = Mat2C(*z)
+        try:
+            want = max_diff(closed_exp(z), r.as_mat2c())
+        except (OverflowError, ValueError) as exc:
+            with pytest.raises(type(exc)):
+                _exp_residual(z, r)
+            return
+        assert struct.pack("<d", _exp_residual(z, r)) == struct.pack("<d", want)
+
+    @pytest.mark.parametrize("name, tau", [("euler", 0.66), ("euler", 3.0),
+                                           ("double-euler", 2.0), ("vp", 7.0)])
+    def test_built_generators(self, name, tau):
+        r = make(name, tau)
+        for g in generators_for(r, range(-3, 4)).generators:
+            want = max_diff(closed_exp(g.matrix), r.as_mat2c())
+            assert struct.pack("<d", _exp_residual(g.matrix, r)) == struct.pack("<d", want)
 
 
 class TestExponentialIdentityProperty:

@@ -1,13 +1,19 @@
 import math
+import random
+import struct
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shadowosc.algebra import Mat2C, max_diff
 from shadowosc.classifier import CaseTag, classify
 from shadowosc.errors import UnknownIntegrator
+from shadowosc.flow import continuous_state, discrete_orbit, sample_times, state_deviation
 from shadowosc.integrators import custom, euler, make, vp
 from shadowosc.shadow import (
+    Generator,
     generator_scalar,
     generators_for,
     hamiltonian_from_generator,
@@ -108,6 +114,89 @@ class TestCheckConservation:
         h = ShadowHamiltonian(z.e12 / (2 * g.tau), -z.e21 / (2 * g.tau),
                               z.e11 / g.tau, g.tau, g.branch, g.case, False)
         assert not check_conservation(h, g).passed
+
+
+def reference_coincidence(g, r, trials, seed):
+    """The coincidence residual from one continuous_state call per state."""
+    rng = random.Random(seed)
+    worst = 0.0
+    for _ in range(trials):
+        q0 = rng.uniform(-2.0, 2.0)
+        p0 = rng.uniform(-2.0, 2.0)
+        for ref in discrete_orbit(r, q0, p0, 20).states:
+            worst = max(worst, state_deviation(continuous_state(g, q0, p0, ref.t), ref))
+    return worst
+
+
+def reference_conservation(h, g, trials, seed):
+    """The conservation residual from one continuous_state call per state."""
+    rng = random.Random(seed)
+    worst = 0.0
+    for _ in range(trials):
+        q0 = rng.uniform(-2.0, 2.0)
+        p0 = rng.uniform(-2.0, 2.0)
+        h0 = h.evaluate(q0, p0)
+        for t in sample_times(10.0 * g.tau, g.tau / 20.0):
+            s = continuous_state(g, q0, p0, t)
+            drift = abs(h.evaluate(s.q, s.p) - h0)
+            if drift == 0.0:
+                continue
+            term_scale = (abs(h.c_pp * s.p * s.p) + abs(h.c_qq * s.q * s.q)
+                          + abs(h.c_pq * s.p * s.q))
+            worst = max(worst, drift / max(abs(h0), 2.2e-6 * term_scale, 1e-300))
+    return worst
+
+
+def _built_in(case):
+    (name, tau), m, eps = case
+    r = make(name, tau)
+    g = branch_generator(r, m)
+    return g if eps == 0.0 else corrupt(g, eps), r
+
+
+entries = st.builds(complex, st.floats(-4.0, 4.0), st.floats(-4.0, 4.0))
+# (generator, map) pairs: built-in branches of every case, some with a
+# shifted diagonal as full_suite's negative control makes them, and generic
+# traceless generators checked against the Euler map of their tau
+subjects = st.one_of(
+    st.tuples(st.sampled_from([("euler", 0.66), ("euler", 3.0), ("velocity-verlet", 1.5),
+                               ("position-verlet", 1.0), ("double-euler", 2.0),
+                               ("double-euler", 4.0), ("double-euler", 4.8), ("vp", 5.0)]),
+              st.integers(-2, 2), st.sampled_from([0.0, 1e-3, -1e-9])).map(_built_in),
+    st.builds(lambda a, b, c, tau: (Generator(Mat2C(a, b, c, -a), 0, tau, CaseTag.IA),
+                                    euler(tau)),
+              entries, entries, entries, st.floats(0.05, 3.0)),
+)
+
+
+def outcome(fn, *args):
+    """Bits of the float fn(*args), or the type of the exception it raises."""
+    try:
+        return struct.pack("<d", fn(*args))
+    except ArithmeticError as exc:
+        return type(exc)
+
+
+class TestOraclesApplyOnePropagatorPerTime:
+    """The hoisted oracles equal the per-state continuous_state loop bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(subjects, st.integers(1, 4), st.integers(0, 2 ** 32))
+    def test_coincidence(self, subject, trials, seed):
+        g, r = subject
+        got = outcome(lambda: check_coincidence(g, r, trials, seed).checks[0].residual)
+        assert got == outcome(reference_coincidence, g, r, trials, seed)
+
+    @settings(max_examples=40, deadline=None)
+    @given(subjects, st.integers(1, 3), st.integers(0, 2 ** 32))
+    def test_conservation(self, subject, trials, seed):
+        g, _ = subject
+        z = g.matrix
+        # read c_pq off the (possibly shifted) diagonal, as full_suite does
+        h = replace(hamiltonian_from_generator(replace(g, matrix=Mat2C(
+            z.e11, z.e12, z.e21, -z.e11))), c_pq=z.e11 / g.tau)
+        got = outcome(lambda: check_conservation(h, g, trials, seed).checks[0].residual)
+        assert got == outcome(reference_conservation, h, g, trials, seed)
 
 
 class TestRegimeMap:
