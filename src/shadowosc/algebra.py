@@ -128,26 +128,32 @@ def log_branch(y: complex, branch: int) -> complex:
     return complex(math.log(modulus), theta + 2.0 * math.pi * branch)
 
 
+# Entries of Mat2C.identity(); taylor_exp starts from them and
+# closed_exp_entries multiplies by them, as Mat2C.scaled would, so signed
+# zeros and non-finite parts propagate the same.
+_ONE = complex(1.0, 0.0)
+_ZERO = complex(0.0, 0.0)
+
+
 def taylor_exp(z: Mat2C, terms: int = DEFAULT_EXP_TERMS) -> Mat2C:
     """Partial sum of the exponential series, sum_{k=0..terms} z**k / k!.
 
     No scaling or squaring: the raw series, useful as an oracle whenever
-    the truncation tail is provably small for the input at hand.
+    the truncation tail is provably small for the input at hand.  The sum
+    runs on the entries of the term and the accumulator, with the
+    operations of ``term = (term @ z).scaled(1/k)`` and ``acc = acc + term``
+    in their order, and builds one ``Mat2C`` at the end.
     """
     if terms < 1:
         raise ValueError("terms must be >= 1")
-    acc = Mat2C.identity()
-    term = Mat2C.identity()
+    z11, z12, z21, z22 = z.entries()
+    a11, a12, a21, a22 = t11, t12, t21, t22 = _ONE, _ZERO, _ZERO, _ONE
     for k in range(1, terms + 1):
-        term = (term @ z).scaled(1.0 / k)
-        acc = acc + term
-    return acc
-
-
-# Entries of Mat2C.identity(); closed_exp_entries multiplies by them, as
-# Mat2C.scaled would, so signed zeros and non-finite parts propagate the same.
-_ONE = complex(1.0, 0.0)
-_ZERO = complex(0.0, 0.0)
+        s = 1.0 / k
+        t11, t12, t21, t22 = (s * (t11 * z11 + t12 * z21), s * (t11 * z12 + t12 * z22),
+                              s * (t21 * z11 + t22 * z21), s * (t21 * z12 + t22 * z22))
+        a11, a12, a21, a22 = a11 + t11, a12 + t12, a21 + t21, a22 + t22
+    return Mat2C(a11, a12, a21, a22)
 
 
 def closed_exp_entries(e11: complex, e12: complex, e21: complex,

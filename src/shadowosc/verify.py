@@ -18,21 +18,15 @@ from __future__ import annotations
 
 import math
 import random
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 
 from .algebra import Mat2C, max_diff, taylor_exp
 from .classifier import CaseTag, classify
-from .errors import UnknownIntegrator
+from .errors import NonFinite, UnknownIntegrator
 # continuous_state is not called here (the oracles apply one flow_matrix
 # per time); bench/tracer.py looks it up on this module.
-from .flow import (  # noqa: F401
-    PhaseState,
-    continuous_state,
-    discrete_orbit,
-    flow_matrix,
-    sample_times,
-    state_deviation,
-)
+from .flow import continuous_state, discrete_orbit, flow_matrix, sample_times  # noqa: F401
 from .integrators import TransitionMatrix, custom, make, vp
 from .shadow import (
     CaseIIParams,
@@ -47,6 +41,11 @@ EXP_TOL = 1e-9
 TRACE_TOL = 1e-10
 COINCIDENCE_TOL = 1e-8
 CONSERVATION_TOL = 1e-9
+# What evaluating a flow raises once it leaves double range: OverflowError
+# from cmath or abs, or cmath's ValueError once an overflowed intermediate
+# meets another (inf - inf).  The oracles score such a flow inf, as they
+# score a state whose residual is NaN (a flow gone inf or NaN).
+_OUT_OF_RANGE = (OverflowError, ValueError)
 
 
 @dataclass(frozen=True)
@@ -124,64 +123,101 @@ def check_exponential(g: Generator, r: TransitionMatrix) -> VerificationReport:
     )
 
 
-def check_coincidence(g: Generator, r: TransitionMatrix, trials: int = 20,
-                      seed: int = DEFAULT_SEED) -> VerificationReport:
-    """Continuous flow against the discrete orbit at t = 0, tau, ..., 20*tau.
+def check_coincidence(generators: Sequence[Generator], r: TransitionMatrix,
+                      trials: int = 20,
+                      seed: int = DEFAULT_SEED) -> tuple[VerificationReport, ...]:
+    """Each generator's flow against the discrete orbits at t = 0, tau, ..., 20*tau.
 
-    The orbit is an independent oracle: ``discrete_orbit`` is repeated
+    The orbits are an independent oracle: ``discrete_orbit`` is repeated
     matrix-vector multiplication by R and shares no code with the flow
-    evaluator under test.
+    evaluator under test.  They are built once per call, for every
+    generator of the map; each generator then applies one propagator per
+    orbit time to every trial's start and takes ``state_deviation``'s
+    arithmetic on raw scalars.  A flow that leaves double range scores inf.
+    Returns one report per generator, in order.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = random.Random(seed)
-    # one propagator per orbit time, applied to every trial's start
-    flows = [flow_matrix(g, t) for t in discrete_orbit(r, 0.0, 0.0, 20).times]
-    worst = 0.0
+    times = discrete_orbit(r, 0.0, 0.0, 20).times
+    # per trial: its start and, per orbit state, (q, p, max(1, |state|))
+    orbits = []
     for _ in range(trials):
         q0 = rng.uniform(-2.0, 2.0)
         p0 = rng.uniform(-2.0, 2.0)
-        for flow, ref in zip(flows, discrete_orbit(r, q0, p0, 20).states):
-            got = PhaseState(*flow.apply(q0, p0), ref.t)
-            worst = max(worst, state_deviation(got, ref))
-    return VerificationReport(
-        f"{r.label} tau={r.tau:g} m={g.branch}",
-        (CheckResult.of("discrete/continuous coincidence", worst, COINCIDENCE_TOL),),
-    )
+        orbits.append((q0, p0, [(q, p, max(1.0, math.hypot(abs(q), abs(p))))
+                                for q, p, _ in discrete_orbit(r, q0, p0, 20).rows()]))
+    return tuple(
+        VerificationReport(
+            f"{r.label} tau={r.tau:g} m={g.branch}",
+            (CheckResult.of("discrete/continuous coincidence",
+                            _worst_deviation(g, times, orbits), COINCIDENCE_TOL),))
+        for g in generators)
 
 
-def _drift(h: ShadowHamiltonian, flows: list[Mat2C], q0: float, p0: float) -> float:
-    """Relative drift of H along the states flows[k] (q0, p0).
+def _worst_deviation(g: Generator, times, orbits) -> float:
+    """Largest relative distance of g's flow from the orbits; inf out of range."""
+    hypot = math.hypot
+    worst = 0.0
+    try:
+        flows = [flow_matrix(g, t).entries() for t in times]
+        for q0, p0, states in orbits:
+            for (e11, e12, e21, e22), (q, p, scale) in zip(flows, states):
+                deviation = hypot(abs(e11 * q0 + e12 * p0 - q),
+                                  abs(e21 * q0 + e22 * p0 - p)) / scale
+                if deviation > worst:
+                    worst = deviation
+                elif deviation != deviation:  # a NaN state
+                    return math.inf
+    except _OUT_OF_RANGE:
+        return math.inf
+    return worst
 
-    The denominator switches from |H(0)| to the magnitude sum of the
-    three quadratic terms once the latter dominates, so that diverging
-    orbits are held to the precision their scale admits.
+
+def _drift(h: ShadowHamiltonian, flows: list[tuple[complex, complex, complex, complex]],
+           q0: float, p0: float) -> float:
+    """Relative drift of H along the states reached by each propagator's entries.
+
+    Each of H's three terms is computed once per state, on scalars, and
+    serves both H (summed in ``ShadowHamiltonian.evaluate``'s order) and
+    the term scale.  The denominator switches from |H(0)| to that
+    magnitude sum once the latter dominates, so that diverging orbits are
+    held to the precision their scale admits.
     """
+    c_pp, c_qq, c_pq = h.c_pp, h.c_qq, h.c_pq
     h0 = h.evaluate(q0, p0)
     worst = 0.0
-    for flow in flows:
-        q, p = flow.apply(q0, p0)
-        drift = abs(h.evaluate(q, p) - h0)
+    for e11, e12, e21, e22 in flows:
+        q, p = e11 * q0 + e12 * p0, e21 * q0 + e22 * p0
+        t_pp, t_qq, t_pq = c_pp * p * p, c_qq * q * q, c_pq * p * q
+        drift = abs(t_pp + t_qq + t_pq - h0)
         if drift == 0.0:
             continue
-        term_scale = (abs(h.c_pp * p * p) + abs(h.c_qq * q * q)
-                      + abs(h.c_pq * p * q))
-        worst = max(worst, drift / max(abs(h0), 2.2e-6 * term_scale, 1e-300))
+        term_scale = abs(t_pp) + abs(t_qq) + abs(t_pq)
+        relative = drift / max(abs(h0), 2.2e-6 * term_scale, 1e-300)
+        if relative > worst:
+            worst = relative
+        elif relative != relative:  # a NaN state, or H's terms overflowed
+            return math.inf
     return worst
 
 
 def check_conservation(h: ShadowHamiltonian, g: Generator, trials: int = 5,
                        seed: int = DEFAULT_SEED) -> VerificationReport:
-    """H is constant along its own flow over [0, 10*tau]."""
+    """H is constant along its own flow over [0, 10*tau]; inf out of double range."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = random.Random(seed)
-    flows = [flow_matrix(g, t) for t in sample_times(10.0 * g.tau, g.tau / 20.0)]
     worst = 0.0
-    for _ in range(trials):
-        q0 = rng.uniform(-2.0, 2.0)
-        p0 = rng.uniform(-2.0, 2.0)
-        worst = max(worst, _drift(h, flows, q0, p0))
+    try:
+        flows = [flow_matrix(g, t).entries()
+                 for t in sample_times(10.0 * g.tau, g.tau / 20.0)]
+        for _ in range(trials):
+            q0 = rng.uniform(-2.0, 2.0)
+            p0 = rng.uniform(-2.0, 2.0)
+            worst = max(worst, _drift(h, flows, q0, p0))
+    except _OUT_OF_RANGE:
+        worst = math.inf
     return VerificationReport(
         f"flow<{h.case}> tau={h.tau:g} m={h.branch}",
         (CheckResult.of("H conserved along flow", worst, CONSERVATION_TOL),),
@@ -273,8 +309,11 @@ def full_suite(seed: int = DEFAULT_SEED, trials: int = 20,
     """Every check across the built-in integrators.
 
     ``perturb`` shifts each generator diagonal by the given amount before
-    checking; a nonzero value is a negative control that must fail.
+    checking; a nonzero value is a negative control that must fail.  A
+    non-finite ``perturb`` raises ``NonFinite`` before any check runs.
     """
+    if not math.isfinite(perturb):
+        raise NonFinite(f"perturb must be finite, got {perturb!r}")
     reports: list[VerificationReport] = []
 
     reports.append(check_regime_map("euler", [0.5, 1.0, 1.9, 2.0, 2.1, 3.0, 5.0]))
@@ -296,10 +335,11 @@ def full_suite(seed: int = DEFAULT_SEED, trials: int = 20,
         scalar = custom(sign, 0.0, 0.0, sign, 1.0, label=f"{sign:+g}*identity")
         subjects.append((scalar, range(-1, 2), preset))
     for r, branches, params in subjects:
-        for g in generators_for(r, branches, params).generators:
-            g = _perturbed(g, perturb)
+        generators = [_perturbed(g, perturb)
+                      for g in generators_for(r, branches, params).generators]
+        for g, coincidence in zip(generators, check_coincidence(generators, r, trials, seed)):
             reports.append(check_exponential(g, r))
-            reports.append(check_coincidence(g, r, trials, seed))
+            reports.append(coincidence)
 
     conservation_cases = [("euler", 0.66, -1), ("euler", 0.66, 1), ("euler", 3.0, 0),
                           ("velocity-verlet", 1.5, 0), ("double-euler", 4.0, 0)]

@@ -286,6 +286,16 @@ class TestVerify:
         assert code == 1
         assert "FAIL" in out
 
+    @pytest.mark.parametrize("perturb", ["10", "100", "1e3", "1e10", "1e308", "-1e308"])
+    def test_flow_out_of_double_range_fails_its_checks(self, capsys, perturb):
+        code, out, err = run(capsys, "verify", "--trials", "1", "--perturb", perturb)
+        assert (code, err) == (1, "")
+        assert out.endswith(" subjects passed\n")
+        rows = [line.split() for line in out.splitlines()
+                if "coincidence" in line or "conserved" in line]
+        assert len(rows) == 47
+        assert all(row[-1] == "FAIL" for row in rows)
+
 
 class TestConfigValidation:
     def test_nonpositive_dt(self, capsys):
@@ -373,8 +383,16 @@ NON_FINITE = [
 ]
 
 
-@pytest.mark.parametrize("command", ["classify", "hamiltonian"])
-@pytest.mark.parametrize("flags", NON_FINITE, ids=lambda f: " ".join(f[1:]))
+NON_FINITE_ARGVS = [
+    pytest.param(command, flags, id=f"{' '.join(flags[1:])}-{command}")
+    for flags in NON_FINITE for command in ("classify", "hamiltonian")
+] + [
+    pytest.param("verify", flags, id=f"{' '.join(flags)}-verify")
+    for flags in (["--perturb", "nan"], ["--perturb", "inf"], ["--perturb=-inf"])
+]
+
+
+@pytest.mark.parametrize("command, flags", NON_FINITE_ARGVS)
 def test_non_finite_input_is_usage_error(capsys, command, flags):
     code, out, err = run(capsys, command, *flags)
     assert code == 2

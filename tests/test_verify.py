@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import struct
@@ -7,12 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shadowosc import verify
 from shadowosc.algebra import Mat2C, max_diff
 from shadowosc.classifier import CaseTag, classify
-from shadowosc.errors import UnknownIntegrator
+from shadowosc.errors import NonFinite, UnknownIntegrator
 from shadowosc.flow import continuous_state, discrete_orbit, sample_times, state_deviation
 from shadowosc.integrators import custom, euler, make, vp
 from shadowosc.shadow import (
+    CaseIIParams,
     Generator,
     generator_scalar,
     generators_for,
@@ -36,6 +39,12 @@ def branch_generator(r, m):
 def corrupt(g, eps=1e-3):
     z = g.matrix
     return replace(g, matrix=Mat2C(z.e11 + eps, z.e12, z.e21, z.e22))
+
+
+def coincidence(g, r, *args, **kwargs):
+    """The coincidence report of the single generator g."""
+    (report,) = check_coincidence([g], r, *args, **kwargs)
+    return report
 
 
 class TestSeriesExp:
@@ -75,20 +84,45 @@ class TestCheckCoincidence:
     @pytest.mark.parametrize("m", range(-2, 3))
     def test_euler_small_tau(self, m):
         r = euler(0.66)
-        assert check_coincidence(branch_generator(r, m), r).passed
+        assert coincidence(branch_generator(r, m), r).passed
 
     def test_complex_hamiltonian_real_discrete_points(self):
         r = euler(3.0)
-        assert check_coincidence(branch_generator(r, 0), r).passed
+        assert coincidence(branch_generator(r, 0), r).passed
 
     def test_negative_control(self):
         r = euler(0.66)
-        assert not check_coincidence(corrupt(branch_generator(r, 0)), r).passed
+        assert not coincidence(corrupt(branch_generator(r, 0)), r).passed
 
     def test_deterministic_under_seed(self):
         r = euler(0.9)
         g = branch_generator(r, 1)
-        assert check_coincidence(g, r, seed=7) == check_coincidence(g, r, seed=7)
+        assert coincidence(g, r, seed=7) == coincidence(g, r, seed=7)
+
+    def test_one_report_per_generator_in_order(self):
+        r = euler(0.66)
+        family = generators_for(r, range(-2, 3)).generators
+        reports = check_coincidence(family, r, 3, 11)
+        assert reports == tuple(coincidence(g, r, 3, 11) for g in family)
+        assert [rep.subject for rep in reports] == [
+            f"euler tau=0.66 m={m}" for m in range(-2, 3)]
+        assert check_coincidence([], r) == ()
+
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_trials_checked_before_any_work(self, trials):
+        class Unread:
+            def __iter__(self):
+                raise AssertionError("generators read before trials was checked")
+
+        with pytest.raises(ValueError, match="trials"):
+            check_coincidence(Unread(), euler(0.66), trials)
+
+    @pytest.mark.parametrize("eps", [100.0, 1e10, 1e308, -1e308])
+    def test_flow_out_of_double_range_fails_with_inf(self, eps):
+        r = euler(0.66)
+        report = coincidence(corrupt(branch_generator(r, 0), eps), r, 2)
+        assert report.checks[0].residual == math.inf
+        assert not report.passed
 
 
 class TestCheckConservation:
@@ -115,7 +149,30 @@ class TestCheckConservation:
                               z.e11 / g.tau, g.tau, g.branch, g.case, False)
         assert not check_conservation(h, g).passed
 
+    def test_flow_out_of_double_range_fails_with_inf(self):
+        r = euler(0.66)
+        g = branch_generator(r, 0)
+        report = check_conservation(hamiltonian_from_generator(g), corrupt(g, 1e3), 2)
+        assert report.checks[0].residual == math.inf
+        assert not report.passed
 
+
+def out_of_range_is_inf(residual):
+    """The oracles' rule: a flow that leaves double range scores inf.
+
+    Past double range cmath raises OverflowError, or ValueError once an
+    overflowed intermediate meets another; a state gone NaN gives a NaN
+    residual, which the wrapped loop returns as inf.
+    """
+    def checked(*args):
+        try:
+            return residual(*args)
+        except (OverflowError, ValueError):
+            return math.inf
+    return checked
+
+
+@out_of_range_is_inf
 def reference_coincidence(g, r, trials, seed):
     """The coincidence residual from one continuous_state call per state."""
     rng = random.Random(seed)
@@ -124,10 +181,14 @@ def reference_coincidence(g, r, trials, seed):
         q0 = rng.uniform(-2.0, 2.0)
         p0 = rng.uniform(-2.0, 2.0)
         for ref in discrete_orbit(r, q0, p0, 20).states:
-            worst = max(worst, state_deviation(continuous_state(g, q0, p0, ref.t), ref))
+            deviation = state_deviation(continuous_state(g, q0, p0, ref.t), ref)
+            if math.isnan(deviation):
+                return math.inf
+            worst = max(worst, deviation)
     return worst
 
 
+@out_of_range_is_inf
 def reference_conservation(h, g, trials, seed):
     """The conservation residual from one continuous_state call per state."""
     rng = random.Random(seed)
@@ -143,7 +204,10 @@ def reference_conservation(h, g, trials, seed):
                 continue
             term_scale = (abs(h.c_pp * s.p * s.p) + abs(h.c_qq * s.q * s.q)
                           + abs(h.c_pq * s.p * s.q))
-            worst = max(worst, drift / max(abs(h0), 2.2e-6 * term_scale, 1e-300))
+            relative = drift / max(abs(h0), 2.2e-6 * term_scale, 1e-300)
+            if math.isnan(relative):
+                return math.inf
+            worst = max(worst, relative)
     return worst
 
 
@@ -169,12 +233,8 @@ subjects = st.one_of(
 )
 
 
-def outcome(fn, *args):
-    """Bits of the float fn(*args), or the type of the exception it raises."""
-    try:
-        return struct.pack("<d", fn(*args))
-    except ArithmeticError as exc:
-        return type(exc)
+def bits(x):
+    return struct.pack("<d", x)
 
 
 class TestOraclesApplyOnePropagatorPerTime:
@@ -184,8 +244,8 @@ class TestOraclesApplyOnePropagatorPerTime:
     @given(subjects, st.integers(1, 4), st.integers(0, 2 ** 32))
     def test_coincidence(self, subject, trials, seed):
         g, r = subject
-        got = outcome(lambda: check_coincidence(g, r, trials, seed).checks[0].residual)
-        assert got == outcome(reference_coincidence, g, r, trials, seed)
+        got = coincidence(g, r, trials, seed).checks[0].residual
+        assert bits(got) == bits(reference_coincidence(g, r, trials, seed))
 
     @settings(max_examples=40, deadline=None)
     @given(subjects, st.integers(1, 3), st.integers(0, 2 ** 32))
@@ -195,8 +255,50 @@ class TestOraclesApplyOnePropagatorPerTime:
         # read c_pq off the (possibly shifted) diagonal, as full_suite does
         h = replace(hamiltonian_from_generator(replace(g, matrix=Mat2C(
             z.e11, z.e12, z.e21, -z.e11))), c_pq=z.e11 / g.tau)
-        got = outcome(lambda: check_conservation(h, g, trials, seed).checks[0].residual)
-        assert got == outcome(reference_conservation, h, g, trials, seed)
+        got = check_conservation(h, g, trials, seed).checks[0].residual
+        assert bits(got) == bits(reference_conservation(h, g, trials, seed))
+
+
+def _family(case):
+    """A built-in map or a +-I scalar map with its preset, and its generators shifted by eps."""
+    subject, eps = case
+    if subject[0] == "scalar":
+        sign, preset = subject[1:]
+        r = custom(sign, 0.0, 0.0, sign, 1.0, label=f"{sign:+g}*identity")
+        family = generators_for(r, range(-1, 2), preset).generators
+    else:
+        r = make(*subject)
+        family = generators_for(r, range(-2, 3)).generators
+    return [g if eps == 0.0 else corrupt(g, eps) for g in family], r
+
+
+# every branch generator full_suite checks for one map, shifted as its
+# negative control shifts them, and as --perturb shifts them out of range
+families = st.tuples(
+    st.sampled_from([("euler", 0.66), ("euler", 1.0), ("euler", 3.0), ("velocity-verlet", 1.5),
+                     ("position-verlet", 1.0), ("double-euler", 2.0), ("double-euler", 4.0),
+                     ("double-euler", 4.8), ("vp", 5.0),
+                     ("scalar", 1.0, CaseIIParams.default()),
+                     ("scalar", -1.0, CaseIIParams.real_rotation())]),
+    st.sampled_from([0.0, 1e-3, -1e-9, 100.0, -1e308]),
+).map(_family)
+
+
+class TestBatchedCoincidence:
+    """One set of reference orbits per map gives every generator its per-state residual."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(families, st.integers(1, 4), st.integers(0, 2 ** 32))
+    def test_each_residual_equals_per_state_loop(self, family, trials, seed):
+        generators, r = family
+        reports = check_coincidence(generators, r, trials, seed)
+        assert len(reports) == len(generators)
+        for g, report in zip(generators, reports):
+            assert report.subject == f"{r.label} tau={r.tau:g} m={g.branch}"
+            assert report.checks[0].name == "discrete/continuous coincidence"
+            assert report.checks[0].tolerance == 1e-8
+            assert bits(report.checks[0].residual) == bits(
+                reference_coincidence(g, r, trials, seed))
 
 
 class TestRegimeMap:
@@ -241,3 +343,27 @@ class TestFullSuite:
 
     def test_seeded_runs_identical(self):
         assert full_suite(seed=7, trials=3) == full_suite(seed=7, trials=3)
+
+    def test_subjects_and_checks_unchanged(self):
+        reports = full_suite(trials=1)
+        lines = [f"{r.subject}\t{c.name}" for r in reports for c in r.checks]
+        # each generator's exponential report, then its coincidence report
+        generator_reports = reports[5:-5]
+        assert len(generator_reports) == 2 * 42
+        for exp, coincidence in zip(generator_reports[::2], generator_reports[1::2]):
+            assert exp.subject == coincidence.subject
+            assert [c.name for c in exp.checks] == ["exp(Z)=R (series oracle)", "traceless Z"]
+            assert [c.name for c in coincidence.checks] == ["discrete/continuous coincidence"]
+        # digest of the 152 (subject, check name) lines before the oracles were batched
+        assert len(lines) == 152
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+            "ecbb4259fd63386920f931fdcb84a4bf630bca55b18fd6fe125ee8ec40c0d4d6")
+
+    @pytest.mark.parametrize("perturb", [math.nan, math.inf, -math.inf])
+    def test_non_finite_perturb_rejected_before_any_check(self, monkeypatch, perturb):
+        def unreachable(*args):
+            raise AssertionError("a check ran")
+
+        monkeypatch.setattr(verify, "check_regime_map", unreachable)
+        with pytest.raises(NonFinite):
+            full_suite(perturb=perturb)
