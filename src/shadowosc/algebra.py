@@ -7,17 +7,29 @@ can serve as an oracle independent of the closed-form ``closed_exp``.
 Branch convention used throughout the package: a nonzero complex number is
 written modulus * exp(i*theta) with theta in (-pi, pi], negative reals at
 +pi, and the branch-m logarithm is log(modulus) + i*(theta + 2*pi*m).
+
+Tolerance policy: every runtime check reads ``TOL`` against the scale of
+its own data through ``exceeds``; only the scalar-map test in ``classify``
+reads ``ROUNDING`` instead.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import FrozenInstanceError
 
 from .errors import ZeroEigenvalue
 
 DEFAULT_EXP_TERMS = 40
+ROUNDING = 16.0 * sys.float_info.epsilon
+TOL = 1e-9
+
+
+def exceeds(residual: float, scale: float) -> bool:
+    """True when the residual is above TOL * scale, NaN or infinite."""
+    return not residual <= TOL * scale or residual == math.inf
 
 
 class Mat2C:
@@ -94,7 +106,7 @@ class Mat2C:
         return (self.e11, self.e12, self.e21, self.e22)
 
     def max_abs(self) -> float:
-        return max(abs(e) for e in self.entries())
+        return max(abs(self.e11), abs(self.e12), abs(self.e21), abs(self.e22))
 
 
 # Slot setters: the constructor is the only writer of the entries.
@@ -103,8 +115,14 @@ _set_e11, _set_e12, _set_e21, _set_e22 = (
 
 
 def max_diff(a: Mat2C, b: Mat2C) -> float:
-    """Entrywise maximum absolute difference."""
-    return max(abs(x - y) for x, y in zip(a.entries(), b.entries()))
+    """Entrywise maximum absolute difference; NaN if any difference is NaN."""
+    return nan_max(abs(a.e11 - b.e11), abs(a.e12 - b.e12), abs(a.e21 - b.e21),
+                   abs(a.e22 - b.e22))
+
+
+def nan_max(*values: float) -> float:
+    """Largest of non-negative values; NaN if any is, as their sum is (``max`` may drop it)."""
+    return math.nan if math.isnan(sum(values)) else max(values)
 
 
 def principal_polar(y: complex) -> tuple[float, float]:

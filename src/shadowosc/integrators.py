@@ -12,11 +12,16 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .algebra import Mat2C
+from .algebra import Mat2C, exceeds
 from .errors import InvalidTau, NonFinite, NotSymplectic, UnknownIntegrator
 
-SYMPLECTIC_TOL = 1e-12
-CUSTOM_DET_TOL = 1e-9
+
+def _check_unit_det(r1: float, r2: float, r3: float, r4: float, label: str) -> None:
+    """Raise NotSymplectic unless |det - 1| <= TOL * max(1, |r1*r4|, |r2*r3|)."""
+    diagonal, off = r1 * r4, r2 * r3
+    residual = abs(diagonal - off - 1.0)
+    if exceeds(residual, max(1.0, abs(diagonal), abs(off))):
+        raise NotSymplectic(residual, f"{label}: determinant differs from 1 by {residual:.3e}")
 
 
 @dataclass(frozen=True)
@@ -31,8 +36,7 @@ class TransitionMatrix:
     label: str
 
     def __post_init__(self):
-        # every tolerance test below is false for NaN, so NaN and inf are
-        # rejected here before any of them runs
+        # NaN and inf are rejected as such before the determinant is read
         values = (self.r1, self.r2, self.r3, self.r4, self.tau)
         if not all(math.isfinite(v) for v in values):
             raise NonFinite(f"{self.label}: entries and tau must be finite, got "
@@ -40,15 +44,20 @@ class TransitionMatrix:
                             f"tau = {self.tau!r}")
         if not self.tau > 0:
             raise InvalidTau(f"tau must be positive, got {self.tau!r}")
-        residual = abs(self.det() - 1.0)
-        if residual > SYMPLECTIC_TOL:
-            raise NotSymplectic(residual, f"{self.label}: det = 1 violated by {residual:.3e}")
+        _check_unit_det(self.r1, self.r2, self.r3, self.r4, self.label)
 
     def det(self) -> float:
         return self.r1 * self.r4 - self.r2 * self.r3
 
     def trace(self) -> float:
         return self.r1 + self.r4
+
+    def traceless(self) -> tuple[float, float, float, float]:
+        """Entries of K = R - (T/2) I, exactly traceless; R - I bit for bit if T == 2.0."""
+        return ((self.r1 - self.r4) / 2.0, self.r2, self.r3, (self.r4 - self.r1) / 2.0)
+
+    def max_abs(self) -> float:
+        return max(abs(self.r1), abs(self.r2), abs(self.r3), abs(self.r4))
 
     def apply(self, q: float, p: float) -> tuple[float, float]:
         return (self.r1 * q + self.r2 * p, self.r3 * q + self.r4 * p)
@@ -129,17 +138,16 @@ def custom(r1: float, r2: float, r3: float, r4: float, tau: float,
            label: str = "custom") -> TransitionMatrix:
     """Validate a user-supplied matrix and project it onto det = 1.
 
-    Accepts a determinant residual up to 1e-9, then restores det = 1
-    exactly through r4 (or r3 when r1 is numerically zero); downstream
-    classification is sensitive to the unit-determinant identity.
+    Accepts the determinant residual ``TransitionMatrix`` accepts, then
+    restores det = 1 through r4 (or r3 when r1 is numerically zero);
+    non-finite entries are left for ``TransitionMatrix`` to reject.
     """
-    residual = abs(r1 * r4 - r2 * r3 - 1.0)
-    if residual > CUSTOM_DET_TOL:
-        raise NotSymplectic(residual)
-    if abs(r1) > 1e-12:
-        r4 = (1.0 + r2 * r3) / r1
-    elif abs(r2) > 1e-12:
-        r3 = (r1 * r4 - 1.0) / r2
+    if all(math.isfinite(v) for v in (r1, r2, r3, r4)):
+        _check_unit_det(r1, r2, r3, r4, label)
+        if abs(r1) > 1e-12:
+            r4 = (1.0 + r2 * r3) / r1
+        elif abs(r2) > 1e-12:
+            r3 = (r1 * r4 - 1.0) / r2
     return TransitionMatrix(r1, r2, r3, r4, tau, label)
 
 

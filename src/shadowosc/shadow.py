@@ -12,6 +12,9 @@ generates that flow if and only if Z is traceless, in which case
 Distinct eigenvalues give one generator per logarithm branch m; a scalar
 map +-I gives a three-parameter family per branch; a defective map gives
 exactly one generator (eigenvalue +1) or none at all (eigenvalue -1).
+Every generator is traceless by construction and is kept only if
+closed_exp(Z) meets R to TOL * max(1, |R|) * max(1, |Z|), |.| the largest
+entry modulus: Z's rounding reaches exp(Z) scaled by both.
 
 For the explicit Euler map the branch family also has a closed form,
 H = rate * (p**2 + q**2 - tau*p*q) / (tau * sqrt(|4 - tau**2|)); see
@@ -28,7 +31,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from .algebra import Mat2C, closed_exp, log_branch, re_im
+from .algebra import TOL, Mat2C, closed_exp, exceeds, log_branch, nan_max, re_im
 from .classifier import (
     DISTINCT_TAGS,
     SCALAR_TAGS,
@@ -47,8 +50,6 @@ from .errors import (
 )
 from .integrators import TransitionMatrix
 
-TRACE_TOL = 1e-10
-EXP_RESIDUAL_TOL = 1e-9
 PARAM_TOL = 1e-10
 REAL_TOL = 1e-10
 OBSTRUCTION = ("similar to a Jordan block with eigenvalue -1: any logarithm has "
@@ -162,31 +163,22 @@ class GeneratorFamily:
     obstruction: str | None = None
 
 
-def _distinct_case(eigen: EigenStructure) -> CaseTag:
-    if eigen.angle == 0.0:
-        return CaseTag.IB
-    if eigen.angle == math.pi and eigen.modulus > 1.0:
-        return CaseTag.IC
-    return CaseTag.IA
-
-
 def _exp_residual(z: Mat2C, r: TransitionMatrix) -> float:
     """``max_diff(closed_exp(z), r.as_mat2c())``, read straight from R's entries.
 
     The same subtractions in the same order, so the value is bit-for-bit
-    equal, without building R as a Mat2C.
+    equal, without building R as a Mat2C; NaN if any difference is NaN.
     """
     e = closed_exp(z)
-    return max(abs(e.e11 - r.r1), abs(e.e12 - r.r2), abs(e.e21 - r.r3), abs(e.e22 - r.r4))
+    return nan_max(abs(e.e11 - r.r1), abs(e.e12 - r.r2), abs(e.e21 - r.r3),
+                   abs(e.e22 - r.r4))
 
 
-def _validated(z: Mat2C, branch: int, r: TransitionMatrix, case: CaseTag,
-               exp_tol: float = EXP_RESIDUAL_TOL) -> Generator:
-    trace_resid = abs(z.trace())
-    if trace_resid > TRACE_TOL:
-        raise NotTraceless(f"trace residual {trace_resid:.3e}")
+def _validated(z: Mat2C, branch: int, r: TransitionMatrix, case: CaseTag) -> Generator:
     exp_resid = _exp_residual(z, r)
-    if exp_resid > exp_tol:
+    # both scale factors are at least 1, so a residual within TOL needs neither
+    if not exp_resid <= TOL and exceeds(exp_resid,
+                                        max(1.0, r.max_abs()) * max(1.0, z.max_abs())):
         raise NotTraceless(
             f"exp(Z) reproduces {r.label} only to {exp_resid:.3e}"
         )
@@ -194,16 +186,18 @@ def _validated(z: Mat2C, branch: int, r: TransitionMatrix, case: CaseTag,
 
 
 def generator_distinct(r: TransitionMatrix, eigen: EigenStructure, branch: int) -> Generator:
-    """Branch-m generator for a map with distinct eigenvalues y, 1/y.
+    """Branch-m generator for a map with distinct eigenvalues T/2 +- d.
 
-    Z = log(y, m)/(y - 1/y) * (2R - (y + 1/y) I); traceless because
-    y + 1/y equals the trace of R.
+    Z = (log(y, m) / d) * K with y = T/2 + d and K = R - (T/2) I, whose
+    eigenvalues are +-d: Z is traceless with eigenvalues +-log(y, m), and
+    exp(Z) = cosh(log y) I + sinh(log y)/d K = (T/2) I + K = R.
     """
-    y = eigen.eigenvalue
-    factor = log_branch(y, branch) / (y - 1.0 / y)
-    diag = factor * (r.r1 - r.r4)
-    z = Mat2C(diag, 2.0 * factor * r.r2, 2.0 * factor * r.r3, -diag)
-    return _validated(z, branch, r, _distinct_case(eigen))
+    factor = log_branch(eigen.eigenvalue, branch) / eigen.d
+    k11, k12, k21, _ = r.traceless()
+    diag = factor * k11
+    z = Mat2C(diag, factor * k12, factor * k21, -diag)
+    case = CaseTag.IA if eigen.d.imag else CaseTag.IB if eigen.d.real > 0.0 else CaseTag.IC
+    return _validated(z, branch, r, case)
 
 
 def generator_scalar(r: TransitionMatrix, branch: int,
@@ -225,11 +219,11 @@ def generator_scalar(r: TransitionMatrix, branch: int,
 
 
 def generator_jordan(r: TransitionMatrix) -> Generator:
-    """The unique generator of a defective map with eigenvalue +1: Z = R - I.
+    """The unique generator of a defective map with eigenvalue +1: Z = K.
 
-    Z is nilpotent, so exp(Z) = I + Z = R exactly.  A defective map with
-    eigenvalue -1 admits no traceless logarithm; that outcome is reported
-    through NoHamiltonian together with the Jordan evidence.
+    K = R - (T/2) I is nilpotent to tolerance, so exp(Z) = I + Z = R.  A
+    defective map with eigenvalue -1 admits no traceless logarithm; that
+    outcome is reported through NoHamiltonian with the Jordan evidence.
     """
     return _jordan_generator(r, *classify(r))
 
@@ -240,11 +234,7 @@ def _jordan_generator(r: TransitionMatrix, tag: CaseTag, eigen: EigenStructure) 
         raise NoHamiltonian(r.label, r.tau, eigen)
     if tag is not CaseTag.IIIA:
         raise NotDefective(f"{r.label} at tau={r.tau:g} classifies as {tag}")
-    z = Mat2C(r.r1 - 1.0, r.r2, r.r3, r.r4 - 1.0)
-    nilpotency = (z @ z).max_abs()
-    if nilpotency > 1e-10:
-        raise NotTraceless(f"Z**2 residual {nilpotency:.3e}")
-    return _validated(z, 0, r, CaseTag.IIIA, exp_tol=1e-10)
+    return _validated(Mat2C(*r.traceless()), 0, r, CaseTag.IIIA)
 
 
 def _is_real(c_pp: complex, c_qq: complex, c_pq: complex) -> bool:
@@ -252,10 +242,12 @@ def _is_real(c_pp: complex, c_qq: complex, c_pq: complex) -> bool:
 
 
 def hamiltonian_from_generator(g: Generator) -> ShadowHamiltonian:
-    """Read the quadratic coefficients off a traceless generator."""
+    """Read the quadratic coefficients off a generator traceless to TOL * max(1, |Z|)."""
     z = g.matrix
-    if abs(z.trace()) > TRACE_TOL:
-        raise NotTraceless(f"trace residual {abs(z.trace()):.3e}")
+    trace = abs(z.trace())
+    # generators built here have trace exactly 0 and need no scale
+    if trace and exceeds(trace, max(1.0, z.max_abs())):
+        raise NotTraceless(f"trace residual {trace:.3e}")
     c_pp = z.e12 / (2.0 * g.tau)
     c_qq = -z.e21 / (2.0 * g.tau)
     c_pq = z.e11 / g.tau
@@ -266,9 +258,9 @@ def hamiltonian_from_generator(g: Generator) -> ShadowHamiltonian:
 def euler_rate(tau: float, branch: int) -> complex:
     """Flow rate of the branch-m Hamiltonian of the explicit Euler map.
 
-    For 0 < tau < 2 the rate is real, 2*pi*m + acos(1 - tau**2/2) with
-    the branch-0 value in (0, pi); the inverse cosine, not the inverse
-    sine, covers the whole range.  For tau > 2 it is complex,
+    For 0 < tau < 2 the rate is real, 2*pi*m + 2*asin(tau/2) with the
+    branch-0 value in (0, pi): acos(1 - tau**2/2), without its loss of
+    precision as tau -> 0.  For tau > 2 it is complex,
     i*(2m+1)*pi + log 2 - log(tau**2 - 2 + tau*sqrt(tau**2 - 4)).
     """
     if not tau > 0:
@@ -276,7 +268,7 @@ def euler_rate(tau: float, branch: int) -> complex:
     if abs(tau - 2.0) <= 1e-12:
         raise CriticalTau("the Euler map is defective with eigenvalue -1 at tau = 2")
     if tau < 2.0:
-        return complex(2.0 * math.pi * branch + math.acos(1.0 - tau * tau / 2.0), 0.0)
+        return complex(2.0 * math.pi * branch + 2.0 * math.asin(tau / 2.0), 0.0)
     root = math.sqrt((tau - 2.0) * (tau + 2.0))
     return complex(math.log(2.0) - math.log(tau * tau - 2.0 + tau * root),
                    (2 * branch + 1) * math.pi)

@@ -310,10 +310,13 @@ def full_suite(seed: int = DEFAULT_SEED, trials: int = 20,
 
     ``perturb`` shifts each generator diagonal by the given amount before
     checking; a nonzero value is a negative control that must fail.  A
-    non-finite ``perturb`` raises ``NonFinite`` before any check runs.
+    non-finite ``perturb`` raises ``NonFinite`` and ``trials < 1`` raises
+    ``ValueError``, both before any check runs.
     """
     if not math.isfinite(perturb):
         raise NonFinite(f"perturb must be finite, got {perturb!r}")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     reports: list[VerificationReport] = []
 
     reports.append(check_regime_map("euler", [0.5, 1.0, 1.9, 2.0, 2.1, 3.0, 5.0]))

@@ -36,6 +36,17 @@ def small_matrices():
     )
 
 
+class TestMaxDiff:
+    @pytest.mark.parametrize("index", range(4))
+    def test_nan_in_any_entry_is_nan(self, index):
+        entries = [0.5, 2.0, -1.0, 3.0]
+        entries[index] = math.nan
+        assert math.isnan(max_diff(Mat2C(*entries), Mat2C(0.0, 0.0, 0.0, 0.0)))
+
+    def test_largest_difference(self):
+        assert max_diff(Mat2C(1.0, 5.0, -2.0, 0.0), Mat2C(0.0, 1.0, 1.0, 0.0)) == 4.0
+
+
 class TestPrincipalPolar:
     def test_one(self):
         assert principal_polar(1.0) == (1.0, 0.0)

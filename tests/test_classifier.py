@@ -9,6 +9,7 @@ from shadowosc.classifier import (
     criticality_gap,
 )
 from shadowosc.integrators import (
+    BUILDERS,
     compose,
     custom,
     double_euler,
@@ -61,12 +62,44 @@ class TestTags:
     def test_euler_regime_above_two(self, k):
         assert classify(euler(2.0 + 0.05 * k))[0] is CaseTag.IC
 
-    def test_stable_under_tolerance_choice(self):
-        cases = [euler(0.5), euler(1.9), euler(2.1), double_euler(3.0),
-                 velocity_verlet(1.2), make("vp", 1.0)]
-        for r in cases:
-            tags = {classify(r, tol)[0] for tol in (1e-10, 1e-9, 1e-8, 1e-7, 1e-6)}
-            assert len(tags) == 1
+    @pytest.mark.parametrize("name", sorted(BUILDERS))
+    def test_matches_trace_rule_off_the_ridge(self, name):
+        # tau = 0.01 ... 100 step 0.01, wherever |T**2 - 4| > 1e-6
+        compared = 0
+        for k in range(1, 10001):
+            r = make(name, 0.01 * k)
+            want = trace_rule_tag(r)
+            if want is not None:
+                assert classify(r)[0] is want, (name, 0.01 * k)
+                compared += 1
+        assert compared > 9000
+
+    @pytest.mark.parametrize("name", sorted(BUILDERS))
+    @pytest.mark.parametrize("tau", [1e-12, 1e-10, 1e-8, 1e-5, 1e-4])
+    def test_small_tau_is_a_rotation(self, name, tau):
+        # |T**2 - 4| is about tau**2 here: an absolute ridge test called
+        # these maps R = I or defective
+        tag, eigen = classify(make(name, tau))
+        assert tag is CaseTag.IA
+        assert eigen.angle == pytest.approx(tau, rel=1e-6)
+
+    def test_within_rounding_of_identity_is_scalar(self):
+        assert classify(custom(1.0, 1e-17, 0.0, 1.0, 1.0))[0] is CaseTag.II_PLUS
+
+    def test_within_1e_minus_9_of_identity_is_distinct(self):
+        assert classify(custom(1.0, 1e-9, -1e-9, 1.0, 1.0))[0] is CaseTag.IA
+        assert classify(custom(1.0, 1e-9, 0.0, 1.0, 1.0))[0] is CaseTag.IIIA
+
+
+def trace_rule_tag(r):
+    """The tag read off T alone, or None within 1e-6 of the ridge |T**2 - 4| = 0."""
+    t = r.trace()
+    gap = (t - 2.0) * (t + 2.0)
+    if abs(gap) <= 1e-6:
+        return None
+    if abs(t) < 2.0:
+        return CaseTag.IA
+    return CaseTag.IB if t > 2.0 else CaseTag.IC
 
 
 class TestEigenStructure:

@@ -281,6 +281,12 @@ class TestVerify:
         _, out2, _ = run(capsys, "verify", "--seed", "7", "--trials", "3")
         assert out1 == out2
 
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_trials_below_one_is_usage_error(self, capsys, trials):
+        code, out, err = run(capsys, "verify", "--trials", trials)
+        assert (code, out) == (2, "")
+        assert "trials" in err
+
     def test_perturbed_run_fails(self, capsys):
         code, out, _ = run(capsys, "verify", "--trials", "2", "--perturb", "1e-3")
         assert code == 1
@@ -295,6 +301,48 @@ class TestVerify:
                 if "coincidence" in line or "conserved" in line]
         assert len(rows) == 47
         assert all(row[-1] == "FAIL" for row in rows)
+
+
+class TestEveryScaleOfTau:
+    """Real Hamiltonians for small tau, complex ones for large tau."""
+
+    @pytest.mark.parametrize("integrator, tau, case", [
+        ("euler", "1e-5", "i-a"), ("vp", "7.72", "i-c"), ("vp", "5.803", "i-a")])
+    def test_classify(self, capsys, integrator, tau, case):
+        code, out, _ = run(capsys, "classify", "--integrator", integrator, "--tau", tau,
+                           "--format", "json")
+        assert code == 0
+        assert json.loads(out)["case"] == case
+
+    @pytest.mark.parametrize("integrator, tau", [
+        ("velocity-verlet", "1e-10"), ("euler", "1e-8"), ("euler", "1e-5"),
+        ("position-verlet", "1e-12"), ("double-euler", "1e-7"), ("vp", "1e-6")])
+    def test_small_tau_branch_zero_is_the_oscillator(self, capsys, integrator, tau):
+        # H0 = (p**2 + q**2)/2 to first order in tau
+        code, out, _ = run(capsys, "hamiltonian", "--integrator", integrator, "--tau", tau,
+                           "--m-min", "0", "--m-max", "0", "--format", "json")
+        assert code == 0
+        (h,) = json.loads(out)["hamiltonians"]
+        assert h["case"] == "i-a"
+        assert abs(h["cA"]["re"] - 0.5) <= 1e-6
+        assert abs(h["cB"]["re"] - 0.5) <= 1e-6
+        assert abs(h["cC"]["re"]) <= float(tau)
+
+    def test_euler_rate_column_at_small_tau(self, capsys):
+        code, out, _ = run(capsys, "hamiltonian", "--integrator", "euler", "--tau", "1e-8",
+                           "--m-min", "0", "--m-max", "0")
+        assert code == 0
+        row = out.splitlines()[1].split(",")
+        assert row[1] == "i-a"
+        assert float(row[-2]) == pytest.approx(1e-8, rel=1e-15)
+
+    def test_large_tau_family(self, capsys):
+        code, out, _ = run(capsys, "hamiltonian", "--integrator", "velocity-verlet",
+                           "--tau", "1000", "--format", "json")
+        assert code == 0
+        rows = json.loads(out)["hamiltonians"]
+        assert [h["m"] for h in rows] == [-1, 0, 1]
+        assert all(h["case"] == "i-c" and not h["real_valued"] for h in rows)
 
 
 class TestConfigValidation:

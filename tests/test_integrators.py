@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import shadowosc.integrators
 from shadowosc.classifier import CaseTag, classify
 from shadowosc.errors import InvalidTau, NonFinite, NotSymplectic, UnknownIntegrator
 from shadowosc.integrators import (
@@ -193,11 +194,33 @@ def test_composite_error_names_the_composite(name, tau):
         make(name, tau)
 
 
-def test_composite_is_checked_as_a_whole():
-    # the half-step misses det = 1 by 1.8e-12; the composite holds it exactly
+def test_composite_is_checked_as_a_whole(monkeypatch):
+    # the half-steps are multiplied as entries: one map is built and
+    # validated, the composite
+    built = []
+
+    def counting(*args):
+        built.append(args[-1])
+        return TransitionMatrix(*args)
+
+    monkeypatch.setattr(shadowosc.integrators, "TransitionMatrix", counting)
+    for name in ("double-euler", "vp"):
+        assert make(name, 23.79).label == name
+    assert built == ["double-euler", "vp"]
+
+
+@pytest.mark.parametrize("name, tau", [("vp", 7.72), ("vp", 5.803), ("velocity-verlet", 1e3),
+                                       ("position-verlet", 1e5), ("double-euler", 1e6)])
+def test_determinant_is_held_relative_to_its_products(name, tau):
+    # |det - 1| grows with |r1*r4| and |r2*r3|; an absolute bound refused these
+    r = make(name, tau)
+    assert abs(r.det() - 1.0) <= 1e-9 * max(1.0, abs(r.r1 * r.r4), abs(r.r2 * r.r3))
+
+
+@pytest.mark.parametrize("entries", [(1e200, 1e200, 1e200, 1e200), (1.0, 1e300, 1e300, 1.0)])
+def test_overflowing_determinant_rejected(entries):
     with pytest.raises(NotSymplectic):
-        velocity_verlet(23.79 / 2.0)
-    assert vp(23.79).det() == 1.0
+        TransitionMatrix(*entries, 1.0, "custom")
 
 
 @pytest.mark.parametrize("name", ["double-euler", "vp"])

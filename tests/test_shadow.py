@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import shadowosc.shadow
-from shadowosc.algebra import Mat2C, closed_exp, log_branch, max_diff, taylor_exp
+from shadowosc.algebra import TOL, Mat2C, closed_exp, log_branch, max_diff, taylor_exp
 from shadowosc.classifier import CaseTag, classify
 from shadowosc.errors import (
     BadParams,
@@ -21,6 +21,7 @@ from shadowosc.shadow import (
     CaseIIParams,
     Generator,
     _exp_residual,
+    _validated,
     euler_hamiltonian,
     euler_rate,
     generator_distinct,
@@ -211,6 +212,15 @@ class TestEulerRate:
         for tau in (0.1, 0.9, 1.7, 1.99):
             assert 0.0 < euler_rate(tau, 0).real < math.pi
 
+    @pytest.mark.parametrize("tau", [1e-12, 1e-8, 1e-5])
+    def test_small_tau_keeps_relative_precision(self, tau):
+        # 2*asin(tau/2) = tau + tau**3/24 + ...; acos(1 - tau**2/2) is 0 at 1e-8
+        assert euler_rate(tau, 0).real == pytest.approx(tau + tau ** 3 / 24.0, rel=1e-15)
+
+    @pytest.mark.parametrize("tau", [0.5, 0.66, 1.0, 1.5])
+    def test_equals_inverse_cosine_form_bit_for_bit(self, tau):
+        assert euler_rate(tau, 0).real == math.acos(1.0 - tau * tau / 2.0)
+
 
 class TestClosedFormAgainstGeneric:
     @pytest.mark.parametrize("branch", range(-2, 3))
@@ -312,6 +322,57 @@ class TestExpResidual:
         for g in generators_for(r, range(-3, 4)).generators:
             want = max_diff(closed_exp(g.matrix), r.as_mat2c())
             assert struct.pack("<d", _exp_residual(g.matrix, r)) == struct.pack("<d", want)
+
+
+class TestNanResidual:
+    @pytest.mark.parametrize("index", range(4))
+    def test_nan_in_any_entry_fails(self, monkeypatch, index):
+        r = euler(0.66)
+        entries = list(r.as_mat2c().entries())
+        entries[index] = complex(math.nan, 0.0)
+        monkeypatch.setattr(shadowosc.shadow, "closed_exp", lambda z: Mat2C(*entries))
+        assert math.isnan(_exp_residual(Mat2C(0.0, 0.0, 0.0, 0.0), r))
+        with pytest.raises(NotTraceless):
+            _validated(Mat2C(0.0, 0.0, 0.0, 0.0), 0, r, CaseTag.IA)
+
+
+maps_at_every_scale = st.one_of(
+    st.builds(make, st.sampled_from(sorted(BUILDERS)),
+              st.floats(-12.0, 6.0).map(lambda e: 10.0 ** e)),
+    st.builds(lambda a, b, c: custom(a, b, c, (1.0 + b * c) / a, 1.0),
+              st.floats(1e-3, 1e3) | st.floats(-1e3, -1e-3),
+              st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)),
+    st.sampled_from([IDENTITY, MINUS_IDENTITY, custom(1.0, 1.0, 0.0, 1.0, 1.0),
+                     custom(-1.0, 1.0, 0.0, -1.0, 1.0)]))
+
+
+class TestEveryScaleHasAnAnswer:
+    """A validated family or the iii-b obstruction for every finite symplectic map."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(maps_at_every_scale)
+    def test_family_passes_series_oracle(self, r):
+        family = generators_for(r, range(-2, 3))
+        if family.case is CaseTag.IIIB:
+            assert family.generators == () and family.obstruction is not None
+            return
+        assert family.generators
+        for g in family.generators:
+            bound = TOL * max(1.0, r.max_abs()) * max(1.0, g.matrix.max_abs())
+            assert max_diff(series_exp(g.matrix), r.as_mat2c()) <= bound
+
+    def test_band_around_double_euler_scalar_point(self):
+        # 4,001 maps within 2e-4 of tau = 2*sqrt(2), where R is near -I
+        centre = 2.0 * math.sqrt(2.0)
+        for k in range(-2000, 2001):
+            assert len(generators_for(double_euler(centre + k * 1e-7), range(-2, 3))
+                       .generators) == 5
+
+    def test_jordan_generator_is_r_minus_identity_bit_for_bit(self):
+        # Z = R - (T/2) I, and T == 2.0 exactly on both maps
+        for r in (double_euler(4.0), custom(1.0, 1.0, 0.0, 1.0, 1.0)):
+            z = generator_jordan(r).matrix
+            assert repr(z) == repr(Mat2C(r.r1 - 1.0, r.r2, r.r3, r.r4 - 1.0))
 
 
 class TestExponentialIdentityProperty:

@@ -62,6 +62,16 @@ class TestSeriesExp:
 
 
 class TestCheckExponential:
+    @pytest.mark.parametrize("index", range(4))
+    def test_nan_in_any_entry_fails(self, monkeypatch, index):
+        r = euler(0.66)
+        entries = list(r.as_mat2c().entries())
+        entries[index] = complex(math.nan, 0.0)
+        monkeypatch.setattr(verify, "series_exp", lambda z: Mat2C(*entries))
+        report = check_exponential(branch_generator(r, 0), r)
+        assert math.isnan(report.checks[0].residual)
+        assert not report.checks[0].passed
+
     def test_trivial(self):
         ident = custom(1.0, 0.0, 0.0, 1.0, 1.0)
         g = generator_scalar(ident, 0)
@@ -358,6 +368,16 @@ class TestFullSuite:
         assert len(lines) == 152
         assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
             "ecbb4259fd63386920f931fdcb84a4bf630bca55b18fd6fe125ee8ec40c0d4d6")
+
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_trials_rejected_before_any_check(self, monkeypatch, trials):
+        def unreachable(*args):
+            raise AssertionError("a check ran")
+
+        monkeypatch.setattr(verify, "check_regime_map", unreachable)
+        monkeypatch.setattr(verify, "locate_vp_critical_tau", unreachable)
+        with pytest.raises(ValueError, match="trials"):
+            full_suite(trials=trials)
 
     @pytest.mark.parametrize("perturb", [math.nan, math.inf, -math.inf])
     def test_non_finite_perturb_rejected_before_any_check(self, monkeypatch, perturb):
