@@ -146,9 +146,8 @@ def log_branch(y: complex, branch: int) -> complex:
     return complex(math.log(modulus), theta + 2.0 * math.pi * branch)
 
 
-# Entries of Mat2C.identity(); taylor_exp starts from them and
-# closed_exp_entries multiplies by them, as Mat2C.scaled would, so signed
-# zeros and non-finite parts propagate the same.
+# Entries of Mat2C.identity(); taylor_exp starts from them and closed_exp
+# multiplies by them.
 _ONE = complex(1.0, 0.0)
 _ZERO = complex(0.0, 0.0)
 
@@ -174,14 +173,21 @@ def taylor_exp(z: Mat2C, terms: int = DEFAULT_EXP_TERMS) -> Mat2C:
     return Mat2C(a11, a12, a21, a22)
 
 
-def closed_exp_entries(e11: complex, e12: complex, e21: complex,
-                       e22: complex) -> tuple[complex, complex, complex, complex]:
-    """Entries of ``closed_exp(Mat2C(e11, e12, e21, e22))`` without building a Mat2C.
+def closed_exp(z: Mat2C) -> Mat2C:
+    """Closed-form exponential of a 2x2 complex matrix.
 
-    Performs the same complex operations in the same order as the matrix
-    form, including the products with the identity's entries, so the
-    result is bit-for-bit equal to it.
+    The eigenvalues are x = mu +- d with mu the half-trace, and
+
+        exp(z) = e^mu (cosh(d) I + sinh(d)/d * (z - mu I)).
+
+    cosh(d) and sinh(d)/d are even in d, so they are evaluated from d**2
+    (a series below the crossover), which stays fully conditioned through
+    the defective limit d -> 0 where the identity degenerates to the
+    exact nilpotent form e^mu (I + (z - mu I)).  The products with the
+    identity's entries are kept, as ``Mat2C.scaled`` would form them, so
+    signed zeros and non-finite parts propagate the same.
     """
+    e11, e12, e21, e22 = z.entries()
     mu = (e11 + e22) / 2.0
     mu_one, mu_zero = mu * _ONE, mu * _ZERO
     # z - mu I: traceless, eigenvalues +-d
@@ -196,24 +202,8 @@ def closed_exp_entries(e11: complex, e12: complex, e21: complex,
         sinch_d = cmath.sinh(d) / d
     c_one, c_zero = cosh_d * _ONE, cosh_d * _ZERO
     scale = cmath.exp(mu)
-    return (scale * (c_one + sinch_d * o11), scale * (c_zero + sinch_d * o12),
-            scale * (c_zero + sinch_d * o21), scale * (c_one + sinch_d * o22))
-
-
-def closed_exp(z: Mat2C) -> Mat2C:
-    """Closed-form exponential of a 2x2 complex matrix.
-
-    The eigenvalues are x = mu +- d with mu the half-trace, and
-
-        exp(z) = e^mu (cosh(d) I + sinh(d)/d * (z - mu I)).
-
-    cosh(d) and sinh(d)/d are even in d, so they are evaluated from d**2
-    (a series below the crossover), which stays fully conditioned through
-    the defective limit d -> 0 where the identity degenerates to the
-    exact nilpotent form e^mu (I + (z - mu I)).  The arithmetic lives in
-    ``closed_exp_entries``.
-    """
-    return Mat2C(*closed_exp_entries(z.e11, z.e12, z.e21, z.e22))
+    return Mat2C(scale * (c_one + sinch_d * o11), scale * (c_zero + sinch_d * o12),
+                 scale * (c_zero + sinch_d * o21), scale * (c_one + sinch_d * o22))
 
 
 def re_im(z: complex) -> dict[str, float]:

@@ -8,17 +8,18 @@ for every branch.
 
 A ``Trajectory`` holds no states.  It keeps its source, its sample times
 (a ``SampleTimes`` progression, itself computed on demand) and a sampler
-that reads the per-trajectory constants once per pass: the entries of Z
-and tau for a generic branch, the rate, the root and the sin/cos or
-sinh/cosh pair for the Euler closed form, and R for the discrete orbit.
-Each pass over ``Trajectory.rows()`` then yields (q, p, t) sample by
-sample, and the writers format and write each row as it is produced, so
-writing a file takes memory independent of its number of samples.  The
-generic sample runs the arithmetic of ``closed_exp`` on the scaled entries
-of Z (``closed_exp_entries``), so every state is bit-for-bit equal to
-``closed_exp(Z.scaled(t/tau)).apply(q0, p0)``.  A flow whose state leaves
-double range raises ``OutOfRange`` naming the first such t; a writer that
-fails removes its partial file.
+that reads the per-trajectory constants once per pass: Z's half-trace,
+the diagonal of its traceless part and that part's eigenvalue delta for a
+flow, and R for the discrete orbit.  Each pass over ``Trajectory.rows()``
+then yields (q, p, t) sample by sample, and the writers format and write
+each row as it is produced, so writing a file takes memory independent of
+its number of samples.  One propagator serves every flow: a sample costs
+one cosh and one sinh of (t/tau) delta, and its state is bit-for-bit equal
+to ``flow_matrix(g, t).apply(q0, p0)``, the propagator verify's oracles
+check.  The closed-form Euler family is sampled as the flow of its own
+generator (``euler_trajectory``).  A flow whose state leaves double range
+raises ``OutOfRange`` naming the first such t; a writer that fails
+removes its partial file.
 
 Deviations between states are reported relative to max(1, |reference|):
 bounded orbits are then compared absolutely, while diverging orbits
@@ -47,9 +48,8 @@ from itertools import chain, islice, starmap
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
-# closed_exp is the matrix form of the per-sample arithmetic; bench/tracer.py
-# looks it up on this module.
-from .algebra import Mat2C, closed_exp, closed_exp_entries, re_im  # noqa: F401
+# closed_exp is not called here; bench/tracer.py looks it up on this module.
+from .algebra import Mat2C, closed_exp, re_im  # noqa: F401
 from .classifier import CaseTag
 from .errors import NotApplicable, OutOfRange
 from .integrators import TransitionMatrix
@@ -166,17 +166,48 @@ def discrete_orbit(r: TransitionMatrix, q0: float, p0: float, n: int) -> Traject
                       partial(_orbit_rows, r, q0, p0))
 
 
-def _flow_rows(g: Generator, q0: complex, p0: complex,
+def _constants(z: Mat2C) -> tuple[complex, complex, complex, complex, complex, complex]:
+    """(mu, k11, z12, z21, k22, delta) of Z: its half-trace mu, the diagonal of
+    K = Z - mu I and the eigenvalue delta of K, read once per trajectory."""
+    z11, z12, z21, z22 = z.entries()
+    mu = (z11 + z22) / 2.0
+    k11, k22 = z11 - mu, z22 - mu
+    return mu, k11, z12, z21, k22, cmath.sqrt(k11 * k11 + z12 * z21)
+
+
+def _flow_rows(z: Mat2C, tau: float, name: str, q0: complex, p0: complex,
                times: Iterable[float]) -> Iterator[Row]:
-    """exp((t/tau) Z) (q0, p0) for each t, reading Z and tau once."""
-    z11, z12, z21, z22 = g.matrix.entries()
-    tau = g.tau
-    isfinite = cmath.isfinite
+    """exp((t/tau) Z) (q0, p0) for each t, reading Z's constants once.
+
+    The arithmetic of ``flow_matrix`` followed by ``Mat2C.apply``, written
+    out so that the loop calls only cosh, sinh, exp and isfinite, with one
+    statement per value: packing and unpacking four-tuples costs about a
+    tenth of a sample.
+    """
+    mu, k11, z12, z21, k22, delta = _constants(z)
+    cosh, sinh, exp, isfinite = cmath.cosh, cmath.sinh, cmath.exp, cmath.isfinite
     try:
         for t in times:
             s = t / tau
-            e11, e12, e21, e22 = closed_exp_entries(s * z11, s * z12, s * z21, s * z22)
-            q, p = e11 * q0 + e12 * p0, e21 * q0 + e22 * p0
+            if delta:
+                a = s * delta
+                c = cosh(a)
+                h = sinh(a) / delta
+            else:
+                c = 1.0
+                h = s
+            e11 = c + h * k11
+            e12 = h * z12
+            e21 = h * z21
+            e22 = c + h * k22
+            if mu:
+                scale = exp(s * mu)
+                e11 = scale * e11
+                e12 = scale * e12
+                e21 = scale * e21
+                e22 = scale * e22
+            q = e11 * q0 + e12 * p0
+            p = e21 * q0 + e22 * p0
             if not (isfinite(q) and isfinite(p)):
                 break
             yield q, p, t
@@ -184,18 +215,34 @@ def _flow_rows(g: Generator, q0: complex, p0: complex,
             return
     except OverflowError:
         pass
-    raise OutOfRange(f"flow<{g.case}> m={g.branch} leaves double range at t = {t:.17g}")
+    raise OutOfRange(f"{name} leaves double range at t = {t:.17g}")
 
 
 def flow_matrix(g: Generator, t: float) -> Mat2C:
     """exp((t/tau) Z), the branch flow's propagator from time 0 to time t.
 
-    Bit-for-bit equal to ``closed_exp(Z.scaled(t/tau))``; an oracle that
-    needs many starts at one time computes it once and applies it to each.
+    With K = Z - mu I, mu the half-trace and +-delta the eigenvalues of K,
+
+        exp(s Z) = e^(s mu) (cosh(s delta) I + sinh(s delta)/delta K),
+
+    and (cosh, sinh/delta) = (1, s) when delta is exactly 0, where K is
+    nilpotent; e^(s mu) multiplies in only for mu != 0.  sinh(s delta)/delta
+    has no cancellation for any nonzero delta, so no series is needed.  An
+    oracle that needs many starts at one time computes it once and applies
+    it to each.
     """
+    mu, k11, z12, z21, k22, delta = _constants(g.matrix)
     s = t / g.tau
-    z11, z12, z21, z22 = g.matrix.entries()
-    return Mat2C(*closed_exp_entries(s * z11, s * z12, s * z21, s * z22))
+    if delta:
+        a = s * delta
+        c, h = cmath.cosh(a), cmath.sinh(a) / delta
+    else:
+        c, h = 1.0, s
+    e11, e12, e21, e22 = c + h * k11, h * z12, h * z21, c + h * k22
+    if mu:
+        scale = cmath.exp(s * mu)
+        e11, e12, e21, e22 = scale * e11, scale * e12, scale * e21, scale * e22
+    return Mat2C(e11, e12, e21, e22)
 
 
 def continuous_state(g: Generator, q0: complex, p0: complex, t: float) -> PhaseState:
@@ -207,34 +254,6 @@ def continuous_state(g: Generator, q0: complex, p0: complex, t: float) -> PhaseS
     return PhaseState(q, p, t)
 
 
-def _euler_rows(tau: float, branch: int, q0: float, p0: float,
-                times: Iterable[float]) -> Iterator[Row]:
-    """Closed-form Euler branch flow at each t; rate and root computed once."""
-    rate = euler_rate(tau, branch)
-    if tau < 2.0:
-        root = math.sqrt((2.0 - tau) * (2.0 + tau))
-        osc_of, base_of = cmath.sin, cmath.cos
-    else:
-        root = math.sqrt((tau - 2.0) * (tau + 2.0))
-        osc_of, base_of = cmath.sinh, cmath.cosh
-    q_osc = 2.0 * p0 - tau * q0
-    p_osc = tau * p0 - 2.0 * q0
-    isfinite = cmath.isfinite
-    try:
-        for t in times:
-            s = rate * t / tau
-            osc, base = osc_of(s), base_of(s)
-            q, p = q_osc * osc / root + q0 * base, p_osc * osc / root + p0 * base
-            if not (isfinite(q) and isfinite(p)):
-                break
-            yield q, p, t
-        else:
-            return
-    except OverflowError:
-        pass
-    raise OutOfRange(f"euler m={branch} leaves double range at t = {t:.17g}")
-
-
 def euler_closed_form(tau: float, branch: int, q0: float, p0: float, t: float) -> PhaseState:
     """Closed-form branch flow of the explicit Euler map.
 
@@ -244,9 +263,19 @@ def euler_closed_form(tau: float, branch: int, q0: float, p0: float, t: float) -
         p(t) = (tau p0 - 2 q0) sin(s)/sqrt(4 - tau**2) + p0 cos(s)
 
     for 0 < tau < 2, and the same shape with sinh, cosh and
-    sqrt(tau**2 - 4) for tau > 2, where s is then complex.
+    sqrt(tau**2 - 4) for tau > 2, where s is then complex.  An oracle for
+    ``euler_trajectory``, which shares none of this arithmetic.
     """
-    return PhaseState(*next(_euler_rows(tau, branch, q0, p0, (t,))))
+    rate = euler_rate(tau, branch)
+    s = rate * t / tau
+    if tau < 2.0:
+        root = math.sqrt((2.0 - tau) * (2.0 + tau))
+        osc, base = cmath.sin(s), cmath.cos(s)
+    else:
+        root = math.sqrt((tau - 2.0) * (tau + 2.0))
+        osc, base = cmath.sinh(s), cmath.cosh(s)
+    return PhaseState((2.0 * p0 - tau * q0) * osc / root + q0 * base,
+                      (tau * p0 - 2.0 * q0) * osc / root + p0 * base, t)
 
 
 def sample_times(t_end: float, dt: float) -> SampleTimes:
@@ -265,14 +294,22 @@ def sample_trajectory(g: Generator, q0: complex, p0: complex,
                       t_end: float, dt: float) -> Trajectory:
     """Dense samples of the branch flow on [0, t_end]."""
     source = TrajectorySource(f"flow<{g.case}>", g.tau, g.case, g.branch)
-    return Trajectory(source, sample_times(t_end, dt), partial(_flow_rows, g, q0, p0))
+    return Trajectory(source, sample_times(t_end, dt),
+                      partial(_flow_rows, g.matrix, g.tau, f"flow<{g.case}> m={g.branch}",
+                              q0, p0))
 
 
 def euler_trajectory(tau: float, branch: int, q0: float, p0: float,
                      t_end: float, dt: float) -> Trajectory:
-    """Dense samples of the closed-form Euler branch flow on [0, t_end]."""
+    """Dense samples of the closed-form Euler branch flow on [0, t_end].
+
+    The closed form is the flow of Z = (rate/root) [[-tau, 2], [-2, tau]],
+    root = sqrt(|4 - tau**2|), sampled like any branch generator's.
+    """
+    factor = euler_rate(tau, branch) / math.sqrt(abs((2.0 - tau) * (2.0 + tau)))
+    z = Mat2C(-tau * factor, 2.0 * factor, -2.0 * factor, tau * factor)
     return Trajectory(TrajectorySource("euler", tau, None, branch), sample_times(t_end, dt),
-                      partial(_euler_rows, tau, branch, q0, p0))
+                      partial(_flow_rows, z, tau, f"euler m={branch}", q0, p0))
 
 
 def rotation_sense(h: ShadowHamiltonian) -> str:

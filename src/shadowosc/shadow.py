@@ -191,8 +191,16 @@ def generator_distinct(r: TransitionMatrix, eigen: EigenStructure, branch: int) 
     Z = (log(y, m) / d) * K with y = T/2 + d and K = R - (T/2) I, whose
     eigenvalues are +-d: Z is traceless with eigenvalues +-log(y, m), and
     exp(Z) = cosh(log y) I + sinh(log y)/d K = (T/2) I + K = R.
+
+    For i-a (d imaginary) log(y, m) is i*(angle + 2*pi*m), log|y| taken as
+    0: R has unit determinant, so |y|**2 = det = 1 and the computed log|y|
+    is rounding, which Z would carry divided by |d|.
     """
-    factor = log_branch(eigen.eigenvalue, branch) / eigen.d
+    if eigen.d.imag:
+        log_y = complex(0.0, eigen.angle + 2.0 * math.pi * branch)
+    else:
+        log_y = log_branch(eigen.eigenvalue, branch)
+    factor = log_y / eigen.d
     k11, k12, k21, _ = r.traceless()
     diag = factor * k11
     z = Mat2C(diag, factor * k12, factor * k21, -diag)

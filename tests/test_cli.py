@@ -163,7 +163,7 @@ class TestFlow:
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("integrator, label, t", [("velocity-verlet", "flow<i-c>", "1113"),
-                                                  ("euler", "euler", "1106")])
+                                                  ("euler", "euler", "1113")])
 def test_flow_leaving_double_range_is_an_error(capsys, tmp_path, fmt, integrator, label, t):
     code, out, err = run(capsys, "flow", "--integrator", integrator, "--tau", "3",
                          "--t-end", "1500", "--dt", "7", "--format", fmt,
@@ -327,6 +327,17 @@ class TestEveryScaleOfTau:
         assert abs(h["cA"]["re"] - 0.5) <= 1e-6
         assert abs(h["cB"]["re"] - 0.5) <= 1e-6
         assert abs(h["cC"]["re"]) <= float(tau)
+
+    def test_small_modulus_rotation_is_real(self, capsys):
+        # |d| = 1e-7: det's rounding in log|y|, divided by |d|, once read as
+        # cA_im = 5.55e-10 and real_valued 0
+        code, out, _ = run(capsys, "hamiltonian", "--integrator", "double-euler",
+                           "--tau", "1e-7", "--m-min", "0", "--m-max", "0")
+        assert code == 0
+        row = dict(zip(*(line.split(",") for line in out.splitlines())))
+        assert row["case"] == "i-a"
+        assert float(row["cA_im"]) == 0.0
+        assert row["real_valued"] == "1"
 
     def test_euler_rate_column_at_small_tau(self, capsys):
         code, out, _ = run(capsys, "hamiltonian", "--integrator", "euler", "--tau", "1e-8",

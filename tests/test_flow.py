@@ -1,12 +1,13 @@
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shadowosc.algebra import Mat2C, closed_exp
+from shadowosc.algebra import Mat2C, closed_exp, max_diff
 from shadowosc.classifier import CaseTag, classify
 from shadowosc.errors import CriticalTau, NotApplicable, OutOfRange
 from shadowosc.flow import (
@@ -207,7 +208,9 @@ class TestSampling:
         g = branch_generator(make("velocity-verlet", 3.0), 0)
         with pytest.raises(OutOfRange, match=r"flow<i-c> m=0 leaves double range at t = 1113$"):
             list(sample_trajectory(g, 1.0, 0.0, 1500.0, 7.0).states)
-        with pytest.raises(OutOfRange, match=r"euler m=0 leaves double range at t = 1106$"):
+        # the Euler closed form is sampled as its generator's flow, so it leaves
+        # double range where the generic flow of the same map does
+        with pytest.raises(OutOfRange, match=r"euler m=0 leaves double range at t = 1113$"):
             list(euler_trajectory(3.0, 0, 1.0, 0.0, 1500.0, 7.0).states)
 
 
@@ -306,19 +309,41 @@ generators = st.one_of(
 )
 
 
+def _rounding_bound(exact: Mat2C, s_z: float) -> float:
+    """64 eps max(1, |exp(sZ)|) max(1, s|Z|) for s_z = s|Z|, |.| the largest entry modulus."""
+    return 64.0 * sys.float_info.epsilon * max(1.0, exact.max_abs()) * max(1.0, s_z)
+
+
+def _assert_propagator_near_closed_exp(g, t):
+    s = t / g.tau
+    exact = closed_exp(g.matrix.scaled(s))
+    assert max_diff(flow_matrix(g, t), exact) <= _rounding_bound(exact, s * g.matrix.max_abs())
+
+
 class TestEvaluatorIsClosedExp:
-    """The per-trajectory evaluator runs closed_exp's arithmetic bit for bit."""
+    """The per-trajectory propagator is closed_exp to rounding, and every
+    sample is that propagator applied to the start, bit for bit."""
 
     @settings(max_examples=300)
     @given(generators, st.floats(-2.0, 2.0), st.floats(-2.0, 2.0), st.floats(0.0, 20.0))
-    def test_state_equals_closed_exp_propagator(self, g, q0, p0, periods):
+    def test_propagator_is_closed_exp_to_rounding(self, g, q0, p0, periods):
         t = periods * g.tau
-        propagator = closed_exp(g.matrix.scaled(t / g.tau))
-        want = propagator.apply(q0, p0)
+        _assert_propagator_near_closed_exp(g, t)
         got = continuous_state(g, q0, p0, t)
-        assert (got.q, got.p) == want
+        want = flow_matrix(g, t).apply(q0, p0)
         assert repr((got.q, got.p)) == repr(want)  # signed zeros too
-        assert repr(flow_matrix(g, t).entries()) == repr(propagator.entries())
+
+    @settings(max_examples=100)
+    @given(generators, st.floats(-1.0, 1.0).filter(bool), st.floats(0.0, 20.0))
+    def test_shifted_diagonal_is_closed_exp_to_rounding(self, g, eps, periods):
+        # verify's --perturb negative control: a nonzero half-trace mu, whose
+        # factor exp(s mu) the propagator must still carry
+        z = g.matrix
+        shifted = Generator(Mat2C(z.e11 + eps, z.e12, z.e21, z.e22), g.branch, g.tau, g.case)
+        _assert_propagator_near_closed_exp(shifted, periods * g.tau)
+        traj = sample_trajectory(shifted, 0.3, -1.1, 5.0 * g.tau, 0.35 * g.tau)
+        assert tuple(traj.states) == tuple(continuous_state(shifted, 0.3, -1.1, s.t)
+                                           for s in traj.states)
 
     @pytest.mark.parametrize("case", [("velocity-verlet", 0.66, 1), ("velocity-verlet", 3.0, -1),
                                       ("double-euler", 4.8, 0)])
@@ -330,10 +355,19 @@ class TestEvaluatorIsClosedExp:
 
     @pytest.mark.parametrize("tau, m", [(0.66, -1), (0.66, 2), (3.0, 0), (3.0, -2)])
     def test_euler_trajectory_repeats_single_states(self, tau, m):
+        """Euler samples are euler_closed_form's propagator to rounding: its
+        columns are the closed form from (1, 0) and from (0, 1)."""
         traj = euler_trajectory(tau, m, 0.3, -1.1, 5.0, 0.07)
-        assert traj.source.branch == m
-        assert tuple(traj.states) == tuple(euler_closed_form(tau, m, 0.3, -1.1, s.t)
-                                           for s in traj.states)
+        assert traj.source == TrajectorySource("euler", tau, None, m)
+        columns = [euler_trajectory(tau, m, q0, p0, 5.0, 0.07) for q0, p0 in ((1, 0), (0, 1))]
+        root = math.sqrt(abs(4.0 - tau * tau))
+        z_norm = abs(euler_rate(tau, m)) * max(2.0, tau) / root  # |Z| of the Euler generator
+        for state, first, second in zip(traj.states, *columns):
+            a, b = (euler_closed_form(tau, m, q0, p0, state.t) for q0, p0 in ((1, 0), (0, 1)))
+            exact = Mat2C(a.q, b.q, a.p, b.p)
+            got = Mat2C(first.q, second.q, first.p, second.p)
+            assert max_diff(got, exact) <= _rounding_bound(exact, state.t / tau * z_norm)
+            assert (state.q, state.p) == got.apply(0.3, -1.1)
 
 
 def _parent_csv(trajectory, h):

@@ -375,6 +375,20 @@ class TestEveryScaleHasAnAnswer:
             assert repr(z) == repr(Mat2C(r.r1 - 1.0, r.r2, r.r3, r.r4 - 1.0))
 
 
+class TestRotationsAreReal:
+    """An i-a map has unit determinant, so |y| = 1 and log|y| = 0: no rounding
+    of det may reach the generator as an imaginary part."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(sorted(BUILDERS)),
+           st.floats(-12.0, math.log10(1.9)).map(lambda e: 10.0 ** e))
+    def test_every_i_a_branch_is_real_valued(self, name, tau):
+        family = generators_for(make(name, tau), range(-3, 4))
+        assert family.case is CaseTag.IA
+        for g in family.generators:
+            assert hamiltonian_from_generator(g).real_valued
+
+
 class TestExponentialIdentityProperty:
     @pytest.mark.parametrize("name", ["euler", "velocity-verlet", "position-verlet",
                                       "double-euler", "vp"])
