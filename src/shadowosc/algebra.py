@@ -1,8 +1,8 @@
 """Complex 2x2 matrix arithmetic: branch logarithms and exponentials.
 
-Everything is plain double precision on top of ``cmath``; matrices are
-immutable values.  ``taylor_exp`` is deliberately a bare partial sum so it
-can serve as an oracle independent of the closed-form ``closed_exp``.
+Everything is plain double precision on top of ``cmath``; matrices, like
+every record of the package, are immutable ``Value``s.  ``taylor_exp`` is a
+bare partial sum, an oracle independent of the closed-form ``closed_exp``.
 
 Branch convention used throughout the package: a nonzero complex number is
 written modulus * exp(i*theta) with theta in (-pi, pi], negative reals at
@@ -18,7 +18,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import FrozenInstanceError
+from operator import attrgetter
 
 from .errors import ZeroEigenvalue
 
@@ -32,13 +32,55 @@ def exceeds(residual: float, scale: float) -> bool:
     return not residual <= TOL * scale or residual == math.inf
 
 
-class Mat2C:
-    """Immutable 2x2 complex matrix [[e11, e12], [e21, e22]].
+class Value:
+    """Immutable record whose fields are its class's ``__slots__``, in the order
+    of its constructor's parameters; ``__init__`` validates, then ``_store``s.
+    As with frozen dataclasses, values of one class with equal fields are equal
+    and hash equal, print as ``Name(field=value, ...)``, pickle and copy through
+    the constructor (validating again), and raise ``FrozenInstanceError`` (the
+    only use of ``dataclasses``) when an attribute is assigned or deleted.
+    """
 
-    The constructor coerces each entry to ``complex`` once; every other
-    operation reads the stored entries.  Matrices compare and hash as the
-    tuple of their entries, and assigning or deleting an attribute raises
-    ``FrozenInstanceError``.
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._fields = attrgetter(*cls.__slots__)
+        cls._setters = tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
+
+    def _store(self, *values) -> None:
+        """Set the fields, in ``__slots__`` order; only ``__init__`` calls this."""
+        for set_field, value in zip(self._setters, values):
+            set_field(self, value)
+
+    def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._fields(self)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._fields(self) == other._fields(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields(self))
+
+
+class Mat2C(Value):
+    """Immutable 2x2 complex matrix [[e11, e12], [e21, e22]], a ``Value``.
+
+    The constructor coerces each entry to ``complex`` once, through the slot
+    setters; every other operation reads the stored entries.
     """
 
     __slots__ = ("e11", "e12", "e21", "e22")
@@ -48,26 +90,6 @@ class Mat2C:
         _set_e12(self, complex(e12))
         _set_e21(self, complex(e21))
         _set_e22(self, complex(e22))
-
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return Mat2C, self.entries()
-
-    def __repr__(self) -> str:
-        return f"Mat2C(e11={self.e11!r}, e12={self.e12!r}, e21={self.e21!r}, e22={self.e22!r})"
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.entries() == other.entries()
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.entries())
 
     @staticmethod
     def identity() -> "Mat2C":
@@ -109,9 +131,8 @@ class Mat2C:
         return max(abs(self.e11), abs(self.e12), abs(self.e21), abs(self.e22))
 
 
-# Slot setters: the constructor is the only writer of the entries.
-_set_e11, _set_e12, _set_e21, _set_e22 = (
-    Mat2C.__dict__[name].__set__ for name in Mat2C.__slots__)
+# The constructor is the only writer of the entries.
+_set_e11, _set_e12, _set_e21, _set_e22 = Mat2C._setters
 
 
 def max_diff(a: Mat2C, b: Mat2C) -> float:

@@ -21,10 +21,9 @@ y < -1 for i-c.  ``criticality_gap`` gives |T**2 - 4| to flag near-ridge input.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
-from .algebra import ROUNDING, Mat2C, exceeds
+from .algebra import ROUNDING, Mat2C, Value, exceeds
 from .integrators import TransitionMatrix
 
 
@@ -45,8 +44,7 @@ DISTINCT_TAGS = (CaseTag.IA, CaseTag.IB, CaseTag.IC)
 SCALAR_TAGS = (CaseTag.II_PLUS, CaseTag.II_MINUS)
 
 
-@dataclass(frozen=True)
-class EigenStructure:
+class EigenStructure(Value):
     """Representative eigenvalue data; the partner eigenvalue is 1/eigenvalue.
 
     ``d`` is the eigenvalue of K = R - (T/2) I in eigenvalue = T/2 + d; 0 if
@@ -55,12 +53,11 @@ class EigenStructure:
     R = P J P^{-1} with J the upper-triangular Jordan block.
     """
 
-    eigenvalue: complex
-    angle: float
-    modulus: float
-    degenerate: bool
-    d: complex
-    jordan_basis: Mat2C | None = None
+    __slots__ = ("eigenvalue", "angle", "modulus", "degenerate", "d", "jordan_basis")
+
+    def __init__(self, eigenvalue: complex, angle: float, modulus: float, degenerate: bool,
+                 d: complex, jordan_basis: Mat2C | None = None):
+        self._store(eigenvalue, angle, modulus, degenerate, d, jordan_basis)
 
 
 def criticality_gap(r: TransitionMatrix) -> float:

@@ -18,11 +18,11 @@ from .algebra import re_im
 from .classifier import CaseTag, classify, criticality_gap
 from .errors import ShadowOscError
 from .flow import (
-    MAX_SAMPLES,
     discrete_orbit,
     euler_trajectory,
     sample_times,
     sample_trajectory,
+    whole_steps,
     write_trajectory_csv,
     write_trajectory_json,
 )
@@ -220,14 +220,12 @@ def cmd_flow(args) -> int:
     r = _resolve_matrix(args)
     family = generators_for(r, branches, params)
     rows = () if family.obstruction is not None else _hamiltonian_rows(r, family, branches)
-    steps = args.t_end / r.tau + 1e-9
-    if not steps < MAX_SAMPLES:
-        raise ValueError(f"t_end / tau = {steps:g} discrete steps; at most 2**52 are supported")
+    steps = whole_steps(args.t_end, r.tau, math.floor, "t_end / tau = %g discrete steps")
     outdir = Path(args.out) if args.out else Path(".")
     outdir.mkdir(parents=True, exist_ok=True)
     suffix = "json" if args.format == "json" else "csv"
 
-    discrete = discrete_orbit(r, args.q0, args.p0, max(0, int(math.floor(steps))))
+    discrete = discrete_orbit(r, args.q0, args.p0, steps)
     discrete_path = outdir / f"discrete.{suffix}"
     _write_trajectory(discrete_path, discrete, None, args.format)
     written = [discrete_path]
@@ -264,23 +262,19 @@ def cmd_sweep(args) -> int:
         return USAGE_ERROR
     params = _resolve_params(args)
     branches = _branches(args)
-    header = "tau,case,trace,criticality_gap,n_real_hamiltonians"
-    lines = [header]
-    records = []
+    rows = []
     for tau in taus:
         r = make(args.integrator, tau)
         family = generators_for(r, branches, params)
-        case = family.case.value
-        gap = criticality_gap(r)
         n_real = sum(hamiltonian_from_generator(g).real_valued for g in family.generators)
-        records.append({"tau": tau, "case": case, "trace": r.trace(),
-                        "criticality_gap": gap, "n_real": n_real})
-        lines.append(f"{tau:.17g},{case},{r.trace():.17g},{gap:.17g},{n_real}")
+        rows.append((tau, family.case.value, r.trace(), criticality_gap(r), n_real))
     if args.format == "json":
-        _emit(json.dumps({"integrator": args.integrator, "rows": records},
-                         indent=2), args.out)
+        keys = ("tau", "case", "trace", "criticality_gap", "n_real")
+        _emit(json.dumps({"integrator": args.integrator,
+                          "rows": [dict(zip(keys, row)) for row in rows]}, indent=2), args.out)
     else:
-        _emit("\n".join(lines), args.out)
+        lines = ["tau,case,trace,criticality_gap,n_real_hamiltonians"]
+        _emit("\n".join(lines + ["%.17g,%s,%.17g,%.17g,%d" % row for row in rows]), args.out)
     return 0
 
 

@@ -40,16 +40,14 @@ import cmath
 import json
 import math
 import os
-from collections.abc import Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from contextlib import contextmanager
-from dataclasses import dataclass
 from functools import partial
 from itertools import chain, islice, starmap
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
 
 # closed_exp is not called here; bench/tracer.py looks it up on this module.
-from .algebra import Mat2C, closed_exp, re_im  # noqa: F401
+from .algebra import Mat2C, Value, closed_exp, re_im  # noqa: F401
 from .classifier import CaseTag
 from .errors import NotApplicable, OutOfRange
 from .integrators import TransitionMatrix
@@ -64,22 +62,22 @@ MAX_SAMPLES = 2 ** 52
 Row = tuple[complex, complex, float]  # (q, p, t), the order of PhaseState
 
 
-@dataclass(frozen=True)
-class PhaseState:
-    q: complex
-    p: complex
-    t: float
+class PhaseState(Value):
+    __slots__ = ("q", "p", "t")
+
+    def __init__(self, q: complex, p: complex, t: float):
+        self._store(q, p, t)
 
     def distance(self, other: "PhaseState") -> float:
         return math.hypot(abs(self.q - other.q), abs(self.p - other.p))
 
 
-@dataclass(frozen=True)
-class TrajectorySource:
-    label: str
-    tau: float
-    case: CaseTag | None = None
-    branch: int | None = None
+class TrajectorySource(Value):
+    __slots__ = ("label", "tau", "case", "branch")
+
+    def __init__(self, label: str, tau: float, case: CaseTag | None = None,
+                 branch: int | None = None):
+        self._store(label, tau, case, branch)
 
 
 class SampleTimes(Sequence):
@@ -278,16 +276,24 @@ def euler_closed_form(tau: float, branch: int, q0: float, p0: float, t: float) -
                       (tau * p0 - 2.0 * q0) * osc / root + p0 * base, t)
 
 
+def whole_steps(t_end: float, h: float, off_grid: Callable[[float], int], counted: str) -> int:
+    """Whole steps of size h to t_end >= 0: round(t_end / h) within 4 ulps of it
+    (n*h rounded, divided by h, is within 2 ulps of n), else ``off_grid(t_end / h)``;
+    ``counted`` names the ratio in the 2**52 error: "t_end / dt = %g samples"."""
+    ratio = t_end / h
+    if not ratio < MAX_SAMPLES:
+        raise ValueError(f"{counted % ratio}; at most 2**52 are supported")
+    steps = round(ratio)
+    return steps if abs(ratio - steps) <= 4.0 * math.ulp(ratio) else off_grid(ratio)
+
+
 def sample_times(t_end: float, dt: float) -> SampleTimes:
     """0, dt, 2*dt, ... with the final sample exactly at t_end."""
     if not dt > 0:
         raise ValueError("dt must be positive")
     if t_end < 0:
         raise ValueError("t_end must be >= 0")
-    ratio = t_end / dt
-    if not ratio < MAX_SAMPLES:
-        raise ValueError(f"t_end / dt = {ratio:g} samples; at most 2**52 are supported")
-    return SampleTimes(dt, max(0, math.ceil(ratio - 1e-9)), t_end)
+    return SampleTimes(dt, whole_steps(t_end, dt, math.ceil, "t_end / dt = %g samples"), t_end)
 
 
 def sample_trajectory(g: Generator, q0: complex, p0: complex,

@@ -9,10 +9,9 @@ advances the phase vector (q, p) by one time increment tau.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable
+from collections.abc import Callable
 
-from .algebra import Mat2C, exceeds
+from .algebra import Mat2C, Value, exceeds
 from .errors import InvalidTau, NonFinite, NotSymplectic, UnknownIntegrator
 
 
@@ -24,27 +23,20 @@ def _check_unit_det(r1: float, r2: float, r3: float, r4: float, label: str) -> N
         raise NotSymplectic(residual, f"{label}: determinant differs from 1 by {residual:.3e}")
 
 
-@dataclass(frozen=True)
-class TransitionMatrix:
+class TransitionMatrix(Value):
     """Real 2x2 symplectic one-step map [[r1, r2], [r3, r4]] for increment tau."""
 
-    r1: float
-    r2: float
-    r3: float
-    r4: float
-    tau: float
-    label: str
+    __slots__ = ("r1", "r2", "r3", "r4", "tau", "label")
 
-    def __post_init__(self):
+    def __init__(self, r1: float, r2: float, r3: float, r4: float, tau: float, label: str):
         # NaN and inf are rejected as such before the determinant is read
-        values = (self.r1, self.r2, self.r3, self.r4, self.tau)
-        if not all(math.isfinite(v) for v in values):
-            raise NonFinite(f"{self.label}: entries and tau must be finite, got "
-                            f"r = ({self.r1!r}, {self.r2!r}, {self.r3!r}, {self.r4!r}), "
-                            f"tau = {self.tau!r}")
-        if not self.tau > 0:
-            raise InvalidTau(f"tau must be positive, got {self.tau!r}")
-        _check_unit_det(self.r1, self.r2, self.r3, self.r4, self.label)
+        if not all(math.isfinite(v) for v in (r1, r2, r3, r4, tau)):
+            raise NonFinite(f"{label}: entries and tau must be finite, got "
+                            f"r = ({r1!r}, {r2!r}, {r3!r}, {r4!r}), tau = {tau!r}")
+        if not tau > 0:
+            raise InvalidTau(f"tau must be positive, got {tau!r}")
+        _check_unit_det(r1, r2, r3, r4, label)
+        self._store(r1, r2, r3, r4, tau, label)
 
     def det(self) -> float:
         return self.r1 * self.r4 - self.r2 * self.r3

@@ -28,10 +28,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
-from typing import Iterable
+from collections.abc import Iterable
 
-from .algebra import TOL, Mat2C, closed_exp, exceeds, log_branch, nan_max, re_im
+from .algebra import TOL, Mat2C, Value, closed_exp, exceeds, log_branch, nan_max, re_im
 from .classifier import (
     DISTINCT_TAGS,
     SCALAR_TAGS,
@@ -56,35 +55,27 @@ OBSTRUCTION = ("similar to a Jordan block with eigenvalue -1: any logarithm has 
                "equal nonzero eigenvalues and cannot be traceless")
 
 
-@dataclass(frozen=True)
-class Generator:
+class Generator(Value):
     """Traceless matrix logarithm of a transition matrix, tagged by branch."""
 
-    matrix: Mat2C
-    branch: int
-    tau: float
-    case: CaseTag
+    __slots__ = ("matrix", "branch", "tau", "case")
+
+    def __init__(self, matrix: Mat2C, branch: int, tau: float, case: CaseTag):
+        self._store(matrix, branch, tau, case)
 
 
-@dataclass(frozen=True)
-class ShadowHamiltonian:
+class ShadowHamiltonian(Value):
     """Quadratic form c_pp*p**2 + c_qq*q**2 + c_pq*p*q with complex coefficients."""
 
-    c_pp: complex
-    c_qq: complex
-    c_pq: complex
-    tau: float
-    branch: int
-    case: CaseTag
-    real_valued: bool
-    rate: complex | None = None
+    __slots__ = ("c_pp", "c_qq", "c_pq", "tau", "branch", "case", "real_valued", "rate")
 
-    def __post_init__(self):
-        if not (cmath.isfinite(self.c_pp) and cmath.isfinite(self.c_qq)
-                and cmath.isfinite(self.c_pq)):
+    def __init__(self, c_pp: complex, c_qq: complex, c_pq: complex, tau: float, branch: int,
+                 case: CaseTag, real_valued: bool, rate: complex | None = None):
+        if not (cmath.isfinite(c_pp) and cmath.isfinite(c_qq) and cmath.isfinite(c_pq)):
             raise OutOfRange(
-                f"branch m={self.branch} Hamiltonian at tau={self.tau:g} has non-finite "
-                f"coefficients cA = {self.c_pp}, cB = {self.c_qq}, cC = {self.c_pq}")
+                f"branch m={branch} Hamiltonian at tau={tau:g} has non-finite "
+                f"coefficients cA = {c_pp}, cB = {c_qq}, cC = {c_pq}")
+        self._store(c_pp, c_qq, c_pq, tau, branch, case, real_valued, rate)
 
     def evaluate(self, q: complex, p: complex) -> complex:
         return self.c_pp * p * p + self.c_qq * q * q + self.c_pq * p * q
@@ -109,18 +100,16 @@ class ShadowHamiltonian:
         return out
 
 
-@dataclass(frozen=True)
-class CaseIIParams:
+class CaseIIParams(Value):
     """Direction (c1, c2, c3) of the scalar-case generator, c1**2 + c2*c3 = 1."""
 
-    c1: complex
-    c2: complex
-    c3: complex
+    __slots__ = ("c1", "c2", "c3")
 
-    def __post_init__(self):
-        residual = abs(self.c1 * self.c1 + self.c2 * self.c3 - 1.0)
+    def __init__(self, c1: complex, c2: complex, c3: complex):
+        residual = abs(c1 * c1 + c2 * c3 - 1.0)
         if residual > PARAM_TOL:
             raise BadParams(f"c1**2 + c2*c3 = 1 violated by {residual:.3e}")
+        self._store(c1, c2, c3)
 
     @classmethod
     def default(cls) -> "CaseIIParams":
@@ -149,18 +138,18 @@ PARAM_PRESETS = {
 }
 
 
-@dataclass(frozen=True)
-class GeneratorFamily:
+class GeneratorFamily(Value):
     """Case tag and every requested branch generator of a map.
 
     For iii-b, where no Hamiltonian exists, ``generators`` is empty,
     ``obstruction`` holds the reason and ``eigen.jordan_basis`` the evidence.
     """
 
-    case: CaseTag
-    eigen: EigenStructure
-    generators: tuple[Generator, ...]
-    obstruction: str | None = None
+    __slots__ = ("case", "eigen", "generators", "obstruction")
+
+    def __init__(self, case: CaseTag, eigen: EigenStructure, generators: tuple[Generator, ...],
+                 obstruction: str | None = None):
+        self._store(case, eigen, generators, obstruction)
 
 
 def _exp_residual(z: Mat2C, r: TransitionMatrix) -> float:

@@ -19,9 +19,8 @@ from __future__ import annotations
 import math
 import random
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
 
-from .algebra import Mat2C, max_diff, taylor_exp
+from .algebra import Mat2C, Value, max_diff, taylor_exp
 from .classifier import CaseTag, classify
 from .errors import NonFinite, UnknownIntegrator
 # continuous_state is not called here (the oracles apply one flow_matrix
@@ -48,22 +47,22 @@ CONSERVATION_TOL = 1e-9
 _OUT_OF_RANGE = (OverflowError, ValueError)
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    residual: float
-    tolerance: float
-    passed: bool
+class CheckResult(Value):
+    __slots__ = ("name", "residual", "tolerance", "passed")
+
+    def __init__(self, name: str, residual: float, tolerance: float, passed: bool):
+        self._store(name, residual, tolerance, passed)
 
     @classmethod
     def of(cls, name: str, residual: float, tolerance: float) -> "CheckResult":
         return cls(name, residual, tolerance, residual <= tolerance)
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    subject: str
-    checks: tuple[CheckResult, ...]
+class VerificationReport(Value):
+    __slots__ = ("subject", "checks")
+
+    def __init__(self, subject: str, checks: tuple[CheckResult, ...]):
+        self._store(subject, checks)
 
     @property
     def passed(self) -> bool:
@@ -301,7 +300,7 @@ def _perturbed(g: Generator, eps: float) -> Generator:
     if eps == 0.0:
         return g
     z = g.matrix
-    return replace(g, matrix=Mat2C(z.e11 + eps, z.e12, z.e21, z.e22))
+    return Generator(Mat2C(z.e11 + eps, z.e12, z.e21, z.e22), g.branch, g.tau, g.case)
 
 
 def full_suite(seed: int = DEFAULT_SEED, trials: int = 20,
@@ -352,7 +351,9 @@ def full_suite(seed: int = DEFAULT_SEED, trials: int = 20,
         shifted = _perturbed(g, perturb)
         # a shifted diagonal breaks tracelessness, which the guard in
         # hamiltonian_from_generator rejects: read c_pq off the shifted matrix
-        h = replace(hamiltonian_from_generator(g), c_pq=shifted.matrix.e11 / g.tau)
+        h = hamiltonian_from_generator(g)
+        h = ShadowHamiltonian(h.c_pp, h.c_qq, shifted.matrix.e11 / g.tau, h.tau, h.branch,
+                              h.case, h.real_valued, h.rate)
         reports.append(check_conservation(h, shifted, max(1, trials // 4), seed))
 
     return reports

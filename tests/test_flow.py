@@ -27,6 +27,7 @@ from shadowosc.flow import (
     sample_trajectory,
     state_deviation,
     trajectory_to_json,
+    whole_steps,
     write_trajectory_csv,
     write_trajectory_json,
 )
@@ -166,6 +167,28 @@ class TestSampling:
         assert list(sample_times(1.0, 0.3)) == [0.0, 0.3, 0.6, 0.8999999999999999, 1.0]
         assert sample_times(0.6, 0.3)[-1] == 0.6
         assert len(sample_times(0.6, 0.3)) == 3
+        # a horizon far below one step still starts at 0
+        assert list(sample_times(1e-17, 1.0)) == [0.0, 1e-17]
+
+    def test_rounded_product_ends_on_its_last_step(self):
+        # t_end / dt = 18012755.000000004, 1 ulp above the step count; a ceil
+        # with an absolute 1e-9 slack counted one step more, whose time
+        # rounds to t_end, and raised "must be strictly increasing"
+        t_end, dt = 17194401.69286144, 0.954568120915509
+        times = sample_times(t_end, dt)
+        assert len(times) == 18_012_756 and times[-1] == t_end and times[-2] < t_end
+        assert whole_steps(t_end, dt, math.floor, "%g") == 18_012_755
+
+    @settings(max_examples=500)
+    @given(st.integers(0, 2 ** 40), st.floats(-4.0, 0.0))
+    def test_whole_multiples_give_exactly_n_steps(self, n, log_h):
+        h = 10.0 ** log_h
+        t_end = n * h
+        times = sample_times(t_end, h)
+        assert len(times) == n + 1 and times[0] == 0.0 and times[-1] == t_end
+        assert n == 0 or times[-2] < t_end
+        for off_grid in (math.ceil, math.floor):
+            assert whole_steps(t_end, h, off_grid, "%g") == n
 
     def test_halved_step_agrees_at_shared_times(self):
         g = branch_generator(euler(0.66), 0)

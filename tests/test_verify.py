@@ -2,7 +2,6 @@ import hashlib
 import math
 import random
 import struct
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +16,7 @@ from shadowosc.integrators import custom, euler, make, vp
 from shadowosc.shadow import (
     CaseIIParams,
     Generator,
+    ShadowHamiltonian,
     generator_scalar,
     generators_for,
     hamiltonian_from_generator,
@@ -38,7 +38,7 @@ def branch_generator(r, m):
 
 def corrupt(g, eps=1e-3):
     z = g.matrix
-    return replace(g, matrix=Mat2C(z.e11 + eps, z.e12, z.e21, z.e22))
+    return Generator(Mat2C(z.e11 + eps, z.e12, z.e21, z.e22), g.branch, g.tau, g.case)
 
 
 def coincidence(g, r, *args, **kwargs):
@@ -263,8 +263,10 @@ class TestOraclesApplyOnePropagatorPerTime:
         g, _ = subject
         z = g.matrix
         # read c_pq off the (possibly shifted) diagonal, as full_suite does
-        h = replace(hamiltonian_from_generator(replace(g, matrix=Mat2C(
-            z.e11, z.e12, z.e21, -z.e11))), c_pq=z.e11 / g.tau)
+        h = hamiltonian_from_generator(Generator(Mat2C(z.e11, z.e12, z.e21, -z.e11),
+                                                 g.branch, g.tau, g.case))
+        h = ShadowHamiltonian(h.c_pp, h.c_qq, z.e11 / g.tau, h.tau, h.branch, h.case,
+                              h.real_valued, h.rate)
         got = check_conservation(h, g, trials, seed).checks[0].residual
         assert bits(got) == bits(reference_conservation(h, g, trials, seed))
 
