@@ -13,7 +13,6 @@ from .algebra import (
     log_branch,
     max_diff,
     principal_polar,
-    taylor_exp,
 )
 from .classifier import CaseTag, EigenStructure, classify, criticality_gap
 from .errors import (
@@ -79,6 +78,7 @@ from .verify import (
     full_suite,
     locate_vp_critical_tau,
     series_exp,
+    taylor_exp,
 )
 
 __version__ = "0.1.0"

@@ -1,12 +1,17 @@
-"""Complex 2x2 matrix arithmetic: branch logarithms and exponentials.
+"""Complex 2x2 matrix arithmetic: branch logarithms and the exponential.
 
 Everything is plain double precision on top of ``cmath``; matrices, like
-every record of the package, are immutable ``Value``s.  ``taylor_exp`` is a
-bare partial sum, an oracle independent of the closed-form ``closed_exp``.
+every record of the package, are immutable ``Value``s.  ``closed_exp`` is
+the package's one matrix exponential: it validates every generator and is
+every flow's propagator.  Its oracles (``taylor_exp``, ``series_exp``) live
+in ``verify``.
 
 Branch convention used throughout the package: a nonzero complex number is
 written modulus * exp(i*theta) with theta in (-pi, pi], negative reals at
 +pi, and the branch-m logarithm is log(modulus) + i*(theta + 2*pi*m).
+``shadow`` evaluates it for a map's eigenvalue y = T/2 + d, where unit
+determinant gives |y| = sqrt(1 + d**2) + |d| for real d, so log|y| is taken
+as asinh|Re d|: exact to rounding however close y is to +-1.
 
 Tolerance policy: every runtime check reads ``TOL`` against the scale of
 its own data through ``exceeds``; only the scalar-map test in ``classify``
@@ -22,7 +27,6 @@ from operator import attrgetter
 
 from .errors import ZeroEigenvalue
 
-DEFAULT_EXP_TERMS = 40
 ROUNDING = 16.0 * sys.float_info.epsilon
 TOL = 1e-9
 
@@ -167,64 +171,38 @@ def log_branch(y: complex, branch: int) -> complex:
     return complex(math.log(modulus), theta + 2.0 * math.pi * branch)
 
 
-# Entries of Mat2C.identity(); taylor_exp starts from them and closed_exp
-# multiplies by them.
-_ONE = complex(1.0, 0.0)
-_ZERO = complex(0.0, 0.0)
-
-
-def taylor_exp(z: Mat2C, terms: int = DEFAULT_EXP_TERMS) -> Mat2C:
-    """Partial sum of the exponential series, sum_{k=0..terms} z**k / k!.
-
-    No scaling or squaring: the raw series, useful as an oracle whenever
-    the truncation tail is provably small for the input at hand.  The sum
-    runs on the entries of the term and the accumulator, with the
-    operations of ``term = (term @ z).scaled(1/k)`` and ``acc = acc + term``
-    in their order, and builds one ``Mat2C`` at the end.
-    """
-    if terms < 1:
-        raise ValueError("terms must be >= 1")
+def exp_constants(z: Mat2C) -> tuple[complex, complex, complex, complex, complex, complex]:
+    """(mu, k11, z12, z21, k22, delta) of z: its half-trace mu, the diagonal of
+    K = z - mu I and the eigenvalue delta of K, all that exp(s z) reads of z."""
     z11, z12, z21, z22 = z.entries()
-    a11, a12, a21, a22 = t11, t12, t21, t22 = _ONE, _ZERO, _ZERO, _ONE
-    for k in range(1, terms + 1):
-        s = 1.0 / k
-        t11, t12, t21, t22 = (s * (t11 * z11 + t12 * z21), s * (t11 * z12 + t12 * z22),
-                              s * (t21 * z11 + t22 * z21), s * (t21 * z12 + t22 * z22))
-        a11, a12, a21, a22 = a11 + t11, a12 + t12, a21 + t21, a22 + t22
-    return Mat2C(a11, a12, a21, a22)
+    mu = (z11 + z22) / 2.0
+    k11, k22 = z11 - mu, z22 - mu
+    return mu, k11, z12, z21, k22, cmath.sqrt(k11 * k11 + z12 * z21)
 
 
-def closed_exp(z: Mat2C) -> Mat2C:
-    """Closed-form exponential of a 2x2 complex matrix.
+def closed_exp(z: Mat2C, s: float = 1.0) -> Mat2C:
+    """exp(s z) of a 2x2 complex matrix in closed form (Higham, *Functions of
+    Matrices*, SIAM 2008, ch. 10).
 
-    The eigenvalues are x = mu +- d with mu the half-trace, and
+    With K = z - mu I, mu the half-trace and +-delta the eigenvalues of K,
 
-        exp(z) = e^mu (cosh(d) I + sinh(d)/d * (z - mu I)).
+        exp(s z) = e^(s mu) (cosh(s delta) I + sinh(s delta)/delta K),
 
-    cosh(d) and sinh(d)/d are even in d, so they are evaluated from d**2
-    (a series below the crossover), which stays fully conditioned through
-    the defective limit d -> 0 where the identity degenerates to the
-    exact nilpotent form e^mu (I + (z - mu I)).  The products with the
-    identity's entries are kept, as ``Mat2C.scaled`` would form them, so
-    signed zeros and non-finite parts propagate the same.
+    and (cosh, sinh/delta) = (1, s) when delta is exactly 0, where K is
+    nilpotent; e^(s mu) multiplies in only for mu != 0.  sinh(s delta)/delta
+    has no cancellation for any nonzero delta, so no series is needed.
     """
-    e11, e12, e21, e22 = z.entries()
-    mu = (e11 + e22) / 2.0
-    mu_one, mu_zero = mu * _ONE, mu * _ZERO
-    # z - mu I: traceless, eigenvalues +-d
-    o11, o12, o21, o22 = e11 - mu_one, e12 - mu_zero, e21 - mu_zero, e22 - mu_one
-    d_sq = o11 * o11 + o12 * o21
-    if abs(d_sq) < 1e-8:
-        cosh_d = 1.0 + d_sq / 2.0 + d_sq * d_sq / 24.0
-        sinch_d = 1.0 + d_sq / 6.0 + d_sq * d_sq / 120.0
+    mu, k11, z12, z21, k22, delta = exp_constants(z)
+    if delta:
+        a = s * delta
+        c, h = cmath.cosh(a), cmath.sinh(a) / delta
     else:
-        d = cmath.sqrt(d_sq)
-        cosh_d = cmath.cosh(d)
-        sinch_d = cmath.sinh(d) / d
-    c_one, c_zero = cosh_d * _ONE, cosh_d * _ZERO
-    scale = cmath.exp(mu)
-    return Mat2C(scale * (c_one + sinch_d * o11), scale * (c_zero + sinch_d * o12),
-                 scale * (c_zero + sinch_d * o21), scale * (c_one + sinch_d * o22))
+        c, h = 1.0, s
+    e11, e12, e21, e22 = c + h * k11, h * z12, h * z21, c + h * k22
+    if mu:
+        scale = cmath.exp(s * mu)
+        e11, e12, e21, e22 = scale * e11, scale * e12, scale * e21, scale * e22
+    return Mat2C(e11, e12, e21, e22)
 
 
 def re_im(z: complex) -> dict[str, float]:

@@ -10,13 +10,15 @@ A ``Trajectory`` holds no states.  It keeps its source, its sample times
 (a ``SampleTimes`` progression, itself computed on demand) and a sampler
 that reads the per-trajectory constants once per pass: Z's half-trace,
 the diagonal of its traceless part and that part's eigenvalue delta for a
-flow, and R for the discrete orbit.  Each pass over ``Trajectory.rows()``
-then yields (q, p, t) sample by sample, and the writers format and write
-each row as it is produced, so writing a file takes memory independent of
-its number of samples.  One propagator serves every flow: a sample costs
-one cosh and one sinh of (t/tau) delta, and its state is bit-for-bit equal
-to ``flow_matrix(g, t).apply(q0, p0)``, the propagator verify's oracles
-check.  The closed-form Euler family is sampled as the flow of its own
+flow (``algebra.exp_constants``), and R for the discrete orbit.  Each pass
+over ``Trajectory.rows()`` then yields (q, p, t) sample by sample, and the
+writers format and write each row as it is produced, so writing a file
+takes memory independent of its number of samples.  One exponential serves
+every flow: a sample costs one cosh and one sinh of (t/tau) delta, and its
+state is bit-for-bit equal to ``flow_matrix(g, t).apply(q0, p0)``, where
+``flow_matrix`` is ``algebra.closed_exp(Z, t/tau)``, the propagator
+verify's oracles check and the exponential every generator is validated
+with.  The closed-form Euler family is sampled as the flow of its own
 generator (``euler_trajectory``).  A flow whose state leaves double range
 raises ``OutOfRange`` naming the first such t; a writer that fails
 removes its partial file.
@@ -46,8 +48,7 @@ from functools import partial
 from itertools import chain, islice, starmap
 from pathlib import Path
 
-# closed_exp is not called here; bench/tracer.py looks it up on this module.
-from .algebra import Mat2C, Value, closed_exp, re_im  # noqa: F401
+from .algebra import Mat2C, Value, closed_exp, exp_constants, re_im
 from .classifier import CaseTag
 from .errors import NotApplicable, OutOfRange
 from .integrators import TransitionMatrix
@@ -164,25 +165,16 @@ def discrete_orbit(r: TransitionMatrix, q0: float, p0: float, n: int) -> Traject
                       partial(_orbit_rows, r, q0, p0))
 
 
-def _constants(z: Mat2C) -> tuple[complex, complex, complex, complex, complex, complex]:
-    """(mu, k11, z12, z21, k22, delta) of Z: its half-trace mu, the diagonal of
-    K = Z - mu I and the eigenvalue delta of K, read once per trajectory."""
-    z11, z12, z21, z22 = z.entries()
-    mu = (z11 + z22) / 2.0
-    k11, k22 = z11 - mu, z22 - mu
-    return mu, k11, z12, z21, k22, cmath.sqrt(k11 * k11 + z12 * z21)
-
-
 def _flow_rows(z: Mat2C, tau: float, name: str, q0: complex, p0: complex,
                times: Iterable[float]) -> Iterator[Row]:
     """exp((t/tau) Z) (q0, p0) for each t, reading Z's constants once.
 
-    The arithmetic of ``flow_matrix`` followed by ``Mat2C.apply``, written
+    The arithmetic of ``closed_exp`` followed by ``Mat2C.apply``, written
     out so that the loop calls only cosh, sinh, exp and isfinite, with one
     statement per value: packing and unpacking four-tuples costs about a
     tenth of a sample.
     """
-    mu, k11, z12, z21, k22, delta = _constants(z)
+    mu, k11, z12, z21, k22, delta = exp_constants(z)
     cosh, sinh, exp, isfinite = cmath.cosh, cmath.sinh, cmath.exp, cmath.isfinite
     try:
         for t in times:
@@ -219,28 +211,10 @@ def _flow_rows(z: Mat2C, tau: float, name: str, q0: complex, p0: complex,
 def flow_matrix(g: Generator, t: float) -> Mat2C:
     """exp((t/tau) Z), the branch flow's propagator from time 0 to time t.
 
-    With K = Z - mu I, mu the half-trace and +-delta the eigenvalues of K,
-
-        exp(s Z) = e^(s mu) (cosh(s delta) I + sinh(s delta)/delta K),
-
-    and (cosh, sinh/delta) = (1, s) when delta is exactly 0, where K is
-    nilpotent; e^(s mu) multiplies in only for mu != 0.  sinh(s delta)/delta
-    has no cancellation for any nonzero delta, so no series is needed.  An
-    oracle that needs many starts at one time computes it once and applies
-    it to each.
+    An oracle that needs many starts at one time computes it once and
+    applies it to each.
     """
-    mu, k11, z12, z21, k22, delta = _constants(g.matrix)
-    s = t / g.tau
-    if delta:
-        a = s * delta
-        c, h = cmath.cosh(a), cmath.sinh(a) / delta
-    else:
-        c, h = 1.0, s
-    e11, e12, e21, e22 = c + h * k11, h * z12, h * z21, c + h * k22
-    if mu:
-        scale = cmath.exp(s * mu)
-        e11, e12, e21, e22 = scale * e11, scale * e12, scale * e21, scale * e22
-    return Mat2C(e11, e12, e21, e22)
+    return closed_exp(g.matrix, t / g.tau)
 
 
 def continuous_state(g: Generator, q0: complex, p0: complex, t: float) -> PhaseState:

@@ -131,14 +131,15 @@ def custom(r1: float, r2: float, r3: float, r4: float, tau: float,
     """Validate a user-supplied matrix and project it onto det = 1.
 
     Accepts the determinant residual ``TransitionMatrix`` accepts, then
-    restores det = 1 through r4 (or r3 when r1 is numerically zero);
-    non-finite entries are left for ``TransitionMatrix`` to reject.
+    restores det = 1 through the larger pivot of the first row: r4 when
+    |r1| >= |r2|, else r3.  An accepted det is near 1, so r1 and r2 are not
+    both zero; non-finite entries are left for ``TransitionMatrix`` to reject.
     """
     if all(math.isfinite(v) for v in (r1, r2, r3, r4)):
         _check_unit_det(r1, r2, r3, r4, label)
-        if abs(r1) > 1e-12:
+        if abs(r1) >= abs(r2):
             r4 = (1.0 + r2 * r3) / r1
-        elif abs(r2) > 1e-12:
+        else:
             r3 = (r1 * r4 - 1.0) / r2
     return TransitionMatrix(r1, r2, r3, r4, tau, label)
 

@@ -30,7 +30,7 @@ import cmath
 import math
 from collections.abc import Iterable
 
-from .algebra import TOL, Mat2C, Value, closed_exp, exceeds, log_branch, nan_max, re_im
+from .algebra import TOL, Mat2C, Value, closed_exp, exceeds, nan_max, re_im
 from .classifier import (
     DISTINCT_TAGS,
     SCALAR_TAGS,
@@ -181,19 +181,19 @@ def generator_distinct(r: TransitionMatrix, eigen: EigenStructure, branch: int) 
     eigenvalues are +-d: Z is traceless with eigenvalues +-log(y, m), and
     exp(Z) = cosh(log y) I + sinh(log y)/d K = (T/2) I + K = R.
 
-    For i-a (d imaginary) log(y, m) is i*(angle + 2*pi*m), log|y| taken as
-    0: R has unit determinant, so |y|**2 = det = 1 and the computed log|y|
-    is rounding, which Z would carry divided by |d|.
+    log(y, m) = log|y| + i*(angle + 2*pi*m) takes log|y| = asinh|Re d|: R has
+    unit determinant, so (T/2)**2 - d**2 = 1 and |y| = sqrt(1 + d**2) + |d|
+    for real d (i-b, i-c), and |y| = 1 for imaginary d (i-a, asinh(0) = 0).
+    The log of the rounded |y| errs by about eps, which Z would carry divided
+    by |d|: near the T = +-2 ridges, where |d| -> 0, nearly all of it.
     """
-    if eigen.d.imag:
-        log_y = complex(0.0, eigen.angle + 2.0 * math.pi * branch)
-    else:
-        log_y = log_branch(eigen.eigenvalue, branch)
-    factor = log_y / eigen.d
+    d = eigen.d
+    log_y = complex(math.asinh(abs(d.real)), eigen.angle + 2.0 * math.pi * branch)
+    factor = log_y / d
     k11, k12, k21, _ = r.traceless()
     diag = factor * k11
     z = Mat2C(diag, factor * k12, factor * k21, -diag)
-    case = CaseTag.IA if eigen.d.imag else CaseTag.IB if eigen.d.real > 0.0 else CaseTag.IC
+    case = CaseTag.IB if d.real > 0.0 else CaseTag.IC if d.real < 0.0 else CaseTag.IA
     return _validated(z, branch, r, case)
 
 

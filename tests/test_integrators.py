@@ -1,4 +1,5 @@
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -146,6 +147,21 @@ class TestCustom:
     def test_zero_r1_projects_through_r3(self):
         r = custom(0.0, 1.0, -1.0 + 3e-10, 0.7, 1.0)
         assert abs(r.det() - 1.0) < 1e-16
+
+    @pytest.mark.parametrize("entries, solved", [
+        ((2.0, 1.0, 1.0, 1.0 + 1e-12), 3),
+        ((-1.0, 1.0, 1e-16, -1.0), 3),
+        ((0.5, -2.0, 0.25 + 1e-12, 1.0), 2),
+        ((1.2664855750217028e-12, 0.018185351822632374, -54.98931281354116,
+          -0.0004866791667341672), 2),
+    ])
+    def test_projects_through_the_larger_pivot(self, entries, solved):
+        # solves for r4 when |r1| >= |r2|, else for r3; the other entries stay
+        r = custom(*entries, 1.0)
+        got = (r.r1, r.r2, r.r3, r.r4)
+        assert [g for k, g in enumerate(got) if k != solved] == \
+            [e for k, e in enumerate(entries) if k != solved]
+        assert abs(r.det() - 1.0) <= 4 * sys.float_info.epsilon
 
 
 @pytest.mark.parametrize("values", [

@@ -1,13 +1,15 @@
 import math
 import struct
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import shadowosc.shadow
-from shadowosc.algebra import TOL, Mat2C, closed_exp, log_branch, max_diff, taylor_exp
+from shadowosc.algebra import TOL, Mat2C, closed_exp, log_branch, max_diff
 from shadowosc.classifier import CaseTag, classify
 from shadowosc.errors import (
     BadParams,
@@ -30,7 +32,7 @@ from shadowosc.shadow import (
     generators_for,
     hamiltonian_from_generator,
 )
-from shadowosc.verify import series_exp
+from shadowosc.verify import series_exp, taylor_exp
 
 from conftest import quadratic_roots
 
@@ -76,13 +78,55 @@ class TestGeneratorDistinct:
 
     @pytest.mark.parametrize("branch", range(-3, 4))
     def test_generator_eigenvalues_are_branch_logs(self, branch):
-        r = euler(0.66)
-        _, eigen = classify(r)
-        g = generator_distinct(r, eigen, branch)
-        x1 = log_branch(eigen.eigenvalue, branch)
-        got = sorted(eigenvalues(g.matrix), key=lambda z: z.imag)
-        want = sorted((x1, -x1), key=lambda z: z.imag)
-        assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-10
+        # i-a, i-c and i-b: the generators take log|y| = asinh|Re d|, the
+        # reference reads it off |y|
+        for r in (euler(0.66), euler(3.0), double_euler(4.8)):
+            _, eigen = classify(r)
+            g = generator_distinct(r, eigen, branch)
+            x1 = log_branch(eigen.eigenvalue, branch)
+            got = sorted(eigenvalues(g.matrix), key=lambda z: z.imag)
+            want = sorted((x1, -x1), key=lambda z: z.imag)
+            assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-10
+
+
+def exact_log(r):
+    """Exact rationals (log(I + X), det R) for X = R - I, the entries as stored.
+
+    log(I + X) is the series sum (-1)**(k+1) X**k / k, summed until a term's
+    largest entry is below 1e-40: X's eigenvalues are within 1e-1 of 0 for
+    the maps used here, so the tail is far below double rounding.
+    """
+    x = [[Fraction(r.r1) - 1, Fraction(r.r2)], [Fraction(r.r3), Fraction(r.r4) - 1]]
+    total = [[Fraction(0), Fraction(0)], [Fraction(0), Fraction(0)]]
+    term, k = x, 1
+    while True:
+        sign = Fraction(1 if k % 2 else -1, k)
+        total = [[t + sign * e for t, e in zip(trow, erow)] for trow, erow in zip(total, term)]
+        if max(abs(e) for row in term for e in row) < Fraction(1, 10 ** 40):
+            break
+        term = [[row[0] * x[0][j] + row[1] * x[1][j] for j in range(2)] for row in term]
+        k += 1
+    det = Fraction(r.r1) * Fraction(r.r4) - Fraction(r.r2) * Fraction(r.r3)
+    return total, det
+
+
+class TestLogarithmNearTheRidge:
+    """Branch 0 beside double-euler's iii-a point tau = 4, against exact rationals.
+
+    Z is the logarithm of the unit-determinant map with R's traceless part, so
+    each entry may differ from log R's by |det R - 1|/2 relative, plus its own
+    rounding.  log|y| read off the rounded y would lose about eps/|d| here.
+    """
+
+    @pytest.mark.parametrize("tau", [4.0 - 1e-8, 4.0 + 1e-8, 4.0 + 1e-6, 4.0 + 1e-4])
+    def test_branch_zero_matches_exact_series(self, tau):
+        r = double_euler(tau)
+        (g,) = generators_for(r, [0]).generators
+        log_r, det = exact_log(r)
+        bound = abs(det - 1) / 2 + Fraction(16 * sys.float_info.epsilon)
+        for got, want in zip(g.matrix.entries(), (e for row in log_r for e in row)):
+            assert got.imag == 0.0
+            assert abs(Fraction(got.real) - want) <= bound * abs(want)
 
 
 class TestGeneratorScalar:
@@ -351,6 +395,8 @@ class TestEveryScaleHasAnAnswer:
 
     @settings(max_examples=400, deadline=None)
     @given(maps_at_every_scale)
+    # d = 7.3e-50: the rounded y = 1 + d is 1, so log|y| must not be read off it
+    @example(custom(1.0, 1.0, 5.4e-100, 1.0, 1.0))
     def test_family_passes_series_oracle(self, r):
         family = generators_for(r, range(-2, 3))
         if family.case is CaseTag.IIIB:

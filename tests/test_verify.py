@@ -29,6 +29,7 @@ from shadowosc.verify import (
     full_suite,
     locate_vp_critical_tau,
     series_exp,
+    taylor_exp,
 )
 
 
@@ -49,8 +50,6 @@ def coincidence(g, r, *args, **kwargs):
 
 class TestSeriesExp:
     def test_matches_raw_series_at_small_scale(self):
-        from shadowosc.algebra import taylor_exp
-
         z = Mat2C(0.1, 0.4, -0.4, -0.1)
         assert max_diff(series_exp(z), taylor_exp(z, 40)) <= 1e-15
 
