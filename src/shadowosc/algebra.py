@@ -14,8 +14,9 @@ determinant gives |y| = sqrt(1 + d**2) + |d| for real d, so log|y| is taken
 as asinh|Re d|: exact to rounding however close y is to +-1.
 
 Tolerance policy: every runtime check reads ``TOL`` against the scale of
-its own data through ``exceeds``; only the scalar-map test in ``classify``
-reads ``ROUNDING`` instead.
+its own data through ``exceeds``; only two read rounding instead: the
+scalar-map test in ``classify`` (``ROUNDING``) and the determinant of a
+``TransitionMatrix``, held to its forward error floored at ``TOL``.
 """
 
 from __future__ import annotations

@@ -57,7 +57,18 @@ class EigenStructure(Value):
 
     def __init__(self, eigenvalue: complex, angle: float, modulus: float, degenerate: bool,
                  d: complex, jordan_basis: Mat2C | None = None):
-        self._store(eigenvalue, angle, modulus, degenerate, d, jordan_basis)
+        _set_eigenvalue(self, eigenvalue)
+        _set_angle(self, angle)
+        _set_modulus(self, modulus)
+        _set_degenerate(self, degenerate)
+        _set_d(self, d)
+        _set_jordan_basis(self, jordan_basis)
+
+
+# Built for every map classified: the fields are set through the slot setters,
+# as Mat2C does; the constructor is their only writer.
+_set_eigenvalue, _set_angle, _set_modulus, _set_degenerate, _set_d, _set_jordan_basis = \
+    EigenStructure._setters
 
 
 def criticality_gap(r: TransitionMatrix) -> float:

@@ -9,10 +9,18 @@ advances the phase vector (q, p) by one time increment tau.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Callable
 
-from .algebra import Mat2C, Value, exceeds
+from .algebra import TOL, Mat2C, Value, exceeds
 from .errors import InvalidTau, NonFinite, NotSymplectic, UnknownIntegrator
+
+
+# |det - 1| of a map built in double precision is a few eps times
+# |r1*r4| + |r2*r3|: at most 40 for the built-ins at tau in [1e-12, 1e6] (vp
+# near tau = 5.76) and for projected custom maps, so 1024 leaves ample room
+# and still refuses a reflection (det = -1) while |r1*r4| + |r2*r3| < 8e12.
+DET_ROUNDING = 1024.0 * sys.float_info.epsilon
 
 
 def _check_unit_det(r1: float, r2: float, r3: float, r4: float, label: str) -> None:
@@ -24,19 +32,34 @@ def _check_unit_det(r1: float, r2: float, r3: float, r4: float, label: str) -> N
 
 
 class TransitionMatrix(Value):
-    """Real 2x2 symplectic one-step map [[r1, r2], [r3, r4]] for increment tau."""
+    """Real 2x2 symplectic one-step map [[r1, r2], [r3, r4]] for increment tau.
+
+    The determinant is held to its own forward error: |det - 1| at most
+    DET_ROUNDING * (|r1*r4| + |r2*r3|), floored at TOL.
+    """
 
     __slots__ = ("r1", "r2", "r3", "r4", "tau", "label")
 
     def __init__(self, r1: float, r2: float, r3: float, r4: float, tau: float, label: str):
         # NaN and inf are rejected as such before the determinant is read
-        if not all(math.isfinite(v) for v in (r1, r2, r3, r4, tau)):
+        if not (math.isfinite(r1) and math.isfinite(r2) and math.isfinite(r3)
+                and math.isfinite(r4) and math.isfinite(tau)):
             raise NonFinite(f"{label}: entries and tau must be finite, got "
                             f"r = ({r1!r}, {r2!r}, {r3!r}, {r4!r}), tau = {tau!r}")
         if not tau > 0:
             raise InvalidTau(f"tau must be positive, got {tau!r}")
-        _check_unit_det(r1, r2, r3, r4, label)
-        self._store(r1, r2, r3, r4, tau, label)
+        diagonal, off = r1 * r4, r2 * r3
+        residual = abs(diagonal - off - 1.0)
+        # an overflowed product makes the bound infinite too
+        if (not residual <= max(TOL, DET_ROUNDING * (abs(diagonal) + abs(off)))
+                or residual == math.inf):
+            raise NotSymplectic(residual, f"{label}: determinant differs from 1 by {residual:.3e}")
+        _set_r1(self, r1)
+        _set_r2(self, r2)
+        _set_r3(self, r3)
+        _set_r4(self, r4)
+        _set_tau(self, tau)
+        _set_label(self, label)
 
     def det(self) -> float:
         return self.r1 * self.r4 - self.r2 * self.r3
@@ -56,6 +79,11 @@ class TransitionMatrix(Value):
 
     def as_mat2c(self) -> Mat2C:
         return Mat2C(self.r1, self.r2, self.r3, self.r4)
+
+
+# Built for every map: the fields are set through the slot setters, as Mat2C
+# does; the constructor is their only writer.
+_set_r1, _set_r2, _set_r3, _set_r4, _set_tau, _set_label = TransitionMatrix._setters
 
 
 def _cube(tau: float) -> float:
@@ -130,10 +158,11 @@ def custom(r1: float, r2: float, r3: float, r4: float, tau: float,
            label: str = "custom") -> TransitionMatrix:
     """Validate a user-supplied matrix and project it onto det = 1.
 
-    Accepts the determinant residual ``TransitionMatrix`` accepts, then
-    restores det = 1 through the larger pivot of the first row: r4 when
-    |r1| >= |r2|, else r3.  An accepted det is near 1, so r1 and r2 are not
-    both zero; non-finite entries are left for ``TransitionMatrix`` to reject.
+    Accepts |det - 1| <= TOL * max(1, |r1*r4|, |r2*r3|) on the entries as
+    given, then restores det = 1 through the larger pivot of the first row:
+    r4 when |r1| >= |r2|, else r3.  An accepted det is near 1, so r1 and r2
+    are not both zero; non-finite entries are left for ``TransitionMatrix``
+    to reject.
     """
     if all(math.isfinite(v) for v in (r1, r2, r3, r4)):
         _check_unit_det(r1, r2, r3, r4, label)

@@ -61,7 +61,15 @@ class Generator(Value):
     __slots__ = ("matrix", "branch", "tau", "case")
 
     def __init__(self, matrix: Mat2C, branch: int, tau: float, case: CaseTag):
-        self._store(matrix, branch, tau, case)
+        _set_matrix(self, matrix)
+        _set_branch(self, branch)
+        _set_tau(self, tau)
+        _set_case(self, case)
+
+
+# The records built for every map and branch set their fields through the
+# slot setters, as Mat2C does; each constructor is its fields' only writer.
+_set_matrix, _set_branch, _set_tau, _set_case = Generator._setters
 
 
 class ShadowHamiltonian(Value):
@@ -75,7 +83,14 @@ class ShadowHamiltonian(Value):
             raise OutOfRange(
                 f"branch m={branch} Hamiltonian at tau={tau:g} has non-finite "
                 f"coefficients cA = {c_pp}, cB = {c_qq}, cC = {c_pq}")
-        self._store(c_pp, c_qq, c_pq, tau, branch, case, real_valued, rate)
+        _set_c_pp(self, c_pp)
+        _set_c_qq(self, c_qq)
+        _set_c_pq(self, c_pq)
+        _set_h_tau(self, tau)
+        _set_h_branch(self, branch)
+        _set_h_case(self, case)
+        _set_real_valued(self, real_valued)
+        _set_rate(self, rate)
 
     def evaluate(self, q: complex, p: complex) -> complex:
         return self.c_pp * p * p + self.c_qq * q * q + self.c_pq * p * q
@@ -98,6 +113,10 @@ class ShadowHamiltonian(Value):
         if self.rate is not None:
             out["lambda"] = re_im(self.rate)
         return out
+
+
+(_set_c_pp, _set_c_qq, _set_c_pq, _set_h_tau, _set_h_branch, _set_h_case, _set_real_valued,
+ _set_rate) = ShadowHamiltonian._setters
 
 
 class CaseIIParams(Value):
@@ -149,7 +168,13 @@ class GeneratorFamily(Value):
 
     def __init__(self, case: CaseTag, eigen: EigenStructure, generators: tuple[Generator, ...],
                  obstruction: str | None = None):
-        self._store(case, eigen, generators, obstruction)
+        _set_family_case(self, case)
+        _set_eigen(self, eigen)
+        _set_generators(self, generators)
+        _set_obstruction(self, obstruction)
+
+
+_set_family_case, _set_eigen, _set_generators, _set_obstruction = GeneratorFamily._setters
 
 
 def _exp_residual(z: Mat2C, r: TransitionMatrix) -> float:
@@ -175,7 +200,14 @@ def _validated(z: Mat2C, branch: int, r: TransitionMatrix, case: CaseTag) -> Gen
 
 
 def generator_distinct(r: TransitionMatrix, eigen: EigenStructure, branch: int) -> Generator:
-    """Branch-m generator for a map with distinct eigenvalues T/2 +- d.
+    """Branch-m generator for a map with distinct eigenvalues T/2 +- d."""
+    return _distinct_generators(r, eigen, (branch,))[0]
+
+
+def _distinct_generators(r: TransitionMatrix, eigen: EigenStructure,
+                         branches: Iterable[int]) -> tuple[Generator, ...]:
+    """Branch generators, in the order of ``branches``, for a map with distinct
+    eigenvalues T/2 +- d; r and eigen are read once for all of them.
 
     Z = (log(y, m) / d) * K with y = T/2 + d and K = R - (T/2) I, whose
     eigenvalues are +-d: Z is traceless with eigenvalues +-log(y, m), and
@@ -188,13 +220,15 @@ def generator_distinct(r: TransitionMatrix, eigen: EigenStructure, branch: int) 
     by |d|: near the T = +-2 ridges, where |d| -> 0, nearly all of it.
     """
     d = eigen.d
-    log_y = complex(math.asinh(abs(d.real)), eigen.angle + 2.0 * math.pi * branch)
-    factor = log_y / d
+    log_abs, angle = math.asinh(abs(d.real)), eigen.angle
     k11, k12, k21, _ = r.traceless()
-    diag = factor * k11
-    z = Mat2C(diag, factor * k12, factor * k21, -diag)
     case = CaseTag.IB if d.real > 0.0 else CaseTag.IC if d.real < 0.0 else CaseTag.IA
-    return _validated(z, branch, r, case)
+    gens = []
+    for branch in branches:
+        factor = complex(log_abs, angle + 2.0 * math.pi * branch) / d
+        diag = factor * k11
+        gens.append(_validated(Mat2C(diag, factor * k12, factor * k21, -diag), branch, r, case))
+    return tuple(gens)
 
 
 def generator_scalar(r: TransitionMatrix, branch: int,
@@ -300,10 +334,9 @@ def generators_for(r: TransitionMatrix, branches: Iterable[int],
     eigenvalue -1 gives an empty family carrying the obstruction.
     """
     tag, eigen = classify(r)
-    ordered = sorted(set(int(b) for b in branches))
+    ordered = sorted(set(map(int, branches)))
     if tag in DISTINCT_TAGS:
-        gens = tuple(generator_distinct(r, eigen, m) for m in ordered)
-        return GeneratorFamily(tag, eigen, gens)
+        return GeneratorFamily(tag, eigen, _distinct_generators(r, eigen, ordered))
     if tag in SCALAR_TAGS:
         gens = tuple(generator_scalar(r, m, params) for m in ordered)
         return GeneratorFamily(tag, eigen, gens)

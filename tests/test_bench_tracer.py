@@ -59,3 +59,22 @@ def test_tracer_counts_the_rows_written_and_uninstalls(tmp_path, capsys, fmt):
     assert tracer.calls("cli._write_trajectory") == 4
     for (module, attr), original in before.items():
         assert getattr(getattr(package, module), attr) is original
+
+
+def test_traced_sweep_classifies_each_point_once(capsys):
+    # one classify and one family per grid point, one closed_exp per generator
+    import shadowosc.cli
+    import shadowosc.verify  # noqa: F401
+
+    package = importlib.import_module("shadowosc")
+    tracer = _tracer.Tracer(package)
+    try:
+        code = package.cli.main(["sweep", "--integrator", "vp", "--grid", "2.3:2.7:0.01"])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    points = len(capsys.readouterr().out.splitlines()) - 1
+    assert points == 41
+    assert tracer.calls("classifier.classify") == tracer.calls("shadow.generators_for") == points
+    assert tracer.generators_built == 3 * points
+    assert tracer.calls("algebra.closed_exp.under_shadow") == tracer.generators_built

@@ -3,13 +3,14 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import shadowosc.integrators
 from shadowosc.classifier import CaseTag, classify
 from shadowosc.errors import InvalidTau, NonFinite, NotSymplectic, UnknownIntegrator
 from shadowosc.integrators import (
+    BUILDERS,
     TransitionMatrix,
     compose,
     custom,
@@ -231,6 +232,19 @@ def test_determinant_is_held_relative_to_its_products(name, tau):
     # |det - 1| grows with |r1*r4| and |r2*r3|; an absolute bound refused these
     r = make(name, tau)
     assert abs(r.det() - 1.0) <= 1e-9 * max(1.0, abs(r.r1 * r.r4), abs(r.r2 * r.r3))
+
+
+def test_reflection_rejected():
+    # det = -1 at |r1*r4| + |r2*r3| = 2e10; the forward-error bound there is 4.5e-3
+    with pytest.raises(NotSymplectic, match="^x: determinant differs from 1 by 2.000e"):
+        TransitionMatrix(1e5, 1e5, (-1e10 + 1) / 1e5, -1e5, 1.0, "x")
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.sampled_from(sorted(BUILDERS)), st.floats(-12.0, 6.0).map(lambda e: 10.0 ** e))
+@example("vp", 5.762687241396177)  # |det - 1| = 40 eps (|r1*r4| + |r2*r3|), the largest seen
+def test_every_builtin_is_within_its_det_rounding(name, tau):
+    make(name, tau)
 
 
 @pytest.mark.parametrize("entries", [(1e200, 1e200, 1e200, 1e200), (1.0, 1e300, 1e300, 1.0)])

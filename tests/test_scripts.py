@@ -1,5 +1,6 @@
 """The scripts under scripts/ run to completion as separate processes."""
 
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -24,3 +25,13 @@ def test_reproduce_phase_portrait(tmp_path):
     assert done.returncode == 0, done.stderr
     assert sorted(p.name for p in out.iterdir()) == [
         "discrete.csv", "flow_m-1.csv", "flow_m0.csv", "flow_m1.csv"]
+
+
+def test_layer_costs(tmp_path):
+    done = run_script("layer_costs.py", "--number", "100", "--repeat", "1", cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    costs = json.loads(done.stdout)["layers"]
+    assert sorted(costs) == sorted([
+        "Mat2C", "closed_exp", "make_vp", "classify", "generators_for_3",
+        "hamiltonian_from_generator", "sweep_point", "flow_sample", "csv_row", "build_parser"])
+    assert all(cost > 0 for cost in costs.values())

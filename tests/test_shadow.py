@@ -5,12 +5,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import shadowosc.shadow
 from shadowosc.algebra import TOL, Mat2C, closed_exp, log_branch, max_diff
-from shadowosc.classifier import CaseTag, classify
+from shadowosc.classifier import DISTINCT_TAGS, CaseTag, classify
 from shadowosc.errors import (
     BadParams,
     CriticalTau,
@@ -87,6 +87,42 @@ class TestGeneratorDistinct:
             got = sorted(eigenvalues(g.matrix), key=lambda z: z.imag)
             want = sorted((x1, -x1), key=lambda z: z.imag)
             assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-10
+
+
+def one_branch(r, eigen, m):
+    """The branch-m generator written out on its own, one branch per call:
+    Z = (log(y, m) / d) * K with log|y| = asinh|Re d|, exp(Z) checked to TOL."""
+    d = eigen.d
+    log_y = complex(math.asinh(abs(d.real)), eigen.angle + 2.0 * math.pi * m)
+    factor = log_y / d
+    k11, k12, k21, _ = r.traceless()
+    diag = factor * k11
+    z = Mat2C(diag, factor * k12, factor * k21, -diag)
+    assert _exp_residual(z, r) <= TOL * max(1.0, r.max_abs()) * max(1.0, z.max_abs())
+    case = CaseTag.IB if d.real > 0.0 else CaseTag.IC if d.real < 0.0 else CaseTag.IA
+    return Generator(z, m, r.tau, case)
+
+
+class TestFamilyIsBranchByBranch:
+    """The family reads the map's constants once; its bits are those of each
+    branch built alone, compared by repr so that the sign of a zero counts."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(sorted(BUILDERS)), st.floats(-12.0, 6.0).map(lambda e: 10.0 ** e),
+           st.sets(st.integers(-3, 3), min_size=1))
+    @example("vp", 0.66, {-1, 0, 1})             # i-a
+    @example("double-euler", 5.0, {-3, 0, 3})    # i-b
+    @example("velocity-verlet", 3.0, {-2, 1})   # i-c
+    @example("euler", 1e-12, {0})
+    def test_family_matches_one_branch_at_a_time(self, name, tau, branches):
+        r = make(name, tau)
+        tag, eigen = classify(r)
+        assume(tag in DISTINCT_TAGS)
+        family = generators_for(r, branches)
+        want = [one_branch(r, eigen, m) for m in sorted(branches)]
+        assert [repr(g) for g in family.generators] == [repr(g) for g in want]
+        assert [repr(generator_distinct(r, eigen, m)) for m in sorted(branches)] == \
+            [repr(g) for g in want]
 
 
 def exact_log(r):
