@@ -2,13 +2,13 @@
 """Time each layer of shadowosc alone and print one JSON object.
 
 Usage:
-    python scripts/layer_costs.py [--number N] [--repeat R] [--tau TAU]
+    python scripts/layer_costs.py [--number N]
 
-Each layer is one call timed with ``timeit``: the best of R repeats of N
+Each layer is one call timed with ``timeit``: the best of 7 repeats of N
 calls, in microseconds per call; the two slow layers, a 1,000-sample flow
 pass and ``build_parser``, take N/100 calls per repeat.  The map is ``vp``
-at TAU (an i-a map at the default 0.66) with branches m = -1, 0, 1, the
-family a ``sweep`` grid point builds.  "flow_sample" is one row of that
+at tau = 0.66 (an i-a map) with branches m = -1, 0, 1, the family a
+``sweep`` grid point builds.  "flow_sample" is one row of that
 streamed flow and "csv_row" formats one such row with the flow CSV's %.17g
 pattern.  Times are raw, not scaled to a reference speed, so compare
 numbers taken on one machine in one session.
@@ -30,13 +30,15 @@ from shadowosc.classifier import classify, criticality_gap
 from shadowosc.integrators import make
 from shadowosc.shadow import generators_for, hamiltonian_from_generator
 
+TAU = 0.66
 BRANCHES = range(-1, 2)
+REPEAT = 7
 FLOW_SAMPLES = 1000
 
 
-def layers(tau: float) -> dict:
+def layers() -> dict:
     """Layer name -> (zero-argument callable, calls it stands for)."""
-    r = make("vp", tau)
+    r = make("vp", TAU)
     g = generators_for(r, BRANCHES).generators[1]
     z = g.matrix
     trajectory = flow.sample_trajectory(g, 1.0, 0.0, FLOW_SAMPLES * 0.01, 0.01)
@@ -45,15 +47,15 @@ def layers(tau: float) -> dict:
     row = (t, q.real, q.imag, p.real, p.imag, energy.real, energy.imag)
 
     def sweep_point():
-        m = make("vp", tau)
+        m = make("vp", TAU)
         family = generators_for(m, BRANCHES)
         n_real = sum(hamiltonian_from_generator(x).real_valued for x in family.generators)
-        return tau, family.case.value, m.trace(), criticality_gap(m), n_real
+        return TAU, family.case.value, m.trace(), criticality_gap(m), n_real
 
     return {
         "Mat2C": (lambda: Mat2C(z.e11, z.e12, z.e21, z.e22), 1),
         "closed_exp": (lambda: closed_exp(z), 1),
-        "make_vp": (lambda: make("vp", tau), 1),
+        "make_vp": (lambda: make("vp", TAU), 1),
         "classify": (lambda: classify(r), 1),
         "generators_for_3": (lambda: generators_for(r, BRANCHES), 1),
         "hamiltonian_from_generator": (lambda: hamiltonian_from_generator(g), 1),
@@ -69,21 +71,19 @@ def main() -> int:
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--number", type=int, default=2000,
                         help="calls per repeat (N/100 for the flow pass and build_parser)")
-    parser.add_argument("--repeat", type=int, default=7)
-    parser.add_argument("--tau", type=float, default=0.66)
     args = parser.parse_args()
-    if args.number < 1 or args.repeat < 1:
-        parser.error("--number and --repeat must be at least 1")
+    if args.number < 1:
+        parser.error("--number must be at least 1")
 
     costs = {}
-    for name, (call, per) in layers(args.tau).items():
+    for name, (call, per) in layers().items():
         number = max(1, args.number // 100) if name in ("flow_sample", "build_parser") \
             else args.number
-        best = min(timeit.repeat(call, number=number, repeat=args.repeat))
+        best = min(timeit.repeat(call, number=number, repeat=REPEAT))
         costs[name] = round(best / number / per * 1e6, 3)
     print(json.dumps({"python": platform.python_version(), "integrator": "vp",
-                      "tau": args.tau, "branches": list(BRANCHES), "number": args.number,
-                      "repeat": args.repeat, "unit": "us per call", "layers": costs},
+                      "tau": TAU, "branches": list(BRANCHES), "number": args.number,
+                      "repeat": REPEAT, "unit": "us per call", "layers": costs},
                      indent=2))
     return 0
 

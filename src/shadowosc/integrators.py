@@ -23,19 +23,27 @@ from .errors import InvalidTau, NonFinite, NotSymplectic, UnknownIntegrator
 DET_ROUNDING = 1024.0 * sys.float_info.epsilon
 
 
-def _check_unit_det(r1: float, r2: float, r3: float, r4: float, label: str) -> None:
-    """Raise NotSymplectic unless |det - 1| <= TOL * max(1, |r1*r4|, |r2*r3|)."""
+def _check_unit_det(r1: float, r2: float, r3: float, r4: float, label: str,
+                    raw: bool = False) -> None:
+    """Raise NotSymplectic unless det is 1 to within its error.
+
+    Entries as stored are held to det's own forward error,
+    |det - 1| <= max(TOL, DET_ROUNDING * (|r1*r4| + |r2*r3|)).  Raw entries,
+    which carry rounding of their own (user input, a product of maps), are
+    held to |det - 1| <= TOL * max(1, |r1*r4|, |r2*r3|).
+    """
     diagonal, off = r1 * r4, r2 * r3
     residual = abs(diagonal - off - 1.0)
-    if exceeds(residual, max(1.0, abs(diagonal), abs(off))):
+    scale = (max(abs(diagonal), abs(off)) if raw
+             else DET_ROUNDING / TOL * (abs(diagonal) + abs(off)))
+    if exceeds(residual, max(1.0, scale)):
         raise NotSymplectic(residual, f"{label}: determinant differs from 1 by {residual:.3e}")
 
 
 class TransitionMatrix(Value):
     """Real 2x2 symplectic one-step map [[r1, r2], [r3, r4]] for increment tau.
 
-    The determinant is held to its own forward error: |det - 1| at most
-    DET_ROUNDING * (|r1*r4| + |r2*r3|), floored at TOL.
+    The determinant is held to its own forward error (``_check_unit_det``).
     """
 
     __slots__ = ("r1", "r2", "r3", "r4", "tau", "label")
@@ -48,12 +56,7 @@ class TransitionMatrix(Value):
                             f"r = ({r1!r}, {r2!r}, {r3!r}, {r4!r}), tau = {tau!r}")
         if not tau > 0:
             raise InvalidTau(f"tau must be positive, got {tau!r}")
-        diagonal, off = r1 * r4, r2 * r3
-        residual = abs(diagonal - off - 1.0)
-        # an overflowed product makes the bound infinite too
-        if (not residual <= max(TOL, DET_ROUNDING * (abs(diagonal) + abs(off)))
-                or residual == math.inf):
-            raise NotSymplectic(residual, f"{label}: determinant differs from 1 by {residual:.3e}")
+        _check_unit_det(r1, r2, r3, r4, label)
         _set_r1(self, r1)
         _set_r2(self, r2)
         _set_r3(self, r3)
@@ -136,10 +139,13 @@ def position_verlet(tau: float) -> TransitionMatrix:
 
 
 def compose(a: TransitionMatrix, b: TransitionMatrix, label: str | None = None) -> TransitionMatrix:
-    """Matrix product a*b applied as "b first, then a"; increments add."""
-    return TransitionMatrix(*_product((a.r1, a.r2, a.r3, a.r4), (b.r1, b.r2, b.r3, b.r4)),
-                            a.tau + b.tau,
-                            label if label is not None else f"{a.label}*{b.label}")
+    """Matrix product a*b applied as "b first, then a"; increments add.
+
+    Each product entry carries the rounding of its terms, so the product is
+    checked and projected onto det = 1 as ``custom`` input is.
+    """
+    return custom(*_product((a.r1, a.r2, a.r3, a.r4), (b.r1, b.r2, b.r3, b.r4)),
+                  a.tau + b.tau, label if label is not None else f"{a.label}*{b.label}")
 
 
 def double_euler(tau: float) -> TransitionMatrix:
@@ -165,7 +171,7 @@ def custom(r1: float, r2: float, r3: float, r4: float, tau: float,
     to reject.
     """
     if all(math.isfinite(v) for v in (r1, r2, r3, r4)):
-        _check_unit_det(r1, r2, r3, r4, label)
+        _check_unit_det(r1, r2, r3, r4, label, raw=True)
         if abs(r1) >= abs(r2):
             r4 = (1.0 + r2 * r3) / r1
         else:

@@ -1,3 +1,4 @@
+import math
 import re
 import sys
 
@@ -31,6 +32,17 @@ taus = st.floats(min_value=0.01, max_value=5.0, allow_nan=False)
 # triple products at tau up to 2.5 stay at entry scales where float64
 # can still resolve det = 1 to 1e-12
 compose_taus = st.floats(min_value=0.01, max_value=2.5, allow_nan=False)
+
+
+def sheared_rotation(theta: float, s: float) -> TransitionMatrix:
+    """custom map S R(theta) S^-1, S = [[1, s], [0, 1]]: elliptic, entries up to s**2."""
+    c, si = math.cos(theta), math.sin(theta)
+    return custom(c - s * si, (1.0 + s * s) * si, -si, c + s * si, 1.0)
+
+
+# elliptic maps with entries of 1e2 to 1e6
+elliptic = st.builds(sheared_rotation, st.floats(0.3, 2.8),
+                     st.floats(1.0, 3.0).map(lambda e: 10.0 ** e))
 
 
 class TestEuler:
@@ -117,6 +129,28 @@ class TestCompose:
         left = compose(compose(a, b), c)
         right = compose(a, compose(b, c))
         np.testing.assert_allclose(to_numpy(left), to_numpy(right), atol=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(elliptic, elliptic)
+    @example(sheared_rotation(1.5, 1e3), sheared_rotation(1.5, 1e3))  # residual 1.2e-8
+    def test_large_elliptic_maps_compose(self, a, b):
+        # product entries carry rounding of about eps * |a| * |b|, far above det's
+        # own; the product is checked on that scale and projected, as custom is
+        for left, right in ((a, b), (a, a)):
+            r = compose(left, right)
+            scale = np.abs(to_numpy(left)).max() * np.abs(to_numpy(right)).max()
+            np.testing.assert_allclose(to_numpy(r), to_numpy(left) @ to_numpy(right),
+                                       rtol=0, atol=16 * sys.float_info.epsilon * scale)
+
+    @settings(max_examples=50, deadline=None)
+    @given(elliptic)
+    def test_long_chain_composes(self, r):
+        # each product is projected onto det = 1, so det's error does not add
+        # up over the chain and every link passes TransitionMatrix's check
+        chain = r
+        for _ in range(1000):
+            chain = compose(chain, r, "chain")
+        assert chain.tau == 1001.0
 
     def test_registry_names(self):
         assert make("double-euler", 1.0).label == "double-euler"

@@ -28,7 +28,7 @@ def test_reproduce_phase_portrait(tmp_path):
 
 
 def test_layer_costs(tmp_path):
-    done = run_script("layer_costs.py", "--number", "100", "--repeat", "1", cwd=tmp_path)
+    done = run_script("layer_costs.py", "--number", "20", cwd=tmp_path)
     assert done.returncode == 0, done.stderr
     costs = json.loads(done.stdout)["layers"]
     assert sorted(costs) == sorted([
