@@ -50,7 +50,6 @@ from .errors import (
 from .integrators import TransitionMatrix
 
 PARAM_TOL = 1e-10
-REAL_TOL = 1e-10
 OBSTRUCTION = ("similar to a Jordan block with eigenvalue -1: any logarithm has "
                "equal nonzero eigenvalues and cannot be traceless")
 
@@ -269,7 +268,9 @@ def _jordan_generator(r: TransitionMatrix, tag: CaseTag, eigen: EigenStructure) 
 
 
 def _is_real(c_pp: complex, c_qq: complex, c_pq: complex) -> bool:
-    return abs(c_pp.imag) + abs(c_qq.imag) + abs(c_pq.imag) <= REAL_TOL
+    """Imaginary parts within TOL of the largest coefficient, which scales like 1/tau."""
+    imag = abs(c_pp.imag) + abs(c_qq.imag) + abs(c_pq.imag)
+    return imag == 0.0 or not exceeds(imag, max(abs(c_pp), abs(c_qq), abs(c_pq)))
 
 
 def hamiltonian_from_generator(g: Generator) -> ShadowHamiltonian:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from collections.abc import Sequence
 
 from .algebra import Mat2C, Value, max_diff
@@ -37,10 +38,10 @@ from .shadow import (
 
 DEFAULT_SEED = 1729
 DEFAULT_EXP_TERMS = 40
-EXP_TOL = 1e-9
-TRACE_TOL = 1e-10
-COINCIDENCE_TOL = 1e-8
-CONSERVATION_TOL = 1e-9
+# Every check reads its residual over the forward-error scale of that
+# check's arithmetic (Higham, Accuracy and Stability of Numerical
+# Algorithms, 2nd ed., ch. 1-3) and holds the quotient to this one bound.
+BOUND = 1024.0 * sys.float_info.epsilon
 # What evaluating a flow raises once it leaves double range: OverflowError
 # from cmath or abs, or cmath's ValueError once an overflowed intermediate
 # meets another (inf - inf).  The oracles score such a flow inf, as they
@@ -138,13 +139,19 @@ def series_exp(z: Mat2C) -> Mat2C:
 
 
 def check_exponential(g: Generator, r: TransitionMatrix) -> VerificationReport:
-    """exp(Z) = R through the series oracle, plus tracelessness."""
-    residual = max_diff(series_exp(g.matrix), r.as_mat2c())
+    """exp(Z) = R through the series oracle, plus tracelessness.
+
+    The exponential's residual is read over max(1, |R|)*max(1, |Z|), the
+    trace over max(1, |Z|), with |.| the largest entry modulus.
+    """
+    z, rm = g.matrix, r.as_mat2c()
+    z_scale = max(1.0, z.max_abs())
+    residual = max_diff(series_exp(z), rm) / (max(1.0, rm.max_abs()) * z_scale)
     return VerificationReport(
         f"{r.label} tau={r.tau:g} m={g.branch}",
         (
-            CheckResult.of("exp(Z)=R (series oracle)", residual, EXP_TOL),
-            CheckResult.of("traceless Z", abs(g.matrix.trace()), TRACE_TOL),
+            CheckResult.of("exp(Z)=R (series oracle)", residual, BOUND),
+            CheckResult.of("traceless Z", abs(z.trace()) / z_scale, BOUND),
         ),
     )
 
@@ -157,70 +164,79 @@ def check_coincidence(generators: Sequence[Generator], r: TransitionMatrix,
     The orbits are an independent oracle: ``discrete_orbit`` is repeated
     matrix-vector multiplication by R and shares no code with the flow
     evaluator under test.  They are built once per call, for every
-    generator of the map; each generator then applies one propagator per
-    orbit time to every trial's start and takes ``state_deviation``'s
-    arithmetic on raw scalars.  A flow that leaves double range scores inf.
-    Returns one report per generator, in order.
+    generator of the map; each generator then applies one propagator E(t)
+    per orbit time to every trial's start.  The distance of the states,
+    |x| = hypot(q, p), is read over the rounding scale of both sides,
+    |E(t)|*|x_0| + n*|R|*|x_n| after n steps.  A flow that leaves double
+    range scores inf.  Returns one report per generator, in order.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = random.Random(seed)
     times = discrete_orbit(r, 0.0, 0.0, 20).times
-    # per trial: its start and, per orbit state, (q, p, max(1, |state|))
+    r_scale = r.as_mat2c().max_abs()
+    # per trial: its start, |x_0| and, per orbit state, (q, p, n*|R|*|x_n|)
     orbits = []
     for _ in range(trials):
         q0 = rng.uniform(-2.0, 2.0)
         p0 = rng.uniform(-2.0, 2.0)
-        orbits.append((q0, p0, [(q, p, max(1.0, math.hypot(abs(q), abs(p))))
-                                for q, p, _ in discrete_orbit(r, q0, p0, 20).rows()]))
+        states = [(q, p, n * r_scale * math.hypot(abs(q), abs(p)))
+                  for n, (q, p, _) in enumerate(discrete_orbit(r, q0, p0, 20).rows())]
+        orbits.append((q0, p0, math.hypot(q0, p0), states))
     return tuple(
         VerificationReport(
             f"{r.label} tau={r.tau:g} m={g.branch}",
             (CheckResult.of("discrete/continuous coincidence",
-                            _worst_deviation(g, times, orbits), COINCIDENCE_TOL),))
+                            _worst_deviation(g, times, orbits), BOUND),))
         for g in generators)
 
 
 def _worst_deviation(g: Generator, times, orbits) -> float:
-    """Largest relative distance of g's flow from the orbits; inf out of range."""
+    """Largest scaled distance of g's flow from the orbits; inf out of range."""
     hypot = math.hypot
     worst = 0.0
     try:
-        flows = [flow_matrix(g, t).entries() for t in times]
-        for q0, p0, states in orbits:
-            for (e11, e12, e21, e22), (q, p, scale) in zip(flows, states):
-                deviation = hypot(abs(e11 * q0 + e12 * p0 - q),
-                                  abs(e21 * q0 + e22 * p0 - p)) / scale
-                if deviation > worst:
-                    worst = deviation
-                elif deviation != deviation:  # a NaN state
+        flows = [(m.entries(), m.max_abs()) for m in (flow_matrix(g, t) for t in times)]
+        for q0, p0, x0, states in orbits:
+            for ((e11, e12, e21, e22), e_scale), (q, p, orbit_scale) in zip(flows, states):
+                deviation = hypot(abs(e11 * q0 + e12 * p0 - q), abs(e21 * q0 + e22 * p0 - p))
+                if deviation == 0.0:
+                    continue
+                relative = deviation / (e_scale * x0 + orbit_scale)
+                if relative > worst:
+                    worst = relative
+                elif relative != relative:  # a NaN state
                     return math.inf
     except _OUT_OF_RANGE:
         return math.inf
     return worst
 
 
-def _drift(h: ShadowHamiltonian, flows: list[tuple[complex, complex, complex, complex]],
+def _drift(h: ShadowHamiltonian, flows: list[tuple[tuple[complex, ...], float]],
            q0: float, p0: float) -> float:
-    """Relative drift of H along the states reached by each propagator's entries.
+    """Scaled drift of H along the states reached by each propagator (entries, |E|).
 
     Each of H's three terms is computed once per state, on scalars, and
     serves both H (summed in ``ShadowHamiltonian.evaluate``'s order) and
-    the term scale.  The denominator switches from |H(0)| to that
-    magnitude sum once the latter dominates, so that diverging orbits are
-    held to the precision their scale admits.
+    the drift's rounding scale: the terms' magnitudes at x(t), H(0)'s own
+    ||H||*|x_0|**2, and ||H||*|x(t)|*|E(t)|*|x_0| for the rounding of
+    x(t) = E(t) x_0, with ||H|| = |c_pp| + |c_qq| + |c_pq| and
+    |x| = |q| + |p|.
     """
     c_pp, c_qq, c_pq = h.c_pp, h.c_qq, h.c_pq
     h0 = h.evaluate(q0, p0)
+    x0 = abs(q0) + abs(p0)
+    h_x0 = (abs(c_pp) + abs(c_qq) + abs(c_pq)) * x0
     worst = 0.0
-    for e11, e12, e21, e22 in flows:
+    for (e11, e12, e21, e22), e_scale in flows:
         q, p = e11 * q0 + e12 * p0, e21 * q0 + e22 * p0
         t_pp, t_qq, t_pq = c_pp * p * p, c_qq * q * q, c_pq * p * q
         drift = abs(t_pp + t_qq + t_pq - h0)
         if drift == 0.0:
             continue
-        term_scale = abs(t_pp) + abs(t_qq) + abs(t_pq)
-        relative = drift / max(abs(h0), 2.2e-6 * term_scale, 1e-300)
+        scale = (abs(t_pp) + abs(t_qq) + abs(t_pq) + h_x0 * x0
+                 + h_x0 * e_scale * (abs(q) + abs(p)))
+        relative = drift / scale
         if relative > worst:
             worst = relative
         elif relative != relative:  # a NaN state, or H's terms overflowed
@@ -236,8 +252,8 @@ def check_conservation(h: ShadowHamiltonian, g: Generator, trials: int = 5,
     rng = random.Random(seed)
     worst = 0.0
     try:
-        flows = [flow_matrix(g, t).entries()
-                 for t in sample_times(10.0 * g.tau, g.tau / 20.0)]
+        flows = [(m.entries(), m.max_abs()) for m in (
+            flow_matrix(g, t) for t in sample_times(10.0 * g.tau, g.tau / 20.0))]
         for _ in range(trials):
             q0 = rng.uniform(-2.0, 2.0)
             p0 = rng.uniform(-2.0, 2.0)
@@ -246,7 +262,7 @@ def check_conservation(h: ShadowHamiltonian, g: Generator, trials: int = 5,
         worst = math.inf
     return VerificationReport(
         f"flow<{h.case}> tau={h.tau:g} m={h.branch}",
-        (CheckResult.of("H conserved along flow", worst, CONSERVATION_TOL),),
+        (CheckResult.of("H conserved along flow", worst, BOUND),),
     )
 
 
@@ -299,14 +315,16 @@ def check_regime_map(integrator: str, tau_grid: list[float]) -> VerificationRepo
     """
     if integrator == "vp":
         critical = locate_vp_critical_tau()
-        tag, _ = classify(vp(critical))
+        r = vp(critical)
+        tag, _ = classify(r)
         return VerificationReport(
             "vp regime",
             (
                 CheckResult.of(f"critical tau={critical:.12g} trace=-2",
-                               abs(vp(critical).trace() + 2.0), 1e-9),
+                               abs(r.trace() + 2.0) / max(1.0, abs(r.r1) + abs(r.r4)),
+                               BOUND),
                 CheckResult.of("critical tau classifies iii-b",
-                               0.0 if tag is CaseTag.IIIB else 1.0, 0.0),
+                               0.0 if tag is CaseTag.IIIB else 1.0, BOUND),
             ),
         )
     try:
@@ -319,7 +337,7 @@ def check_regime_map(integrator: str, tau_grid: list[float]) -> VerificationRepo
         tag, _ = classify(make(integrator, tau))
         want = expected(tau)
         checks.append(CheckResult.of(f"tau={tau:g} -> {want}",
-                                     0.0 if tag is want else 1.0, 0.0))
+                                     0.0 if tag is want else 1.0, BOUND))
     return VerificationReport(f"{integrator} regime", tuple(checks))
 
 

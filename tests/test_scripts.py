@@ -35,3 +35,15 @@ def test_layer_costs(tmp_path):
         "Mat2C", "closed_exp", "make_vp", "classify", "generators_for_3",
         "hamiltonian_from_generator", "sweep_point", "flow_sample", "csv_row", "build_parser"])
     assert all(cost > 0 for cost in costs.values())
+
+
+def test_verify_headroom(tmp_path):
+    done = run_script("verify_headroom.py", "--seeds", "2", "--seed", "7", cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    report = json.loads(done.stdout)
+    assert (report["first_seed"], report["seeds"], report["failed_suites"]) == (7, 2, 0)
+    checks = report["checks"]
+    for name in ("exp(Z)=R (series oracle)", "traceless Z",
+                 "discrete/continuous coincidence", "H conserved along flow"):
+        assert 0.0 <= checks[name]["headroom"] <= 1.0
+        assert checks[name]["seed"] in (7, 8)

@@ -471,6 +471,21 @@ class TestRotationsAreReal:
             assert hamiltonian_from_generator(g).real_valued
 
 
+class TestRealValuedAtLargeTau:
+    """Coefficients shrink like 1/tau, so realness is read against their size:
+    an absolute bound once called every branch at tau = 1e11 real."""
+
+    @pytest.mark.parametrize("tau", [1e11, 1e12])
+    @pytest.mark.parametrize("name", ["euler", "double-euler", "vp"])
+    def test_only_the_positive_eigenvalue_branch_zero_is_real(self, name, tau):
+        family = generators_for(make(name, tau), range(-2, 3))
+        want = {CaseTag.IB: [0], CaseTag.IC: []}[family.case]
+        got = [g.branch for g in family.generators if hamiltonian_from_generator(g).real_valued]
+        assert got == want
+        if name == "euler":
+            assert not any(euler_hamiltonian(tau, m).real_valued for m in range(-2, 3))
+
+
 class TestExponentialIdentityProperty:
     @pytest.mark.parametrize("name", ["euler", "velocity-verlet", "position-verlet",
                                       "double-euler", "vp"])

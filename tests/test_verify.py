@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 from shadowosc import verify
 from shadowosc.algebra import Mat2C, max_diff
 from shadowosc.classifier import CaseTag, classify
+from shadowosc.cli import main
 from shadowosc.errors import NonFinite, UnknownIntegrator
-from shadowosc.flow import continuous_state, discrete_orbit, sample_times, state_deviation
+from shadowosc.flow import continuous_state, discrete_orbit, flow_matrix, sample_times
 from shadowosc.integrators import custom, euler, make, vp
 from shadowosc.shadow import (
     CaseIIParams,
@@ -183,37 +184,56 @@ def out_of_range_is_inf(residual):
 
 @out_of_range_is_inf
 def reference_coincidence(g, r, trials, seed):
-    """The coincidence residual from one continuous_state call per state."""
+    """The coincidence residual from one continuous_state call per state.
+
+    The distance after n steps is read over |E(t)|*|x_0| + n*|R|*|x_n|,
+    E(t) = flow_matrix(g, t), |.| the largest entry modulus of a matrix and
+    hypot(q, p) of a state; a zero distance is skipped.
+    """
     rng = random.Random(seed)
+    r_scale = r.as_mat2c().max_abs()
     worst = 0.0
     for _ in range(trials):
         q0 = rng.uniform(-2.0, 2.0)
         p0 = rng.uniform(-2.0, 2.0)
-        for ref in discrete_orbit(r, q0, p0, 20).states:
-            deviation = state_deviation(continuous_state(g, q0, p0, ref.t), ref)
-            if math.isnan(deviation):
+        for n, ref in enumerate(discrete_orbit(r, q0, p0, 20).states):
+            deviation = continuous_state(g, q0, p0, ref.t).distance(ref)
+            if deviation == 0.0:
+                continue
+            scale = (flow_matrix(g, ref.t).max_abs() * math.hypot(q0, p0)
+                     + n * r_scale * math.hypot(abs(ref.q), abs(ref.p)))
+            relative = deviation / scale
+            if math.isnan(relative):
                 return math.inf
-            worst = max(worst, deviation)
+            worst = max(worst, relative)
     return worst
 
 
 @out_of_range_is_inf
 def reference_conservation(h, g, trials, seed):
-    """The conservation residual from one continuous_state call per state."""
+    """The conservation residual from one continuous_state call per state.
+
+    The drift is read over sum|terms(t)| + ||H||*|x_0|**2
+    + ||H||*|x_0|*|E(t)|*|x(t)|, with ||H|| = |c_pp| + |c_qq| + |c_pq| and
+    |x| = |q| + |p|; a zero drift is skipped.
+    """
     rng = random.Random(seed)
+    h_norm = abs(h.c_pp) + abs(h.c_qq) + abs(h.c_pq)
     worst = 0.0
     for _ in range(trials):
         q0 = rng.uniform(-2.0, 2.0)
         p0 = rng.uniform(-2.0, 2.0)
         h0 = h.evaluate(q0, p0)
+        x0 = abs(q0) + abs(p0)
         for t in sample_times(10.0 * g.tau, g.tau / 20.0):
             s = continuous_state(g, q0, p0, t)
             drift = abs(h.evaluate(s.q, s.p) - h0)
             if drift == 0.0:
                 continue
-            term_scale = (abs(h.c_pp * s.p * s.p) + abs(h.c_qq * s.q * s.q)
-                          + abs(h.c_pq * s.p * s.q))
-            relative = drift / max(abs(h0), 2.2e-6 * term_scale, 1e-300)
+            scale = (abs(h.c_pp * s.p * s.p) + abs(h.c_qq * s.q * s.q)
+                     + abs(h.c_pq * s.p * s.q) + h_norm * x0 * x0
+                     + h_norm * x0 * flow_matrix(g, t).max_abs() * (abs(s.q) + abs(s.p)))
+            relative = drift / scale
             if math.isnan(relative):
                 return math.inf
             worst = max(worst, relative)
@@ -307,7 +327,7 @@ class TestBatchedCoincidence:
         for g, report in zip(generators, reports):
             assert report.subject == f"{r.label} tau={r.tau:g} m={g.branch}"
             assert report.checks[0].name == "discrete/continuous coincidence"
-            assert report.checks[0].tolerance == 1e-8
+            assert report.checks[0].tolerance == verify.BOUND
             assert bits(report.checks[0].residual) == bits(
                 reference_coincidence(g, r, trials, seed))
 
@@ -349,8 +369,26 @@ class TestFullSuite:
         assert failed == []
 
     def test_perturbation_is_detected(self):
-        reports = full_suite(trials=3, perturb=1e-3)
-        assert any(not r.passed for r in reports)
+        # every exp, trace, coincidence and conservation check fails, down to
+        # a 1e-9 shift of each generator's diagonal
+        for perturb in (1e-3, 1e-9):
+            checks = [c for r in full_suite(trials=3, perturb=perturb)[5:] for c in r.checks]
+            assert len(checks) == 2 * 42 + 42 + 5
+            assert [c.name for c in checks if c.passed] == []
+
+    def test_no_false_failures_over_seeds(self):
+        # before the residuals were read against their rounding, about one
+        # suite in five failed H conservation of flow<i-c> tau=3 m=0
+        rng = random.Random(20261019)
+        for seed in [rng.randrange(1, 1 << 30) for _ in range(60)]:
+            failed = [(r.subject, c.name) for r in full_suite(seed=seed)
+                      for c in r.checks if not c.passed]
+            assert failed == [], seed
+
+    def test_pinned_seed_passes(self, capsys):
+        # read 8.04e-9 against an absolute 1e-9 before the error model
+        assert main(["verify", "--seed", "726298983"]) == 0
+        assert "FAIL" not in capsys.readouterr().out
 
     def test_seeded_runs_identical(self):
         assert full_suite(seed=7, trials=3) == full_suite(seed=7, trials=3)
