@@ -2,9 +2,11 @@
 
 Everything is plain double precision on top of ``cmath``; matrices, like
 every record of the package, are immutable ``Value``s.  ``closed_exp`` is
-the package's one matrix exponential: it validates every generator and is
-every flow's propagator.  Its oracles (``taylor_exp``, ``series_exp``) live
-in ``verify``.
+the package's one matrix exponential: it is every flow's propagator and
+validates the scalar-case and Jordan generators.  A generator that carries
+its eigenvalue delta passes it in, so exp(s Z) reads delta as built, not as
+recomputed from Z's entries.  Its oracles (``taylor_exp``, ``series_exp``)
+live in ``verify``.
 
 Branch convention used throughout the package: a nonzero complex number is
 written modulus * exp(i*theta) with theta in (-pi, pi], negative reals at
@@ -16,7 +18,8 @@ as asinh|Re d|: exact to rounding however close y is to +-1.
 Tolerance policy: every runtime check reads ``TOL`` against the scale of
 its own data through ``exceeds``; only two read rounding instead: the
 scalar-map test in ``classify`` (``ROUNDING``) and the determinant of a
-``TransitionMatrix``, held to its forward error floored at ``TOL``.
+``TransitionMatrix``, held to its forward error floored at ``TOL`` (and a
+``compose`` product's, which may also reach the rounding its factors bring).
 """
 
 from __future__ import annotations
@@ -172,16 +175,24 @@ def log_branch(y: complex, branch: int) -> complex:
     return complex(math.log(modulus), theta + 2.0 * math.pi * branch)
 
 
-def exp_constants(z: Mat2C) -> tuple[complex, complex, complex, complex, complex, complex]:
+def exp_constants(z: Mat2C, delta: complex | None = None
+                  ) -> tuple[complex, complex, complex, complex, complex, complex]:
     """(mu, k11, z12, z21, k22, delta) of z: its half-trace mu, the diagonal of
-    K = z - mu I and the eigenvalue delta of K, all that exp(s z) reads of z."""
+    K = z - mu I and the eigenvalue delta of K, all that exp(s z) reads of z.
+
+    A given ``delta`` is taken as it is; without one, delta is
+    sqrt(k11**2 + z12*z21), which loses about |K|**2 / |delta|**2 of its
+    digits where those products cancel.
+    """
     z11, z12, z21, z22 = z.entries()
     mu = (z11 + z22) / 2.0
     k11, k22 = z11 - mu, z22 - mu
-    return mu, k11, z12, z21, k22, cmath.sqrt(k11 * k11 + z12 * z21)
+    if delta is None:
+        delta = cmath.sqrt(k11 * k11 + z12 * z21)
+    return mu, k11, z12, z21, k22, delta
 
 
-def closed_exp(z: Mat2C, s: float = 1.0) -> Mat2C:
+def closed_exp(z: Mat2C, s: float = 1.0, delta: complex | None = None) -> Mat2C:
     """exp(s z) of a 2x2 complex matrix in closed form (Higham, *Functions of
     Matrices*, SIAM 2008, ch. 10).
 
@@ -191,9 +202,11 @@ def closed_exp(z: Mat2C, s: float = 1.0) -> Mat2C:
 
     and (cosh, sinh/delta) = (1, s) when delta is exactly 0, where K is
     nilpotent; e^(s mu) multiplies in only for mu != 0.  sinh(s delta)/delta
-    has no cancellation for any nonzero delta, so no series is needed.
+    has no cancellation for any nonzero delta, so no series is needed.  Either
+    sign of delta gives the same result; ``delta`` is recomputed from z when
+    not given (``exp_constants``).
     """
-    mu, k11, z12, z21, k22, delta = exp_constants(z)
+    mu, k11, z12, z21, k22, delta = exp_constants(z, delta)
     if delta:
         a = s * delta
         c, h = cmath.cosh(a), cmath.sinh(a) / delta

@@ -10,18 +10,21 @@ A ``Trajectory`` holds no states.  It keeps its source, its sample times
 (a ``SampleTimes`` progression, itself computed on demand) and a sampler
 that reads the per-trajectory constants once per pass: Z's half-trace,
 the diagonal of its traceless part and that part's eigenvalue delta for a
-flow (``algebra.exp_constants``), and R for the discrete orbit.  Each pass
-over ``Trajectory.rows()`` then yields (q, p, t) sample by sample, and the
-writers format and write each row as it is produced, so writing a file
-takes memory independent of its number of samples.  One exponential serves
-every flow: a sample costs one cosh and one sinh of (t/tau) delta, and its
-state is bit-for-bit equal to ``flow_matrix(g, t).apply(q0, p0)``, where
-``flow_matrix`` is ``algebra.closed_exp(Z, t/tau)``, the propagator
-verify's oracles check and the exponential every generator is validated
-with.  The closed-form Euler family is sampled as the flow of its own
-generator (``euler_trajectory``).  A flow whose state leaves double range
-raises ``OutOfRange`` naming the first such t; a writer that fails
-removes its partial file.
+flow (``algebra.exp_constants``), and R for the discrete orbit.  delta is
+the generator's own ``Generator.log``, the eigenvalue it was built from and
+validated with; only a generator built without one (verify's perturbed
+generators, a user's) has delta recomputed from Z's entries, which near a
+ridge lose digits to cancellation.  Each pass over ``Trajectory.rows()``
+then yields (q, p, t) sample by sample, and the writers format and write
+each row as it is produced, so writing a file takes memory independent of
+its number of samples.  One exponential serves every flow: a sample costs
+one cosh and one sinh of (t/tau) delta, and its state is bit-for-bit equal
+to ``flow_matrix(g, t).apply(q0, p0)``, where ``flow_matrix`` is
+``algebra.closed_exp(Z, t/tau, g.log)``, the propagator verify's oracles
+check.  The closed-form Euler family is sampled as the flow of its own
+generator (``euler_trajectory``), whose delta is read off its rate.  A flow
+whose state leaves double range raises ``OutOfRange`` naming the first such
+t; a writer that fails removes its partial file.
 
 Deviations between states are reported relative to max(1, |reference|):
 bounded orbits are then compared absolutely, while diverging orbits
@@ -165,16 +168,17 @@ def discrete_orbit(r: TransitionMatrix, q0: float, p0: float, n: int) -> Traject
                       partial(_orbit_rows, r, q0, p0))
 
 
-def _flow_rows(z: Mat2C, tau: float, name: str, q0: complex, p0: complex,
-               times: Iterable[float]) -> Iterator[Row]:
-    """exp((t/tau) Z) (q0, p0) for each t, reading Z's constants once.
+def _flow_rows(z: Mat2C, delta: complex | None, tau: float, name: str, q0: complex,
+               p0: complex, times: Iterable[float]) -> Iterator[Row]:
+    """exp((t/tau) Z) (q0, p0) for each t, reading Z's constants once; Z's
+    eigenvalue delta is recomputed from its entries when None.
 
     The arithmetic of ``closed_exp`` followed by ``Mat2C.apply``, written
     out so that the loop calls only cosh, sinh, exp and isfinite, with one
     statement per value: packing and unpacking four-tuples costs about a
     tenth of a sample.
     """
-    mu, k11, z12, z21, k22, delta = exp_constants(z)
+    mu, k11, z12, z21, k22, delta = exp_constants(z, delta)
     cosh, sinh, exp, isfinite = cmath.cosh, cmath.sinh, cmath.exp, cmath.isfinite
     try:
         for t in times:
@@ -214,7 +218,7 @@ def flow_matrix(g: Generator, t: float) -> Mat2C:
     An oracle that needs many starts at one time computes it once and
     applies it to each.
     """
-    return closed_exp(g.matrix, t / g.tau)
+    return closed_exp(g.matrix, t / g.tau, g.log)
 
 
 def continuous_state(g: Generator, q0: complex, p0: complex, t: float) -> PhaseState:
@@ -275,8 +279,8 @@ def sample_trajectory(g: Generator, q0: complex, p0: complex,
     """Dense samples of the branch flow on [0, t_end]."""
     source = TrajectorySource(f"flow<{g.case}>", g.tau, g.case, g.branch)
     return Trajectory(source, sample_times(t_end, dt),
-                      partial(_flow_rows, g.matrix, g.tau, f"flow<{g.case}> m={g.branch}",
-                              q0, p0))
+                      partial(_flow_rows, g.matrix, g.log, g.tau,
+                              f"flow<{g.case}> m={g.branch}", q0, p0))
 
 
 def euler_trajectory(tau: float, branch: int, q0: float, p0: float,
@@ -284,12 +288,18 @@ def euler_trajectory(tau: float, branch: int, q0: float, p0: float,
     """Dense samples of the closed-form Euler branch flow on [0, t_end].
 
     The closed form is the flow of Z = (rate/root) [[-tau, 2], [-2, tau]],
-    root = sqrt(|4 - tau**2|), sampled like any branch generator's.
+    root = sqrt(|4 - tau**2|), sampled like any branch generator's.  Z's
+    eigenvalues are +-i*rate for tau < 2, where the rate is real, and +-rate
+    for tau > 2, where its real part is negative; the sampler reads the one
+    with the sign of the principal square root, as recomputing it from Z
+    would give, so that zeros keep their sign.
     """
-    factor = euler_rate(tau, branch) / math.sqrt(abs((2.0 - tau) * (2.0 + tau)))
+    rate = euler_rate(tau, branch)
+    factor = rate / math.sqrt(abs((2.0 - tau) * (2.0 + tau)))
     z = Mat2C(-tau * factor, 2.0 * factor, -2.0 * factor, tau * factor)
+    delta = complex(0.0, abs(rate.real)) if tau < 2.0 else -rate
     return Trajectory(TrajectorySource("euler", tau, None, branch), sample_times(t_end, dt),
-                      partial(_flow_rows, z, tau, f"euler m={branch}", q0, p0))
+                      partial(_flow_rows, z, delta, tau, f"euler m={branch}", q0, p0))
 
 
 def rotation_sense(h: ShadowHamiltonian) -> str:

@@ -24,17 +24,18 @@ DET_ROUNDING = 1024.0 * sys.float_info.epsilon
 
 
 def _check_unit_det(r1: float, r2: float, r3: float, r4: float, label: str,
-                    raw: bool = False) -> None:
+                    raw: bool = False, rounding: float = 0.0) -> None:
     """Raise NotSymplectic unless det is 1 to within its error.
 
     Entries as stored are held to det's own forward error,
     |det - 1| <= max(TOL, DET_ROUNDING * (|r1*r4| + |r2*r3|)).  Raw entries,
     which carry rounding of their own (user input, a product of maps), are
-    held to |det - 1| <= TOL * max(1, |r1*r4|, |r2*r3|).
+    held to |det - 1| <= max(TOL * max(1, |r1*r4|, |r2*r3|), DET_ROUNDING *
+    rounding), ``rounding`` the scale the entries' own errors bring into det.
     """
     diagonal, off = r1 * r4, r2 * r3
     residual = abs(diagonal - off - 1.0)
-    scale = (max(abs(diagonal), abs(off)) if raw
+    scale = (max(abs(diagonal), abs(off), DET_ROUNDING / TOL * rounding) if raw
              else DET_ROUNDING / TOL * (abs(diagonal) + abs(off)))
     if exceeds(residual, max(1.0, scale)):
         raise NotSymplectic(residual, f"{label}: determinant differs from 1 by {residual:.3e}")
@@ -141,11 +142,19 @@ def position_verlet(tau: float) -> TransitionMatrix:
 def compose(a: TransitionMatrix, b: TransitionMatrix, label: str | None = None) -> TransitionMatrix:
     """Matrix product a*b applied as "b first, then a"; increments add.
 
-    Each product entry carries the rounding of its terms, so the product is
-    checked and projected onto det = 1 as ``custom`` input is.
+    Each product entry p_ij errs by about eps times the entry m_ij of
+    |a|*|b|, the factors' scale, which stays large where the product's own
+    entries cancel.  det = p11*p22 - p12*p21 carries those errors times the
+    cofactors, so the product is checked against
+    |p22|*m11 + |p11|*m22 + |p21|*m12 + |p12|*m21 as well as its own terms,
+    then projected onto det = 1 as ``custom`` input is.
     """
-    return custom(*_product((a.r1, a.r2, a.r3, a.r4), (b.r1, b.r2, b.r3, b.r4)),
-                  a.tau + b.tau, label if label is not None else f"{a.label}*{b.label}")
+    entries_a, entries_b = (a.r1, a.r2, a.r3, a.r4), (b.r1, b.r2, b.r3, b.r4)
+    p = _product(entries_a, entries_b)
+    m = _product(tuple(map(abs, entries_a)), tuple(map(abs, entries_b)))
+    rounding = abs(p[3]) * m[0] + abs(p[0]) * m[3] + abs(p[2]) * m[1] + abs(p[1]) * m[2]
+    return _projected(*p, a.tau + b.tau,
+                      label if label is not None else f"{a.label}*{b.label}", rounding)
 
 
 def double_euler(tau: float) -> TransitionMatrix:
@@ -170,8 +179,14 @@ def custom(r1: float, r2: float, r3: float, r4: float, tau: float,
     are not both zero; non-finite entries are left for ``TransitionMatrix``
     to reject.
     """
+    return _projected(r1, r2, r3, r4, tau, label, 0.0)
+
+
+def _projected(r1: float, r2: float, r3: float, r4: float, tau: float, label: str,
+               rounding: float) -> TransitionMatrix:
+    """``custom`` for raw entries whose errors bring ``rounding`` into det."""
     if all(math.isfinite(v) for v in (r1, r2, r3, r4)):
-        _check_unit_det(r1, r2, r3, r4, label, raw=True)
+        _check_unit_det(r1, r2, r3, r4, label, raw=True, rounding=rounding)
         if abs(r1) >= abs(r2):
             r4 = (1.0 + r2 * r3) / r1
         else:

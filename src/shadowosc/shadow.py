@@ -12,9 +12,14 @@ generates that flow if and only if Z is traceless, in which case
 Distinct eigenvalues give one generator per logarithm branch m; a scalar
 map +-I gives a three-parameter family per branch; a defective map gives
 exactly one generator (eigenvalue +1) or none at all (eigenvalue -1).
-Every generator is traceless by construction and is kept only if
-closed_exp(Z) meets R to TOL * max(1, |R|) * max(1, |Z|), |.| the largest
-entry modulus: Z's rounding reaches exp(Z) scaled by both.
+Every generator is traceless by construction and carries its eigenvalue
+delta (Z's eigenvalues are +-delta) as ``Generator.log``: log(y, m) for the
+distinct cases, x1 for the scalar case and 0 for the Jordan case.  It is
+kept only if exp(Z), read with that delta, meets R to
+TOL * max(1, |R|) * max(1, |Z|), |.| the largest entry modulus: Z's rounding
+reaches exp(Z) scaled by both.  For distinct eigenvalues exp(Z) - R has the
+exact form (cosh L - T/2) I + (sinh L / d - 1) K, two scalars per branch;
+the scalar and Jordan generators are checked through ``closed_exp``.
 
 For the explicit Euler map the branch family also has a closed form,
 H = rate * (p**2 + q**2 - tau*p*q) / (tau * sqrt(|4 - tau**2|)); see
@@ -55,20 +60,28 @@ OBSTRUCTION = ("similar to a Jordan block with eigenvalue -1: any logarithm has 
 
 
 class Generator(Value):
-    """Traceless matrix logarithm of a transition matrix, tagged by branch."""
+    """Traceless matrix logarithm of a transition matrix, tagged by branch.
 
-    __slots__ = ("matrix", "branch", "tau", "case")
+    ``log`` is Z's eigenvalue delta (its eigenvalues are +-delta) as the
+    generator was built from it, which every exp((t/tau) Z) reads; None
+    (a generator built elsewhere, a perturbed one) makes them recompute it
+    from Z's entries.
+    """
 
-    def __init__(self, matrix: Mat2C, branch: int, tau: float, case: CaseTag):
+    __slots__ = ("matrix", "branch", "tau", "case", "log")
+
+    def __init__(self, matrix: Mat2C, branch: int, tau: float, case: CaseTag,
+                 log: complex | None = None):
         _set_matrix(self, matrix)
         _set_branch(self, branch)
         _set_tau(self, tau)
         _set_case(self, case)
+        _set_log(self, log)
 
 
 # The records built for every map and branch set their fields through the
 # slot setters, as Mat2C does; each constructor is its fields' only writer.
-_set_matrix, _set_branch, _set_tau, _set_case = Generator._setters
+_set_matrix, _set_branch, _set_tau, _set_case, _set_log = Generator._setters
 
 
 class ShadowHamiltonian(Value):
@@ -176,26 +189,24 @@ class GeneratorFamily(Value):
 _set_family_case, _set_eigen, _set_generators, _set_obstruction = GeneratorFamily._setters
 
 
-def _exp_residual(z: Mat2C, r: TransitionMatrix) -> float:
-    """``max_diff(closed_exp(z), r.as_mat2c())``, read straight from R's entries.
-
-    The same subtractions in the same order, so the value is bit-for-bit
-    equal, without building R as a Mat2C; NaN if any difference is NaN.
-    """
-    e = closed_exp(z)
-    return nan_max(abs(e.e11 - r.r1), abs(e.e12 - r.r2), abs(e.e21 - r.r3),
-                   abs(e.e22 - r.r4))
-
-
-def _validated(z: Mat2C, branch: int, r: TransitionMatrix, case: CaseTag) -> Generator:
-    exp_resid = _exp_residual(z, r)
+def _check_exp(exp_resid: float, z: Mat2C, r: TransitionMatrix) -> None:
+    """Raise NotTraceless unless max|exp(Z) - R| is within TOL of
+    max(1, |R|) * max(1, |Z|); a NaN residual fails."""
     # both scale factors are at least 1, so a residual within TOL needs neither
     if not exp_resid <= TOL and exceeds(exp_resid,
                                         max(1.0, r.max_abs()) * max(1.0, z.max_abs())):
         raise NotTraceless(
             f"exp(Z) reproduces {r.label} only to {exp_resid:.3e}"
         )
-    return Generator(z, branch, r.tau, case)
+
+
+def _validated(z: Mat2C, branch: int, r: TransitionMatrix, case: CaseTag,
+               log: complex) -> Generator:
+    """The generator, once closed_exp(Z) read with its eigenvalue ``log`` meets R."""
+    e = closed_exp(z, 1.0, log)
+    _check_exp(nan_max(abs(e.e11 - r.r1), abs(e.e12 - r.r2), abs(e.e21 - r.r3),
+                       abs(e.e22 - r.r4)), z, r)
+    return Generator(z, branch, r.tau, case, log)
 
 
 def generator_distinct(r: TransitionMatrix, eigen: EigenStructure, branch: int) -> Generator:
@@ -208,9 +219,13 @@ def _distinct_generators(r: TransitionMatrix, eigen: EigenStructure,
     """Branch generators, in the order of ``branches``, for a map with distinct
     eigenvalues T/2 +- d; r and eigen are read once for all of them.
 
-    Z = (log(y, m) / d) * K with y = T/2 + d and K = R - (T/2) I, whose
-    eigenvalues are +-d: Z is traceless with eigenvalues +-log(y, m), and
-    exp(Z) = cosh(log y) I + sinh(log y)/d K = (T/2) I + K = R.
+    Z = (L / d) * K with L = log(y, m), y = T/2 + d and K = R - (T/2) I, whose
+    eigenvalues are +-d: Z is traceless with eigenvalues +-L, and
+    exp(Z) = cosh(L) I + sinh(L)/d K = (T/2) I + K = R.  Each branch carries
+    L and is validated on exp(Z) - R = a I + b K with the two scalars
+    a = cosh(L) - T/2 and b = sinh(L)/d - 1; no entry of Z enters them, so
+    they keep their digits where Z's entries, about L/|d| near a ridge, are
+    large.
 
     log(y, m) = log|y| + i*(angle + 2*pi*m) takes log|y| = asinh|Re d|: R has
     unit determinant, so (T/2)**2 - d**2 = 1 and |y| = sqrt(1 + d**2) + |d|
@@ -221,12 +236,24 @@ def _distinct_generators(r: TransitionMatrix, eigen: EigenStructure,
     d = eigen.d
     log_abs, angle = math.asinh(abs(d.real)), eigen.angle
     k11, k12, k21, _ = r.traceless()
+    half_trace, tau = r.trace() / 2.0, r.tau
     case = CaseTag.IB if d.real > 0.0 else CaseTag.IC if d.real < 0.0 else CaseTag.IA
+    cosh, sinh = cmath.cosh, cmath.sinh
     gens = []
     for branch in branches:
-        factor = complex(log_abs, angle + 2.0 * math.pi * branch) / d
+        log = complex(log_abs, angle + 2.0 * math.pi * branch)
+        factor = log / d
         diag = factor * k11
-        gens.append(_validated(Mat2C(diag, factor * k12, factor * k21, -diag), branch, r, case))
+        z = Mat2C(diag, factor * k12, factor * k21, -diag)
+        a = cosh(log) - half_trace
+        b = sinh(log) / d - 1.0
+        bk11 = b * k11
+        # the entries of |exp(Z) - R|; a sum within TOL holds each of them
+        # within it, and a NaN sum is not within it
+        e11, e12, e21, e22 = abs(a + bk11), abs(b * k12), abs(b * k21), abs(a - bk11)
+        if not e11 + e12 + e21 + e22 <= TOL:
+            _check_exp(nan_max(e11, e12, e21, e22), z, r)
+        gens.append(Generator(z, branch, tau, case, log))
     return tuple(gens)
 
 
@@ -237,7 +264,7 @@ def generator_scalar(r: TransitionMatrix, branch: int,
     Any traceless direction (c1, c2, c3) with c1**2 + c2*c3 = 1 works;
     the eigenvalue pair is +-x1 with x1 = 2*pi*i*m for R = I and
     x1 = (2m+1)*pi*i for R = -I.  R = I at branch 0 yields the valid
-    trivial Z = 0.
+    trivial Z = 0.  The generator carries x1 as its eigenvalue.
     """
     params = params if params is not None else CaseIIParams.default()
     plus = r.trace() > 0
@@ -245,7 +272,7 @@ def generator_scalar(r: TransitionMatrix, branch: int,
     diag = x1 * params.c1
     z = Mat2C(diag, x1 * params.c2, x1 * params.c3, -diag)
     case = CaseTag.II_PLUS if plus else CaseTag.II_MINUS
-    return _validated(z, branch, r, case)
+    return _validated(z, branch, r, case, x1)
 
 
 def generator_jordan(r: TransitionMatrix) -> Generator:
@@ -264,7 +291,7 @@ def _jordan_generator(r: TransitionMatrix, tag: CaseTag, eigen: EigenStructure) 
         raise NoHamiltonian(r.label, r.tau, eigen)
     if tag is not CaseTag.IIIA:
         raise NotDefective(f"{r.label} at tau={r.tau:g} classifies as {tag}")
-    return _validated(Mat2C(*r.traceless()), 0, r, CaseTag.IIIA)
+    return _validated(Mat2C(*r.traceless()), 0, r, CaseTag.IIIA, 0j)
 
 
 def _is_real(c_pp: complex, c_qq: complex, c_pq: complex) -> bool:

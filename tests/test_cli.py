@@ -5,6 +5,7 @@ import tracemalloc
 import pytest
 
 from shadowosc import cli
+from shadowosc.algebra import max_diff
 from shadowosc.cli import main
 from shadowosc.errors import (
     BadParams,
@@ -16,6 +17,10 @@ from shadowosc.errors import (
     ShadowOscError,
     UnknownIntegrator,
 )
+from shadowosc.flow import flow_matrix
+from shadowosc.integrators import euler, make
+from shadowosc.shadow import generators_for
+from shadowosc.verify import BOUND, locate_vp_critical_tau
 
 
 def run(capsys, *argv):
@@ -370,6 +375,49 @@ class TestRidgeInputHasAnAnswer:
         (h,) = json.loads(out)["hamiltonians"]
         assert h["case"] == case
         assert abs(h["cA"]["re"] - sign * 0.5) <= 4.0 * math.ulp(0.5)
+
+
+VP_RIDGE = locate_vp_critical_tau()
+
+
+class TestNearRidgeHamiltonian:
+    """Within 1e-8 of a ridge (1e-9 for vp) every branch has a family: these
+    calls exited 1 with `exp(Z) reproduces ... only to ...` while exp(Z) was
+    read through delta recomputed from Z's entries.  Closer in, the ridge band
+    of ``classify`` still decides the tag."""
+
+    @pytest.mark.parametrize("integrator, tau", [
+        ("euler", 2.0 + 1e-8), ("euler", 2.0 - 1e-8),
+        ("double-euler", 4.0 + 1e-8), ("double-euler", 4.0 - 1e-8),
+        ("vp", VP_RIDGE + 1e-8), ("vp", VP_RIDGE - 1e-8),
+        ("vp", VP_RIDGE + 1e-9), ("vp", VP_RIDGE - 1e-9)])
+    def test_family_exits_zero_and_its_flows_pass_through_r(self, capsys, integrator, tau):
+        code, out, err = run(capsys, "hamiltonian", "--integrator", integrator,
+                             "--tau", repr(tau), "--m-min", "-3", "--m-max", "3")
+        assert code == 0, err
+        assert [int(line.split(",")[0]) for line in out.splitlines()[1:]] == list(range(-3, 4))
+        r = make(integrator, tau)
+        rm = r.as_mat2c()
+        for g in generators_for(r, range(-3, 4)).generators:
+            scale = max(1.0, rm.max_abs()) * max(1.0, g.matrix.max_abs())
+            assert max_diff(flow_matrix(g, tau), rm) <= BOUND * scale
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_euler_closed_form_flow_passes_through_r(self, capsys, tmp_path, sign):
+        tau = 2.0 + sign * 1e-8
+        code, _, err = run(capsys, "flow", "--integrator", "euler", "--tau", repr(tau),
+                           "--m-min", "-3", "--m-max", "3", "--t-end", repr(tau),
+                           "--dt", repr(tau), "--q0", "0", "--p0", "1", "--out", str(tmp_path))
+        assert code == 0, err
+        r = euler(tau)
+        want = r.apply(0.0, 1.0)
+        # the closed form's branches are the generic family's, relabelled for tau > 2
+        z_scale = max(g.matrix.max_abs() for g in generators_for(r, range(-3, 4)).generators)
+        for m in range(-3, 4):
+            row = (tmp_path / f"flow_m{m}.csv").read_text().splitlines()[-1].split(",")
+            got = (complex(float(row[1]), float(row[2])), complex(float(row[3]), float(row[4])))
+            assert max(abs(g - w) for g, w in zip(got, want)) <= \
+                BOUND * max(1.0, r.max_abs()) * z_scale
 
 
 class TestConfigValidation:

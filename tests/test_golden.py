@@ -27,8 +27,15 @@ moved by at most 2.4e-13 on a max(1, |state|) scale.  Both verify seed-7
 digests were retaken when every verify check came to read its residual
 over its own forward-error scale against one bound, 1024*eps: each
 residual and tolerance printed changed, while the exit codes and every
-PASS/FAIL are unchanged.  Print the digests of
-the current code with
+PASS/FAIL are unchanged.  Three digests were retaken when each generator
+came to carry its eigenvalue's logarithm and every flow to read it, not
+recompute it from Z's entries: the flow cases double-euler-i-b, vp-tau-5
+and euler-i-c, whose states moved by at most 9.8e-13 and energies by at
+most 5.8e-11 (in the diverging i-b and i-c flows) on a max(1, |x|) scale,
+and
+verify-seed-7, where 18 coincidence residuals changed (the largest fell from
+6.6e-15 to 3.7e-15) and every exit code and PASS/FAIL is unchanged.  Print
+the digests of the current code with
 
     PYTHONPATH=src python tests/test_golden.py
 """

@@ -152,6 +152,28 @@ class TestCompose:
             chain = compose(chain, r, "chain")
         assert chain.tau == 1001.0
 
+    @settings(max_examples=500, deadline=None)
+    @given(st.floats(0.3, 2.8), st.floats(-1e-3, 1e-3))
+    def test_cancelling_product_of_large_maps_composes(self, theta, delta):
+        # S R(theta) S^-1 * S R(-theta + delta) S^-1 = S R(delta) S^-1 has entries
+        # far below its factors' (about 9e6), so its det carries the factors'
+        # rounding, not its own: read against its own terms, 59 of 500 such
+        # products were refused
+        a, b = sheared_rotation(theta, 3e3), sheared_rotation(-theta + delta, 3e3)
+        r = compose(a, b)
+        scale = np.abs(to_numpy(a)).max() * np.abs(to_numpy(b)).max()
+        np.testing.assert_allclose(to_numpy(r), to_numpy(a) @ to_numpy(b),
+                                   rtol=0, atol=16 * sys.float_info.epsilon * scale)
+        # the same product with one row negated is a reflection (det = -1): the
+        # factors' rounding in its det, |p22|*m11 + |p11|*m22 + |p21|*m12 +
+        # |p12|*m21 with m = |a|*|b|, does not cover it
+        (p11, p12), (p21, p22) = to_numpy(r)
+        (m11, m12), (m21, m22) = np.abs(to_numpy(a)) @ np.abs(to_numpy(b))
+        rounding = abs(p22) * m11 + abs(p11) * m22 + abs(p21) * m12 + abs(p12) * m21
+        with pytest.raises(NotSymplectic):
+            shadowosc.integrators._check_unit_det(p11, p12, -p21, -p22, "x", raw=True,
+                                                  rounding=rounding)
+
     def test_registry_names(self):
         assert make("double-euler", 1.0).label == "double-euler"
         assert make("vp", 1.0).label == "vp"

@@ -47,3 +47,22 @@ def test_verify_headroom(tmp_path):
                  "discrete/continuous coincidence", "H conserved along flow"):
         assert 0.0 <= checks[name]["headroom"] <= 1.0
         assert checks[name]["seed"] in (7, 8)
+
+
+def test_output_digest(tmp_path):
+    checkout = SCRIPTS.parent
+    args = ("output_digest.py", str(checkout), "--count", "8", "--grid", "1:2:0.5",
+            "--verify-seeds", "1")
+    done = run_script(*args, cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    lines = [json.loads(line) for line in done.stdout.splitlines()]
+    # 10 sweeps, 90 near-ridge calls, 8 built-in and 8 custom draws of two calls
+    # each, one verify
+    assert len(lines) == 10 + 90 + 2 * 8 + 2 * 8 + 1
+    assert lines[0]["argv"] == ["sweep", "--integrator", "double-euler", "--grid", "1:2:0.5",
+                                "--format", "csv"]
+    assert lines[-1]["argv"] == ["verify", "--seed", "1"]
+    assert all(sorted(line) == ["argv", "exit", "stderr", "stdout"] for line in lines)
+    # rejected custom input exits 2 (non-finite entries, det far from 1)
+    assert {line["exit"] for line in lines} == {0, 2}
+    assert run_script(*args, cwd=tmp_path).stdout == done.stdout

@@ -1,5 +1,5 @@
+import cmath
 import math
-import struct
 import sys
 from fractions import Fraction
 
@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import shadowosc.shadow
 from shadowosc.algebra import TOL, Mat2C, closed_exp, log_branch, max_diff
-from shadowosc.classifier import DISTINCT_TAGS, CaseTag, classify
+from shadowosc.classifier import DISTINCT_TAGS, CaseTag, EigenStructure, classify
 from shadowosc.errors import (
     BadParams,
     CriticalTau,
@@ -22,7 +22,6 @@ from shadowosc.integrators import BUILDERS, custom, double_euler, euler, make, v
 from shadowosc.shadow import (
     CaseIIParams,
     Generator,
-    _exp_residual,
     _validated,
     euler_hamiltonian,
     euler_rate,
@@ -32,7 +31,8 @@ from shadowosc.shadow import (
     generators_for,
     hamiltonian_from_generator,
 )
-from shadowosc.verify import series_exp, taylor_exp
+from shadowosc.flow import flow_matrix
+from shadowosc.verify import BOUND, locate_vp_critical_tau, series_exp, taylor_exp
 
 from conftest import quadratic_roots
 
@@ -89,18 +89,29 @@ class TestGeneratorDistinct:
             assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-10
 
 
+def two_scalar_residual(r, d, log_y):
+    """max|exp(Z) - R| for Z = (L / d) * K, from its exact form a I + b K with
+    a = cosh(L) - T/2 and b = sinh(L)/d - 1."""
+    k11, k12, k21, _ = r.traceless()
+    a = cmath.cosh(log_y) - r.trace() / 2.0
+    b = cmath.sinh(log_y) / d - 1.0
+    return max(abs(a + b * k11), abs(b * k12), abs(b * k21), abs(a - b * k11))
+
+
 def one_branch(r, eigen, m):
     """The branch-m generator written out on its own, one branch per call:
-    Z = (log(y, m) / d) * K with log|y| = asinh|Re d|, exp(Z) checked to TOL."""
+    Z = (L / d) * K with L = log(y, m), log|y| = asinh|Re d|, carrying L, and
+    exp(Z) - R read from its two scalars, checked to TOL."""
     d = eigen.d
     log_y = complex(math.asinh(abs(d.real)), eigen.angle + 2.0 * math.pi * m)
     factor = log_y / d
     k11, k12, k21, _ = r.traceless()
     diag = factor * k11
     z = Mat2C(diag, factor * k12, factor * k21, -diag)
-    assert _exp_residual(z, r) <= TOL * max(1.0, r.max_abs()) * max(1.0, z.max_abs())
+    assert two_scalar_residual(r, d, log_y) <= \
+        TOL * max(1.0, r.max_abs()) * max(1.0, z.max_abs())
     case = CaseTag.IB if d.real > 0.0 else CaseTag.IC if d.real < 0.0 else CaseTag.IA
-    return Generator(z, m, r.tau, case)
+    return Generator(z, m, r.tau, case, log_y)
 
 
 class TestFamilyIsBranchByBranch:
@@ -372,36 +383,47 @@ class TestEnumerateBranches:
 
 
 class TestExpResidual:
-    """_validated's exp residual is max_diff(closed_exp(Z), R) bit for bit."""
-
-    entries = st.one_of(
-        st.sampled_from([0.0, -0.0, 1e-300, 1e300, math.inf, -math.inf, math.nan]),
-        st.builds(complex, st.floats(-50.0, 50.0), st.floats(-50.0, 50.0)))
-    maps = st.one_of(
-        st.builds(make, st.sampled_from(sorted(BUILDERS)), st.floats(1e-3, 4.0)),
-        st.builds(lambda a, b, c: custom(a, b, c, (1.0 + b * c) / a, 1.0),
-                  st.floats(0.1, 5.0), st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)),
-        st.just(IDENTITY), st.just(MINUS_IDENTITY))
-
-    @settings(max_examples=300)
-    @given(st.tuples(entries, entries, entries, entries), maps)
-    def test_bits_equal_max_diff(self, z, r):
-        z = Mat2C(*z)
-        try:
-            want = max_diff(closed_exp(z), r.as_mat2c())
-        except (OverflowError, ValueError) as exc:
-            with pytest.raises(type(exc)):
-                _exp_residual(z, r)
-            return
-        assert struct.pack("<d", _exp_residual(z, r)) == struct.pack("<d", want)
+    """A distinct-case branch is validated on exp(Z) - R = a I + b K, two
+    scalars of its carried eigenvalue L, not on a matrix exponential."""
 
     @pytest.mark.parametrize("name, tau", [("euler", 0.66), ("euler", 3.0),
                                            ("double-euler", 2.0), ("vp", 7.0)])
     def test_built_generators(self, name, tau):
+        # away from a ridge the exact form and max_diff(closed_exp(Z), R) agree
+        # to rounding
         r = make(name, tau)
+        _, eigen = classify(r)
         for g in generators_for(r, range(-3, 4)).generators:
-            want = max_diff(closed_exp(g.matrix), r.as_mat2c())
-            assert struct.pack("<d", _exp_residual(g.matrix, r)) == struct.pack("<d", want)
+            scale = max(1.0, r.max_abs()) * max(1.0, g.matrix.max_abs())
+            direct = max_diff(closed_exp(g.matrix, 1.0, g.log), r.as_mat2c())
+            assert abs(two_scalar_residual(r, eigen.d, g.log) - direct) <= \
+                64 * sys.float_info.epsilon * scale
+
+    def test_no_matrix_exponential_for_a_distinct_family(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("closed_exp called")
+
+        monkeypatch.setattr(shadowosc.shadow, "closed_exp", refuse)
+        for r in (euler(0.66), euler(3.0), double_euler(4.8)):
+            assert len(generators_for(r, range(-3, 4)).generators) == 7
+
+    @pytest.mark.parametrize("shift", [1e-6, 2.0 * math.pi / 3.0])
+    def test_a_wrong_logarithm_is_refused(self, shift):
+        r = euler(0.66)
+        _, eigen = classify(r)
+        wrong = EigenStructure(eigen.eigenvalue, eigen.angle + shift, eigen.modulus,
+                               eigen.degenerate, eigen.d)
+        with pytest.raises(NotTraceless):
+            generator_distinct(r, wrong, 0)
+
+    @pytest.mark.parametrize("d", [complex(math.nan, 0.0), complex(0.0, math.nan),
+                                   complex(math.inf, 0.0)])
+    def test_a_non_finite_eigenvalue_is_refused(self, d):
+        r = euler(0.66)
+        _, eigen = classify(r)
+        bad = EigenStructure(eigen.eigenvalue, eigen.angle, eigen.modulus, False, d)
+        with pytest.raises(NotTraceless):
+            generator_distinct(r, bad, 0)
 
 
 class TestNanResidual:
@@ -410,10 +432,10 @@ class TestNanResidual:
         r = euler(0.66)
         entries = list(r.as_mat2c().entries())
         entries[index] = complex(math.nan, 0.0)
-        monkeypatch.setattr(shadowosc.shadow, "closed_exp", lambda z: Mat2C(*entries))
-        assert math.isnan(_exp_residual(Mat2C(0.0, 0.0, 0.0, 0.0), r))
+        monkeypatch.setattr(shadowosc.shadow, "closed_exp",
+                            lambda z, s=1.0, delta=None: Mat2C(*entries))
         with pytest.raises(NotTraceless):
-            _validated(Mat2C(0.0, 0.0, 0.0, 0.0), 0, r, CaseTag.IA)
+            _validated(Mat2C(0.0, 0.0, 0.0, 0.0), 0, r, CaseTag.IA, 0j)
 
 
 maps_at_every_scale = st.one_of(
@@ -510,3 +532,50 @@ class TestExponentialIdentityProperty:
                 x1, _ = eigenvalues(g.matrix)
                 assert abs(x1) < 8.0
                 assert max_diff(taylor_exp(g.matrix, 40), r.as_mat2c()) <= 1e-9
+
+
+# (built-in, tau at which its trace is +-2): the T = +-2 ridges, and double-euler's
+# R = -I point, where |d| -> 0 and Z's entries grow like |L| / |d|
+RIDGES = [("euler", 2.0), ("velocity-verlet", 2.0), ("position-verlet", 2.0),
+          ("double-euler", 4.0), ("double-euler", 2.0 * math.sqrt(2.0)),
+          ("vp", locate_vp_critical_tau())]
+
+
+def assert_family_passes_through_r(r):
+    """Every branch m = -3..3 of r: its flow meets R's stored entries at t = tau
+    within verify.BOUND of max(1, |R|) * max(1, |Z|), and exp of its carried
+    log is the classified eigenvalue (or its reciprocal) to rounding.
+
+    The flow, not verify.series_exp, is read here: near a ridge |Z| is far
+    above |L|, and the oracle's squaring misses R by up to 9e7 * BOUND at
+    ridge +- 1e-8 on this same Z.
+    """
+    tag, eigen = classify(r)
+    family = generators_for(r, range(-3, 4))
+    assert family.generators, tag
+    rm = r.as_mat2c()
+    y = eigen.eigenvalue
+    for g in family.generators:
+        scale = max(1.0, rm.max_abs()) * max(1.0, g.matrix.max_abs())
+        assert max_diff(flow_matrix(g, r.tau), rm) <= BOUND * scale, g.branch
+        e = cmath.exp(g.log)
+        assert min(abs(e - y), abs(e - 1.0 / y)) <= BOUND * abs(y) * max(1.0, abs(g.log))
+
+
+class TestNearRidgeFamilies:
+    """Within 1e-2 ... 1e-8 of a ridge every built-in gets its family, and its
+    flows pass through R: before generators carried their log, validating
+    exp(Z) through delta recomputed from Z's entries refused six of these maps
+    and let others miss R by up to 2.7e3 * BOUND."""
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("name, ridge", RIDGES, ids=[f"{n}-{t:.6g}" for n, t in RIDGES])
+    def test_every_power_of_ten(self, name, ridge, sign):
+        for k in range(2, 9):
+            assert_family_passes_through_r(make(name, ridge + sign * 10.0 ** -k))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(RIDGES), st.sampled_from([1, -1]), st.floats(2.0, 8.0))
+    def test_between_powers_of_ten(self, ridge, sign, k):
+        name, at = ridge
+        assert_family_passes_through_r(make(name, at + sign * 10.0 ** -k))

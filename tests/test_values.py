@@ -38,7 +38,8 @@ CASES = [
      {"jordan_basis": None}),
     (TransitionMatrix, {"r1": 0.875, "r2": 0.5, "r3": -0.46875, "r4": 0.875, "tau": 0.5,
                         "label": "velocity-verlet"}, {}),
-    (Generator, {"matrix": Mat2C(0, 1, -1, 0), "branch": 1, "tau": 0.5, "case": CaseTag.IA}, {}),
+    (Generator, {"matrix": Mat2C(0, 1, -1, 0), "branch": 1, "tau": 0.5, "case": CaseTag.IA,
+                 "log": 1j}, {"log": None}),
     (ShadowHamiltonian, {"c_pp": 0.25 + 0j, "c_qq": 0.5j, "c_pq": -1 + 0j, "tau": 0.5,
                          "branch": -1, "case": CaseTag.IC, "real_valued": False,
                          "rate": 1 + 2j}, {"rate": None}),
@@ -96,6 +97,7 @@ def test_same_fields_in_another_class_are_not_equal():
     assert PhaseState(0.0, 1.0, 1.0) != CaseIIParams(0.0, 1.0, 1.0)
     matrix = Mat2C(0, 1, -1, 0)
     assert Generator(matrix, 1, 0.5, CaseTag.IA) != Generator(matrix, 2, 0.5, CaseTag.IA)
+    assert Generator(matrix, 1, 0.5, CaseTag.IA, 1j) != Generator(matrix, 1, 0.5, CaseTag.IA)
 
 
 @pytest.mark.parametrize("value, text", [
@@ -104,7 +106,7 @@ def test_same_fields_in_another_class_are_not_equal():
      "label='velocity-verlet')"),
     (Generator(Mat2C(0, 1, -1, 0), 1, 0.5, CaseTag.IA),
      "Generator(matrix=Mat2C(e11=0j, e12=(1+0j), e21=(-1+0j), e22=0j), branch=1, tau=0.5, "
-     "case=<CaseTag.IA: 'i-a'>)"),
+     "case=<CaseTag.IA: 'i-a'>, log=None)"),
     (ShadowHamiltonian(0.25 + 0j, 0.5j, -1.0 + 0j, 0.5, -1, CaseTag.IC, False),
      "ShadowHamiltonian(c_pp=(0.25+0j), c_qq=0.5j, c_pq=(-1+0j), tau=0.5, branch=-1, "
      "case=<CaseTag.IC: 'i-c'>, real_valued=False, rate=None)"),

@@ -376,6 +376,14 @@ class TestFullSuite:
             assert len(checks) == 2 * 42 + 42 + 5
             assert [c.name for c in checks if c.passed] == []
 
+    def test_perturbed_generator_recomputes_its_log(self):
+        # the shifted Z has other eigenvalues; inheriting the unperturbed log
+        # would read its flow as the unperturbed one's
+        g = generators_for(euler(0.66), [1]).generators[0]
+        shifted = verify._perturbed(g, 1e-9)
+        assert g.log is not None and shifted.log is None
+        assert flow_matrix(shifted, g.tau) != flow_matrix(g, g.tau)
+
     def test_no_false_failures_over_seeds(self):
         # before the residuals were read against their rounding, about one
         # suite in five failed H conservation of flow<i-c> tau=3 m=0
