@@ -15,7 +15,7 @@ exactly one generator (eigenvalue +1) or none at all (eigenvalue -1).
 Every generator is traceless by construction and carries its eigenvalue
 delta (Z's eigenvalues are +-delta) as ``Generator.log``: log(y, m) for the
 distinct cases, x1 for the scalar case and 0 for the Jordan case.  It is
-kept only if exp(Z), read with that delta, meets R to
+kept only if Z is finite and exp(Z), read with that delta, meets R to
 TOL * max(1, |R|) * max(1, |Z|), |.| the largest entry modulus: Z's rounding
 reaches exp(Z) scaled by both.  For distinct eigenvalues exp(Z) - R has the
 exact form (cosh L - T/2) I + (sinh L / d - 1) K, two scalars per branch;
@@ -191,10 +191,13 @@ _set_family_case, _set_eigen, _set_generators, _set_obstruction = GeneratorFamil
 
 def _check_exp(exp_resid: float, z: Mat2C, r: TransitionMatrix) -> None:
     """Raise NotTraceless unless max|exp(Z) - R| is within TOL of
-    max(1, |R|) * max(1, |Z|); a NaN residual fails."""
+    max(1, |R|) * max(1, |Z|); a NaN residual fails, and so does a non-finite
+    Z, whose scale would hold any residual."""
+    z_max = nan_max(abs(z.e11), abs(z.e12), abs(z.e21), abs(z.e22))
+    if not z_max < math.inf:
+        exp_resid = math.nan
     # both scale factors are at least 1, so a residual within TOL needs neither
-    if not exp_resid <= TOL and exceeds(exp_resid,
-                                        max(1.0, r.max_abs()) * max(1.0, z.max_abs())):
+    if not exp_resid <= TOL and exceeds(exp_resid, max(1.0, r.max_abs()) * max(1.0, z_max)):
         raise NotTraceless(
             f"exp(Z) reproduces {r.label} only to {exp_resid:.3e}"
         )
@@ -243,15 +246,19 @@ def _distinct_generators(r: TransitionMatrix, eigen: EigenStructure,
     for branch in branches:
         log = complex(log_abs, angle + 2.0 * math.pi * branch)
         factor = log / d
-        diag = factor * k11
-        z = Mat2C(diag, factor * k12, factor * k21, -diag)
+        diag, z12, z21 = factor * k11, factor * k12, factor * k21
+        z = Mat2C(diag, z12, z21, -diag)
         a = cosh(log) - half_trace
         b = sinh(log) / d - 1.0
         bk11 = b * k11
         # the entries of |exp(Z) - R|; a sum within TOL holds each of them
-        # within it, and a NaN sum is not within it
+        # within it, and a NaN sum is not within it.  Z's entries, about L/d
+        # times K's, can overflow where a and b do not: a finite sum of their
+        # moduli passes, anything else goes to _check_exp, which refuses a
+        # non-finite Z.
         e11, e12, e21, e22 = abs(a + bk11), abs(b * k12), abs(b * k21), abs(a - bk11)
-        if not e11 + e12 + e21 + e22 <= TOL:
+        if not (e11 + e12 + e21 + e22 <= TOL
+                and abs(diag) + abs(z12) + abs(z21) < math.inf):
             _check_exp(nan_max(e11, e12, e21, e22), z, r)
         gens.append(Generator(z, branch, tau, case, log))
     return tuple(gens)

@@ -2,6 +2,7 @@ import cmath
 import math
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from shadowosc.integrators import BUILDERS, custom, double_euler, euler, make, v
 from shadowosc.shadow import (
     CaseIIParams,
     Generator,
+    _check_exp,
     _validated,
     euler_hamiltonian,
     euler_rate,
@@ -32,7 +34,13 @@ from shadowosc.shadow import (
     hamiltonian_from_generator,
 )
 from shadowosc.flow import flow_matrix
-from shadowosc.verify import BOUND, locate_vp_critical_tau, series_exp, taylor_exp
+from shadowosc.verify import (
+    BOUND,
+    check_conservation,
+    locate_vp_critical_tau,
+    series_exp,
+    taylor_exp,
+)
 
 from conftest import quadratic_roots
 
@@ -425,6 +433,36 @@ class TestExpResidual:
         with pytest.raises(NotTraceless):
             generator_distinct(r, bad, 0)
 
+    # i-b with |K| about 5e307: branch 0's Z is finite, branch +-1's is about
+    # 6 times K and overflows, which would make its scale hold any residual
+    OVERFLOWING = custom(1.5, 5e307, 2.5e-308, 1.5, 1.0)
+
+    def test_an_overflowing_generator_is_refused(self):
+        r = self.OVERFLOWING
+        (g,) = generators_for(r, [0]).generators
+        assert math.isfinite(g.matrix.max_abs())
+        for branches in ([0, 1], [-1, 0]):
+            with pytest.raises(NotTraceless, match="only to nan"):
+                generators_for(r, branches)
+
+    def test_an_overflowing_generator_is_refused_when_both_scalars_vanish(
+            self, monkeypatch):
+        r = self.OVERFLOWING
+        _, eigen = classify(r)
+        exact = SimpleNamespace(cosh=lambda log: r.trace() / 2.0, sinh=lambda log: eigen.d)
+        monkeypatch.setattr(shadowosc.shadow, "cmath", exact)
+        assert generator_distinct(r, eigen, 0).branch == 0
+        with pytest.raises(NotTraceless, match="only to nan"):
+            generator_distinct(r, eigen, 1)
+
+    @pytest.mark.parametrize("index", range(4))
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_a_non_finite_z_fails_any_residual(self, index, bad):
+        entries = [0.0j] * 4
+        entries[index] = complex(bad, 0.0)
+        with pytest.raises(NotTraceless):
+            _check_exp(0.0, Mat2C(*entries), euler(0.66))
+
 
 class TestNanResidual:
     @pytest.mark.parametrize("index", range(4))
@@ -549,6 +587,15 @@ def assert_family_passes_through_r(r):
     The flow, not verify.series_exp, is read here: near a ridge |Z| is far
     above |L|, and the oracle's squaring misses R by up to 9e7 * BOUND at
     ridge +- 1e-8 on this same Z.
+
+    Between the steps the flow is exp((t/tau) Z') with Z' = (L / delta_Z) Z,
+    delta_Z the eigenvalue of Z's stored entries, which near a ridge differs
+    from L by about eps * |K|**2 / |d|**2 (up to 4e-8 at ridge +- 1e-8).  Z'
+    is a multiple of Z, so the flow keeps H's level sets and scales H by
+    det E(t) = 1 - 2 (delta_Z**2 / L**2 - 1) sinh(sL)**2.  That det is held to
+    the rounding of a det read from E's entries, BOUND * max(1, |E|)**2, at
+    t = tau/2, and H to verify's conservation check over [0, 10 tau].  Neither
+    sees the cancellation error of d itself, which Z = (L / d) K carries.
     """
     tag, eigen = classify(r)
     family = generators_for(r, range(-3, 4))
@@ -560,6 +607,9 @@ def assert_family_passes_through_r(r):
         assert max_diff(flow_matrix(g, r.tau), rm) <= BOUND * scale, g.branch
         e = cmath.exp(g.log)
         assert min(abs(e - y), abs(e - 1.0 / y)) <= BOUND * abs(y) * max(1.0, abs(g.log))
+        half = flow_matrix(g, r.tau / 2.0)
+        assert abs(half.det() - 1.0) <= BOUND * max(1.0, half.max_abs()) ** 2, g.branch
+        assert check_conservation(hamiltonian_from_generator(g), g).passed, g.branch
 
 
 class TestNearRidgeFamilies:
