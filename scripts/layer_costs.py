@@ -8,7 +8,8 @@ Each layer is one call timed with ``timeit``: the best of 7 repeats of N
 calls, in microseconds per call; the two slow layers, a 1,000-sample flow
 pass and ``build_parser``, take N/100 calls per repeat.  The map is ``vp``
 at tau = 0.66 (an i-a map) with branches m = -1, 0, 1, the family a
-``sweep`` grid point builds.  "flow_sample" is one row of that
+``sweep`` grid point builds; "sweep_point" is ``cli._sweep_row``, the
+code ``sweep`` runs per grid point.  "flow_sample" is one row of that
 streamed flow and "csv_row" formats one such row with the flow CSV's %.17g
 pattern.  Times are raw, not scaled to a reference speed, so compare
 numbers taken on one machine in one session.
@@ -26,9 +27,9 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from shadowosc import cli, flow
 from shadowosc.algebra import Mat2C, closed_exp
-from shadowosc.classifier import classify, criticality_gap
+from shadowosc.classifier import classify
 from shadowosc.integrators import make
-from shadowosc.shadow import generators_for, hamiltonian_from_generator
+from shadowosc.shadow import generators_for, hamiltonian_from_generator, real_valued
 
 TAU = 0.66
 BRANCHES = range(-1, 2)
@@ -46,12 +47,6 @@ def layers() -> dict:
     energy = hamiltonian_from_generator(g).evaluate(q, p)
     row = (t, q.real, q.imag, p.real, p.imag, energy.real, energy.imag)
 
-    def sweep_point():
-        m = make("vp", TAU)
-        family = generators_for(m, BRANCHES)
-        n_real = sum(hamiltonian_from_generator(x).real_valued for x in family.generators)
-        return TAU, family.case.value, m.trace(), criticality_gap(m), n_real
-
     return {
         "Mat2C": (lambda: Mat2C(z.e11, z.e12, z.e21, z.e22), 1),
         "closed_exp": (lambda: closed_exp(z), 1),
@@ -59,7 +54,8 @@ def layers() -> dict:
         "classify": (lambda: classify(r), 1),
         "generators_for_3": (lambda: generators_for(r, BRANCHES), 1),
         "hamiltonian_from_generator": (lambda: hamiltonian_from_generator(g), 1),
-        "sweep_point": (sweep_point, 1),
+        "real_valued": (lambda: real_valued(g), 1),
+        "sweep_point": (lambda: cli._sweep_row("vp", TAU, BRANCHES, None), 1),
         "flow_sample": (lambda: deque(trajectory.rows(), 0), len(trajectory)),
         "csv_row": (lambda: flow._CSV_ROW % row, 1),
         "build_parser": (cli.build_parser, 1),

@@ -12,6 +12,8 @@ The calls, in order:
 
 - ``sweep --grid GRID`` for each built-in, in CSV and JSON (default grid
   0.001:10:0.001);
+- ``sweep --m-min -3 --m-max 3`` for each built-in on the one-point grids
+  ``ERROR_GRIDS``, each of which exits with an error;
 - ``classify`` and ``hamiltonian --m-min -3 --m-max 3`` for N draws of a
   built-in and tau log-uniform in [1e-12, 1e6], the format alternating;
 - ``hamiltonian --m-min -3 --m-max 3`` for each built-in at tau = ridge +-
@@ -43,6 +45,9 @@ from pathlib import Path
 BUILT_INS = ("double-euler", "euler", "position-verlet", "velocity-verlet", "vp")
 BRANCHES = ("--m-min", "-3", "--m-max", "3")
 SEED = 16
+# one point each: a tau so small that the coefficients overflow, and taus so
+# large that the map's entries, or at 1e154 Euler's eigenvalue arithmetic, overflow
+ERROR_GRIDS = ("1e-310:1e-310:1", "1e300:1e300:1", "1e154:1e154:1")
 
 
 def _conjugated(rng: random.Random, hyperbolic: bool) -> tuple[float, ...]:
@@ -83,6 +88,9 @@ def call_set(count: int, grid: str, verify_seeds: int,
     for name in BUILT_INS:
         for fmt in ("csv", "json"):
             calls.append(["sweep", "--integrator", name, "--grid", grid, "--format", fmt])
+    for error_grid in ERROR_GRIDS:
+        for name in BUILT_INS:
+            calls.append(["sweep", "--integrator", name, f"--grid={error_grid}", *BRANCHES])
     ridges = {"double-euler": 4.0, "euler": 2.0, "position-verlet": 2.0,
               "velocity-verlet": 2.0, "vp": vp_ridge}
     for name, ridge in ridges.items():

@@ -39,6 +39,7 @@ from .shadow import (
     euler_hamiltonian,
     generators_for,
     hamiltonian_from_generator,
+    real_valued,
 )
 from .verify import DEFAULT_SEED, full_suite, report_table
 
@@ -255,6 +256,16 @@ def _write_trajectory(path: Path, trajectory, hamiltonian, fmt: str) -> None:
     write(path, trajectory, hamiltonian)
 
 
+def _sweep_row(integrator: str, tau: float, branches: range,
+              params: CaseIIParams | None) -> tuple[float, str, float, float, int]:
+    """One ``sweep`` grid point: tau, case, trace, |T^2 - 4| and the number of
+    real branch Hamiltonians, read off the generators without building them."""
+    r = make(integrator, tau)
+    family = generators_for(r, branches, params)
+    return (tau, family.case.value, r.trace(), criticality_gap(r),
+            sum(map(real_valued, family.generators)))
+
+
 def cmd_sweep(args) -> int:
     taus = _parse_grid(args.grid)
     if not taus:
@@ -262,12 +273,7 @@ def cmd_sweep(args) -> int:
         return USAGE_ERROR
     params = _resolve_params(args)
     branches = _branches(args)
-    rows = []
-    for tau in taus:
-        r = make(args.integrator, tau)
-        family = generators_for(r, branches, params)
-        n_real = sum(hamiltonian_from_generator(g).real_valued for g in family.generators)
-        rows.append((tau, family.case.value, r.trace(), criticality_gap(r), n_real))
+    rows = [_sweep_row(args.integrator, tau, branches, params) for tau in taus]
     if args.format == "json":
         keys = ("tau", "case", "trace", "criticality_gap", "n_real")
         _emit(json.dumps({"integrator": args.integrator,

@@ -21,6 +21,12 @@ reaches exp(Z) scaled by both.  For distinct eigenvalues exp(Z) - R has the
 exact form (cosh L - T/2) I + (sinh L / d - 1) K, two scalars per branch;
 the scalar and Jordan generators are checked through ``closed_exp``.
 
+The three coefficients are read off Z by one helper, which
+``hamiltonian_from_generator`` and ``real_valued`` share: ``real_valued(g)``
+is the Hamiltonian's ``real_valued`` flag, with the same trace and
+finiteness checks, but builds no ``ShadowHamiltonian``; ``sweep`` counts
+real branches with it.
+
 For the explicit Euler map the branch family also has a closed form,
 H = rate * (p**2 + q**2 - tau*p*q) / (tau * sqrt(|4 - tau**2|)); see
 ``euler_rate``.  For tau > 2 its branch labels run opposite to the
@@ -84,6 +90,15 @@ class Generator(Value):
 _set_matrix, _set_branch, _set_tau, _set_case, _set_log = Generator._setters
 
 
+def _check_finite(c_pp: complex, c_qq: complex, c_pq: complex, tau: float,
+                  branch: int) -> None:
+    """Raise OutOfRange unless the three coefficients are finite."""
+    if not (cmath.isfinite(c_pp) and cmath.isfinite(c_qq) and cmath.isfinite(c_pq)):
+        raise OutOfRange(
+            f"branch m={branch} Hamiltonian at tau={tau:g} has non-finite "
+            f"coefficients cA = {c_pp}, cB = {c_qq}, cC = {c_pq}")
+
+
 class ShadowHamiltonian(Value):
     """Quadratic form c_pp*p**2 + c_qq*q**2 + c_pq*p*q with complex coefficients."""
 
@@ -91,10 +106,7 @@ class ShadowHamiltonian(Value):
 
     def __init__(self, c_pp: complex, c_qq: complex, c_pq: complex, tau: float, branch: int,
                  case: CaseTag, real_valued: bool, rate: complex | None = None):
-        if not (cmath.isfinite(c_pp) and cmath.isfinite(c_qq) and cmath.isfinite(c_pq)):
-            raise OutOfRange(
-                f"branch m={branch} Hamiltonian at tau={tau:g} has non-finite "
-                f"coefficients cA = {c_pp}, cB = {c_qq}, cC = {c_pq}")
+        _check_finite(c_pp, c_qq, c_pq, tau, branch)
         _set_c_pp(self, c_pp)
         _set_c_qq(self, c_qq)
         _set_c_pq(self, c_pq)
@@ -307,18 +319,30 @@ def _is_real(c_pp: complex, c_qq: complex, c_pq: complex) -> bool:
     return imag == 0.0 or not exceeds(imag, max(abs(c_pp), abs(c_qq), abs(c_pq)))
 
 
-def hamiltonian_from_generator(g: Generator) -> ShadowHamiltonian:
-    """Read the quadratic coefficients off a generator traceless to TOL * max(1, |Z|)."""
+def _coefficients(g: Generator) -> tuple[complex, complex, complex]:
+    """(c_pp, c_qq, c_pq) of a generator traceless to TOL * max(1, |Z|)."""
     z = g.matrix
     trace = abs(z.trace())
     # generators built here have trace exactly 0 and need no scale
     if trace and exceeds(trace, max(1.0, z.max_abs())):
         raise NotTraceless(f"trace residual {trace:.3e}")
-    c_pp = z.e12 / (2.0 * g.tau)
-    c_qq = -z.e21 / (2.0 * g.tau)
-    c_pq = z.e11 / g.tau
+    tau = g.tau
+    return z.e12 / (2.0 * tau), -z.e21 / (2.0 * tau), z.e11 / tau
+
+
+def hamiltonian_from_generator(g: Generator) -> ShadowHamiltonian:
+    """Read the quadratic coefficients off a generator traceless to TOL * max(1, |Z|)."""
+    c_pp, c_qq, c_pq = _coefficients(g)
     return ShadowHamiltonian(c_pp, c_qq, c_pq, g.tau, g.branch, g.case,
                              _is_real(c_pp, c_qq, c_pq))
+
+
+def real_valued(g: Generator) -> bool:
+    """``hamiltonian_from_generator(g).real_valued``, with its checks, but
+    without building the Hamiltonian."""
+    c_pp, c_qq, c_pq = _coefficients(g)
+    _check_finite(c_pp, c_qq, c_pq, g.tau, g.branch)
+    return _is_real(c_pp, c_qq, c_pq)
 
 
 def euler_rate(tau: float, branch: int) -> complex:

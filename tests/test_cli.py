@@ -4,7 +4,7 @@ import tracemalloc
 
 import pytest
 
-from shadowosc import cli
+from shadowosc import cli, shadow
 from shadowosc.algebra import max_diff
 from shadowosc.cli import main
 from shadowosc.errors import (
@@ -18,7 +18,7 @@ from shadowosc.errors import (
     UnknownIntegrator,
 )
 from shadowosc.flow import flow_matrix
-from shadowosc.integrators import euler, make
+from shadowosc.integrators import BUILDERS, euler, make
 from shadowosc.shadow import generators_for
 from shadowosc.verify import BOUND, locate_vp_critical_tau
 
@@ -193,6 +193,17 @@ def test_non_finite_coefficients_are_an_error(capsys, tmp_path, command, integra
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("integrator", sorted(BUILDERS))
+def test_sweep_non_finite_coefficients_are_an_error(capsys, integrator):
+    # tau = 1e-310 is subnormal: Z/(2 tau) overflows on branch m = -3 first
+    code, out, err = run(capsys, "sweep", "--integrator", integrator,
+                         "--grid=1e-310:1e-310:1", "--m-min", "-3", "--m-max", "3")
+    assert code == 1
+    assert out == ""
+    assert err == ("error: branch m=-3 Hamiltonian at tau=1e-310 has non-finite "
+                   "coefficients cA = -infj, cB = infj, cC = -0j\n")
+
+
 def test_flow_too_many_discrete_steps_is_usage_error(capsys, tmp_path):
     code, _, err = run(capsys, "flow", "--integrator", "velocity-verlet", "--tau", "5e-324",
                        "--m-min", "0", "--m-max", "0", "--out", str(tmp_path / "out"))
@@ -269,6 +280,66 @@ class TestSweep:
         code, _, err = run(capsys, "sweep", "--integrator", "euler",
                            "--grid", "3:1:0.1")
         assert code == 2
+
+
+class TestRealBranchPattern:
+    """The paper's count: every requested branch of a bounded (i-a) map has a
+    real Hamiltonian, only branch 0 of an i-b map and the Jordan generator of
+    iii-a do, and none of an i-c or iii-b map."""
+
+    WINDOW = 1e-3
+
+    @staticmethod
+    def expected(case, requested):
+        return {"i-a": requested, "i-b": 1, "i-c": 0, "iii-a": 1, "iii-b": 0}[case]
+
+    def sweep_rows(self, capsys, integrator, grid, m_min=-1, m_max=1):
+        code, out, err = run(capsys, "sweep", "--integrator", integrator, f"--grid={grid}",
+                             "--m-min", str(m_min), "--m-max", str(m_max), "--format", "json")
+        assert (code, err) == (0, "")
+        return json.loads(out)["rows"]
+
+    @pytest.mark.parametrize("integrator", sorted(BUILDERS))
+    def test_coarse_grid_and_ridge_window(self, capsys, integrator):
+        ridge = {"double-euler": 4.0, "vp": locate_vp_critical_tau()}.get(integrator, 2.0)
+        grids = ["0.013:10:0.013",
+                 f"{ridge - self.WINDOW!r}:{ridge + self.WINDOW!r}:{self.WINDOW / 100!r}"]
+        cases = set()
+        for grid in grids:
+            for row in self.sweep_rows(capsys, integrator, grid):
+                cases.add(row["case"])
+                assert row["n_real"] == self.expected(row["case"], 3), row
+        # both sides of the ridge and the ridge itself are covered
+        beyond = {"double-euler": {"i-b", "iii-a"}}.get(integrator, {"i-c", "iii-b"})
+        assert cases == {"i-a"} | beyond
+
+    @pytest.mark.parametrize("tau", ["1e-12", "1e6", "1e11"])
+    @pytest.mark.parametrize("integrator", sorted(BUILDERS))
+    def test_extreme_tau(self, capsys, integrator, tau):
+        (row,) = self.sweep_rows(capsys, integrator, f"{tau}:{tau}:1", -3, 3)
+        assert row["n_real"] == self.expected(row["case"], 7), row
+
+    def test_i_b_counts_branch_zero_only_when_requested(self, capsys):
+        (row,) = self.sweep_rows(capsys, "double-euler", "4.5:4.5:1", 1, 3)
+        assert (row["case"], row["n_real"]) == ("i-b", 0)
+
+
+def test_sweep_builds_no_hamiltonian_record(capsys, monkeypatch):
+    built = []
+    init = shadow.ShadowHamiltonian.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(shadow.ShadowHamiltonian, "__init__", counting_init)
+    for integrator in sorted(BUILDERS):
+        code, _, _ = run(capsys, "sweep", "--integrator", integrator, "--grid", "0.5:5:0.5")
+        assert code == 0
+    assert built == []
+    # the hamiltonian command still builds one record per branch
+    code, _, _ = run(capsys, "hamiltonian", "--integrator", "vp", "--tau", "0.5")
+    assert (code, len(built)) == (0, 3)
 
 
 class TestVerify:

@@ -33,7 +33,8 @@ def test_layer_costs(tmp_path):
     costs = json.loads(done.stdout)["layers"]
     assert sorted(costs) == sorted([
         "Mat2C", "closed_exp", "make_vp", "classify", "generators_for_3",
-        "hamiltonian_from_generator", "sweep_point", "flow_sample", "csv_row", "build_parser"])
+        "hamiltonian_from_generator", "real_valued", "sweep_point", "flow_sample", "csv_row",
+        "build_parser"])
     assert all(cost > 0 for cost in costs.values())
 
 
@@ -56,13 +57,17 @@ def test_output_digest(tmp_path):
     done = run_script(*args, cwd=tmp_path)
     assert done.returncode == 0, done.stderr
     lines = [json.loads(line) for line in done.stdout.splitlines()]
-    # 10 sweeps, 90 near-ridge calls, 8 built-in and 8 custom draws of two calls
-    # each, one verify
-    assert len(lines) == 10 + 90 + 2 * 8 + 2 * 8 + 1
+    # 10 sweeps, 15 failing sweeps, 90 near-ridge calls, 8 built-in and 8 custom
+    # draws of two calls each, one verify
+    assert len(lines) == 10 + 15 + 90 + 2 * 8 + 2 * 8 + 1
     assert lines[0]["argv"] == ["sweep", "--integrator", "double-euler", "--grid", "1:2:0.5",
                                 "--format", "csv"]
     assert lines[-1]["argv"] == ["verify", "--seed", "1"]
     assert all(sorted(line) == ["argv", "exit", "stderr", "stdout"] for line in lines)
-    # rejected custom input exits 2 (non-finite entries, det far from 1)
-    assert {line["exit"] for line in lines} == {0, 2}
+    assert lines[10]["argv"] == ["sweep", "--integrator", "double-euler",
+                                 "--grid=1e-310:1e-310:1", "--m-min", "-3", "--m-max", "3"]
+    # overflowing coefficients and Euler's overflowing eigenvalue arithmetic exit 1;
+    # non-finite entries and det far from 1 exit 2
+    assert [line["exit"] for line in lines[10:25]] == [1] * 5 + [2] * 5 + [2, 1, 2, 2, 2]
+    assert {line["exit"] for line in lines} == {0, 1, 2}
     assert run_script(*args, cwd=tmp_path).stdout == done.stdout

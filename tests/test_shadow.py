@@ -18,9 +18,12 @@ from shadowosc.errors import (
     NoHamiltonian,
     NotDefective,
     NotTraceless,
+    OutOfRange,
+    ShadowOscError,
 )
 from shadowosc.integrators import BUILDERS, custom, double_euler, euler, make, velocity_verlet
 from shadowosc.shadow import (
+    PARAM_PRESETS,
     CaseIIParams,
     Generator,
     _check_exp,
@@ -32,6 +35,7 @@ from shadowosc.shadow import (
     generator_scalar,
     generators_for,
     hamiltonian_from_generator,
+    real_valued,
 )
 from shadowosc.flow import flow_matrix
 from shadowosc.verify import (
@@ -544,6 +548,62 @@ class TestRealValuedAtLargeTau:
         assert got == want
         if name == "euler":
             assert not any(euler_hamiltonian(tau, m).real_valued for m in range(-2, 3))
+
+
+def outcome(read, g):
+    """read(g), or the type and message of the error it raises."""
+    try:
+        return read(g)
+    except ShadowOscError as exc:
+        return type(exc), str(exc)
+
+
+def assert_real_valued_agrees(g):
+    want = outcome(lambda x: hamiltonian_from_generator(x).real_valued, g)
+    assert outcome(real_valued, g) == want
+
+
+def conjugated(x, shear, hyperbolic, tau):
+    """S M S^-1 with S = [[1, shear], [0, 1]] and M a rotation or a boost by x."""
+    c, si, m21 = ((math.cosh(x), math.sinh(x), math.sinh(x)) if hyperbolic
+                  else (math.cos(x), math.sin(x), -math.sin(x)))
+    return custom(c + shear * m21, si - shear * shear * m21, m21, c - shear * m21, tau)
+
+
+class TestRealValuedReadsTheGenerator:
+    """``real_valued(g)`` is ``hamiltonian_from_generator(g).real_valued``,
+    and raises what building the Hamiltonian raises."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(sorted(BUILDERS)), st.floats(-12.0, 6.0).map(lambda e: 10.0 ** e))
+    def test_built_ins(self, name, tau):
+        for g in generators_for(make(name, tau), range(-3, 4)).generators:
+            assert_real_valued_agrees(g)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(0.1, 3.0), st.floats(0.0, 3.0).map(lambda e: 10.0 ** e), st.booleans(),
+           st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e))
+    def test_conjugated_rotations_and_boosts(self, x, shear, hyperbolic, tau):
+        for g in generators_for(conjugated(x, shear, hyperbolic, tau), range(-3, 4)).generators:
+            assert_real_valued_agrees(g)
+
+    @pytest.mark.parametrize("preset", sorted(PARAM_PRESETS))
+    @pytest.mark.parametrize("r", [IDENTITY, MINUS_IDENTITY], ids=["I", "-I"])
+    def test_scalar_maps_under_every_preset(self, r, preset):
+        for m in range(-3, 4):
+            assert_real_valued_agrees(generator_scalar(r, m, PARAM_PRESETS[preset]()))
+
+    @pytest.mark.parametrize("name", sorted(BUILDERS))
+    def test_overflowing_coefficients_raise_alike(self, name):
+        (g,) = generators_for(make(name, 1e-310), [-3]).generators
+        assert outcome(real_valued, g)[0] is OutOfRange
+        assert_real_valued_agrees(g)
+
+    @pytest.mark.parametrize("z", [Mat2C(1.0, 0.0, 0.0, 0.0), Mat2C(math.nan, 1.0, 1.0, 0.0)])
+    def test_a_generator_with_a_trace_raises_alike(self, z):
+        g = Generator(z, 0, 1.0, CaseTag.IA)
+        assert outcome(real_valued, g)[0] is NotTraceless
+        assert_real_valued_agrees(g)
 
 
 class TestExponentialIdentityProperty:
