@@ -6,12 +6,17 @@ Usage:
 
 Each layer is one call timed with ``timeit``: the best of 7 repeats of N
 calls, in microseconds per call; the two slow layers, a 1,000-sample flow
-pass and ``build_parser``, take N/100 calls per repeat.  The map is ``vp``
+pass and ``build_parser``, take N/100 calls per repeat, and "flow_file" takes
+N/1000.  The map is ``vp``
 at tau = 0.66 (an i-a map) with branches m = -1, 0, 1, the family a
 ``sweep`` grid point builds; "sweep_point" is ``cli._sweep_row``, the
 code ``sweep`` runs per grid point.  "flow_sample" is one row of that
 streamed flow and "csv_row" formats one such row with the flow CSV's %.17g
-pattern.  Times are raw, not scaled to a reference speed, so compare
+pattern.  "flow_file" is one ``flow.write_trajectory_csv`` of the closed-form
+Euler flow at tau = 0.66 on [0, 150] at step 0.01 (15,001 rows, the Euler file
+of the flow-dense benchmark workload) into a temporary directory, in
+microseconds per file: the one layer that sees a file written as several
+row ranges.  Times are raw, not scaled to a reference speed, so compare
 numbers taken on one machine in one session.
 """
 
@@ -19,6 +24,7 @@ import argparse
 import json
 import platform
 import sys
+import tempfile
 import timeit
 from collections import deque
 from pathlib import Path
@@ -29,15 +35,21 @@ from shadowosc import cli, flow
 from shadowosc.algebra import Mat2C, closed_exp
 from shadowosc.classifier import classify
 from shadowosc.integrators import make
-from shadowosc.shadow import generators_for, hamiltonian_from_generator, real_valued
+from shadowosc.shadow import (
+    euler_hamiltonian,
+    generators_for,
+    hamiltonian_from_generator,
+    real_valued,
+)
 
 TAU = 0.66
 BRANCHES = range(-1, 2)
 REPEAT = 7
 FLOW_SAMPLES = 1000
+SLOW = {"flow_sample": 100, "build_parser": 100, "flow_file": 1000}  # N / divisor calls
 
 
-def layers() -> dict:
+def layers(directory: Path) -> dict:
     """Layer name -> (zero-argument callable, calls it stands for)."""
     r = make("vp", TAU)
     g = generators_for(r, BRANCHES).generators[1]
@@ -46,6 +58,8 @@ def layers() -> dict:
     q, p, t = next(trajectory.rows())
     energy = hamiltonian_from_generator(g).evaluate(q, p)
     row = (t, q.real, q.imag, p.real, p.imag, energy.real, energy.imag)
+    euler_file = flow.euler_trajectory(TAU, 0, 1.0, 0.0, 150.0, 0.01)
+    euler_h = euler_hamiltonian(TAU, 0)
 
     return {
         "Mat2C": (lambda: Mat2C(z.e11, z.e12, z.e21, z.e22), 1),
@@ -58,6 +72,8 @@ def layers() -> dict:
         "sweep_point": (lambda: cli._sweep_row("vp", TAU, BRANCHES, None), 1),
         "flow_sample": (lambda: deque(trajectory.rows(), 0), len(trajectory)),
         "csv_row": (lambda: flow._CSV_ROW % row, 1),
+        "flow_file": (lambda: flow.write_trajectory_csv(directory / "flow.csv", euler_file,
+                                                        euler_h), 1),
         "build_parser": (cli.build_parser, 1),
     }
 
@@ -66,17 +82,18 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--number", type=int, default=2000,
-                        help="calls per repeat (N/100 for the flow pass and build_parser)")
+                        help="calls per repeat (N/100 for the flow pass and build_parser, "
+                             "N/1000 for flow_file)")
     args = parser.parse_args()
     if args.number < 1:
         parser.error("--number must be at least 1")
 
     costs = {}
-    for name, (call, per) in layers().items():
-        number = max(1, args.number // 100) if name in ("flow_sample", "build_parser") \
-            else args.number
-        best = min(timeit.repeat(call, number=number, repeat=REPEAT))
-        costs[name] = round(best / number / per * 1e6, 3)
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, (call, per) in layers(Path(tmp)).items():
+            number = max(1, args.number // SLOW.get(name, 1))
+            best = min(timeit.repeat(call, number=number, repeat=REPEAT))
+            costs[name] = round(best / number / per * 1e6, 3)
     print(json.dumps({"python": platform.python_version(), "integrator": "vp",
                       "tau": TAU, "branches": list(BRANCHES), "number": args.number,
                       "repeat": REPEAT, "unit": "us per call", "layers": costs},

@@ -2,13 +2,16 @@
 """Digest the CLI's output over a fixed, seeded call set, one JSON line per call.
 
 Usage:
-    python scripts/output_digest.py CHECKOUT [--count N]
-                                    [--grid START:STOP:STEP] [--verify-seeds K]
+    python scripts/output_digest.py CHECKOUT [--count N] [--grid START:STOP:STEP]
+                                    [--verify-seeds K] [--flow-dt DT]
 
 Imports ``shadowosc`` from CHECKOUT/src and calls ``cli.main`` in process.
 Each line holds the call's argv, its exit code and the sha256 of its stdout
-and of its stderr.  The draws below come from one fixed seed (``SEED``).
-The calls, in order:
+and of its stderr.  A ``flow`` call writes into a new temporary directory,
+named ``<out>`` in its argv and its stdout; its line also holds the sha256 of
+each file the directory holds afterwards, by name, so a leftover partial file
+shows.  The draws below come from one fixed seed (``SEED``).  The calls, in
+order:
 
 - ``sweep --grid GRID`` for each built-in, in CSV and JSON (default grid
   0.001:10:0.001);
@@ -22,6 +25,12 @@ The calls, in order:
 - ``classify`` and ``hamiltonian`` for N ``custom`` maps: conjugated rotations
   and boosts with entries up to about 1e6, the scalar, Jordan and near-ridge
   maps, and rejected input (det far from 1, non-finite entries);
+- ``flow`` (``FLOW_CALLS``, at step DT, default 0.01): each built-in at an
+  i-a tau and at an i-b or i-c tau, in CSV and JSON, with 3,001 to 150,001
+  rows per branch; the scalar maps +-I and the Jordan shear; Euler at its
+  iii-b tau, which writes the discrete file alone; and Euler and
+  velocity-verlet at tau = 3 to t = 1500 and 1200, which leave double range
+  at t = 1113, past the first row range of a file written in several;
 - ``verify --seed k`` for k = 1..K (default 12).
 
 The same arguments give the same call set, so comparing two trees is a
@@ -39,6 +48,7 @@ import json
 import math
 import random
 import sys
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -48,6 +58,25 @@ SEED = 16
 # one point each: a tau so small that the coefficients overflow, and taus so
 # large that the map's entries, or at 1e154 Euler's eigenvalue arithmetic, overflow
 ERROR_GRIDS = ("1e-310:1e-310:1", "1e300:1e300:1", "1e154:1e154:1")
+OUT = "<out>"  # a flow call's output directory
+# (flags, t_end, format) of each flow call; rows per branch are t_end / dt + 1
+FLOW_CALLS = (
+    *((["--integrator", name, "--tau", tau], t_end, fmt)
+      for name, i_a, i_bc in (("double-euler", "0.66", "4.8"), ("euler", "0.66", "3"),
+                              ("position-verlet", "0.66", "3"),
+                              ("velocity-verlet", "0.66", "3"), ("vp", "0.66", "5"))
+      for tau, t_end_csv, t_end_json in ((i_a, "1500", "300"), (i_bc, "300", "30"))
+      for t_end, fmt in ((t_end_csv, "csv"), (t_end_json, "json"))),
+    (["--integrator", "custom", "--r", "1,0,0,1", "--tau", "1", "--params", "real-rotation"],
+     "100", "csv"),
+    (["--integrator", "custom", "--r=-1,0,0,-1", "--tau", "1", "--params", "hyperbolic"],
+     "100", "json"),
+    (["--integrator", "custom", "--r", "1,1,0,1", "--tau", "1", "--q0", "-0.5", "--p0", "1"],
+     "100", "csv"),
+    (["--integrator", "euler", "--tau", "2"], "100", "csv"),
+    (["--integrator", "euler", "--tau", "3"], "1500", "csv"),
+    (["--integrator", "velocity-verlet", "--tau", "3"], "1200", "json"),
+)
 
 
 def _conjugated(rng: random.Random, hyperbolic: bool) -> tuple[float, ...]:
@@ -81,7 +110,7 @@ def _custom_entries(rng: random.Random, k: int) -> tuple[float, ...] | str:
     return "nan,0,0,1"
 
 
-def call_set(count: int, grid: str, verify_seeds: int,
+def call_set(count: int, grid: str, verify_seeds: int, flow_dt: float,
              vp_ridge: float) -> list[list[str]]:
     rng = random.Random(SEED)
     calls = []
@@ -114,6 +143,9 @@ def call_set(count: int, grid: str, verify_seeds: int,
         params = ["--params", rng.choice(["default", "real-rotation", "hyperbolic"])]
         calls.append(["classify", *matrix, "--format", fmt])
         calls.append(["hamiltonian", *matrix, *BRANCHES, *params, "--format", fmt])
+    for flags, t_end, fmt in FLOW_CALLS:
+        calls.append(["flow", *flags, "--t-end", t_end, f"--dt={flow_dt!r}", "--format", fmt,
+                      "--out", OUT])
     for s in range(1, verify_seeds + 1):
         calls.append(["verify", "--seed", str(s)])
     return calls
@@ -121,14 +153,22 @@ def call_set(count: int, grid: str, verify_seeds: int,
 
 def digest(main, argv: list[str]) -> dict:
     out, err = io.StringIO(), io.StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
+    with tempfile.TemporaryDirectory() as tmp, redirect_stdout(out), redirect_stderr(err):
         try:
-            code = main(list(argv))
+            code = main([tmp if a == OUT else a for a in argv])
         except SystemExit as exc:  # argparse's usage errors
             code = exc.code
-    return {"argv": argv, "exit": code,
-            "stdout": hashlib.sha256(out.getvalue().encode()).hexdigest(),
+        files = {}
+        for path in sorted(Path(tmp).iterdir()):
+            with open(path, "rb") as f:
+                files[path.name] = hashlib.file_digest(f, "sha256").hexdigest()
+        stdout = out.getvalue().replace(tmp, OUT)
+    line = {"argv": argv, "exit": code,
+            "stdout": hashlib.sha256(stdout.encode()).hexdigest(),
             "stderr": hashlib.sha256(err.getvalue().encode()).hexdigest()}
+    if OUT in argv:
+        line["files"] = files
+    return line
 
 
 def main() -> int:
@@ -138,11 +178,13 @@ def main() -> int:
                         help="draws of built-in and of custom maps")
     parser.add_argument("--grid", default="0.001:10:0.001")
     parser.add_argument("--verify-seeds", type=int, default=12)
+    parser.add_argument("--flow-dt", type=float, default=0.01,
+                        help="sample step of every flow call")
     args = parser.parse_args()
     sys.path.insert(0, str(args.checkout.resolve() / "src"))
     from shadowosc import cli, verify
 
-    for argv in call_set(args.count, args.grid, args.verify_seeds,
+    for argv in call_set(args.count, args.grid, args.verify_seeds, args.flow_dt,
                          verify.locate_vp_critical_tau()):
         print(json.dumps(digest(cli.main, argv)), flush=True)
     return 0

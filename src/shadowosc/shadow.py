@@ -144,13 +144,20 @@ class ShadowHamiltonian(Value):
 
 
 class CaseIIParams(Value):
-    """Direction (c1, c2, c3) of the scalar-case generator, c1**2 + c2*c3 = 1."""
+    """Direction (c1, c2, c3) of the scalar-case generator, c1**2 + c2*c3 = 1.
+
+    The residual is held to PARAM_TOL * max(1, |c1**2|, |c2*c3|): the sum of
+    two large terms carries their rounding, so a projected direction with
+    |c1| = 1e4 misses 1 by about 1e-8.  Non-finite terms are refused.
+    """
 
     __slots__ = ("c1", "c2", "c3")
 
     def __init__(self, c1: complex, c2: complex, c3: complex):
-        residual = abs(c1 * c1 + c2 * c3 - 1.0)
-        if residual > PARAM_TOL:
+        square, product = c1 * c1, c2 * c3
+        residual = abs(square + product - 1.0)
+        bound = PARAM_TOL * max(1.0, abs(square), abs(product))
+        if not residual <= bound < math.inf:
             raise BadParams(f"c1**2 + c2*c3 = 1 violated by {residual:.3e}")
         self._store(c1, c2, c3)
 

@@ -509,6 +509,16 @@ class TestConfigValidation:
                            "--tau", "1", "--c1", "0")
         assert code == 2
 
+    def test_large_scalar_direction_is_not_a_usage_error(self, capsys):
+        # c1**2 + c2*c3 misses 1 by 7.5e-9, rounding at the terms' scale of 5.8e7
+        code, out, err = run(capsys, "hamiltonian", "--integrator", "custom",
+                             "--r", "1,0,0,1", "--tau", "1", "--m-min", "0", "--m-max", "1",
+                             "--c1", "7611.395989434412", "--c2", "6.563193313680904",
+                             "--c3=-8827006.17506067")
+        assert (code, err) == (0, "")
+        assert [line.split(",")[:2] for line in out.splitlines()[1:]] == [
+            ["0", "ii(+)"], ["1", "ii(+)"]]
+
     @pytest.mark.parametrize("tau", ["1", "2"])
     def test_negative_t_end_writes_nothing(self, capsys, tmp_path, tau):
         code, out, err = run(capsys, "flow", "--integrator", "euler", "--tau", tau,

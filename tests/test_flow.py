@@ -1,14 +1,20 @@
+import io
 import json
 import math
+import os
 import sys
+import time
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shadowosc import flow
 from shadowosc.algebra import Mat2C, closed_exp, max_diff
 from shadowosc.classifier import CaseTag, classify
+from shadowosc.cli import main
 from shadowosc.errors import CriticalTau, NotApplicable, OutOfRange
 from shadowosc.flow import (
     CSV_HEADER,
@@ -33,12 +39,14 @@ from shadowosc.flow import (
 )
 from shadowosc.integrators import custom, double_euler, euler, make
 from shadowosc.shadow import (
+    CaseIIParams,
     Generator,
     euler_hamiltonian,
     euler_rate,
     generator_distinct,
     generator_jordan,
     generator_scalar,
+    generators_for,
     hamiltonian_from_generator,
 )
 from shadowosc.verify import series_exp
@@ -496,3 +504,157 @@ class TestStreamingWriters:
             with pytest.raises(OutOfRange):
                 write(tmp_path / name, traj, hamiltonian_from_generator(g))
         assert list(tmp_path.iterdir()) == []
+
+
+@pytest.fixture
+def split_into(monkeypatch):
+    """Make the writers cut every closed-form trajectory into k row ranges
+    (fewer when it has fewer than k rows)."""
+    def force(k: int) -> None:
+        monkeypatch.setattr(flow, "_usable_cpus", lambda: k)
+        monkeypatch.setattr(flow, "_MIN_RANGE_ROWS", 1)
+    return force
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _split_cases():
+    """(label, trajectory, Hamiltonian) of 101 rows for i-a, i-c, Euler, the
+    scalar ii(+) and ii(-) maps and the nilpotent iii-a map (delta = 0)."""
+    cases = [("euler", *_euler_case(0.66, 1, 0.3, -1.1, 5.0, 0.05))]
+    maps = [("i-a", make("velocity-verlet", 0.66), None),
+            ("i-c", make("velocity-verlet", 3.0), None),
+            ("ii(+)", custom(1.0, 0.0, 0.0, 1.0, 1.0), CaseIIParams.real_rotation()),
+            ("ii(-)", custom(-1.0, 0.0, 0.0, -1.0, 1.0), CaseIIParams.hyperbolic()),
+            ("iii-a", custom(1.0, 1.0, 0.0, 1.0, 1.0), None)]
+    for label, r, params in maps:
+        for g in generators_for(r, range(-1, 2), params).generators:
+            cases.append((f"{label} m={g.branch}",
+                          *_generic_case(g, -0.5, 1.0, 5.0, 0.05)))
+    return cases
+
+
+def _flow_call(directory, k_flags=()):
+    """vv at tau = 3 leaves double range at t = 1113, sample 159 of 216."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["flow", "--integrator", "velocity-verlet", "--tau", "3",
+                     "--m-min", "0", "--m-max", "0", *k_flags,
+                     "--out", str(directory)])
+    return code, out.getvalue(), err.getvalue(), sorted(p.name for p in directory.iterdir())
+
+
+class TestSplitWriter:
+    """A file written as several row ranges has the bytes of a single pass."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_bytes_equal_across_range_counts(self, tmp_path, split_into, fmt):
+        write = write_trajectory_csv if fmt == "csv" else write_trajectory_json
+        for label, traj, h in _split_cases():
+            files = {}
+            for k in (1, 2, 3):
+                split_into(k)
+                assert len(flow._row_ranges(traj)) == k
+                directory = tmp_path / f"{label}-{k}"
+                directory.mkdir()
+                write(directory / f"t.{fmt}", traj, h)
+                assert [p.name for p in directory.iterdir()] == [f"t.{fmt}"]
+                files[k] = (directory / f"t.{fmt}").read_bytes()
+            assert files[2] == files[1] and files[3] == files[1], label
+            _no_child_left()
+
+    def test_discrete_orbit_is_one_range(self, split_into):
+        split_into(3)
+        orbit = discrete_orbit(euler(0.66), 1.0, 0.0, 100)
+        assert flow._row_ranges(orbit) == [(0, 101)]
+        with pytest.raises(ValueError, match="closed-form"):
+            orbit.rows(50, 101)
+
+    def test_short_file_and_one_cpu_are_one_range(self, monkeypatch):
+        def rows(n):
+            return euler_trajectory(0.66, 0, 1.0, 0.0, (n - 1) * 0.5, 0.5)
+
+        least = 2 * flow._MIN_RANGE_ROWS
+        monkeypatch.setattr(flow, "_usable_cpus", lambda: 2)
+        assert flow._row_ranges(rows(least + 1)) == [(0, least // 2), (least // 2, least + 1)]
+        assert flow._row_ranges(rows(least - 1)) == [(0, least - 1)]
+        monkeypatch.setattr(flow, "_usable_cpus", lambda: 1)
+        assert flow._row_ranges(rows(least + 1)) == [(0, least + 1)]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("t_end", [
+        "7000",  # 1,001 rows: t = 1113 falls in range 0 of 2 or 3
+        "1500",  # 216 rows: in range 1 of 2, in range 2 of 3
+    ])
+    def test_leaving_double_range_reads_as_single_pass(self, tmp_path, split_into, t_end, fmt):
+        flags = ("--t-end", t_end, "--dt", "7", "--format", fmt)
+        split_into(1)
+        single = _flow_call(tmp_path / "single", flags)
+        assert single[0] == 1
+        assert single[2] == "error: flow<i-c> m=0 leaves double range at t = 1113\n"
+        assert single[3] == [f"discrete.{fmt}"]
+        for k in (2, 3):
+            split_into(k)
+            assert _flow_call(tmp_path / f"split-{k}", flags) == single
+            _no_child_left()
+
+    def test_child_error_is_raised_with_no_file_left(self, tmp_path, split_into, monkeypatch):
+        parent, values = os.getpid(), flow._values
+
+        def failing_in_child(rows, h):
+            if os.getpid() != parent:
+                raise RuntimeError("disk on fire")
+            yield from values(rows, h)
+
+        monkeypatch.setattr(flow, "_values", failing_in_child)
+        traj, h = _euler_case(0.66, 0, 1.0, 0.0, 5.0, 0.05)
+        for k in (2, 3):
+            split_into(k)
+            for write in (write_trajectory_csv, write_trajectory_json):
+                with pytest.raises(RuntimeError, match="^disk on fire$"):
+                    write(tmp_path / "t", traj, h)
+                assert list(tmp_path.iterdir()) == []
+                _no_child_left()
+
+    def test_child_that_exits_without_a_word_fails_the_write(self, tmp_path, split_into,
+                                                             monkeypatch):
+        parent, values = os.getpid(), flow._values
+
+        def vanishing_in_child(rows, h):
+            if os.getpid() != parent:
+                os._exit(3)
+            yield from values(rows, h)
+
+        monkeypatch.setattr(flow, "_values", vanishing_in_child)
+        split_into(2)
+        with pytest.raises(ChildProcessError, match="exit status 3"):
+            write_trajectory_csv(tmp_path / "t", *_euler_case(0.66, 0, 1.0, 0.0, 5.0, 0.05))
+        assert list(tmp_path.iterdir()) == []
+        _no_child_left()
+
+    def test_interrupt_kills_live_children(self, tmp_path, split_into, monkeypatch):
+        parent, values = os.getpid(), flow._values
+
+        def stalling(rows, h):
+            if os.getpid() != parent:
+                time.sleep(60)
+                os._exit(0)
+            raise KeyboardInterrupt
+            yield from values(rows, h)
+
+        monkeypatch.setattr(flow, "_values", stalling)
+        split_into(3)
+        start = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            write_trajectory_json(tmp_path / "t", *_euler_case(0.66, 0, 1.0, 0.0, 5.0, 0.05))
+        assert time.perf_counter() - start < 30
+        assert list(tmp_path.iterdir()) == []
+        _no_child_left()
+
+    def test_success_leaves_no_child(self, tmp_path, split_into):
+        split_into(2)
+        write_trajectory_csv(tmp_path / "t", *_euler_case(0.66, 0, 1.0, 0.0, 5.0, 0.05))
+        _no_child_left()

@@ -34,7 +34,9 @@ and euler-i-c, whose states moved by at most 9.8e-13 and energies by at
 most 5.8e-11 (in the diverging i-b and i-c flows) on a max(1, |x|) scale,
 and
 verify-seed-7, where 18 coincidence residuals changed (the largest fell from
-6.6e-15 to 3.7e-15) and every exit code and PASS/FAIL is unchanged.  Print
+6.6e-15 to 3.7e-15) and every exit code and PASS/FAIL is unchanged.  The
+flow case euler-i-a-split, long enough to be written as several row ranges,
+was added with digests from the code before the writers split files.  Print
 the digests of the current code with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -80,6 +82,9 @@ FLOW_CASES = {
     "vp-tau-5": ["--integrator", "vp", "--tau", "5", "--t-end", "10", "--dt", "0.05"],
     "euler-i-a": ["--integrator", "euler", "--tau", "0.66", "--m-min", "-2", "--m-max", "2",
                   "--t-end", "3.96", "--dt", "0.01"],
+    # 6,001 rows per branch: written as two row ranges on a host with two usable CPUs
+    "euler-i-a-split": ["--integrator", "euler", "--tau", "0.66", "--t-end", "60",
+                        "--dt", "0.01"],
     "euler-i-c": ["--integrator", "euler", "--tau", "3", "--t-end", "9", "--dt", "0.05",
                   "--q0", "0.3", "--p0", "-1.1"],
     "euler-iii-b": ["--integrator", "euler", "--tau", "2", "--t-end", "6"],

@@ -34,7 +34,7 @@ def test_layer_costs(tmp_path):
     assert sorted(costs) == sorted([
         "Mat2C", "closed_exp", "make_vp", "classify", "generators_for_3",
         "hamiltonian_from_generator", "real_valued", "sweep_point", "flow_sample", "csv_row",
-        "build_parser"])
+        "flow_file", "build_parser"])
     assert all(cost > 0 for cost in costs.values())
 
 
@@ -53,21 +53,31 @@ def test_verify_headroom(tmp_path):
 def test_output_digest(tmp_path):
     checkout = SCRIPTS.parent
     args = ("output_digest.py", str(checkout), "--count", "8", "--grid", "1:2:0.5",
-            "--verify-seeds", "1")
+            "--verify-seeds", "1", "--flow-dt", "1")
     done = run_script(*args, cwd=tmp_path)
     assert done.returncode == 0, done.stderr
     lines = [json.loads(line) for line in done.stdout.splitlines()]
     # 10 sweeps, 15 failing sweeps, 90 near-ridge calls, 8 built-in and 8 custom
-    # draws of two calls each, one verify
-    assert len(lines) == 10 + 15 + 90 + 2 * 8 + 2 * 8 + 1
+    # draws of two calls each, 26 flows, one verify
+    assert len(lines) == 10 + 15 + 90 + 2 * 8 + 2 * 8 + 26 + 1
     assert lines[0]["argv"] == ["sweep", "--integrator", "double-euler", "--grid", "1:2:0.5",
                                 "--format", "csv"]
     assert lines[-1]["argv"] == ["verify", "--seed", "1"]
-    assert all(sorted(line) == ["argv", "exit", "stderr", "stdout"] for line in lines)
+    flows, others = lines[-27:-1], lines[:-27] + lines[-1:]
+    assert all(sorted(line) == ["argv", "exit", "stderr", "stdout"] for line in others)
     assert lines[10]["argv"] == ["sweep", "--integrator", "double-euler",
                                  "--grid=1e-310:1e-310:1", "--m-min", "-3", "--m-max", "3"]
     # overflowing coefficients and Euler's overflowing eigenvalue arithmetic exit 1;
     # non-finite entries and det far from 1 exit 2
     assert [line["exit"] for line in lines[10:25]] == [1] * 5 + [2] * 5 + [2, 1, 2, 2, 2]
     assert {line["exit"] for line in lines} == {0, 1, 2}
+    # each flow call lists every file its directory holds: three branches and the
+    # discrete orbit, the shear's one branch, iii-b's discrete file alone, and the
+    # discrete file alone where a branch leaves double range
+    assert all(sorted(line) == ["argv", "exit", "files", "stderr", "stdout"]
+               for line in flows)
+    assert all(line["argv"][0] == "flow" and "<out>" in line["argv"] for line in flows)
+    assert [len(line["files"]) for line in flows] == [4] * 22 + [2, 1, 1, 1]
+    assert [line["exit"] for line in flows] == [0] * 24 + [1, 1]
+    assert list(flows[-1]["files"]) == ["discrete.json"]
     assert run_script(*args, cwd=tmp_path).stdout == done.stdout

@@ -229,6 +229,33 @@ class TestGeneratorScalar:
         params = CaseIIParams.projected(c1, c2)
         assert abs(params.c1 ** 2 + params.c2 * params.c3 - 1.0) <= 1e-10
 
+    @settings(max_examples=300)
+    @given(st.floats(-1e6, 1e6),
+           st.builds(lambda m, sign: sign * 10.0 ** m, st.floats(-3, 3), st.sampled_from([1, -1])))
+    def test_projection_is_accepted_at_large_scale(self, c1, c2):
+        params = CaseIIParams.projected(c1, c2)
+        assert (params.c1, params.c2) == (c1, c2)
+
+    def test_large_direction_is_held_to_its_scale(self):
+        """c1**2 and c2*c3 are about 5.8e7, so their sum misses 1 by 7.5e-9."""
+        c1, c2, c3 = 7611.395989434412, 6.563193313680904, -8827006.17506067
+        assert CaseIIParams.projected(c1, c2).c3 == c3
+        # each generator is validated against exp(Z) = R on its scale as it is built
+        family = generators_for(IDENTITY, range(-1, 2), CaseIIParams(c1, c2, c3))
+        assert [g.branch for g in family.generators] == [-1, 0, 1]
+        # a miss of 1e-10 at unit scale is refused as before, and so is one
+        # of 1e-9 relative to this direction's scale
+        with pytest.raises(BadParams, match="violated by 1.000e-09"):
+            CaseIIParams(0.0, 1.0, 1.000000001)
+        with pytest.raises(BadParams):
+            CaseIIParams(c1, c2, c3 * (1 + 1e-9))
+
+    @pytest.mark.parametrize("c1, c2, c3", [(math.inf, 1.0, 1.0), (math.nan, 1.0, 1.0),
+                                            (1e200, 1e200, -1e200), (0.0, math.inf, 0.0)])
+    def test_non_finite_direction_rejected(self, c1, c2, c3):
+        with pytest.raises(BadParams):
+            CaseIIParams(c1, c2, c3)
+
 
 class TestGeneratorJordan:
     def test_shift_block(self):
