@@ -29,11 +29,13 @@ t; a writer that fails removes its partial file.
 A flow row depends only on its own t, so a long flow file is written as
 contiguous row ranges in parallel: range 0 by this process, each later one
 by a forked child into a part file that is then appended in order, giving
-the bytes of a single pass.  There are min(usable CPUs, rows // 1500)
-ranges where ``os.fork`` exists and the caller runs one thread, else one.
-A fork, its child's exit and the append cost a few ms; on a 2-core host
-1500 rows per range served the flow-dense benchmark better than 2000 or
-3000.  The discrete orbit, a recurrence, is always one range.
+the bytes of a single pass.  There are min(2, usable CPUs, rows // 1500)
+ranges where ``os.fork`` exists, the caller runs one thread and SIGCHLD is
+not ignored, else one.  A fork, its child's exit and the append cost a few
+ms; on a 2-core host 1500 rows per range served the flow-dense benchmark
+better than 2000 or 3000.  More than two ranges were never measured, and
+the usable CPUs read from the affinity mask ignore a cgroup CPU quota, so
+two is the most.  The discrete orbit, a recurrence, is always one range.
 
 Deviations between states are reported relative to max(1, |reference|):
 bounded orbits are then compared absolutely, while diverging orbits
@@ -71,10 +73,13 @@ from .shadow import Generator, ShadowHamiltonian, euler_rate
 CSV_HEADER = "t,q_re,q_im,p_re,p_im,H_re,H_im"
 _CSV_ROW = ",".join(["%.17g"] * 7) + "\n"
 _CHUNK = 1024  # rows per write
-_COPY_CHUNK = 1 << 16  # bytes per read when a range's part file is appended
 # Fewest rows in a range: below 2 * _MIN_RANGE_ROWS a file is written in one
 # pass, since a fork, its exit and an append cost more than they save.
 _MIN_RANGE_ROWS = 1500
+# Most ranges: two is the count measured, on a 2-core host.  The affinity
+# mask that _usable_cpus reads does not narrow for a cgroup CPU quota, so a
+# larger count could fork many children onto one or two CPUs.
+_MAX_RANGES = 2
 # Above 2**52 samples, k*step no longer rounds to distinct values for every k.
 MAX_SAMPLES = 2 ** 52
 
@@ -448,25 +453,50 @@ def _row_ranges(trajectory: Trajectory) -> list[tuple[int, int]]:
 
     More than one only for a closed-form trajectory of at least
     2 * _MIN_RANGE_ROWS rows, where ``os.fork`` exists, more than one CPU is
-    usable and the caller runs no second thread (a forked child gets only
-    the forking thread, and could inherit a lock another one holds).
+    usable, the caller runs no second thread (a forked child gets only the
+    forking thread, and could inherit a lock another one holds) and SIGCHLD
+    is not ignored (the system would reap the children, and waitpid fail).
     """
     n = len(trajectory)
     count = 1
     threading = sys.modules.get("threading")
     if (trajectory.closed_form and hasattr(os, "fork")
             and (threading is None or threading.active_count() == 1)):
-        count = max(1, min(_usable_cpus(), n // _MIN_RANGE_ROWS))
+        count = max(1, min(_MAX_RANGES, _usable_cpus(), n // _MIN_RANGE_ROWS))
+    if count > 1:
+        import signal  # here and below: only a split file needs it
+
+        if signal.getsignal(signal.SIGCHLD) == signal.SIG_IGN:
+            count = 1
     return [(n * i // count, n * (i + 1) // count) for i in range(count)]
 
 
-def _fork_range(part: Path, texts: Iterator[str]) -> tuple[int, io.BufferedReader]:
-    """Fork a child that writes ``texts`` to a new text file ``part``.
+def _fork_range(part: Path, texts: Iterator[str],
+                children: list[tuple[int, io.BufferedReader]]) -> None:
+    """Fork a child that writes ``texts`` to a new text file ``part``, and
+    append its pid and the read end of its error pipe to ``children``.
+
+    SIGINT stays blocked from before the fork until the child is listed, so
+    an interrupt cannot leave a child the caller does not know of; the child
+    keeps it blocked, and the caller kills it if the interrupt stops the
+    write.
+    """
+    import signal
+
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, ())  # the caller's, unchanged
+    try:
+        signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+        children.append(_forked(part, texts))
+    finally:
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+
+
+def _forked(part: Path, texts: Iterator[str]) -> tuple[int, io.BufferedReader]:
+    """The child's pid and the read end of its error pipe.
 
     The child ends only through ``os._exit``, so it never flushes a buffer it
     inherited (the caller's stdout, say); if writing raises, it first sends
-    the pickled exception down a pipe.  Returns the child's pid and the
-    pipe's read end.
+    the pickled exception down the pipe.
     """
     read, write = os.pipe()
     try:
@@ -530,10 +560,10 @@ def _write_ranges(path: str | Path, trajectory: Trajectory, head: str,
 
     This process writes range 0 into the ``_replacing`` file, while a forked
     child writes each later range to a part file beside it; the parts are
-    appended in order by a chunked copy.  Each row depends only on its own t,
-    so the bytes are those of a single pass.  On any error the children are
-    killed and reaped, every part is removed, and the error of the earliest
-    failing range is raised.
+    appended in order.  Each row depends only on its own t, so the bytes are
+    those of a single pass.  On any error the children are killed and
+    reaped, every part is removed, and the error of the earliest failing
+    range is raised.
     """
     ranges = _row_ranges(trajectory)
     path = Path(path)
@@ -542,7 +572,7 @@ def _write_ranges(path: str | Path, trajectory: Trajectory, head: str,
     try:
         for part, (start, stop) in zip(parts, ranges[1:]):
             # lazy: the child computes the rows as it writes them
-            children.append(_fork_range(part, texts(trajectory.rows(start, stop), start)))
+            _fork_range(part, texts(trajectory.rows(start, stop), start), children)
         with _replacing(path) as f:
             f.write(head)
             _write_rows(f, texts(trajectory.rows(*ranges[0]), 0))
@@ -551,9 +581,10 @@ def _write_ranges(path: str | Path, trajectory: Trajectory, head: str,
                 if error is not None:
                     raise error
                 f.flush()
+                import shutil  # like pickle and signal: only a split file needs it
+
                 with open(part, "rb") as src:
-                    while chunk := src.read(_COPY_CHUNK):
-                        f.buffer.write(chunk)
+                    shutil.copyfileobj(src, f.buffer)
                 part.unlink()
             f.write(tail)
     except BaseException:

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from collections.abc import Iterable
 
 from .algebra import TOL, Mat2C, Value, closed_exp, exceeds, nan_max, re_im
@@ -61,6 +62,7 @@ from .errors import (
 from .integrators import TransitionMatrix
 
 PARAM_TOL = 1e-10
+_TERM_ROUNDING = 4.0 * sys.float_info.epsilon  # of c1**2 + c2*c3, per unit of its terms
 OBSTRUCTION = ("similar to a Jordan block with eigenvalue -1: any logarithm has "
                "equal nonzero eigenvalues and cannot be traceless")
 
@@ -146,9 +148,12 @@ class ShadowHamiltonian(Value):
 class CaseIIParams(Value):
     """Direction (c1, c2, c3) of the scalar-case generator, c1**2 + c2*c3 = 1.
 
-    The residual is held to PARAM_TOL * max(1, |c1**2|, |c2*c3|): the sum of
-    two large terms carries their rounding, so a projected direction with
-    |c1| = 1e4 misses 1 by about 1e-8.  Non-finite terms are refused.
+    The residual is held to max(PARAM_TOL, 4 eps max(|c1**2|, |c2*c3|)): the
+    sum of two large terms carries their rounding, so a projected direction
+    with |c1| = 1e4 misses 1 by about 1e-8, while one that misses by more than
+    the rounding of its terms would make N**2 = (c1**2 + c2*c3) I a multiple
+    of I other than I.  Projected directions miss by at most 2 eps of their
+    terms.  Non-finite terms are refused.
     """
 
     __slots__ = ("c1", "c2", "c3")
@@ -156,7 +161,7 @@ class CaseIIParams(Value):
     def __init__(self, c1: complex, c2: complex, c3: complex):
         square, product = c1 * c1, c2 * c3
         residual = abs(square + product - 1.0)
-        bound = PARAM_TOL * max(1.0, abs(square), abs(product))
+        bound = max(PARAM_TOL, _TERM_ROUNDING * max(abs(square), abs(product)))
         if not residual <= bound < math.inf:
             raise BadParams(f"c1**2 + c2*c3 = 1 violated by {residual:.3e}")
         self._store(c1, c2, c3)

@@ -519,6 +519,15 @@ class TestConfigValidation:
         assert [line.split(",")[:2] for line in out.splitlines()[1:]] == [
             ["0", "ii(+)"], ["1", "ii(+)"]]
 
+    def test_large_scalar_direction_missing_beyond_rounding_is_refused(self, capsys):
+        # c1**2 + c2*c3 = 50: N**2 = 50 I, so the eigenvalues are not the ones
+        # the generator would be built from
+        code, out, err = run(capsys, "hamiltonian", "--integrator", "custom",
+                             "--r", "1,0,0,1", "--tau", "1", "--m-min", "-1", "--m-max", "1",
+                             "--c1", "1e6", "--c2", "1", "--c3=-999999999950")
+        assert (code, out) == (2, "")
+        assert err == "error: c1**2 + c2*c3 = 1 violated by 4.900e+01\n"
+
     @pytest.mark.parametrize("tau", ["1", "2"])
     def test_negative_t_end_writes_nothing(self, capsys, tmp_path, tau):
         code, out, err = run(capsys, "flow", "--integrator", "euler", "--tau", tau,

@@ -2,6 +2,7 @@ import io
 import json
 import math
 import os
+import signal
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
@@ -512,6 +513,7 @@ def split_into(monkeypatch):
     (fewer when it has fewer than k rows)."""
     def force(k: int) -> None:
         monkeypatch.setattr(flow, "_usable_cpus", lambda: k)
+        monkeypatch.setattr(flow, "_MAX_RANGES", k)
         monkeypatch.setattr(flow, "_MIN_RANGE_ROWS", 1)
     return force
 
@@ -584,6 +586,32 @@ class TestSplitWriter:
         monkeypatch.setattr(flow, "_usable_cpus", lambda: 1)
         assert flow._row_ranges(rows(least + 1)) == [(0, least + 1)]
 
+    def test_many_cpus_give_two_ranges(self, monkeypatch):
+        # only two ranges were measured, and the affinity mask that counts
+        # the CPUs ignores a cgroup CPU quota
+        monkeypatch.setattr(flow, "_usable_cpus", lambda: 64)
+        n = 64 * flow._MIN_RANGE_ROWS
+        traj = euler_trajectory(0.66, 0, 1.0, 0.0, (n - 1) * 0.5, 0.5)
+        assert flow._row_ranges(traj) == [(0, n // 2), (n // 2, n)]
+
+    def test_ignored_sigchld_is_one_range(self, tmp_path, split_into):
+        # the system reaps the children of a process that ignores SIGCHLD,
+        # so waitpid could not read their exit
+        traj, h = _euler_case(0.66, 0, 1.0, 0.0, 5.0, 0.05)
+        split_into(1)
+        write_trajectory_csv(tmp_path / "single", traj, h)
+        split_into(2)
+        assert len(flow._row_ranges(traj)) == 2
+        previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+        try:
+            assert flow._row_ranges(traj) == [(0, len(traj))]
+            write_trajectory_csv(tmp_path / "t", traj, h)
+        finally:
+            signal.signal(signal.SIGCHLD, previous)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["single", "t"]
+        assert (tmp_path / "t").read_bytes() == (tmp_path / "single").read_bytes()
+        _no_child_left()
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("t_end", [
         "7000",  # 1,001 rows: t = 1113 falls in range 0 of 2 or 3
@@ -653,6 +681,36 @@ class TestSplitWriter:
         assert time.perf_counter() - start < 30
         assert list(tmp_path.iterdir()) == []
         _no_child_left()
+
+    def test_interrupt_just_after_a_fork_kills_that_child(self, tmp_path, split_into,
+                                                          monkeypatch):
+        # SIGINT reaches the parent as soon as fork returns, before the child
+        # is recorded; it must still be killed and reaped
+        parent, values, fork = os.getpid(), flow._values, os.fork
+
+        def stalling(rows, h):
+            if os.getpid() != parent:
+                time.sleep(60)
+                os._exit(0)
+            yield from values(rows, h)
+
+        def interrupted_fork():
+            pid = fork()
+            if pid:
+                os.kill(parent, signal.SIGINT)
+            return pid
+
+        monkeypatch.setattr(flow, "_values", stalling)
+        monkeypatch.setattr(os, "fork", interrupted_fork)
+        split_into(3)
+        start = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            write_trajectory_csv(tmp_path / "t", *_euler_case(0.66, 0, 1.0, 0.0, 5.0, 0.05))
+        assert time.perf_counter() - start < 30
+        assert list(tmp_path.iterdir()) == []
+        _no_child_left()
+        # the caller's signal mask is restored
+        assert signal.SIGINT not in signal.pthread_sigmask(signal.SIG_BLOCK, ())
 
     def test_success_leaves_no_child(self, tmp_path, split_into):
         split_into(2)

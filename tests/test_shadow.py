@@ -249,6 +249,23 @@ class TestGeneratorScalar:
             CaseIIParams(0.0, 1.0, 1.000000001)
         with pytest.raises(BadParams):
             CaseIIParams(c1, c2, c3 * (1 + 1e-9))
+        # N**2 = 1.005 I: a miss far beyond the terms' rounding
+        with pytest.raises(BadParams, match="violated by 5.000e-03"):
+            CaseIIParams(c1, c2, (1.005 - c1 * c1) / c2)
+
+    def test_miss_beyond_rounding_is_refused_at_large_scale(self):
+        # the terms are 1e12 and miss 1 by 49, about 2e5 eps of them
+        with pytest.raises(BadParams, match="violated by 4.900e[+]01"):
+            CaseIIParams(1e6, 1.0, -999999999950.0)
+
+    @settings(max_examples=300)
+    @given(st.builds(lambda m, sign: sign * 10.0 ** m, st.floats(3, 6), st.sampled_from([1, -1])),
+           st.builds(lambda m, sign: sign * 10.0 ** m, st.floats(-3, 3), st.sampled_from([1, -1])))
+    def test_miss_of_sixteen_eps_is_refused(self, c1, c2):
+        # projected directions miss by at most 2 eps of their terms
+        miss = 16 * sys.float_info.epsilon * c1 * c1
+        with pytest.raises(BadParams):
+            CaseIIParams(c1, c2, (1.0 + miss - c1 * c1) / c2)
 
     @pytest.mark.parametrize("c1, c2, c3", [(math.inf, 1.0, 1.0), (math.nan, 1.0, 1.0),
                                             (1e200, 1e200, -1e200), (0.0, math.inf, 0.0)])
