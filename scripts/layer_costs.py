@@ -5,9 +5,9 @@ Usage:
     python scripts/layer_costs.py [--number N]
 
 Each layer is one call timed with ``timeit``: the best of 7 repeats of N
-calls, in microseconds per call; the two slow layers, a 1,000-sample flow
-pass and ``build_parser``, take N/100 calls per repeat, and "flow_file" takes
-N/1000.  The map is ``vp``
+calls, in microseconds per call; the slow layers, a 1,000-sample flow pass,
+``build_parser`` and the two verify oracles, take N/100 calls per repeat,
+and "flow_file" takes N/1000.  The map is ``vp``
 at tau = 0.66 (an i-a map) with branches m = -1, 0, 1, the family a
 ``sweep`` grid point builds; "sweep_point" is ``cli._sweep_row``, the
 code ``sweep`` runs per grid point.  "flow_sample" is one row of that
@@ -16,8 +16,12 @@ pattern.  "flow_file" is one ``flow.write_trajectory_csv`` of the closed-form
 Euler flow at tau = 0.66 on [0, 150] at step 0.01 (15,001 rows, the Euler file
 of the flow-dense benchmark workload) into a temporary directory, in
 microseconds per file: the one layer that sees a file written as several
-row ranges.  Times are raw, not scaled to a reference speed, so compare
-numbers taken on one machine in one session.
+row ranges.  "coincidence" is one ``verify.check_coincidence`` of the
+three generators against 20 trial orbits of the map, and "conservation" one
+``verify.check_conservation`` of the m = 0 branch's Hamiltonian with 5
+trials, the two oracles ``verify`` runs per map and per conservation case.
+Times are raw, not scaled to a reference speed, so compare numbers taken on
+one machine in one session.
 """
 
 import argparse
@@ -31,7 +35,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from shadowosc import cli, flow
+from shadowosc import cli, flow, verify
 from shadowosc.algebra import Mat2C, closed_exp
 from shadowosc.classifier import classify
 from shadowosc.integrators import make
@@ -46,17 +50,20 @@ TAU = 0.66
 BRANCHES = range(-1, 2)
 REPEAT = 7
 FLOW_SAMPLES = 1000
-SLOW = {"flow_sample": 100, "build_parser": 100, "flow_file": 1000}  # N / divisor calls
+SLOW = {"flow_sample": 100, "build_parser": 100, "flow_file": 1000,
+        "coincidence": 100, "conservation": 100}  # N / divisor calls
 
 
 def layers(directory: Path) -> dict:
     """Layer name -> (zero-argument callable, calls it stands for)."""
     r = make("vp", TAU)
-    g = generators_for(r, BRANCHES).generators[1]
+    family = generators_for(r, BRANCHES).generators
+    g = family[1]
+    h = hamiltonian_from_generator(g)
     z = g.matrix
     trajectory = flow.sample_trajectory(g, 1.0, 0.0, FLOW_SAMPLES * 0.01, 0.01)
     q, p, t = next(trajectory.rows())
-    energy = hamiltonian_from_generator(g).evaluate(q, p)
+    energy = h.evaluate(q, p)
     row = (t, q.real, q.imag, p.real, p.imag, energy.real, energy.imag)
     euler_file = flow.euler_trajectory(TAU, 0, 1.0, 0.0, 150.0, 0.01)
     euler_h = euler_hamiltonian(TAU, 0)
@@ -75,6 +82,8 @@ def layers(directory: Path) -> dict:
         "flow_file": (lambda: flow.write_trajectory_csv(directory / "flow.csv", euler_file,
                                                         euler_h), 1),
         "build_parser": (cli.build_parser, 1),
+        "coincidence": (lambda: verify.check_coincidence(family, r, 20), 1),
+        "conservation": (lambda: verify.check_conservation(h, g, 5), 1),
     }
 
 
@@ -82,8 +91,8 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--number", type=int, default=2000,
-                        help="calls per repeat (N/100 for the flow pass and build_parser, "
-                             "N/1000 for flow_file)")
+                        help="calls per repeat (N/100 for the flow pass, build_parser and "
+                             "the verify oracles, N/1000 for flow_file)")
     args = parser.parse_args()
     if args.number < 1:
         parser.error("--number must be at least 1")

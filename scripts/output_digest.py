@@ -10,8 +10,9 @@ Each line holds the call's argv, its exit code and the sha256 of its stdout
 and of its stderr.  A ``flow`` call writes into a new temporary directory,
 named ``<out>`` in its argv and its stdout; its line also holds the sha256 of
 each file the directory holds afterwards, by name, so a leftover partial file
-shows.  The draws below come from one fixed seed (``SEED``).  The calls, in
-order:
+shows; a ``verify`` call writes its ``--out`` JSON there, whose %.17g-exact
+residuals the table's %.3e would round.  The draws below come from one fixed
+seed (``SEED``).  The calls, in order:
 
 - ``sweep --grid GRID`` for each built-in, in CSV and JSON (default grid
   0.001:10:0.001);
@@ -31,7 +32,10 @@ order:
   iii-b tau, which writes the discrete file alone; and Euler and
   velocity-verlet at tau = 3 to t = 1500 and 1200, which leave double range
   at t = 1113, past the first row range of a file written in several;
-- ``verify --seed k`` for k = 1..K (default 12).
+- ``verify --seed k`` for k = 1..K (default 12), then ``verify`` at the
+  default seed with each of ``VERIFY_OPTIONS`` (fewer and more trials, and
+  perturbations that fail every check, down to one whose flows leave
+  double range), each with ``--out``.
 
 The same arguments give the same call set, so comparing two trees is a
 ``diff`` of their outputs:
@@ -58,7 +62,10 @@ SEED = 16
 # one point each: a tau so small that the coefficients overflow, and taus so
 # large that the map's entries, or at 1e154 Euler's eigenvalue arithmetic, overflow
 ERROR_GRIDS = ("1e-310:1e-310:1", "1e300:1e300:1", "1e154:1e154:1")
-OUT = "<out>"  # a flow call's output directory
+OUT = "<out>"  # a flow or verify call's output directory
+VERIFY_OUT = f"{OUT}/verify.json"
+VERIFY_OPTIONS = (["--trials", "1"], ["--trials", "3"], ["--perturb", "1e-3"],
+                  ["--perturb=-1e-9"], ["--perturb", "1e300"])
 # (flags, t_end, format) of each flow call; rows per branch are t_end / dt + 1
 FLOW_CALLS = (
     *((["--integrator", name, "--tau", tau], t_end, fmt)
@@ -147,7 +154,9 @@ def call_set(count: int, grid: str, verify_seeds: int, flow_dt: float,
         calls.append(["flow", *flags, "--t-end", t_end, f"--dt={flow_dt!r}", "--format", fmt,
                       "--out", OUT])
     for s in range(1, verify_seeds + 1):
-        calls.append(["verify", "--seed", str(s)])
+        calls.append(["verify", "--seed", str(s), "--out", VERIFY_OUT])
+    for options in VERIFY_OPTIONS:
+        calls.append(["verify", *options, "--out", VERIFY_OUT])
     return calls
 
 
@@ -155,7 +164,7 @@ def digest(main, argv: list[str]) -> dict:
     out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp, redirect_stdout(out), redirect_stderr(err):
         try:
-            code = main([tmp if a == OUT else a for a in argv])
+            code = main([a.replace(OUT, tmp) for a in argv])
         except SystemExit as exc:  # argparse's usage errors
             code = exc.code
         files = {}
@@ -166,7 +175,7 @@ def digest(main, argv: list[str]) -> dict:
     line = {"argv": argv, "exit": code,
             "stdout": hashlib.sha256(stdout.encode()).hexdigest(),
             "stderr": hashlib.sha256(err.getvalue().encode()).hexdigest()}
-    if OUT in argv:
+    if any(OUT in a for a in argv):
         line["files"] = files
     return line
 

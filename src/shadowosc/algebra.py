@@ -1,9 +1,10 @@
 """Complex 2x2 matrix arithmetic: branch logarithms and the exponential.
 
 Everything is plain double precision on top of ``cmath``; matrices, like
-every record of the package, are immutable ``Value``s.  ``closed_exp`` is
-the package's one matrix exponential: it is every flow's propagator and
-validates the scalar-case and Jordan generators.  A generator that carries
+every record of the package, are immutable ``Value``s.  ``closed_exps`` is
+the package's one matrix exponential, exp(s Z) at many s from Z's constants
+read once; ``closed_exp`` is its one-s case.  It is every flow's propagator
+and validates the scalar-case and Jordan generators.  A generator that carries
 its eigenvalue delta passes it in, so exp(s Z) reads delta as built, not as
 recomputed from Z's entries.  Its oracles (``taylor_exp``, ``series_exp``)
 live in ``verify``.
@@ -27,6 +28,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
+from collections.abc import Iterable
 from operator import attrgetter
 
 from .errors import ZeroEigenvalue
@@ -139,8 +141,10 @@ class Mat2C(Value):
         return max(abs(self.e11), abs(self.e12), abs(self.e21), abs(self.e22))
 
 
-# The constructor is the only writer of the entries.
+# The constructor is the only writer of the entries, but for closed_exp, whose
+# entries are complex already.
 _set_e11, _set_e12, _set_e21, _set_e22 = Mat2C._setters
+_new_mat2c = object.__new__
 
 
 def max_diff(a: Mat2C, b: Mat2C) -> float:
@@ -192,9 +196,11 @@ def exp_constants(z: Mat2C, delta: complex | None = None
     return mu, k11, z12, z21, k22, delta
 
 
-def closed_exp(z: Mat2C, s: float = 1.0, delta: complex | None = None) -> Mat2C:
-    """exp(s z) of a 2x2 complex matrix in closed form (Higham, *Functions of
-    Matrices*, SIAM 2008, ch. 10).
+def closed_exps(z: Mat2C, ss: Iterable[float], delta: complex | None = None
+                ) -> list[tuple[complex, complex, complex, complex]]:
+    """The entries (e11, e12, e21, e22) of exp(s z) for each s in ss, reading
+    z's constants (``exp_constants``) once; in closed form (Higham,
+    *Functions of Matrices*, SIAM 2008, ch. 10).
 
     With K = z - mu I, mu the half-trace and +-delta the eigenvalues of K,
 
@@ -204,19 +210,37 @@ def closed_exp(z: Mat2C, s: float = 1.0, delta: complex | None = None) -> Mat2C:
     nilpotent; e^(s mu) multiplies in only for mu != 0.  sinh(s delta)/delta
     has no cancellation for any nonzero delta, so no series is needed.  Either
     sign of delta gives the same result; ``delta`` is recomputed from z when
-    not given (``exp_constants``).
+    not given.  Every entry is complex.
     """
     mu, k11, z12, z21, k22, delta = exp_constants(z, delta)
-    if delta:
-        a = s * delta
-        c, h = cmath.cosh(a), cmath.sinh(a) / delta
-    else:
-        c, h = 1.0, s
-    e11, e12, e21, e22 = c + h * k11, h * z12, h * z21, c + h * k22
-    if mu:
-        scale = cmath.exp(s * mu)
-        e11, e12, e21, e22 = scale * e11, scale * e12, scale * e21, scale * e22
-    return Mat2C(e11, e12, e21, e22)
+    cosh, sinh, exp = cmath.cosh, cmath.sinh, cmath.exp
+    entries = []
+    append = entries.append
+    for s in ss:
+        if delta:
+            a = s * delta
+            c, h = cosh(a), sinh(a) / delta
+        else:
+            c, h = 1.0, s
+        if mu:
+            scale = exp(s * mu)
+            append((scale * (c + h * k11), scale * (h * z12), scale * (h * z21),
+                    scale * (c + h * k22)))
+        else:
+            append((c + h * k11, h * z12, h * z21, c + h * k22))
+    return entries
+
+
+def closed_exp(z: Mat2C, s: float = 1.0, delta: complex | None = None) -> Mat2C:
+    """exp(s z) of a 2x2 complex matrix in closed form: ``closed_exps`` at one s."""
+    e11, e12, e21, e22 = closed_exps(z, (s,), delta)[0]
+    # the entries are complex already: set them without the constructor's coercion
+    m = _new_mat2c(Mat2C)
+    _set_e11(m, e11)
+    _set_e12(m, e12)
+    _set_e21(m, e21)
+    _set_e22(m, e22)
+    return m
 
 
 def re_im(z: complex) -> dict[str, float]:

@@ -374,7 +374,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except ShadowOscError as exc:
+    except (ShadowOscError, OSError) as exc:  # OSError: an --out that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

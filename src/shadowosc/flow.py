@@ -20,8 +20,9 @@ each row as it is produced, so writing a file takes memory independent of
 its number of samples.  One exponential serves every flow: a sample costs
 one cosh and one sinh of (t/tau) delta, and its state is bit-for-bit equal
 to ``flow_matrix(g, t).apply(q0, p0)``, where ``flow_matrix`` is
-``algebra.closed_exp(Z, t/tau, g.log)``, the propagator verify's oracles
-check.  The closed-form Euler family is sampled as the flow of its own
+``algebra.closed_exp(Z, t/tau, g.log)``; verify's oracles check the same
+propagators, taken at all their times at once from ``algebra.closed_exps``.
+The closed-form Euler family is sampled as the flow of its own
 generator (``euler_trajectory``), whose delta is read off its rate.  A flow
 whose state leaves double range raises ``OutOfRange`` naming the first such
 t; a writer that fails removes its partial file.
@@ -249,11 +250,7 @@ def _flow_rows(z: Mat2C, delta: complex | None, tau: float, name: str, q0: compl
 
 
 def flow_matrix(g: Generator, t: float) -> Mat2C:
-    """exp((t/tau) Z), the branch flow's propagator from time 0 to time t.
-
-    An oracle that needs many starts at one time computes it once and
-    applies it to each.
-    """
+    """exp((t/tau) Z), the branch flow's propagator from time 0 to time t."""
     return closed_exp(g.matrix, t / g.tau, g.log)
 
 

@@ -12,6 +12,19 @@ magnitude below roughly 8); large-branch generators carry eigenvalues past
 and double precision could not carry the cancellation anyway.  Halving is
 exact in binary floating point and squaring is plain multiplication, so
 independence from the closed form is preserved at every scale.
+
+The flow oracles compare each branch's propagators E(t) = exp((t/tau) Z),
+all of a generator's computed at once by ``algebra.closed_exps``, with
+what the flow must reproduce: the discrete orbits, and H at the start.
+The orbits are stored by time, so each propagator runs one inner loop
+over every trial.  Where a generator's propagators are real at every time
+(31 of the default suite's 42 generators) and, for conservation, H's
+coefficients and H(x_0) are real too, that loop runs in float arithmetic.
+It gives the real part of the complex arithmetic bit for bit and drops
+only the sign of a zero imaginary part, or a NaN one beside an infinite
+real part, neither of which abs() reads (``_propagators``).  Elsewhere the
+loop stays complex and keeps abs(): math.hypot of the two parts differs
+from it in the last bit for some inputs.
 """
 
 from __future__ import annotations
@@ -21,12 +34,14 @@ import random
 import sys
 from collections.abc import Sequence
 
-from .algebra import Mat2C, Value, max_diff
+from .algebra import Mat2C, Value, closed_exps, max_diff
 from .classifier import CaseTag, classify
 from .errors import NonFinite, UnknownIntegrator
-# continuous_state is not called here (the oracles apply one flow_matrix
-# per time); bench/tracer.py looks it up on this module.
-from .flow import continuous_state, discrete_orbit, flow_matrix, sample_times  # noqa: F401
+from .flow import sample_times
+# continuous_state is not called here (the oracles apply each generator's
+# propagators, from closed_exps, to every trial at once); bench/tracer.py
+# looks it up on this module.
+from .flow import continuous_state  # noqa: F401
 from .integrators import TransitionMatrix, custom, make, vp
 from .shadow import (
     CaseIIParams,
@@ -38,6 +53,7 @@ from .shadow import (
 
 DEFAULT_SEED = 1729
 DEFAULT_EXP_TERMS = 40
+ORBIT_STEPS = 20  # check_coincidence compares the flow at t = 0, tau, ..., 20*tau
 # Every check reads its residual over the forward-error scale of that
 # check's arithmetic (Higham, Accuracy and Stability of Numerical
 # Algorithms, 2nd ed., ch. 1-3) and holds the quotient to this one bound.
@@ -161,28 +177,20 @@ def check_coincidence(generators: Sequence[Generator], r: TransitionMatrix,
                       seed: int = DEFAULT_SEED) -> tuple[VerificationReport, ...]:
     """Each generator's flow against the discrete orbits at t = 0, tau, ..., 20*tau.
 
-    The orbits are an independent oracle: ``discrete_orbit`` is repeated
-    matrix-vector multiplication by R and shares no code with the flow
-    evaluator under test.  They are built once per call, for every
-    generator of the map; each generator then applies one propagator E(t)
-    per orbit time to every trial's start.  The distance of the states,
-    |x| = hypot(q, p), is read over the rounding scale of both sides,
-    |E(t)|*|x_0| + n*|R|*|x_n| after n steps.  A flow that leaves double
-    range scores inf.  Returns one report per generator, in order.
+    The orbits are an independent oracle: repeated matrix-vector
+    multiplication by R (``_orbits_by_time``), sharing no code with the flow
+    evaluator under test.  They are built once per call, for every generator
+    of the map, and stored by time; each generator then applies its
+    propagator E(t) at each orbit time to every trial's start in one pass.
+    The distance of the states, |x| = hypot(q, p), is read over the rounding
+    scale of both sides, |E(t)|*|x_0| + n*|R|*|x_n| after n steps.  A flow
+    that leaves double range scores inf.  Returns one report per generator,
+    in order.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    rng = random.Random(seed)
-    times = discrete_orbit(r, 0.0, 0.0, 20).times
-    r_scale = r.as_mat2c().max_abs()
-    # per trial: its start, |x_0| and, per orbit state, (q, p, n*|R|*|x_n|)
-    orbits = []
-    for _ in range(trials):
-        q0 = rng.uniform(-2.0, 2.0)
-        p0 = rng.uniform(-2.0, 2.0)
-        states = [(q, p, n * r_scale * math.hypot(abs(q), abs(p)))
-                  for n, (q, p, _) in enumerate(discrete_orbit(r, q0, p0, 20).rows())]
-        orbits.append((q0, p0, math.hypot(q0, p0), states))
+    orbits = _orbits_by_time(r, trials, seed)
+    times = [n * r.tau for n in range(ORBIT_STEPS + 1)]
     return tuple(
         VerificationReport(
             f"{r.label} tau={r.tau:g} m={g.branch}",
@@ -191,14 +199,58 @@ def check_coincidence(generators: Sequence[Generator], r: TransitionMatrix,
         for g in generators)
 
 
-def _worst_deviation(g: Generator, times, orbits) -> float:
+def _orbits_by_time(r: TransitionMatrix, trials: int, seed: int) -> list[list[tuple]]:
+    """Per time n = 0..ORBIT_STEPS, one (q0, p0, |x_0|, q_n, p_n, n*|R|*|x_n|)
+    per trial, in the order of the trials' starts drawn from ``seed``.
+
+    Each step is ``TransitionMatrix.apply``'s arithmetic on R's entries read
+    once, so x_n is the n-th state of ``flow.discrete_orbit`` bit for bit.
+    """
+    rng = random.Random(seed)
+    hypot = math.hypot
+    r1, r2, r3, r4 = r.r1, r.r2, r.r3, r.r4
+    r_scale = max(abs(r1), abs(r2), abs(r3), abs(r4))
+    by_time = [[] for _ in range(ORBIT_STEPS + 1)]
+    for _ in range(trials):
+        q0 = rng.uniform(-2.0, 2.0)
+        p0 = rng.uniform(-2.0, 2.0)
+        x0 = hypot(q0, p0)
+        q, p = q0, p0
+        by_time[0].append((q0, p0, x0, q0, p0, 0.0))
+        for n in range(1, ORBIT_STEPS + 1):
+            q, p = r1 * q + r2 * p, r3 * q + r4 * p
+            by_time[n].append((q0, p0, x0, q, p, n * r_scale * hypot(q, p)))
+    return by_time
+
+
+def _propagators(g: Generator, times: Sequence[float]) -> tuple[list, list | None]:
+    """(E(t)'s entries, |E(t)|) at each time; and the same with the entries as
+    floats, or None unless every imaginary part is zero at every time.
+
+    Float arithmetic on real entries gives the real part of the complex
+    arithmetic on them bit for bit; the complex results differ only in the
+    sign of a zero imaginary part, or in a NaN one beside an infinite real
+    part, and abs() reads neither: abs(x + 0j) is |x| exactly and abs of an
+    infinite part is inf.  Where complex abs() overflows and raises, the
+    float result is inf; the oracles score both inf.
+    """
+    flows = [(e, max(abs(e[0]), abs(e[1]), abs(e[2]), abs(e[3])))
+             for e in closed_exps(g.matrix, [t / g.tau for t in times], g.log)]
+    for (e11, e12, e21, e22), _ in flows:
+        if not e11.imag == e12.imag == e21.imag == e22.imag == 0.0:
+            return flows, None
+    return flows, [((e11.real, e12.real, e21.real, e22.real), e_scale)
+                   for (e11, e12, e21, e22), e_scale in flows]
+
+
+def _worst_deviation(g: Generator, times: Sequence[float], orbits: list[list[tuple]]) -> float:
     """Largest scaled distance of g's flow from the orbits; inf out of range."""
     hypot = math.hypot
     worst = 0.0
     try:
-        flows = [(m.entries(), m.max_abs()) for m in (flow_matrix(g, t) for t in times)]
-        for q0, p0, x0, states in orbits:
-            for ((e11, e12, e21, e22), e_scale), (q, p, orbit_scale) in zip(flows, states):
+        flows, real_flows = _propagators(g, times)
+        for ((e11, e12, e21, e22), e_scale), states in zip(real_flows or flows, orbits):
+            for q0, p0, x0, q, p, orbit_scale in states:
                 deviation = hypot(abs(e11 * q0 + e12 * p0 - q), abs(e21 * q0 + e22 * p0 - p))
                 if deviation == 0.0:
                     continue
@@ -212,8 +264,8 @@ def _worst_deviation(g: Generator, times, orbits) -> float:
     return worst
 
 
-def _drift(h: ShadowHamiltonian, flows: list[tuple[tuple[complex, ...], float]],
-           q0: float, p0: float) -> float:
+def _drift(h: ShadowHamiltonian, flows: list[tuple[tuple, float]],
+           real_flows: list[tuple[tuple, float]] | None, q0: float, p0: float) -> float:
     """Scaled drift of H along the states reached by each propagator (entries, |E|).
 
     Each of H's three terms is computed once per state, on scalars, and
@@ -221,10 +273,14 @@ def _drift(h: ShadowHamiltonian, flows: list[tuple[tuple[complex, ...], float]],
     the drift's rounding scale: the terms' magnitudes at x(t), H(0)'s own
     ||H||*|x_0|**2, and ||H||*|x(t)|*|E(t)|*|x_0| for the rounding of
     x(t) = E(t) x_0, with ||H|| = |c_pp| + |c_qq| + |c_pq| and
-    |x| = |q| + |p|.
+    |x| = |q| + |p|.  Where the propagators are real (``real_flows``) and
+    H's coefficients and H(x_0) are too, all of it runs in float arithmetic,
+    exact for the reason ``_propagators`` gives.
     """
     c_pp, c_qq, c_pq = h.c_pp, h.c_qq, h.c_pq
     h0 = h.evaluate(q0, p0)
+    if real_flows is not None and c_pp.imag == c_qq.imag == c_pq.imag == h0.imag == 0.0:
+        c_pp, c_qq, c_pq, h0, flows = c_pp.real, c_qq.real, c_pq.real, h0.real, real_flows
     x0 = abs(q0) + abs(p0)
     h_x0 = (abs(c_pp) + abs(c_qq) + abs(c_pq)) * x0
     worst = 0.0
@@ -246,18 +302,21 @@ def _drift(h: ShadowHamiltonian, flows: list[tuple[tuple[complex, ...], float]],
 
 def check_conservation(h: ShadowHamiltonian, g: Generator, trials: int = 5,
                        seed: int = DEFAULT_SEED) -> VerificationReport:
-    """H is constant along its own flow over [0, 10*tau]; inf out of double range."""
+    """H is constant along its own flow over [0, 10*tau]; inf out of double range.
+
+    The propagators are computed once, at every sample time, and each
+    trial's start is carried through all of them (``_drift``).
+    """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = random.Random(seed)
     worst = 0.0
     try:
-        flows = [(m.entries(), m.max_abs()) for m in (
-            flow_matrix(g, t) for t in sample_times(10.0 * g.tau, g.tau / 20.0))]
+        flows, real_flows = _propagators(g, sample_times(10.0 * g.tau, g.tau / 20.0))
         for _ in range(trials):
             q0 = rng.uniform(-2.0, 2.0)
             p0 = rng.uniform(-2.0, 2.0)
-            worst = max(worst, _drift(h, flows, q0, p0))
+            worst = max(worst, _drift(h, flows, real_flows, q0, p0))
     except _OUT_OF_RANGE:
         worst = math.inf
     return VerificationReport(

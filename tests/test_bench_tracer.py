@@ -5,7 +5,8 @@ replaces it on the modules its callers read it from.  A renamed or
 deleted attribute breaks a traced benchmark run; this test catches it
 first.  A short traced flow in each format checks the counters the tracer
 takes from the trajectories it sees and that ``uninstall`` restores every
-attribute.  The tracer is loaded from its file, unchanged.
+attribute; a traced sweep and a traced verify check the calls each layer
+sees.  The tracer is loaded from its file, unchanged.
 """
 
 import importlib
@@ -79,3 +80,27 @@ def test_traced_sweep_classifies_each_point_once(capsys):
     assert tracer.calls("classifier.classify") == tracer.calls("shadow.generators_for") == points
     assert tracer.generators_built == 3 * points
     assert tracer.calls("algebra.closed_exp.under_shadow") == 0
+
+
+def test_traced_verify_applies_propagators_without_flow_states(capsys):
+    # one coincidence check per map and one conservation check per case; the
+    # oracles apply their propagators to every trial and sample no flow state
+    import shadowosc.cli
+    import shadowosc.verify  # noqa: F401
+
+    package = importlib.import_module("shadowosc")
+    before = {(module, attr): getattr(getattr(package, module), attr)
+              for _, _, lookups, attr in WRAPPED for module in lookups}
+    tracer = _tracer.Tracer(package)
+    try:
+        code = package.cli.main(["verify", "--trials", "2"])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    assert tracer.calls("verify.check_coincidence") == 10
+    assert tracer.calls("verify.check_conservation") == 5
+    assert tracer.calls("verify.series_exp") == 42
+    assert tracer.calls("flow.continuous_state") == 0
+    assert tracer.calls("algebra.closed_exp.under_flow") == 0
+    for (module, attr), original in before.items():
+        assert getattr(getattr(package, module), attr) is original

@@ -222,6 +222,27 @@ def test_flow_non_finite_start_or_horizon_is_usage_error(capsys, tmp_path, flags
     assert not (tmp_path / "out").exists()
 
 
+UNWRITABLE_OUT_CALLS = {
+    "classify": ["classify", "--integrator", "euler", "--tau", "0.66"],
+    "hamiltonian": ["hamiltonian", "--integrator", "euler", "--tau", "0.66"],
+    "sweep": ["sweep", "--integrator", "euler", "--grid", "0.5:1:0.5"],
+    "verify": ["verify", "--trials", "1"],
+    "flow": ["flow", "--integrator", "euler", "--tau", "0.66", "--t-end", "1"],
+}
+
+
+# flow creates a missing output directory, so only a regular file in the way stops it
+@pytest.mark.parametrize("command, out", [(c, "file/out") for c in UNWRITABLE_OUT_CALLS]
+                         + [(c, "missing/out") for c in UNWRITABLE_OUT_CALLS if c != "flow"])
+def test_unwritable_out_is_an_error(capsys, tmp_path, command, out):
+    (tmp_path / "file").write_text("")
+    code, _, err = run(capsys, *UNWRITABLE_OUT_CALLS[command], "--out", str(tmp_path / out))
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["file"]
+
+
 def _flow_peak_bytes(tmp_path, fmt, t_end):
     out_dir = tmp_path / f"{fmt}-{t_end}"
     tracemalloc.start()

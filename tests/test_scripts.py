@@ -34,7 +34,7 @@ def test_layer_costs(tmp_path):
     assert sorted(costs) == sorted([
         "Mat2C", "closed_exp", "make_vp", "classify", "generators_for_3",
         "hamiltonian_from_generator", "real_valued", "sweep_point", "flow_sample", "csv_row",
-        "flow_file", "build_parser"])
+        "flow_file", "build_parser", "coincidence", "conservation"])
     assert all(cost > 0 for cost in costs.values())
 
 
@@ -58,12 +58,11 @@ def test_output_digest(tmp_path):
     assert done.returncode == 0, done.stderr
     lines = [json.loads(line) for line in done.stdout.splitlines()]
     # 10 sweeps, 15 failing sweeps, 90 near-ridge calls, 8 built-in and 8 custom
-    # draws of two calls each, 26 flows, one verify
-    assert len(lines) == 10 + 15 + 90 + 2 * 8 + 2 * 8 + 26 + 1
+    # draws of two calls each, 26 flows, one verify per seed and five more
+    assert len(lines) == 10 + 15 + 90 + 2 * 8 + 2 * 8 + 26 + 1 + 5
     assert lines[0]["argv"] == ["sweep", "--integrator", "double-euler", "--grid", "1:2:0.5",
                                 "--format", "csv"]
-    assert lines[-1]["argv"] == ["verify", "--seed", "1"]
-    flows, others = lines[-27:-1], lines[:-27] + lines[-1:]
+    flows, verifies, others = lines[-32:-6], lines[-6:], lines[:-32]
     assert all(sorted(line) == ["argv", "exit", "stderr", "stdout"] for line in others)
     assert lines[10]["argv"] == ["sweep", "--integrator", "double-euler",
                                  "--grid=1e-310:1e-310:1", "--m-min", "-3", "--m-max", "3"]
@@ -75,9 +74,16 @@ def test_output_digest(tmp_path):
     # discrete orbit, the shear's one branch, iii-b's discrete file alone, and the
     # discrete file alone where a branch leaves double range
     assert all(sorted(line) == ["argv", "exit", "files", "stderr", "stdout"]
-               for line in flows)
+               for line in flows + verifies)
     assert all(line["argv"][0] == "flow" and "<out>" in line["argv"] for line in flows)
     assert [len(line["files"]) for line in flows] == [4] * 22 + [2, 1, 1, 1]
     assert [line["exit"] for line in flows] == [0] * 24 + [1, 1]
     assert list(flows[-1]["files"]) == ["discrete.json"]
+    # each verify writes its --out report; every perturbation fails
+    assert [line["argv"] for line in verifies] == [
+        ["verify", *options, "--out", "<out>/verify.json"]
+        for options in (["--seed", "1"], ["--trials", "1"], ["--trials", "3"],
+                        ["--perturb", "1e-3"], ["--perturb=-1e-9"], ["--perturb", "1e300"])]
+    assert all(list(line["files"]) == ["verify.json"] for line in verifies)
+    assert [line["exit"] for line in verifies] == [0, 0, 0, 1, 1, 1]
     assert run_script(*args, cwd=tmp_path).stdout == done.stdout

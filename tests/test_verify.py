@@ -240,6 +240,11 @@ def reference_conservation(h, g, trials, seed):
     return worst
 
 
+# diagonal shifts: none, the negative control's, and --perturb's out-of-range
+# ones, whose flows go inf or NaN and score inf
+shifts = st.sampled_from([0.0, 1e-3, -1e-9, 1e3, 1e300])
+
+
 def _built_in(case):
     (name, tau), m, eps = case
     r = make(name, tau)
@@ -247,15 +252,34 @@ def _built_in(case):
     return g if eps == 0.0 else corrupt(g, eps), r
 
 
+def _edge(case):
+    (r, m, preset), eps = case
+    (g,) = generators_for(r, [m], preset).generators
+    return g if eps == 0.0 else corrupt(g, eps), r
+
+
+# (map, branch, preset) at the edges of the oracles' float and complex kernels
+EDGES = [
+    (make("double-euler", 4.0), 0, None),  # iii-a: delta = 0
+    (make("double-euler", 4.8), 0, None),  # i-b: real propagators
+    (make("double-euler", 4.8), 1, None),  # i-b: complex propagators
+    *((custom(-1.0, 0.0, 0.0, -1.0, 1.0, label="-1*identity"), m, CaseIIParams.real_rotation())
+      for m in range(-1, 2)),  # ii(-)
+    *((custom(1.0, 0.0, 0.0, 1.0, 1.0, label="+1*identity"), m, CaseIIParams.default())
+      for m in range(-1, 2)),  # ii(+)
+]
+
 entries = st.builds(complex, st.floats(-4.0, 4.0), st.floats(-4.0, 4.0))
 # (generator, map) pairs: built-in branches of every case, some with a
-# shifted diagonal as full_suite's negative control makes them, and generic
-# traceless generators checked against the Euler map of their tau
+# shifted diagonal as full_suite's negative control and --perturb make them,
+# the kernels' edges, and generic traceless generators checked against the
+# Euler map of their tau
 subjects = st.one_of(
     st.tuples(st.sampled_from([("euler", 0.66), ("euler", 3.0), ("velocity-verlet", 1.5),
                                ("position-verlet", 1.0), ("double-euler", 2.0),
                                ("double-euler", 4.0), ("double-euler", 4.8), ("vp", 5.0)]),
-              st.integers(-2, 2), st.sampled_from([0.0, 1e-3, -1e-9])).map(_built_in),
+              st.integers(-2, 2), shifts).map(_built_in),
+    st.tuples(st.sampled_from(EDGES), shifts).map(_edge),
     st.builds(lambda a, b, c, tau: (Generator(Mat2C(a, b, c, -a), 0, tau, CaseTag.IA),
                                     euler(tau)),
               entries, entries, entries, st.floats(0.05, 3.0)),
@@ -269,14 +293,14 @@ def bits(x):
 class TestOraclesApplyOnePropagatorPerTime:
     """The hoisted oracles equal the per-state continuous_state loop bit for bit."""
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=100, deadline=None)
     @given(subjects, st.integers(1, 4), st.integers(0, 2 ** 32))
     def test_coincidence(self, subject, trials, seed):
         g, r = subject
         got = coincidence(g, r, trials, seed).checks[0].residual
         assert bits(got) == bits(reference_coincidence(g, r, trials, seed))
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=80, deadline=None)
     @given(subjects, st.integers(1, 3), st.integers(0, 2 ** 32))
     def test_conservation(self, subject, trials, seed):
         g, _ = subject
