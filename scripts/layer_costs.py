@@ -7,10 +7,14 @@ Usage:
 Each layer is one call timed with ``timeit``: the best of 7 repeats of N
 calls, in microseconds per call; the slow layers, a 1,000-sample flow pass,
 ``build_parser`` and the two verify oracles, take N/100 calls per repeat,
-and "flow_file" takes N/1000.  The map is ``vp``
+and "flow_file" and "sweep_window" take N/1000.  The map is ``vp``
 at tau = 0.66 (an i-a map) with branches m = -1, 0, 1, the family a
 ``sweep`` grid point builds; "sweep_point" is ``cli._sweep_row``, the
-code ``sweep`` runs per grid point.  "flow_sample" is one row of that
+code ``sweep`` runs per grid point, and "sweep_window" one whole
+``sweep --integrator vp --grid=0.001:0.500:0.001`` through ``cli.main``
+with its stdout captured, in microseconds per window: the 500-point window
+of the sweep-fine benchmark workload, and the one layer that sees a grid
+written as several ranges.  "flow_sample" is one row of that
 streamed flow and "csv_row" formats one such row with the flow CSV's %.17g
 pattern.  "flow_file" is one ``flow.write_trajectory_csv`` of the closed-form
 Euler flow at tau = 0.66 on [0, 150] at step 0.01 (15,001 rows, the Euler file
@@ -25,12 +29,14 @@ one machine in one session.
 """
 
 import argparse
+import io
 import json
 import platform
 import sys
 import tempfile
 import timeit
 from collections import deque
+from contextlib import redirect_stdout
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -50,7 +56,8 @@ TAU = 0.66
 BRANCHES = range(-1, 2)
 REPEAT = 7
 FLOW_SAMPLES = 1000
-SLOW = {"flow_sample": 100, "build_parser": 100, "flow_file": 1000,
+SWEEP_WINDOW = ["sweep", "--integrator", "vp", "--grid=0.001:0.500:0.001"]
+SLOW = {"flow_sample": 100, "build_parser": 100, "flow_file": 1000, "sweep_window": 1000,
         "coincidence": 100, "conservation": 100}  # N / divisor calls
 
 
@@ -68,6 +75,11 @@ def layers(directory: Path) -> dict:
     euler_file = flow.euler_trajectory(TAU, 0, 1.0, 0.0, 150.0, 0.01)
     euler_h = euler_hamiltonian(TAU, 0)
 
+    def sweep_window():
+        with redirect_stdout(io.StringIO()):
+            if cli.main(SWEEP_WINDOW) != 0:
+                raise RuntimeError("the sweep window failed")
+
     return {
         "Mat2C": (lambda: Mat2C(z.e11, z.e12, z.e21, z.e22), 1),
         "closed_exp": (lambda: closed_exp(z), 1),
@@ -77,6 +89,7 @@ def layers(directory: Path) -> dict:
         "hamiltonian_from_generator": (lambda: hamiltonian_from_generator(g), 1),
         "real_valued": (lambda: real_valued(g), 1),
         "sweep_point": (lambda: cli._sweep_row("vp", TAU, BRANCHES, None), 1),
+        "sweep_window": (sweep_window, 1),
         "flow_sample": (lambda: deque(trajectory.rows(), 0), len(trajectory)),
         "csv_row": (lambda: flow._CSV_ROW % row, 1),
         "flow_file": (lambda: flow.write_trajectory_csv(directory / "flow.csv", euler_file,
@@ -92,7 +105,7 @@ def main() -> int:
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--number", type=int, default=2000,
                         help="calls per repeat (N/100 for the flow pass, build_parser and "
-                             "the verify oracles, N/1000 for flow_file)")
+                             "the verify oracles, N/1000 for flow_file and sweep_window)")
     args = parser.parse_args()
     if args.number < 1:
         parser.error("--number must be at least 1")

@@ -7,17 +7,21 @@ Usage:
 
 Imports ``shadowosc`` from CHECKOUT/src and calls ``cli.main`` in process.
 Each line holds the call's argv, its exit code and the sha256 of its stdout
-and of its stderr.  A ``flow`` call writes into a new temporary directory,
-named ``<out>`` in its argv and its stdout; its line also holds the sha256 of
-each file the directory holds afterwards, by name, so a leftover partial file
-shows; a ``verify`` call writes its ``--out`` JSON there, whose %.17g-exact
-residuals the table's %.3e would round.  The draws below come from one fixed
-seed (``SEED``).  The calls, in order:
+and of its stderr.  A call with ``<out>`` in its argv writes into a new
+temporary directory of that name (a ``flow`` call's stdout names it too); its
+line also holds the sha256 of each file the directory holds afterwards, by
+name, so a leftover partial file shows.  A ``verify`` call writes its
+``--out`` JSON there, whose %.17g-exact residuals the table's %.3e would
+round.  The draws below come from one fixed seed (``SEED``).  The calls, in
+order:
 
 - ``sweep --grid GRID`` for each built-in, in CSV and JSON (default grid
-  0.001:10:0.001);
+  0.001:10:0.001), to stdout, then the same calls with ``--out``;
 - ``sweep --m-min -3 --m-max 3`` for each built-in on the one-point grids
   ``ERROR_GRIDS``, each of which exits with an error;
+- ``sweep`` on ``LATER_RANGE_GRID`` for Euler and velocity-verlet, in CSV and
+  JSON: 501 points whose first failure, at k = 319, lies in the second range
+  of a grid written as two;
 - ``classify`` and ``hamiltonian --m-min -3 --m-max 3`` for N draws of a
   built-in and tau log-uniform in [1e-12, 1e6], the format alternating;
 - ``hamiltonian --m-min -3 --m-max 3`` for each built-in at tau = ridge +-
@@ -62,7 +66,8 @@ SEED = 16
 # one point each: a tau so small that the coefficients overflow, and taus so
 # large that the map's entries, or at 1e154 Euler's eigenvalue arithmetic, overflow
 ERROR_GRIDS = ("1e-310:1e-310:1", "1e300:1e300:1", "1e154:1e154:1")
-OUT = "<out>"  # a flow or verify call's output directory
+LATER_RANGE_GRID = "1e77:2e77:2e74"
+OUT = "<out>"  # a call's output directory
 VERIFY_OUT = f"{OUT}/verify.json"
 VERIFY_OPTIONS = (["--trials", "1"], ["--trials", "3"], ["--perturb", "1e-3"],
                   ["--perturb=-1e-9"], ["--perturb", "1e300"])
@@ -121,12 +126,18 @@ def call_set(count: int, grid: str, verify_seeds: int, flow_dt: float,
              vp_ridge: float) -> list[list[str]]:
     rng = random.Random(SEED)
     calls = []
-    for name in BUILT_INS:
-        for fmt in ("csv", "json"):
-            calls.append(["sweep", "--integrator", name, "--grid", grid, "--format", fmt])
+    for out in ([], ["--out", f"{OUT}/sweep"]):
+        for name in BUILT_INS:
+            for fmt in ("csv", "json"):
+                calls.append(["sweep", "--integrator", name, "--grid", grid, "--format", fmt,
+                              *out])
     for error_grid in ERROR_GRIDS:
         for name in BUILT_INS:
             calls.append(["sweep", "--integrator", name, f"--grid={error_grid}", *BRANCHES])
+    for name in ("euler", "velocity-verlet"):
+        for fmt in ("csv", "json"):
+            calls.append(["sweep", "--integrator", name, f"--grid={LATER_RANGE_GRID}",
+                          "--format", fmt])
     ridges = {"double-euler": 4.0, "euler": 2.0, "position-verlet": 2.0,
               "velocity-verlet": 2.0, "vp": vp_ridge}
     for name, ridge in ridges.items():

@@ -2,7 +2,13 @@
 
 All numeric file output uses %.17g so emitted values round-trip exactly;
 JSON never uses complex literals, only {re, im} pairs.  Outputs are
-byte-identical for identical configurations and seeds.
+byte-identical for identical configurations and seeds.  Every table goes
+through ``flow.sink``: an ``--out`` file appears only whole (``flow --out``
+names a directory it creates), and stdout receives nothing from a command
+that fails.  A sweep row depends only on its own grid point
+tau_k = start + k*step, so ``sweep`` writes its grid through
+``flow.write_ranges`` as contiguous point ranges, in parallel where the grid
+has at least 2 * _MIN_SWEEP_POINTS points and two CPUs are usable.
 """
 
 from __future__ import annotations
@@ -20,9 +26,13 @@ from .errors import ShadowOscError
 from .flow import (
     discrete_orbit,
     euler_trajectory,
+    listed_json,
     sample_times,
     sample_trajectory,
+    sink,
     whole_steps,
+    write_listed,
+    write_ranges,
     write_trajectory_csv,
     write_trajectory_json,
 )
@@ -47,6 +57,10 @@ USAGE_ERROR = 2
 
 HAMILTONIAN_CSV_HEADER = ("m,case,tau,cA_re,cA_im,cB_re,cB_im,cC_re,cC_im,"
                           "real_valued,lambda_re,lambda_im")
+# Fewest grid points in a range: below 2 * _MIN_SWEEP_POINTS a grid is one
+# pass.  On a 2-core host, two ranges broke even with one pass at about 300
+# points and won at 400 (see README, "Split tables").
+_MIN_SWEEP_POINTS = 200
 
 _FLAG = re.compile(r"--[\w-]+")
 _NEGATIVE_VALUE = re.compile(r"-(\d|\.|inf|nan)", re.IGNORECASE)
@@ -79,16 +93,16 @@ def _parse_quad(text: str) -> tuple[float, float, float, float]:
     return parts[0], parts[1], parts[2], parts[3]
 
 
-def _parse_grid(text: str) -> list[float]:
-    """start:stop:step inclusive of stop up to rounding."""
+def _parse_grid(text: str) -> tuple[float, float, int]:
+    """start:stop:step as (start, step, count), the grid being start + k*step
+    for 0 <= k < count, inclusive of stop up to rounding; count 0 is empty."""
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError("grid must be start:stop:step")
     start, stop, step = (float(v) for v in parts)
     if step <= 0 or stop < start:
-        return []
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
-    return [start + k * step for k in range(count)]
+        return start, step, 0
+    return start, step, int(math.floor((stop - start) / step + 1e-9)) + 1
 
 
 def _resolve_matrix(args) -> TransitionMatrix:
@@ -116,10 +130,8 @@ def _branches(args) -> range:
 
 
 def _emit(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text + "\n")
-    else:
-        print(text)
+    with sink(out) as f:
+        f.write(text + "\n")
 
 
 def cmd_classify(args) -> int:
@@ -267,20 +279,29 @@ def _sweep_row(integrator: str, tau: float, branches: range,
 
 
 def cmd_sweep(args) -> int:
-    taus = _parse_grid(args.grid)
-    if not taus:
+    start, step, count = _parse_grid(args.grid)
+    if not count:
         print("empty sweep grid", file=sys.stderr)
         return USAGE_ERROR
     params = _resolve_params(args)
     branches = _branches(args)
-    rows = [_sweep_row(args.integrator, tau, branches, params) for tau in taus]
+
+    def rows(first: int, stop: int):
+        """The rows of grid points first <= k < stop; each depends on its k alone."""
+        return (_sweep_row(args.integrator, start + k * step, branches, params)
+                for k in range(first, stop))
+
     if args.format == "json":
         keys = ("tau", "case", "trace", "criticality_gap", "n_real")
-        _emit(json.dumps({"integrator": args.integrator,
-                          "rows": [dict(zip(keys, row)) for row in rows]}, indent=2), args.out)
+        write_listed(args.out, count, _MIN_SWEEP_POINTS,
+                     {"integrator": args.integrator, "rows": []},
+                     lambda first, stop: (listed_json(dict(zip(keys, row)))
+                                          for row in rows(first, stop)))
     else:
-        lines = ["tau,case,trace,criticality_gap,n_real_hamiltonians"]
-        _emit("\n".join(lines + ["%.17g,%s,%.17g,%.17g,%d" % row for row in rows]), args.out)
+        write_ranges(args.out, count, _MIN_SWEEP_POINTS,
+                     lambda first, stop: map("%.17g,%s,%.17g,%.17g,%d\n".__mod__,
+                                             rows(first, stop)),
+                     "tau,case,trace,criticality_gap,n_real_hamiltonians\n", "")
     return 0
 
 
@@ -295,7 +316,7 @@ def cmd_verify(args) -> int:
                    "perturb": args.perturb,
                    "passed": not failed,
                    "reports": [r.to_json_dict() for r in reports]}
-        Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
+        _emit(json.dumps(payload, indent=2), args.out)
     return 1 if failed else 0
 
 

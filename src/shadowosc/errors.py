@@ -9,7 +9,22 @@ from __future__ import annotations
 
 
 class ShadowOscError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package.
+
+    It pickles as its type, its args and its attributes, and unpickles
+    without running a subclass's constructor again, which takes other
+    arguments than the message it stores: an error raised while a forked
+    child writes a row range reaches the caller as it was raised.
+    """
+
+    def __reduce__(self):
+        return _restored, (type(self), self.args, self.__dict__)
+
+
+def _restored(cls: type, args: tuple, state: dict) -> ShadowOscError:
+    error = cls.__new__(cls, *args)
+    error.__dict__.update(state)
+    return error
 
 
 class ZeroEigenvalue(ShadowOscError):

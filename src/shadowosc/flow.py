@@ -27,16 +27,22 @@ generator (``euler_trajectory``), whose delta is read off its rate.  A flow
 whose state leaves double range raises ``OutOfRange`` naming the first such
 t; a writer that fails removes its partial file.
 
-A flow row depends only on its own t, so a long flow file is written as
-contiguous row ranges in parallel: range 0 by this process, each later one
-by a forked child into a part file that is then appended in order, giving
-the bytes of a single pass.  There are min(2, usable CPUs, rows // 1500)
+A flow row depends only on its own t, so a long flow file is written by
+``write_ranges``, the one range writer, which ``sweep`` uses for its grids
+too: contiguous row ranges in parallel, range 0 by this process and each
+later one by a forked child into an anonymous part file that is then
+appended in order, giving the bytes of a single pass.  Each process runs on
+a CPU of its own, since the scheduler often leaves a young child on its
+parent's CPU for a whole range.  There are min(2, usable CPUs, rows // least)
 ranges where ``os.fork`` exists, the caller runs one thread and SIGCHLD is
-not ignored, else one.  A fork, its child's exit and the append cost a few
-ms; on a 2-core host 1500 rows per range served the flow-dense benchmark
-better than 2000 or 3000.  More than two ranges were never measured, and
-the usable CPUs read from the affinity mask ignore a cgroup CPU quota, so
-two is the most.  The discrete orbit, a recurrence, is always one range.
+not ignored, else one; least is 1500 rows for a flow file (on a 2-core host
+it served the flow-dense benchmark better than 2000 or 3000) and
+``cli._MIN_SWEEP_POINTS`` for a sweep grid.  A fork, its child's exit and
+the append cost a few ms.  More than two ranges were never measured, and the
+usable CPUs read from the affinity mask ignore a cgroup CPU quota, so two
+is the most.  The discrete orbit, a recurrence, is always one range.
+``sink`` is where a table goes: its ``--out`` file, written under a
+``.part`` name and renamed when complete, or stdout, once the table is whole.
 
 Deviations between states are reported relative to max(1, |reference|):
 bounded orbits are then compared absolutely, while diverging orbits
@@ -433,6 +439,20 @@ def _replacing(path: str | Path):
         raise
 
 
+@contextmanager
+def sink(out: str | Path | None):
+    """Where a command's table goes: the file ``out`` through ``_replacing``,
+    or, for no ``out``, a buffer written to stdout once the block completes,
+    so that a command that fails prints none of its table."""
+    if out:
+        with _replacing(out) as f:
+            yield f
+        return
+    f = io.StringIO()
+    yield f
+    sys.stdout.write(f.getvalue())
+
+
 def _write_rows(f, texts: Iterator[str]) -> None:
     """Write the texts in joined chunks: fewer, larger writes than one per row."""
     while chunk := "".join(islice(texts, _CHUNK)):
@@ -445,55 +465,66 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _row_ranges(trajectory: Trajectory) -> list[tuple[int, int]]:
-    """Contiguous index ranges [start, stop) covering the trajectory, in order.
+def _row_ranges(n: int, least: int) -> list[tuple[int, int]]:
+    """Contiguous index ranges [start, stop) covering n rows, in order.
 
-    More than one only for a closed-form trajectory of at least
-    2 * _MIN_RANGE_ROWS rows, where ``os.fork`` exists, more than one CPU is
-    usable, the caller runs no second thread (a forked child gets only the
-    forking thread, and could inherit a lock another one holds) and SIGCHLD
-    is not ignored (the system would reap the children, and waitpid fail).
+    min(_MAX_RANGES, usable CPUs, n // least) of them, at least one, where
+    ``os.fork`` exists, the caller runs no second thread (a forked child gets
+    only the forking thread, and could inherit a lock another one holds) and
+    SIGCHLD is not ignored (the system would reap the children, and waitpid
+    fail); else one.
     """
-    n = len(trajectory)
     count = 1
     threading = sys.modules.get("threading")
-    if (trajectory.closed_form and hasattr(os, "fork")
-            and (threading is None or threading.active_count() == 1)):
-        count = max(1, min(_MAX_RANGES, _usable_cpus(), n // _MIN_RANGE_ROWS))
+    if hasattr(os, "fork") and (threading is None or threading.active_count() == 1):
+        count = max(1, min(_MAX_RANGES, _usable_cpus(), n // least))
     if count > 1:
-        import signal  # here and below: only a split file needs it
+        import signal  # here and below: only a split table needs it
 
         if signal.getsignal(signal.SIGCHLD) == signal.SIG_IGN:
             count = 1
     return [(n * i // count, n * (i + 1) // count) for i in range(count)]
 
 
-def _fork_range(part: Path, texts: Iterator[str],
-                children: list[tuple[int, io.BufferedReader]]) -> None:
-    """Fork a child that writes ``texts`` to a new text file ``part``, and
-    append its pid and the read end of its error pipe to ``children``.
+# A range's child: its pid, the read end of its error pipe and its part file.
+Child = tuple[int, io.BufferedReader, io.TextIOWrapper]
 
-    SIGINT stays blocked from before the fork until the child is listed, so
-    an interrupt cannot leave a child the caller does not know of; the child
-    keeps it blocked, and the caller kills it if the interrupt stops the
-    write.
+
+def _fork_range(texts: Iterator[str], cpu: int | None, directory: Path | None,
+                children: list[Child]) -> None:
+    """Fork a child that runs on ``cpu`` alone (None: any of the caller's) and
+    writes ``texts`` to a new anonymous part file in ``directory`` (None: the
+    system's temporary directory), and append the child to ``children``.
+
+    SIGINT stays blocked from before the part file is made until the child is
+    listed, so an interrupt cannot leave a child the caller does not know of;
+    the child keeps it blocked, and the caller kills it if the interrupt stops
+    the write.
     """
     import signal
+    import tempfile
 
     mask = signal.pthread_sigmask(signal.SIG_BLOCK, ())  # the caller's, unchanged
     try:
         signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
-        children.append(_forked(part, texts))
+        part = tempfile.TemporaryFile("w+", dir=directory)
+        try:
+            children.append((*_forked(part, texts, cpu), part))
+        except BaseException:
+            part.close()
+            raise
     finally:
         signal.pthread_sigmask(signal.SIG_SETMASK, mask)
 
 
-def _forked(part: Path, texts: Iterator[str]) -> tuple[int, io.BufferedReader]:
+def _forked(part: io.TextIOWrapper, texts: Iterator[str],
+            cpu: int | None) -> tuple[int, io.BufferedReader]:
     """The child's pid and the read end of its error pipe.
 
-    The child ends only through ``os._exit``, so it never flushes a buffer it
-    inherited (the caller's stdout, say); if writing raises, it first sends
-    the pickled exception down the pipe.
+    The child writes through its own copy of ``part`` at the file's shared
+    offset, from 0.  It ends only through ``os._exit``, so it never flushes a
+    buffer it inherited (the caller's stdout, say); if writing raises, it
+    first sends the pickled exception down the pipe.
     """
     read, write = os.pipe()
     try:
@@ -506,8 +537,10 @@ def _forked(part: Path, texts: Iterator[str]) -> tuple[int, io.BufferedReader]:
         code = 1
         try:
             os.close(read)
-            with open(part, "w") as f:
-                _write_rows(f, texts)
+            if cpu is not None:
+                os.sched_setaffinity(0, {cpu})
+            _write_rows(part, texts)
+            part.flush()
             code = 0
         except BaseException as exc:  # reported to the parent, then the child exits
             import pickle  # here and in _join: only an error needs it
@@ -535,12 +568,12 @@ def _join(pid: int, pipe: io.BufferedReader) -> BaseException | None:
     return None
 
 
-def _stop(children: list[tuple[int, io.BufferedReader]]) -> None:
+def _stop(children: list[Child]) -> None:
     """Kill and reap every child not reaped yet; waitpid raises for a reaped
     pid, which is then never signalled, since it may have been reused."""
     import signal
 
-    for pid, pipe in children:
+    for pid, pipe, _ in children:
         pipe.close()
         try:
             reaped = os.waitpid(pid, os.WNOHANG)[0]
@@ -551,52 +584,91 @@ def _stop(children: list[tuple[int, io.BufferedReader]]) -> None:
             os.waitpid(pid, 0)
 
 
-def _write_ranges(path: str | Path, trajectory: Trajectory, head: str,
-                  texts: Callable[[Iterator[Row], int], Iterator[str]], tail: str) -> None:
-    """Write head, ``texts(rows, start)`` for each row range in order, and tail.
+def write_ranges(out: str | Path | None, n: int, least: int,
+                 texts: Callable[[int, int], Iterator[str]], head: str, tail: str) -> None:
+    """Write head, ``texts(start, stop)`` for each range of the n rows in
+    order, and tail, to ``sink(out)``; a range holds at least ``least`` rows.
 
-    This process writes range 0 into the ``_replacing`` file, while a forked
-    child writes each later range to a part file beside it; the parts are
-    appended in order.  Each row depends only on its own t, so the bytes are
-    those of a single pass.  On any error the children are killed and
-    reaped, every part is removed, and the error of the earliest failing
-    range is raised.
+    This process writes range 0 into the sink, while a forked child writes
+    each later range to a part file (beside ``out``, or in the system's
+    temporary directory for stdout); the parts are appended in order.  Each
+    row must depend only on its own index, so that the bytes are those of a
+    single pass.  On any error the children are killed and reaped, every
+    part is removed, and the error of the earliest failing range is raised.
     """
-    ranges = _row_ranges(trajectory)
-    path = Path(path)
-    parts = [path.with_name(f"{path.name}.part{i}") for i in range(1, len(ranges))]
-    children: list[tuple[int, io.BufferedReader]] = []
+    ranges = _row_ranges(n, least)
+    directory = Path(out).parent if out else None
+    children: list[Child] = []
+    # Each range on a CPU of its own, where the mask can be set: left to the
+    # scheduler, a child often shares its parent's CPU for a whole range.
+    mask = None
+    if len(ranges) > 1 and hasattr(os, "sched_setaffinity"):
+        mask = os.sched_getaffinity(0)  # the caller's, restored below
+    cpus = sorted(mask) if mask else [None]
     try:
-        for part, (start, stop) in zip(parts, ranges[1:]):
-            # lazy: the child computes the rows as it writes them
-            _fork_range(part, texts(trajectory.rows(start, stop), start), children)
-        with _replacing(path) as f:
+        with sink(out) as f:
+            for i, (start, stop) in enumerate(ranges[1:], 1):
+                # lazy: the child computes the rows as it writes them
+                _fork_range(texts(start, stop), cpus[i % len(cpus)], directory, children)
+            if mask:
+                os.sched_setaffinity(0, {cpus[0]})
             f.write(head)
-            _write_rows(f, texts(trajectory.rows(*ranges[0]), 0))
-            for (pid, pipe), part in zip(children, parts):
+            _write_rows(f, texts(*ranges[0]))
+            for pid, pipe, part in children:
                 error = _join(pid, pipe)
                 if error is not None:
                     raise error
-                f.flush()
-                import shutil  # like pickle and signal: only a split file needs it
+                import shutil  # like pickle, signal and tempfile: only a split table needs it
 
-                with open(part, "rb") as src:
-                    shutil.copyfileobj(src, f.buffer)
-                part.unlink()
+                part.seek(0)
+                shutil.copyfileobj(part, f)
             f.write(tail)
     except BaseException:
         _stop(children)
-        for part in parts:
-            part.unlink(missing_ok=True)
         raise
+    finally:
+        if mask:
+            os.sched_setaffinity(0, mask)
+        for _, _, part in children:
+            part.close()
+
+
+def listed_json(item) -> str:
+    """An item as json.dumps(..., indent=2) lays it out in a list that is the
+    last value of the top-level object, with the separator before it."""
+    return ",\n    " + json.dumps(item, indent=2).replace("\n", "\n    ")
+
+
+def write_listed(out: str | Path | None, n: int, least: int, head: dict,
+                 items: Callable[[int, int], Iterator[str]]) -> None:
+    """Write ``json.dumps(head, indent=2)`` and a newline through
+    ``write_ranges``, where head's last value is an empty list that
+    ``items(start, stop)`` fills with ``listed_json`` texts."""
+    text = json.dumps(head, indent=2)
+
+    def texts(start: int, stop: int) -> Iterator[str]:
+        listed = items(start, stop)
+        if start == 0:  # the first item has no separator before it
+            return chain((next(listed)[1:],), listed)
+        return listed
+
+    write_ranges(out, n, least, texts, text[:-len("]\n}")], "\n  ]\n}\n")
+
+
+def _fewest_rows(trajectory: Trajectory) -> int:
+    """Fewest rows in a range: more than the file holds for the discrete
+    orbit, a recurrence, so that it is one range."""
+    return _MIN_RANGE_ROWS if trajectory.closed_form else len(trajectory) + 1
 
 
 def write_trajectory_csv(path: str | Path, trajectory: Trajectory,
                          hamiltonian: ShadowHamiltonian | None = None) -> None:
     """Emit the CSV schema; without a Hamiltonian the H column reports the
     unperturbed oscillator energy (q**2 + p**2)/2."""
-    _write_ranges(path, trajectory, CSV_HEADER + "\n",
-                  lambda rows, start: map(_CSV_ROW.__mod__, _values(rows, hamiltonian)), "")
+    write_ranges(path, len(trajectory), _fewest_rows(trajectory),
+                 lambda start, stop: map(_CSV_ROW.__mod__,
+                                         _values(trajectory.rows(start, stop), hamiltonian)),
+                 CSV_HEADER + "\n", "")
 
 
 def _state_json(t, q_re, q_im, p_re, p_im, h_re, h_im) -> dict:
@@ -604,20 +676,14 @@ def _state_json(t, q_re, q_im, p_re, p_im, h_re, h_im) -> dict:
             "H": {"re": h_re, "im": h_im}}
 
 
-def _listed(state: dict) -> str:
-    """A state as json.dumps(..., indent=2) lays it out in the "states" list,
-    with the separator before it."""
-    return ",\n    " + json.dumps(state, indent=2).replace("\n", "\n    ")
-
-
 # %r is float.__repr__, the form json gives every finite float.
-_JSON_STATE = _listed(_state_json(*["%r"] * 7)).replace('"%r"', "%r")
+_JSON_STATE = listed_json(_state_json(*["%r"] * 7)).replace('"%r"', "%r")
 
 
 def _json_state(values: tuple[float, ...]) -> str:
     text = _JSON_STATE % values
     if "n" in text:  # nan or inf, which json writes as NaN, Infinity, -Infinity
-        text = _listed(_state_json(*values))
+        text = listed_json(_state_json(*values))
     return text
 
 
@@ -625,16 +691,10 @@ def write_trajectory_json(path: str | Path, trajectory: Trajectory,
                           hamiltonian: ShadowHamiltonian | None = None) -> None:
     """Emit ``json.dumps(trajectory_to_json(trajectory, hamiltonian), indent=2)``
     and a newline, one state at a time."""
-    head = json.dumps({"source": _source_json(trajectory, hamiltonian), "states": []},
-                      indent=2)
-
-    def states(rows: Iterator[Row], start: int) -> Iterator[str]:
-        texts = map(_json_state, _values(rows, hamiltonian))
-        if start == 0:  # the first state has no separator before it
-            return chain((next(texts)[1:],), texts)
-        return texts
-
-    _write_ranges(path, trajectory, head[:-len("]\n}")], states, "\n  ]\n}\n")
+    write_listed(path, len(trajectory), _fewest_rows(trajectory),
+                 {"source": _source_json(trajectory, hamiltonian), "states": []},
+                 lambda start, stop: map(_json_state,
+                                         _values(trajectory.rows(start, stop), hamiltonian)))
 
 
 def _source_json(trajectory: Trajectory, hamiltonian: ShadowHamiltonian | None) -> dict:

@@ -64,7 +64,9 @@ def test_tracer_counts_the_rows_written_and_uninstalls(tmp_path, capsys, fmt):
 
 def test_traced_sweep_classifies_each_point_once(capsys):
     # one classify and one family per grid point; a distinct family validates
-    # its branches from two scalars each and calls no closed_exp
+    # its branches from two scalars each and calls no closed_exp.  41 points
+    # are below 2 * cli._MIN_SWEEP_POINTS, so the grid is one range, and the
+    # tracer sees every point
     import shadowosc.cli
     import shadowosc.verify  # noqa: F401
 
@@ -80,6 +82,26 @@ def test_traced_sweep_classifies_each_point_once(capsys):
     assert tracer.calls("classifier.classify") == tracer.calls("shadow.generators_for") == points
     assert tracer.generators_built == 3 * points
     assert tracer.calls("algebra.closed_exp.under_shadow") == 0
+
+
+def test_traced_split_sweep_counts_the_parent_range_only(capsys, monkeypatch):
+    # a forked child's counts end with it: the tracer sees range 0 of a split
+    # grid, so its per-point ratios read half the points where two CPUs split it
+    import shadowosc.cli
+    import shadowosc.verify  # noqa: F401
+
+    package = importlib.import_module("shadowosc")
+    monkeypatch.setattr(package.flow, "_usable_cpus", lambda: 2)
+    points = 2 * package.cli._MIN_SWEEP_POINTS + 1
+    tracer = _tracer.Tracer(package)
+    try:
+        code = package.cli.main(["sweep", "--integrator", "vp", f"--grid=1:{points}:1"])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    assert len(capsys.readouterr().out.splitlines()) - 1 == points
+    assert tracer.calls("classifier.classify") == points // 2
+    assert tracer.calls("shadow.generators_for") == points // 2
 
 
 def test_traced_verify_applies_propagators_without_flow_states(capsys):

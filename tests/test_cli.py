@@ -1,10 +1,11 @@
 import json
 import math
+import os
 import tracemalloc
 
 import pytest
 
-from shadowosc import cli, shadow
+from shadowosc import cli, flow, shadow
 from shadowosc.algebra import max_diff
 from shadowosc.cli import main
 from shadowosc.errors import (
@@ -241,6 +242,28 @@ def test_unwritable_out_is_an_error(capsys, tmp_path, command, out):
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["file"]
+
+
+@pytest.mark.parametrize("command", [c for c in UNWRITABLE_OUT_CALLS if c != "flow"])
+def test_out_file_appears_only_whole(capsys, tmp_path, monkeypatch, command):
+    # written under out.part and renamed, so no partial file is left behind
+    renamed, real_replace = [], os.replace
+
+    def replace(src, dst):
+        renamed.append((os.path.basename(src), os.path.basename(dst)))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(flow.os, "replace", replace)
+    (tmp_path / "out").write_text("old\n")
+    code, out, _ = run(capsys, *UNWRITABLE_OUT_CALLS[command], "--out", str(tmp_path / "out"))
+    assert code == 0
+    assert renamed == [("out.part", "out")]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
+    text = (tmp_path / "out").read_text()
+    if command == "verify":
+        assert json.loads(text)["passed"] and "subjects passed" in out
+    else:
+        assert run(capsys, *UNWRITABLE_OUT_CALLS[command]) == (0, text, "") and out == ""
 
 
 def _flow_peak_bytes(tmp_path, fmt, t_end):

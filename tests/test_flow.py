@@ -4,6 +4,7 @@ import math
 import os
 import signal
 import sys
+import threading
 import time
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shadowosc import flow
+from shadowosc import cli, flow
 from shadowosc.algebra import Mat2C, closed_exp, max_diff
 from shadowosc.classifier import CaseTag, classify
 from shadowosc.cli import main
@@ -509,12 +510,13 @@ class TestStreamingWriters:
 
 @pytest.fixture
 def split_into(monkeypatch):
-    """Make the writers cut every closed-form trajectory into k row ranges
-    (fewer when it has fewer than k rows)."""
+    """Make the range writer cut every closed-form trajectory and every sweep
+    grid into k ranges (fewer when it has fewer than k rows)."""
     def force(k: int) -> None:
         monkeypatch.setattr(flow, "_usable_cpus", lambda: k)
         monkeypatch.setattr(flow, "_MAX_RANGES", k)
         monkeypatch.setattr(flow, "_MIN_RANGE_ROWS", 1)
+        monkeypatch.setattr(cli, "_MIN_SWEEP_POINTS", 1)
     return force
 
 
@@ -549,6 +551,29 @@ def _flow_call(directory, k_flags=()):
     return code, out.getvalue(), err.getvalue(), sorted(p.name for p in directory.iterdir())
 
 
+# sweep grids of 501 points whose first failing point, k = 319 (tau = 1.638e77),
+# lies in range 1 of 2 and of 3; velocity-verlet's error pickles through its
+# own constructor arguments, not through its message
+LATER_RANGE_FAILURES = [
+    (["--integrator", "euler", "--grid=1e77:2e77:2e74"], 1,
+     "error: exp(Z) reproduces euler only to nan\n"),
+    (["--integrator", "velocity-verlet", "--grid=1e77:2e77:2e74"], 2,
+     "error: velocity-verlet: determinant differs from 1 by nan\n"),
+]
+
+
+def _sweep_call(directory, flags, out=False):
+    """(exit code, stdout, stderr, the directory's files) of one ``sweep``,
+    with ``--out directory/table`` when ``out`` is set."""
+    directory.mkdir(exist_ok=True)
+    argv = ["sweep", *flags] + (["--out", str(directory / "table")] if out else [])
+    stdout, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(err):
+        code = main(argv)
+    files = {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+    return code, stdout.getvalue(), err.getvalue(), files
+
+
 class TestSplitWriter:
     """A file written as several row ranges has the bytes of a single pass."""
 
@@ -559,7 +584,7 @@ class TestSplitWriter:
             files = {}
             for k in (1, 2, 3):
                 split_into(k)
-                assert len(flow._row_ranges(traj)) == k
+                assert len(flow._row_ranges(len(traj), flow._fewest_rows(traj))) == k
                 directory = tmp_path / f"{label}-{k}"
                 directory.mkdir()
                 write(directory / f"t.{fmt}", traj, h)
@@ -568,10 +593,31 @@ class TestSplitWriter:
             assert files[2] == files[1] and files[3] == files[1], label
             _no_child_left()
 
+    @pytest.mark.parametrize("out", [False, True], ids=["stdout", "out"])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_sweep_bytes_equal_across_range_counts(self, tmp_path, split_into, fmt, out):
+        # i-a and i-c points, a iii-a point, and gaps that overflow to inf
+        grids = [("vp", "--grid=2.2:2.8:0.05"), ("double-euler", "--grid=3.9:4.05:0.05"),
+                 ("vp", "--grid=1.5e26:1.7e26:2e24")]
+        for integrator, grid in grids:
+            flags = ["--integrator", integrator, grid, "--format", fmt]
+            calls = {}
+            for k in (1, 2, 3):
+                split_into(k)
+                calls[k] = _sweep_call(tmp_path / f"{integrator}{grid}-{k}", flags, out)
+                _no_child_left()
+            assert calls[1][0] == 0 and calls[1][2] == ""
+            assert calls[2] == calls[1] and calls[3] == calls[1], grid
+            text = calls[1][3]["table"].decode() if out else calls[1][1]
+            assert calls[1][1] == ("" if out else text)
+            if fmt == "json":
+                assert (json.dumps(json.loads(text), indent=2) + "\n") == text
+        assert ("Infinity" if fmt == "json" else ",inf,") in text
+
     def test_discrete_orbit_is_one_range(self, split_into):
         split_into(3)
         orbit = discrete_orbit(euler(0.66), 1.0, 0.0, 100)
-        assert flow._row_ranges(orbit) == [(0, 101)]
+        assert flow._row_ranges(len(orbit), flow._fewest_rows(orbit)) == [(0, 101)]
         with pytest.raises(ValueError, match="closed-form"):
             orbit.rows(50, 101)
 
@@ -581,35 +627,80 @@ class TestSplitWriter:
 
         least = 2 * flow._MIN_RANGE_ROWS
         monkeypatch.setattr(flow, "_usable_cpus", lambda: 2)
-        assert flow._row_ranges(rows(least + 1)) == [(0, least // 2), (least // 2, least + 1)]
-        assert flow._row_ranges(rows(least - 1)) == [(0, least - 1)]
+        for n, ranges in ((least + 1, [(0, least // 2), (least // 2, least + 1)]),
+                          (least - 1, [(0, least - 1)])):
+            assert flow._row_ranges(len(rows(n)), flow._fewest_rows(rows(n))) == ranges
+        # a sweep grid: the bench's 500-point windows split, 399 points do not
+        assert cli._MIN_SWEEP_POINTS == 200
+        assert flow._row_ranges(500, cli._MIN_SWEEP_POINTS) == [(0, 250), (250, 500)]
+        assert flow._row_ranges(399, cli._MIN_SWEEP_POINTS) == [(0, 399)]
         monkeypatch.setattr(flow, "_usable_cpus", lambda: 1)
-        assert flow._row_ranges(rows(least + 1)) == [(0, least + 1)]
+        assert flow._row_ranges(least + 1, flow._MIN_RANGE_ROWS) == [(0, least + 1)]
+        assert flow._row_ranges(500, cli._MIN_SWEEP_POINTS) == [(0, 500)]
 
     def test_many_cpus_give_two_ranges(self, monkeypatch):
         # only two ranges were measured, and the affinity mask that counts
         # the CPUs ignores a cgroup CPU quota
         monkeypatch.setattr(flow, "_usable_cpus", lambda: 64)
         n = 64 * flow._MIN_RANGE_ROWS
-        traj = euler_trajectory(0.66, 0, 1.0, 0.0, (n - 1) * 0.5, 0.5)
-        assert flow._row_ranges(traj) == [(0, n // 2), (n // 2, n)]
+        assert flow._row_ranges(n, flow._MIN_RANGE_ROWS) == [(0, n // 2), (n // 2, n)]
 
     def test_ignored_sigchld_is_one_range(self, tmp_path, split_into):
         # the system reaps the children of a process that ignores SIGCHLD,
         # so waitpid could not read their exit
-        traj, h = _euler_case(0.66, 0, 1.0, 0.0, 5.0, 0.05)
-        split_into(1)
-        write_trajectory_csv(tmp_path / "single", traj, h)
-        split_into(2)
-        assert len(flow._row_ranges(traj)) == 2
+        self._check_one_range(tmp_path, split_into, self._ignoring_sigchld)
+
+    @staticmethod
+    def _ignoring_sigchld(write):
         previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
         try:
-            assert flow._row_ranges(traj) == [(0, len(traj))]
-            write_trajectory_csv(tmp_path / "t", traj, h)
+            write()
         finally:
             signal.signal(signal.SIGCHLD, previous)
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["single", "t"]
-        assert (tmp_path / "t").read_bytes() == (tmp_path / "single").read_bytes()
+
+    def test_a_second_thread_is_one_range(self, tmp_path, split_into):
+        # a forked child gets only the forking thread, and could inherit a
+        # lock that the other one holds
+        self._check_one_range(tmp_path, split_into, self._beside_a_thread)
+
+    @staticmethod
+    def _beside_a_thread(write):
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait, args=(30,))
+        thread.start()
+        try:
+            write()
+        finally:
+            release.set()
+            thread.join(30)
+        assert not thread.is_alive()
+
+    @staticmethod
+    def _check_one_range(tmp_path, split_into, around):
+        """A flow file and a sweep written inside ``around`` are one range,
+        with the bytes of a split write and no child."""
+        traj, h = _euler_case(0.66, 0, 1.0, 0.0, 5.0, 0.05)
+        sweep = ["--integrator", "vp", "--grid=0.5:1.5:0.1"]
+        split_into(2)
+        assert len(flow._row_ranges(len(traj), 1)) == 2
+        write_trajectory_csv(tmp_path / "split", traj, h)
+        split = _sweep_call(tmp_path / "sweep-split", sweep)
+        forks = []
+
+        def counted_fork(*args):
+            forks.append(args)
+            return flow._forked(*args)
+
+        def write():
+            assert flow._row_ranges(len(traj), 1) == [(0, len(traj))]
+            write_trajectory_csv(tmp_path / "t", traj, h)
+            assert _sweep_call(tmp_path / "sweep", sweep) == split
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(flow, "_forked", counted_fork)
+            around(write)
+        assert forks == []
+        assert (tmp_path / "t").read_bytes() == (tmp_path / "split").read_bytes()
         _no_child_left()
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -627,6 +718,28 @@ class TestSplitWriter:
         for k in (2, 3):
             split_into(k)
             assert _flow_call(tmp_path / f"split-{k}", flags) == single
+            _no_child_left()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("flags, code, message", LATER_RANGE_FAILURES,
+                             ids=["euler", "velocity-verlet"])
+    def test_sweep_failing_in_a_later_range_reads_as_single_pass(self, tmp_path, split_into,
+                                                                 flags, code, message, fmt):
+        flags = [*flags, "--format", fmt]
+        split_into(1)
+        single = _sweep_call(tmp_path / "single", flags)
+        assert single == (code, "", message, {})
+        assert _sweep_call(tmp_path / "single-out", flags, out=True) == single
+        for k in (2, 3):
+            split_into(k)
+            start, stop = flow._row_ranges(501, 1)[1]
+            assert start <= 319 < stop  # range 1, after the parent's range 0
+            assert _sweep_call(tmp_path / f"split-{k}", flags) == single
+            # no target and no part file; an existing target keeps its bytes
+            assert _sweep_call(tmp_path / f"out-{k}", flags, out=True) == single
+            (tmp_path / f"out-{k}" / "table").write_bytes(b"kept\n")
+            assert _sweep_call(tmp_path / f"out-{k}", flags, out=True) == (
+                code, "", message, {"table": b"kept\n"})
             _no_child_left()
 
     def test_child_error_is_raised_with_no_file_left(self, tmp_path, split_into, monkeypatch):
@@ -711,6 +824,40 @@ class TestSplitWriter:
         _no_child_left()
         # the caller's signal mask is restored
         assert signal.SIGINT not in signal.pthread_sigmask(signal.SIG_BLOCK, ())
+
+    @pytest.mark.parametrize("out", [False, True], ids=["stdout", "out"])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("failure", ["raises", "exits", "interrupt"])
+    def test_sweep_child_failure_or_interrupt_leaves_nothing(self, tmp_path, split_into,
+                                                            monkeypatch, failure, fmt, out):
+        parent, row = os.getpid(), cli._sweep_row
+
+        def failing(*args):
+            if os.getpid() != parent:
+                if failure == "raises":
+                    raise OutOfRange("disk on fire")
+                if failure == "interrupt":
+                    time.sleep(60)
+                os._exit(3)
+            if failure == "interrupt":
+                raise KeyboardInterrupt
+            return row(*args)
+
+        monkeypatch.setattr(cli, "_sweep_row", failing)
+        flags = ["--integrator", "vp", "--grid=0.5:1.5:0.1", "--format", fmt]
+        split_into(3)
+        start = time.perf_counter()
+        if failure == "interrupt":
+            with pytest.raises(KeyboardInterrupt), redirect_stdout(io.StringIO()) as stdout:
+                main(["sweep", *flags, *(["--out", str(tmp_path / "table")] if out else [])])
+            assert stdout.getvalue() == ""
+            assert time.perf_counter() - start < 30
+            assert list(tmp_path.iterdir()) == []
+        else:
+            message = ("error: disk on fire\n" if failure == "raises" else
+                       "error: a row range writer failed with exit status 3\n")
+            assert _sweep_call(tmp_path, flags, out) == (1, "", message, {})
+        _no_child_left()
 
     def test_success_leaves_no_child(self, tmp_path, split_into):
         split_into(2)

@@ -1,5 +1,6 @@
 """The scripts under scripts/ run to completion as separate processes."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -33,7 +34,8 @@ def test_layer_costs(tmp_path):
     costs = json.loads(done.stdout)["layers"]
     assert sorted(costs) == sorted([
         "Mat2C", "closed_exp", "make_vp", "classify", "generators_for_3",
-        "hamiltonian_from_generator", "real_valued", "sweep_point", "flow_sample", "csv_row",
+        "hamiltonian_from_generator", "real_valued", "sweep_point", "sweep_window",
+        "flow_sample", "csv_row",
         "flow_file", "build_parser", "coincidence", "conservation"])
     assert all(cost > 0 for cost in costs.values())
 
@@ -57,18 +59,28 @@ def test_output_digest(tmp_path):
     done = run_script(*args, cwd=tmp_path)
     assert done.returncode == 0, done.stderr
     lines = [json.loads(line) for line in done.stdout.splitlines()]
-    # 10 sweeps, 15 failing sweeps, 90 near-ridge calls, 8 built-in and 8 custom
+    # 10 sweeps to stdout and 10 to --out, 15 failing one-point sweeps, 4 sweeps
+    # failing in a later range, 90 near-ridge calls, 8 built-in and 8 custom
     # draws of two calls each, 26 flows, one verify per seed and five more
-    assert len(lines) == 10 + 15 + 90 + 2 * 8 + 2 * 8 + 26 + 1 + 5
+    assert len(lines) == 20 + 15 + 4 + 90 + 2 * 8 + 2 * 8 + 26 + 1 + 5
     assert lines[0]["argv"] == ["sweep", "--integrator", "double-euler", "--grid", "1:2:0.5",
                                 "--format", "csv"]
-    flows, verifies, others = lines[-32:-6], lines[-6:], lines[:-32]
+    sweeps_out, flows, verifies = lines[10:20], lines[-32:-6], lines[-6:]
+    others = lines[:10] + lines[20:-32]
     assert all(sorted(line) == ["argv", "exit", "stderr", "stdout"] for line in others)
-    assert lines[10]["argv"] == ["sweep", "--integrator", "double-euler",
+    # a sweep with --out prints nothing and leaves its one file
+    assert sweeps_out[0]["argv"] == lines[0]["argv"] + ["--out", "<out>/sweep"]
+    empty = hashlib.sha256(b"").hexdigest()
+    assert all(list(line["files"]) == ["sweep"] and line["exit"] == 0
+               and line["stdout"] == empty for line in sweeps_out)
+    assert lines[20]["argv"] == ["sweep", "--integrator", "double-euler",
                                  "--grid=1e-310:1e-310:1", "--m-min", "-3", "--m-max", "3"]
     # overflowing coefficients and Euler's overflowing eigenvalue arithmetic exit 1;
     # non-finite entries and det far from 1 exit 2
-    assert [line["exit"] for line in lines[10:25]] == [1] * 5 + [2] * 5 + [2, 1, 2, 2, 2]
+    assert [line["exit"] for line in lines[20:35]] == [1] * 5 + [2] * 5 + [2, 1, 2, 2, 2]
+    # Euler fails its exp check (exit 1), velocity-verlet its det check (exit 2)
+    assert [line["argv"][2] for line in lines[35:39]] == ["euler"] * 2 + ["velocity-verlet"] * 2
+    assert [line["exit"] for line in lines[35:39]] == [1, 1, 2, 2]
     assert {line["exit"] for line in lines} == {0, 1, 2}
     # each flow call lists every file its directory holds: three branches and the
     # discrete orbit, the shear's one branch, iii-b's discrete file alone, and the
