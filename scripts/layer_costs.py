@@ -7,7 +7,7 @@ Usage:
 Each layer is one call timed with ``timeit``: the best of 7 repeats of N
 calls, in microseconds per call; the slow layers, a 1,000-sample flow pass,
 ``build_parser`` and the two verify oracles, take N/100 calls per repeat,
-and "flow_file" and "sweep_window" take N/1000.  The map is ``vp``
+and "flow_file", "sweep_window" and "verify_suite" take N/1000.  The map is ``vp``
 at tau = 0.66 (an i-a map) with branches m = -1, 0, 1, the family a
 ``sweep`` grid point builds; "sweep_point" is ``cli._sweep_row``, the
 code ``sweep`` runs per grid point, and "sweep_window" one whole
@@ -24,6 +24,9 @@ row ranges.  "coincidence" is one ``verify.check_coincidence`` of the
 three generators against 20 trial orbits of the map, and "conservation" one
 ``verify.check_conservation`` of the m = 0 branch's Hamiltonian with 5
 trials, the two oracles ``verify`` runs per map and per conservation case.
+"verify_suite" is one whole ``verify`` (seed 1729, 20 trials) through
+``cli.main`` with its stdout captured, in microseconds per suite: the one
+layer that sees a suite whose subjects two processes claim.
 Times are raw, not scaled to a reference speed, so compare numbers taken on
 one machine in one session.
 """
@@ -57,8 +60,9 @@ BRANCHES = range(-1, 2)
 REPEAT = 7
 FLOW_SAMPLES = 1000
 SWEEP_WINDOW = ["sweep", "--integrator", "vp", "--grid=0.001:0.500:0.001"]
+VERIFY_SUITE = ["verify", "--seed", "1729"]
 SLOW = {"flow_sample": 100, "build_parser": 100, "flow_file": 1000, "sweep_window": 1000,
-        "coincidence": 100, "conservation": 100}  # N / divisor calls
+        "verify_suite": 1000, "coincidence": 100, "conservation": 100}  # N / divisor calls
 
 
 def layers(directory: Path) -> dict:
@@ -75,10 +79,12 @@ def layers(directory: Path) -> dict:
     euler_file = flow.euler_trajectory(TAU, 0, 1.0, 0.0, 150.0, 0.01)
     euler_h = euler_hamiltonian(TAU, 0)
 
-    def sweep_window():
-        with redirect_stdout(io.StringIO()):
-            if cli.main(SWEEP_WINDOW) != 0:
-                raise RuntimeError("the sweep window failed")
+    def whole(argv):
+        def call():
+            with redirect_stdout(io.StringIO()):
+                if cli.main(argv) != 0:
+                    raise RuntimeError(f"{' '.join(argv)} failed")
+        return call
 
     return {
         "Mat2C": (lambda: Mat2C(z.e11, z.e12, z.e21, z.e22), 1),
@@ -89,7 +95,7 @@ def layers(directory: Path) -> dict:
         "hamiltonian_from_generator": (lambda: hamiltonian_from_generator(g), 1),
         "real_valued": (lambda: real_valued(g), 1),
         "sweep_point": (lambda: cli._sweep_row("vp", TAU, BRANCHES, None), 1),
-        "sweep_window": (sweep_window, 1),
+        "sweep_window": (whole(SWEEP_WINDOW), 1),
         "flow_sample": (lambda: deque(trajectory.rows(), 0), len(trajectory)),
         "csv_row": (lambda: flow._CSV_ROW % row, 1),
         "flow_file": (lambda: flow.write_trajectory_csv(directory / "flow.csv", euler_file,
@@ -97,6 +103,7 @@ def layers(directory: Path) -> dict:
         "build_parser": (cli.build_parser, 1),
         "coincidence": (lambda: verify.check_coincidence(family, r, 20), 1),
         "conservation": (lambda: verify.check_conservation(h, g, 5), 1),
+        "verify_suite": (whole(VERIFY_SUITE), 1),
     }
 
 
@@ -105,7 +112,8 @@ def main() -> int:
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--number", type=int, default=2000,
                         help="calls per repeat (N/100 for the flow pass, build_parser and "
-                             "the verify oracles, N/1000 for flow_file and sweep_window)")
+                             "the verify oracles, N/1000 for flow_file, sweep_window and "
+                             "verify_suite)")
     args = parser.parse_args()
     if args.number < 1:
         parser.error("--number must be at least 1")

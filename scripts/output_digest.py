@@ -20,8 +20,8 @@ order:
 - ``sweep --m-min -3 --m-max 3`` for each built-in on the one-point grids
   ``ERROR_GRIDS``, each of which exits with an error;
 - ``sweep`` on ``LATER_RANGE_GRID`` for Euler and velocity-verlet, in CSV and
-  JSON: 501 points whose first failure, at k = 319, lies in the second range
-  of a grid written as two;
+  JSON: 501 points whose first failure, at k = 319, lies in a later chunk of
+  a split grid;
 - ``classify`` and ``hamiltonian --m-min -3 --m-max 3`` for N draws of a
   built-in and tau log-uniform in [1e-12, 1e6], the format alternating;
 - ``hamiltonian --m-min -3 --m-max 3`` for each built-in at tau = ridge +-
@@ -35,7 +35,7 @@ order:
   rows per branch; the scalar maps +-I and the Jordan shear; Euler at its
   iii-b tau, which writes the discrete file alone; and Euler and
   velocity-verlet at tau = 3 to t = 1500 and 1200, which leave double range
-  at t = 1113, past the first row range of a file written in several;
+  at t = 1113, past the first chunks of a split file;
 - ``verify --seed k`` for k = 1..K (default 12), then ``verify`` at the
   default seed with each of ``VERIFY_OPTIONS`` (fewer and more trials, and
   perturbations that fail every check, down to one whose flows leave

@@ -3,12 +3,15 @@
 All numeric file output uses %.17g so emitted values round-trip exactly;
 JSON never uses complex literals, only {re, im} pairs.  Outputs are
 byte-identical for identical configurations and seeds.  Every table goes
-through ``flow.sink``: an ``--out`` file appears only whole (``flow --out``
+through ``tables.sink``: an ``--out`` file appears only whole (``flow --out``
 names a directory it creates), and stdout receives nothing from a command
 that fails.  A sweep row depends only on its own grid point
 tau_k = start + k*step, so ``sweep`` writes its grid through
-``flow.write_ranges`` as contiguous point ranges, in parallel where the grid
-has at least 2 * _MIN_SWEEP_POINTS points and two CPUs are usable.
+``tables.write_ranges``, split into chunks that two processes claim where
+the grid has at least 2 * _MIN_SWEEP_POINTS points and two CPUs are usable;
+``verify`` runs its suite's subjects the same way (``verify.full_suite``).
+A grid whose start, stop or step is not finite, or that has more than
+2**52 points, is a usage error.
 """
 
 from __future__ import annotations
@@ -24,15 +27,12 @@ from .algebra import re_im
 from .classifier import CaseTag, classify, criticality_gap
 from .errors import ShadowOscError
 from .flow import (
+    MAX_SAMPLES,
     discrete_orbit,
     euler_trajectory,
-    listed_json,
     sample_times,
     sample_trajectory,
-    sink,
     whole_steps,
-    write_listed,
-    write_ranges,
     write_trajectory_csv,
     write_trajectory_json,
 )
@@ -51,15 +51,16 @@ from .shadow import (
     hamiltonian_from_generator,
     real_valued,
 )
+from .tables import listed_json, sink, write_listed, write_ranges
 from .verify import DEFAULT_SEED, full_suite, report_table
 
 USAGE_ERROR = 2
 
 HAMILTONIAN_CSV_HEADER = ("m,case,tau,cA_re,cA_im,cB_re,cB_im,cC_re,cC_im,"
                           "real_valued,lambda_re,lambda_im")
-# Fewest grid points in a range: below 2 * _MIN_SWEEP_POINTS a grid is one
-# pass.  On a 2-core host, two ranges broke even with one pass at about 300
-# points and won at 400 (see README, "Split tables").
+# Fewest grid points per process: below 2 * _MIN_SWEEP_POINTS a grid is one
+# pass.  On a 2-core host, a claimed split read even with one pass at about
+# 400 points and won at 500 (see README, "Split tables").
 _MIN_SWEEP_POINTS = 200
 
 _FLAG = re.compile(r"--[\w-]+")
@@ -100,9 +101,15 @@ def _parse_grid(text: str) -> tuple[float, float, int]:
     if len(parts) != 3:
         raise ValueError("grid must be start:stop:step")
     start, stop, step = (float(v) for v in parts)
+    if not (math.isfinite(start) and math.isfinite(stop) and math.isfinite(step)):
+        raise ValueError(f"grid {text}: start, stop and step must be finite")
     if step <= 0 or stop < start:
         return start, step, 0
-    return start, step, int(math.floor((stop - start) / step + 1e-9)) + 1
+    steps = (stop - start) / step + 1e-9  # inf where the quotient overflows
+    if not steps < MAX_SAMPLES:
+        raise ValueError(f"grid {text}: (stop - start) / step = {steps:g}; "
+                         f"at most 2**52 steps are supported")
+    return start, step, math.floor(steps) + 1
 
 
 def _resolve_matrix(args) -> TransitionMatrix:

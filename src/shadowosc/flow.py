@@ -27,22 +27,12 @@ generator (``euler_trajectory``), whose delta is read off its rate.  A flow
 whose state leaves double range raises ``OutOfRange`` naming the first such
 t; a writer that fails removes its partial file.
 
-A flow row depends only on its own t, so a long flow file is written by
-``write_ranges``, the one range writer, which ``sweep`` uses for its grids
-too: contiguous row ranges in parallel, range 0 by this process and each
-later one by a forked child into an anonymous part file that is then
-appended in order, giving the bytes of a single pass.  Each process runs on
-a CPU of its own, since the scheduler often leaves a young child on its
-parent's CPU for a whole range.  There are min(2, usable CPUs, rows // least)
-ranges where ``os.fork`` exists, the caller runs one thread and SIGCHLD is
-not ignored, else one; least is 1500 rows for a flow file (on a 2-core host
-it served the flow-dense benchmark better than 2000 or 3000) and
-``cli._MIN_SWEEP_POINTS`` for a sweep grid.  A fork, its child's exit and
-the append cost a few ms.  More than two ranges were never measured, and the
-usable CPUs read from the affinity mask ignore a cgroup CPU quota, so two
-is the most.  The discrete orbit, a recurrence, is always one range.
-``sink`` is where a table goes: its ``--out`` file, written under a
-``.part`` name and renamed when complete, or stdout, once the table is whole.
+A flow row depends only on its own t, so a flow file of at least
+2 * _MIN_RANGE_ROWS closed-form rows is written through
+``tables.write_ranges``, which ``sweep`` uses for its grids too: where two
+CPUs are usable, the rows are cut into chunks that this process and a forked
+child claim in turn, giving the bytes of a single pass.  The discrete orbit,
+a recurrence, is always written in one pass.
 
 Deviations between states are reported relative to max(1, |reference|):
 bounded orbits are then compared absolutely, while diverging orbits
@@ -60,13 +50,8 @@ newline, non-finite values included (NaN, Infinity, -Infinity).
 from __future__ import annotations
 
 import cmath
-import io
-import json
 import math
-import os
-import sys
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from contextlib import contextmanager
 from functools import partial
 from itertools import chain, islice, starmap
 from pathlib import Path
@@ -76,17 +61,15 @@ from .classifier import CaseTag
 from .errors import NotApplicable, OutOfRange
 from .integrators import TransitionMatrix
 from .shadow import Generator, ShadowHamiltonian, euler_rate
+from .tables import listed_json, write_listed, write_ranges
 
 CSV_HEADER = "t,q_re,q_im,p_re,p_im,H_re,H_im"
 _CSV_ROW = ",".join(["%.17g"] * 7) + "\n"
-_CHUNK = 1024  # rows per write
-# Fewest rows in a range: below 2 * _MIN_RANGE_ROWS a file is written in one
-# pass, since a fork, its exit and an append cost more than they save.
-_MIN_RANGE_ROWS = 1500
-# Most ranges: two is the count measured, on a 2-core host.  The affinity
-# mask that _usable_cpus reads does not narrow for a cgroup CPU quota, so a
-# larger count could fork many children onto one or two CPUs.
-_MAX_RANGES = 2
+# Fewest rows per process: below 2 * _MIN_RANGE_ROWS a file is written in one
+# pass, since a fork, its exit and the copy of the parts cost more than they
+# save (on a 2-core host, 3,000-row CSV files read even; see README, "Split
+# tables").
+_MIN_RANGE_ROWS = 2000
 # Above 2**52 samples, k*step no longer rounds to distinct values for every k.
 MAX_SAMPLES = 2 ** 52
 
@@ -424,240 +407,9 @@ def _values(rows: Iterator[Row],
         yield t, q.real, q.imag, p.real, p.imag, e.real, e.imag
 
 
-@contextmanager
-def _replacing(path: str | Path):
-    """Text file on a temporary name beside ``path``, renamed to ``path`` when
-    the block completes and removed if it raises, so ``path`` is never partial."""
-    path = Path(path)
-    part = path.with_name(path.name + ".part")
-    try:
-        with open(part, "w") as f:
-            yield f
-        os.replace(part, path)
-    except BaseException:
-        part.unlink(missing_ok=True)
-        raise
-
-
-@contextmanager
-def sink(out: str | Path | None):
-    """Where a command's table goes: the file ``out`` through ``_replacing``,
-    or, for no ``out``, a buffer written to stdout once the block completes,
-    so that a command that fails prints none of its table."""
-    if out:
-        with _replacing(out) as f:
-            yield f
-        return
-    f = io.StringIO()
-    yield f
-    sys.stdout.write(f.getvalue())
-
-
-def _write_rows(f, texts: Iterator[str]) -> None:
-    """Write the texts in joined chunks: fewer, larger writes than one per row."""
-    while chunk := "".join(islice(texts, _CHUNK)):
-        f.write(chunk)
-
-
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _row_ranges(n: int, least: int) -> list[tuple[int, int]]:
-    """Contiguous index ranges [start, stop) covering n rows, in order.
-
-    min(_MAX_RANGES, usable CPUs, n // least) of them, at least one, where
-    ``os.fork`` exists, the caller runs no second thread (a forked child gets
-    only the forking thread, and could inherit a lock another one holds) and
-    SIGCHLD is not ignored (the system would reap the children, and waitpid
-    fail); else one.
-    """
-    count = 1
-    threading = sys.modules.get("threading")
-    if hasattr(os, "fork") and (threading is None or threading.active_count() == 1):
-        count = max(1, min(_MAX_RANGES, _usable_cpus(), n // least))
-    if count > 1:
-        import signal  # here and below: only a split table needs it
-
-        if signal.getsignal(signal.SIGCHLD) == signal.SIG_IGN:
-            count = 1
-    return [(n * i // count, n * (i + 1) // count) for i in range(count)]
-
-
-# A range's child: its pid, the read end of its error pipe and its part file.
-Child = tuple[int, io.BufferedReader, io.TextIOWrapper]
-
-
-def _fork_range(texts: Iterator[str], cpu: int | None, directory: Path | None,
-                children: list[Child]) -> None:
-    """Fork a child that runs on ``cpu`` alone (None: any of the caller's) and
-    writes ``texts`` to a new anonymous part file in ``directory`` (None: the
-    system's temporary directory), and append the child to ``children``.
-
-    SIGINT stays blocked from before the part file is made until the child is
-    listed, so an interrupt cannot leave a child the caller does not know of;
-    the child keeps it blocked, and the caller kills it if the interrupt stops
-    the write.
-    """
-    import signal
-    import tempfile
-
-    mask = signal.pthread_sigmask(signal.SIG_BLOCK, ())  # the caller's, unchanged
-    try:
-        signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
-        part = tempfile.TemporaryFile("w+", dir=directory)
-        try:
-            children.append((*_forked(part, texts, cpu), part))
-        except BaseException:
-            part.close()
-            raise
-    finally:
-        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-
-
-def _forked(part: io.TextIOWrapper, texts: Iterator[str],
-            cpu: int | None) -> tuple[int, io.BufferedReader]:
-    """The child's pid and the read end of its error pipe.
-
-    The child writes through its own copy of ``part`` at the file's shared
-    offset, from 0.  It ends only through ``os._exit``, so it never flushes a
-    buffer it inherited (the caller's stdout, say); if writing raises, it
-    first sends the pickled exception down the pipe.
-    """
-    read, write = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read)
-        os.close(write)
-        raise
-    if pid == 0:
-        code = 1
-        try:
-            os.close(read)
-            if cpu is not None:
-                os.sched_setaffinity(0, {cpu})
-            _write_rows(part, texts)
-            part.flush()
-            code = 0
-        except BaseException as exc:  # reported to the parent, then the child exits
-            import pickle  # here and in _join: only an error needs it
-
-            with open(write, "wb") as pipe:
-                pipe.write(pickle.dumps(exc))
-        finally:
-            os._exit(code)
-    os.close(write)
-    return pid, open(read, "rb")
-
-
-def _join(pid: int, pipe: io.BufferedReader) -> BaseException | None:
-    """Wait for a range's child: None if it wrote its part, else its error."""
-    with pipe:
-        sent = pipe.read()
-    status = os.waitpid(pid, 0)[1]
-    if sent:
-        import pickle
-
-        return pickle.loads(sent)
-    if status:
-        return ChildProcessError(f"a row range writer failed with exit status "
-                                 f"{os.waitstatus_to_exitcode(status)}")
-    return None
-
-
-def _stop(children: list[Child]) -> None:
-    """Kill and reap every child not reaped yet; waitpid raises for a reaped
-    pid, which is then never signalled, since it may have been reused."""
-    import signal
-
-    for pid, pipe, _ in children:
-        pipe.close()
-        try:
-            reaped = os.waitpid(pid, os.WNOHANG)[0]
-        except ChildProcessError:
-            continue
-        if not reaped:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-
-
-def write_ranges(out: str | Path | None, n: int, least: int,
-                 texts: Callable[[int, int], Iterator[str]], head: str, tail: str) -> None:
-    """Write head, ``texts(start, stop)`` for each range of the n rows in
-    order, and tail, to ``sink(out)``; a range holds at least ``least`` rows.
-
-    This process writes range 0 into the sink, while a forked child writes
-    each later range to a part file (beside ``out``, or in the system's
-    temporary directory for stdout); the parts are appended in order.  Each
-    row must depend only on its own index, so that the bytes are those of a
-    single pass.  On any error the children are killed and reaped, every
-    part is removed, and the error of the earliest failing range is raised.
-    """
-    ranges = _row_ranges(n, least)
-    directory = Path(out).parent if out else None
-    children: list[Child] = []
-    # Each range on a CPU of its own, where the mask can be set: left to the
-    # scheduler, a child often shares its parent's CPU for a whole range.
-    mask = None
-    if len(ranges) > 1 and hasattr(os, "sched_setaffinity"):
-        mask = os.sched_getaffinity(0)  # the caller's, restored below
-    cpus = sorted(mask) if mask else [None]
-    try:
-        with sink(out) as f:
-            for i, (start, stop) in enumerate(ranges[1:], 1):
-                # lazy: the child computes the rows as it writes them
-                _fork_range(texts(start, stop), cpus[i % len(cpus)], directory, children)
-            if mask:
-                os.sched_setaffinity(0, {cpus[0]})
-            f.write(head)
-            _write_rows(f, texts(*ranges[0]))
-            for pid, pipe, part in children:
-                error = _join(pid, pipe)
-                if error is not None:
-                    raise error
-                import shutil  # like pickle, signal and tempfile: only a split table needs it
-
-                part.seek(0)
-                shutil.copyfileobj(part, f)
-            f.write(tail)
-    except BaseException:
-        _stop(children)
-        raise
-    finally:
-        if mask:
-            os.sched_setaffinity(0, mask)
-        for _, _, part in children:
-            part.close()
-
-
-def listed_json(item) -> str:
-    """An item as json.dumps(..., indent=2) lays it out in a list that is the
-    last value of the top-level object, with the separator before it."""
-    return ",\n    " + json.dumps(item, indent=2).replace("\n", "\n    ")
-
-
-def write_listed(out: str | Path | None, n: int, least: int, head: dict,
-                 items: Callable[[int, int], Iterator[str]]) -> None:
-    """Write ``json.dumps(head, indent=2)`` and a newline through
-    ``write_ranges``, where head's last value is an empty list that
-    ``items(start, stop)`` fills with ``listed_json`` texts."""
-    text = json.dumps(head, indent=2)
-
-    def texts(start: int, stop: int) -> Iterator[str]:
-        listed = items(start, stop)
-        if start == 0:  # the first item has no separator before it
-            return chain((next(listed)[1:],), listed)
-        return listed
-
-    write_ranges(out, n, least, texts, text[:-len("]\n}")], "\n  ]\n}\n")
-
-
 def _fewest_rows(trajectory: Trajectory) -> int:
-    """Fewest rows in a range: more than the file holds for the discrete
-    orbit, a recurrence, so that it is one range."""
+    """Fewest rows per process: more than the file holds for the discrete
+    orbit, a recurrence, so that one process writes it in one pass."""
     return _MIN_RANGE_ROWS if trajectory.closed_form else len(trajectory) + 1
 
 

@@ -25,6 +25,11 @@ only the sign of a zero imaginary part, or a NaN one beside an infinite
 real part, neither of which abs() reads (``_propagators``).  Elsewhere the
 loop stays complex and keeps abs(): math.hypot of the two parts differs
 from it in the last bit for some inputs.
+
+``full_suite`` runs its 20 subjects (regime maps, generator maps and
+conservation cases) as the chunks of ``tables.results``, which two processes
+claim where two CPUs are usable.  A subject's reports depend only on its own
+arguments, so the reports, their order and any error are those of one pass.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ import math
 import random
 import sys
 from collections.abc import Sequence
+from functools import partial
 
 from .algebra import Mat2C, Value, closed_exps, max_diff
 from .classifier import CaseTag, classify
@@ -50,6 +56,7 @@ from .shadow import (
     generators_for,
     hamiltonian_from_generator,
 )
+from .tables import results
 
 DEFAULT_SEED = 1729
 DEFAULT_EXP_TERMS = 40
@@ -407,6 +414,33 @@ def _perturbed(g: Generator, eps: float) -> Generator:
     return Generator(Mat2C(z.e11 + eps, z.e12, z.e21, z.e22), g.branch, g.tau, g.case)
 
 
+def _regime_subject(integrator: str, tau_grid: list[float]) -> list[VerificationReport]:
+    return [check_regime_map(integrator, tau_grid)]
+
+
+def _map_subject(r: TransitionMatrix, branches: Sequence[int], params: CaseIIParams | None,
+                 trials: int, seed: int, perturb: float) -> list[VerificationReport]:
+    """exp(Z) = R and the coincidence report of each branch generator, in turn."""
+    generators = [_perturbed(g, perturb) for g in generators_for(r, branches, params).generators]
+    reports = []
+    for g, coincidence in zip(generators, check_coincidence(generators, r, trials, seed)):
+        reports += (check_exponential(g, r), coincidence)
+    return reports
+
+
+def _conservation_subject(name: str, tau: float, m: int, trials: int, seed: int,
+                          perturb: float) -> list[VerificationReport]:
+    r = make(name, tau)
+    g = generators_for(r, [m]).generators[0]
+    shifted = _perturbed(g, perturb)
+    # a shifted diagonal breaks tracelessness, which the guard in
+    # hamiltonian_from_generator rejects: read c_pq off the shifted matrix
+    h = hamiltonian_from_generator(g)
+    h = ShadowHamiltonian(h.c_pp, h.c_qq, shifted.matrix.e11 / g.tau, h.tau, h.branch,
+                          h.case, h.real_valued, h.rate)
+    return [check_conservation(h, shifted, max(1, trials // 4), seed)]
+
+
 def full_suite(seed: int = DEFAULT_SEED, trials: int = 20,
                perturb: float = 0.0) -> list[VerificationReport]:
     """Every check across the built-in integrators.
@@ -415,49 +449,35 @@ def full_suite(seed: int = DEFAULT_SEED, trials: int = 20,
     checking; a nonzero value is a negative control that must fail.  A
     non-finite ``perturb`` raises ``NonFinite`` and ``trials < 1`` raises
     ``ValueError``, both before any check runs.
+
+    The suite is 20 subjects: 5 regime maps, 10 maps whose branch generators
+    are checked (exp(Z) = R and coincidence) and 5 conservation cases.  Each
+    is one chunk of ``tables.results``, so two processes claim them where
+    two CPUs are usable; the reports, and any error, are those of one pass.
     """
     if not math.isfinite(perturb):
         raise NonFinite(f"perturb must be finite, got {perturb!r}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    reports: list[VerificationReport] = []
-
-    reports.append(check_regime_map("euler", [0.5, 1.0, 1.9, 2.0, 2.1, 3.0, 5.0]))
-    reports.append(check_regime_map("velocity-verlet", [1.0, 2.0, 3.0]))
-    reports.append(check_regime_map("position-verlet", [1.0, 2.0, 3.0]))
-    reports.append(check_regime_map(
-        "double-euler", [1.0, 2.0 * math.sqrt(2.0), 3.5, 4.0, 4.5, 5.0]))
-    reports.append(check_regime_map("vp", []))
-
+    regimes = [("euler", [0.5, 1.0, 1.9, 2.0, 2.1, 3.0, 5.0]),
+               ("velocity-verlet", [1.0, 2.0, 3.0]), ("position-verlet", [1.0, 2.0, 3.0]),
+               ("double-euler", [1.0, 2.0 * math.sqrt(2.0), 3.5, 4.0, 4.5, 5.0]), ("vp", [])]
+    subjects = [partial(_regime_subject, name, grid) for name, grid in regimes]
     branch_cases = [
         ("euler", 0.66), ("euler", 1.0), ("euler", 3.0),
         ("velocity-verlet", 1.5), ("position-verlet", 1.0),
         ("double-euler", 2.0), ("double-euler", 4.8),
     ]
     # (map, branches, scalar-case direction) of every generator checked
-    subjects = [(make(name, tau), range(-2, 3), None) for name, tau in branch_cases]
-    subjects.append((make("double-euler", 4.0), [0], None))
+    maps = [(make(name, tau), range(-2, 3), None) for name, tau in branch_cases]
+    maps.append((make("double-euler", 4.0), [0], None))
     for sign, preset in ((1.0, CaseIIParams.default()), (-1.0, CaseIIParams.real_rotation())):
         scalar = custom(sign, 0.0, 0.0, sign, 1.0, label=f"{sign:+g}*identity")
-        subjects.append((scalar, range(-1, 2), preset))
-    for r, branches, params in subjects:
-        generators = [_perturbed(g, perturb)
-                      for g in generators_for(r, branches, params).generators]
-        for g, coincidence in zip(generators, check_coincidence(generators, r, trials, seed)):
-            reports.append(check_exponential(g, r))
-            reports.append(coincidence)
-
+        maps.append((scalar, range(-1, 2), preset))
+    subjects += (partial(_map_subject, r, branches, params, trials, seed, perturb)
+                 for r, branches, params in maps)
     conservation_cases = [("euler", 0.66, -1), ("euler", 0.66, 1), ("euler", 3.0, 0),
                           ("velocity-verlet", 1.5, 0), ("double-euler", 4.0, 0)]
-    for name, tau, m in conservation_cases:
-        r = make(name, tau)
-        g = generators_for(r, [m]).generators[0]
-        shifted = _perturbed(g, perturb)
-        # a shifted diagonal breaks tracelessness, which the guard in
-        # hamiltonian_from_generator rejects: read c_pq off the shifted matrix
-        h = hamiltonian_from_generator(g)
-        h = ShadowHamiltonian(h.c_pp, h.c_qq, shifted.matrix.e11 / g.tau, h.tau, h.branch,
-                              h.case, h.real_valued, h.rate)
-        reports.append(check_conservation(h, shifted, max(1, trials // 4), seed))
-
-    return reports
+    subjects += (partial(_conservation_subject, name, tau, m, trials, seed, perturb)
+                 for name, tau, m in conservation_cases)
+    return [report for reports in results(subjects) for report in reports]

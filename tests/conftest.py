@@ -1,5 +1,10 @@
-import numpy as np
+import os
+import select
 
+import numpy as np
+import pytest
+
+from shadowosc import cli, flow, tables
 from shadowosc.algebra import Mat2C
 
 
@@ -16,3 +21,52 @@ def quadratic_roots(tr: complex, det: complex) -> tuple[complex, complex]:
 
     disc = cmath.sqrt(tr * tr - 4.0 * det)
     return (tr + disc) / 2.0, (tr - disc) / 2.0
+
+
+@pytest.fixture
+def split_into(monkeypatch):
+    """Let every job run in k processes (at most k) and cut into at most c
+    chunks, with one row per chunk where it has fewer rows: every closed-form
+    flow file, every sweep grid and every verify suite."""
+    def force(k: int, c: int = 255) -> None:
+        monkeypatch.setattr(tables, "_usable_cpus", lambda: k)
+        monkeypatch.setattr(tables, "_MAX_PROCESSES", k)
+        monkeypatch.setattr(tables, "_MAX_CHUNKS", c)
+        monkeypatch.setattr(flow, "_MIN_RANGE_ROWS", 1)
+        monkeypatch.setattr(cli, "_MIN_SWEEP_POINTS", 1)
+    return force
+
+
+@pytest.fixture
+def child_claims_first(monkeypatch):
+    """Hold this process's first claim of each split job until its child has
+    begun a chunk, so that the child runs at least one chunk whatever the
+    scheduler does; the child signals once, on a pipe, as its first chunk
+    starts.  For jobs of at most two processes."""
+    parent, claim = os.getpid(), tables._claim
+    read, write = os.pipe()
+
+    def claim_after_child(claims, work):
+        if os.getpid() == parent:
+            if select.select([read], [], [], 30)[0]:
+                os.read(read, 1)
+            return claim(claims, work)
+        signalled = []
+
+        def signalling(index):
+            if not signalled:
+                signalled.append(index)
+                os.write(write, b"x")
+            return work(index)
+
+        return claim(claims, signalling)
+
+    monkeypatch.setattr(tables, "_claim", claim_after_child)
+    yield
+    os.close(read)
+    os.close(write)
+
+
+def no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

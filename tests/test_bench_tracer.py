@@ -84,14 +84,16 @@ def test_traced_sweep_classifies_each_point_once(capsys):
     assert tracer.calls("algebra.closed_exp.under_shadow") == 0
 
 
-def test_traced_split_sweep_counts_the_parent_range_only(capsys, monkeypatch):
-    # a forked child's counts end with it: the tracer sees range 0 of a split
-    # grid, so its per-point ratios read half the points where two CPUs split it
+def test_traced_split_sweep_counts_the_parent_range_only(capsys, monkeypatch,
+                                                         child_claims_first):
+    # a forked child's counts end with it: the tracer sees only the chunks of
+    # a split grid that this process claimed, so its per-point ratios read a
+    # share of the points where two CPUs split it
     import shadowosc.cli
     import shadowosc.verify  # noqa: F401
 
     package = importlib.import_module("shadowosc")
-    monkeypatch.setattr(package.flow, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(package.tables, "_usable_cpus", lambda: 2)
     points = 2 * package.cli._MIN_SWEEP_POINTS + 1
     tracer = _tracer.Tracer(package)
     try:
@@ -100,17 +102,19 @@ def test_traced_split_sweep_counts_the_parent_range_only(capsys, monkeypatch):
         tracer.uninstall()
     assert code == 0
     assert len(capsys.readouterr().out.splitlines()) - 1 == points
-    assert tracer.calls("classifier.classify") == points // 2
-    assert tracer.calls("shadow.generators_for") == points // 2
+    parents = tracer.calls("classifier.classify")
+    assert parents == tracer.calls("shadow.generators_for") < points
 
 
-def test_traced_verify_applies_propagators_without_flow_states(capsys):
+def test_traced_verify_applies_propagators_without_flow_states(capsys, monkeypatch):
     # one coincidence check per map and one conservation check per case; the
-    # oracles apply their propagators to every trial and sample no flow state
+    # oracles apply their propagators to every trial and sample no flow state.
+    # One process: a forked child's counts end with it
     import shadowosc.cli
     import shadowosc.verify  # noqa: F401
 
     package = importlib.import_module("shadowosc")
+    monkeypatch.setattr(package.tables, "_MAX_PROCESSES", 1)
     before = {(module, attr): getattr(getattr(package, module), attr)
               for _, _, lookups, attr in WRAPPED for module in lookups}
     tracer = _tracer.Tracer(package)

@@ -5,7 +5,7 @@ import tracemalloc
 
 import pytest
 
-from shadowosc import cli, flow, shadow
+from shadowosc import cli, shadow, tables
 from shadowosc.algebra import max_diff
 from shadowosc.cli import main
 from shadowosc.errors import (
@@ -205,6 +205,33 @@ def test_sweep_non_finite_coefficients_are_an_error(capsys, integrator):
                    "coefficients cA = -infj, cB = infj, cC = -0j\n")
 
 
+@pytest.mark.parametrize("grid, reason", [
+    ("0:inf:1", "start, stop and step must be finite"),
+    ("0:1:nan", "start, stop and step must be finite"),
+    ("nan:1:0.1", "start, stop and step must be finite"),
+    ("0:1:inf", "start, stop and step must be finite"),
+    ("-inf:1:0.1", "start, stop and step must be finite"),
+    ("0:1e308:1e-300", "(stop - start) / step = inf; at most 2**52 steps are supported"),
+    ("-1e308:1e308:1", "(stop - start) / step = inf; at most 2**52 steps are supported"),
+    ("0:1e9:1e-9", "(stop - start) / step = 1e+18; at most 2**52 steps are supported"),
+    ("0:4503599627370496:1",
+     "(stop - start) / step = 4.5036e+15; at most 2**52 steps are supported"),
+])
+def test_sweep_unusable_grid_is_usage_error(capsys, tmp_path, grid, reason):
+    # each escaped cli.main with a traceback, printed Python's own message or
+    # complained of a NaN tau; a count past 2**52 ran without end
+    code, out, err = run(capsys, "sweep", "--integrator", "euler", f"--grid={grid}",
+                         "--out", str(tmp_path / "table"))
+    assert (code, out, err) == (2, "", f"error: grid {grid}: {reason}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_sweep_grid_keeps_its_last_point():
+    # the 500-point window 4.001:4.5 reads (stop - start) / step 6 ulps below 499
+    assert cli._parse_grid("4.001:4.5:0.001") == (4.001, 0.001, 500)
+    assert cli._parse_grid("0:4503599627370495:1")[2] == 2 ** 52
+
+
 def test_flow_too_many_discrete_steps_is_usage_error(capsys, tmp_path):
     code, _, err = run(capsys, "flow", "--integrator", "velocity-verlet", "--tau", "5e-324",
                        "--m-min", "0", "--m-max", "0", "--out", str(tmp_path / "out"))
@@ -253,7 +280,7 @@ def test_out_file_appears_only_whole(capsys, tmp_path, monkeypatch, command):
         renamed.append((os.path.basename(src), os.path.basename(dst)))
         real_replace(src, dst)
 
-    monkeypatch.setattr(flow.os, "replace", replace)
+    monkeypatch.setattr(tables.os, "replace", replace)
     (tmp_path / "out").write_text("old\n")
     code, out, _ = run(capsys, *UNWRITABLE_OUT_CALLS[command], "--out", str(tmp_path / "out"))
     assert code == 0

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shadowosc import cli, flow
+from shadowosc import cli, flow, tables
 from shadowosc.algebra import Mat2C, closed_exp, max_diff
 from shadowosc.classifier import CaseTag, classify
 from shadowosc.cli import main
@@ -51,9 +51,11 @@ from shadowosc.shadow import (
     generators_for,
     hamiltonian_from_generator,
 )
-from shadowosc.verify import series_exp
+from shadowosc.verify import full_suite, series_exp
 
-from conftest import to_numpy
+from conftest import no_child_left, to_numpy
+
+AFFINITY = os.sched_getaffinity(0)
 
 
 def branch_generator(r, m):
@@ -508,23 +510,6 @@ class TestStreamingWriters:
         assert list(tmp_path.iterdir()) == []
 
 
-@pytest.fixture
-def split_into(monkeypatch):
-    """Make the range writer cut every closed-form trajectory and every sweep
-    grid into k ranges (fewer when it has fewer than k rows)."""
-    def force(k: int) -> None:
-        monkeypatch.setattr(flow, "_usable_cpus", lambda: k)
-        monkeypatch.setattr(flow, "_MAX_RANGES", k)
-        monkeypatch.setattr(flow, "_MIN_RANGE_ROWS", 1)
-        monkeypatch.setattr(cli, "_MIN_SWEEP_POINTS", 1)
-    return force
-
-
-def _no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 def _split_cases():
     """(label, trajectory, Hamiltonian) of 101 rows for i-a, i-c, Euler, the
     scalar ii(+) and ii(-) maps and the nilpotent iii-a map (delta = 0)."""
@@ -552,8 +537,8 @@ def _flow_call(directory, k_flags=()):
 
 
 # sweep grids of 501 points whose first failing point, k = 319 (tau = 1.638e77),
-# lies in range 1 of 2 and of 3; velocity-verlet's error pickles through its
-# own constructor arguments, not through its message
+# lies after the child's first chunk; velocity-verlet's error pickles through
+# its own constructor arguments, not through its message
 LATER_RANGE_FAILURES = [
     (["--integrator", "euler", "--grid=1e77:2e77:2e74"], 1,
      "error: exp(Z) reproduces euler only to nan\n"),
@@ -574,50 +559,57 @@ def _sweep_call(directory, flags, out=False):
     return code, stdout.getvalue(), err.getvalue(), files
 
 
+# (processes, chunks) of the split writes compared with one pass
+SPLITS = [(2, 1), (2, 2), (2, 7), (2, 255)]
+
+
 class TestSplitWriter:
-    """A file written as several row ranges has the bytes of a single pass."""
+    """A table whose chunks two processes claim has the bytes of a single pass."""
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_bytes_equal_across_range_counts(self, tmp_path, split_into, fmt):
+    def test_bytes_equal_across_range_counts(self, tmp_path, split_into, child_claims_first,
+                                             fmt):
         write = write_trajectory_csv if fmt == "csv" else write_trajectory_json
         for label, traj, h in _split_cases():
             files = {}
-            for k in (1, 2, 3):
-                split_into(k)
-                assert len(flow._row_ranges(len(traj), flow._fewest_rows(traj))) == k
-                directory = tmp_path / f"{label}-{k}"
+            for k, c in [(1, 255), *SPLITS]:
+                split_into(k, c)
+                assert tables.process_count(len(traj), flow._fewest_rows(traj)) == k
+                directory = tmp_path / f"{label}-{k}-{c}"
                 directory.mkdir()
                 write(directory / f"t.{fmt}", traj, h)
                 assert [p.name for p in directory.iterdir()] == [f"t.{fmt}"]
-                files[k] = (directory / f"t.{fmt}").read_bytes()
-            assert files[2] == files[1] and files[3] == files[1], label
-            _no_child_left()
+                files[k, c] = (directory / f"t.{fmt}").read_bytes()
+                no_child_left()
+            assert set(files.values()) == {files[1, 255]}, label
 
     @pytest.mark.parametrize("out", [False, True], ids=["stdout", "out"])
     @pytest.mark.parametrize("fmt", ["csv", "json"])
-    def test_sweep_bytes_equal_across_range_counts(self, tmp_path, split_into, fmt, out):
+    def test_sweep_bytes_equal_across_range_counts(self, tmp_path, split_into,
+                                                   child_claims_first, fmt, out):
         # i-a and i-c points, a iii-a point, and gaps that overflow to inf
         grids = [("vp", "--grid=2.2:2.8:0.05"), ("double-euler", "--grid=3.9:4.05:0.05"),
                  ("vp", "--grid=1.5e26:1.7e26:2e24")]
         for integrator, grid in grids:
             flags = ["--integrator", integrator, grid, "--format", fmt]
             calls = {}
-            for k in (1, 2, 3):
-                split_into(k)
-                calls[k] = _sweep_call(tmp_path / f"{integrator}{grid}-{k}", flags, out)
-                _no_child_left()
-            assert calls[1][0] == 0 and calls[1][2] == ""
-            assert calls[2] == calls[1] and calls[3] == calls[1], grid
-            text = calls[1][3]["table"].decode() if out else calls[1][1]
-            assert calls[1][1] == ("" if out else text)
+            for k, c in [(1, 255), *SPLITS]:
+                split_into(k, c)
+                calls[k, c] = _sweep_call(tmp_path / f"{integrator}{grid}-{k}-{c}", flags, out)
+                no_child_left()
+            single = calls[1, 255]
+            assert single[0] == 0 and single[2] == ""
+            assert all(call == single for call in calls.values()), grid
+            text = single[3]["table"].decode() if out else single[1]
+            assert single[1] == ("" if out else text)
             if fmt == "json":
                 assert (json.dumps(json.loads(text), indent=2) + "\n") == text
         assert ("Infinity" if fmt == "json" else ",inf,") in text
 
     def test_discrete_orbit_is_one_range(self, split_into):
-        split_into(3)
+        split_into(2)
         orbit = discrete_orbit(euler(0.66), 1.0, 0.0, 100)
-        assert flow._row_ranges(len(orbit), flow._fewest_rows(orbit)) == [(0, 101)]
+        assert tables.process_count(len(orbit), flow._fewest_rows(orbit)) == 1
         with pytest.raises(ValueError, match="closed-form"):
             orbit.rows(50, 101)
 
@@ -626,24 +618,29 @@ class TestSplitWriter:
             return euler_trajectory(0.66, 0, 1.0, 0.0, (n - 1) * 0.5, 0.5)
 
         least = 2 * flow._MIN_RANGE_ROWS
-        monkeypatch.setattr(flow, "_usable_cpus", lambda: 2)
-        for n, ranges in ((least + 1, [(0, least // 2), (least // 2, least + 1)]),
-                          (least - 1, [(0, least - 1)])):
-            assert flow._row_ranges(len(rows(n)), flow._fewest_rows(rows(n))) == ranges
+        monkeypatch.setattr(tables, "_usable_cpus", lambda: 2)
+        for n, processes in ((least, 2), (least - 1, 1)):
+            assert tables.process_count(len(rows(n)), flow._fewest_rows(rows(n))) == processes
         # a sweep grid: the bench's 500-point windows split, 399 points do not
-        assert cli._MIN_SWEEP_POINTS == 200
-        assert flow._row_ranges(500, cli._MIN_SWEEP_POINTS) == [(0, 250), (250, 500)]
-        assert flow._row_ranges(399, cli._MIN_SWEEP_POINTS) == [(0, 399)]
-        monkeypatch.setattr(flow, "_usable_cpus", lambda: 1)
-        assert flow._row_ranges(least + 1, flow._MIN_RANGE_ROWS) == [(0, least + 1)]
-        assert flow._row_ranges(500, cli._MIN_SWEEP_POINTS) == [(0, 500)]
+        assert tables.process_count(500, cli._MIN_SWEEP_POINTS) == 2
+        assert tables.process_count(2 * cli._MIN_SWEEP_POINTS - 1, cli._MIN_SWEEP_POINTS) == 1
+        monkeypatch.setattr(tables, "_usable_cpus", lambda: 1)
+        assert tables.process_count(least + 1, flow._MIN_RANGE_ROWS) == 1
+        assert tables.process_count(500, cli._MIN_SWEEP_POINTS) == 1
 
     def test_many_cpus_give_two_ranges(self, monkeypatch):
-        # only two ranges were measured, and the affinity mask that counts
+        # only two processes were measured, and the affinity mask that counts
         # the CPUs ignores a cgroup CPU quota
-        monkeypatch.setattr(flow, "_usable_cpus", lambda: 64)
+        monkeypatch.setattr(tables, "_usable_cpus", lambda: 64)
         n = 64 * flow._MIN_RANGE_ROWS
-        assert flow._row_ranges(n, flow._MIN_RANGE_ROWS) == [(0, n // 2), (n // 2, n)]
+        assert tables.process_count(n, flow._MIN_RANGE_ROWS) == 2
+        # chunks cover the rows in order, at most 255 of them
+        for n, least in ((n, flow._MIN_RANGE_ROWS), (500, cli._MIN_SWEEP_POINTS), (7, 1),
+                         (3000, flow._MIN_RANGE_ROWS)):
+            ranges = tables._chunk_ranges(n, least)
+            assert 1 <= len(ranges) <= 255 and ranges[0][0] == 0 and ranges[-1][1] == n
+            assert all(a[1] == b[0] and a[0] < a[1] for a, b in zip(ranges, ranges[1:]))
+            assert min(stop - start for start, stop in ranges) >= min(n, least // 8)
 
     def test_ignored_sigchld_is_one_range(self, tmp_path, split_into):
         # the system reaps the children of a process that ignores SIGCHLD,
@@ -677,72 +674,104 @@ class TestSplitWriter:
 
     @staticmethod
     def _check_one_range(tmp_path, split_into, around):
-        """A flow file and a sweep written inside ``around`` are one range,
-        with the bytes of a split write and no child."""
+        """A flow file, a sweep and a verify suite run inside ``around`` are
+        one process each, with the output of a split run and no child."""
         traj, h = _euler_case(0.66, 0, 1.0, 0.0, 5.0, 0.05)
         sweep = ["--integrator", "vp", "--grid=0.5:1.5:0.1"]
         split_into(2)
-        assert len(flow._row_ranges(len(traj), 1)) == 2
+        assert tables.process_count(len(traj), 1) == 2
         write_trajectory_csv(tmp_path / "split", traj, h)
         split = _sweep_call(tmp_path / "sweep-split", sweep)
+        suite = full_suite(trials=2)
         forks = []
 
         def counted_fork(*args):
             forks.append(args)
-            return flow._forked(*args)
+            return tables._forked(*args)
 
         def write():
-            assert flow._row_ranges(len(traj), 1) == [(0, len(traj))]
+            assert tables.process_count(len(traj), 1) == 1
             write_trajectory_csv(tmp_path / "t", traj, h)
             assert _sweep_call(tmp_path / "sweep", sweep) == split
+            assert full_suite(trials=2) == suite
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(flow, "_forked", counted_fork)
+            patch.setattr(tables, "_forked", counted_fork)
             around(write)
         assert forks == []
         assert (tmp_path / "t").read_bytes() == (tmp_path / "split").read_bytes()
-        _no_child_left()
+        no_child_left()
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("t_end", [
-        "7000",  # 1,001 rows: t = 1113 falls in range 0 of 2 or 3
-        "1500",  # 216 rows: in range 1 of 2, in range 2 of 3
+        "7000",  # 1,001 rows: t = 1113 is row 159
+        "1500",  # 216 rows: t = 1113 is row 159 of 216, near the end
     ])
-    def test_leaving_double_range_reads_as_single_pass(self, tmp_path, split_into, t_end, fmt):
+    def test_leaving_double_range_reads_as_single_pass(self, tmp_path, split_into,
+                                                       child_claims_first, t_end, fmt):
         flags = ("--t-end", t_end, "--dt", "7", "--format", fmt)
         split_into(1)
         single = _flow_call(tmp_path / "single", flags)
         assert single[0] == 1
         assert single[2] == "error: flow<i-c> m=0 leaves double range at t = 1113\n"
         assert single[3] == [f"discrete.{fmt}"]
-        for k in (2, 3):
-            split_into(k)
-            assert _flow_call(tmp_path / f"split-{k}", flags) == single
-            _no_child_left()
+        for k, c in SPLITS:
+            split_into(k, c)
+            assert _flow_call(tmp_path / f"split-{k}-{c}", flags) == single
+            no_child_left()
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("flags, code, message", LATER_RANGE_FAILURES,
                              ids=["euler", "velocity-verlet"])
     def test_sweep_failing_in_a_later_range_reads_as_single_pass(self, tmp_path, split_into,
+                                                                 child_claims_first,
                                                                  flags, code, message, fmt):
         flags = [*flags, "--format", fmt]
         split_into(1)
         single = _sweep_call(tmp_path / "single", flags)
         assert single == (code, "", message, {})
         assert _sweep_call(tmp_path / "single-out", flags, out=True) == single
-        for k in (2, 3):
-            split_into(k)
-            start, stop = flow._row_ranges(501, 1)[1]
-            assert start <= 319 < stop  # range 1, after the parent's range 0
-            assert _sweep_call(tmp_path / f"split-{k}", flags) == single
+        for k, c in SPLITS:
+            split_into(k, c)
+            assert _sweep_call(tmp_path / f"split-{k}-{c}", flags) == single
             # no target and no part file; an existing target keeps its bytes
-            assert _sweep_call(tmp_path / f"out-{k}", flags, out=True) == single
-            (tmp_path / f"out-{k}" / "table").write_bytes(b"kept\n")
-            assert _sweep_call(tmp_path / f"out-{k}", flags, out=True) == (
+            assert _sweep_call(tmp_path / f"out-{k}-{c}", flags, out=True) == single
+            (tmp_path / f"out-{k}-{c}" / "table").write_bytes(b"kept\n")
+            assert _sweep_call(tmp_path / f"out-{k}-{c}", flags, out=True) == (
                 code, "", message, {"table": b"kept\n"})
-            _no_child_left()
+            no_child_left()
 
-    def test_child_error_is_raised_with_no_file_left(self, tmp_path, split_into, monkeypatch):
+    @pytest.mark.parametrize("grid", ["--grid=0.5:1.5:0.1", "--grid=0.4:1.5:0.1"],
+                             ids=["child-lower", "parent-lower"])
+    def test_lowest_failing_chunk_wins(self, tmp_path, split_into, child_claims_first,
+                                       monkeypatch, grid):
+        # one point per chunk, the child's first; tau = 0.5 fails slowly and
+        # 0.6 at once.  From 0.5 the child fails at 0.5 while this process
+        # fails at 0.6; from 0.4 the child sleeps at 0.4, so this process
+        # fails at 0.5 while the child fails at 0.6.  The lower error wins.
+        parent, row = os.getpid(), cli._sweep_row
+
+        def failing(integrator, tau, branches, params):
+            point = round(tau, 9)
+            if point == 0.4 and os.getpid() != parent:
+                time.sleep(0.1)
+            if point == 0.5:
+                time.sleep(0.3)
+                raise OutOfRange("point 0.5")
+            if point == 0.6:
+                raise OutOfRange("point 0.6")
+            return row(integrator, tau, branches, params)
+
+        monkeypatch.setattr(cli, "_sweep_row", failing)
+        split_into(1)
+        single = _sweep_call(tmp_path / "single", ["--integrator", "vp", grid])
+        assert single == (1, "", "error: point 0.5\n", {})
+        split_into(2)
+        assert _sweep_call(tmp_path / "split", ["--integrator", "vp", grid]) == single
+        no_child_left()
+
+    def test_child_error_is_raised_with_no_file_left(self, tmp_path, split_into,
+                                                     child_claims_first, monkeypatch):
         parent, values = os.getpid(), flow._values
 
         def failing_in_child(rows, h):
@@ -752,16 +781,16 @@ class TestSplitWriter:
 
         monkeypatch.setattr(flow, "_values", failing_in_child)
         traj, h = _euler_case(0.66, 0, 1.0, 0.0, 5.0, 0.05)
-        for k in (2, 3):
-            split_into(k)
+        for k, c in SPLITS:
+            split_into(k, c)
             for write in (write_trajectory_csv, write_trajectory_json):
                 with pytest.raises(RuntimeError, match="^disk on fire$"):
                     write(tmp_path / "t", traj, h)
                 assert list(tmp_path.iterdir()) == []
-                _no_child_left()
+                no_child_left()
 
     def test_child_that_exits_without_a_word_fails_the_write(self, tmp_path, split_into,
-                                                             monkeypatch):
+                                                             child_claims_first, monkeypatch):
         parent, values = os.getpid(), flow._values
 
         def vanishing_in_child(rows, h):
@@ -771,12 +800,13 @@ class TestSplitWriter:
 
         monkeypatch.setattr(flow, "_values", vanishing_in_child)
         split_into(2)
-        with pytest.raises(ChildProcessError, match="exit status 3"):
+        with pytest.raises(ChildProcessError, match=r"exit status 3\)$"):
             write_trajectory_csv(tmp_path / "t", *_euler_case(0.66, 0, 1.0, 0.0, 5.0, 0.05))
         assert list(tmp_path.iterdir()) == []
-        _no_child_left()
+        no_child_left()
 
-    def test_interrupt_kills_live_children(self, tmp_path, split_into, monkeypatch):
+    def test_interrupt_kills_live_children(self, tmp_path, split_into, child_claims_first,
+                                           monkeypatch):
         parent, values = os.getpid(), flow._values
 
         def stalling(rows, h):
@@ -787,13 +817,13 @@ class TestSplitWriter:
             yield from values(rows, h)
 
         monkeypatch.setattr(flow, "_values", stalling)
-        split_into(3)
+        split_into(2)
         start = time.perf_counter()
         with pytest.raises(KeyboardInterrupt):
             write_trajectory_json(tmp_path / "t", *_euler_case(0.66, 0, 1.0, 0.0, 5.0, 0.05))
         assert time.perf_counter() - start < 30
         assert list(tmp_path.iterdir()) == []
-        _no_child_left()
+        no_child_left()
 
     def test_interrupt_just_after_a_fork_kills_that_child(self, tmp_path, split_into,
                                                           monkeypatch):
@@ -815,21 +845,23 @@ class TestSplitWriter:
 
         monkeypatch.setattr(flow, "_values", stalling)
         monkeypatch.setattr(os, "fork", interrupted_fork)
-        split_into(3)
+        split_into(2)
         start = time.perf_counter()
         with pytest.raises(KeyboardInterrupt):
             write_trajectory_csv(tmp_path / "t", *_euler_case(0.66, 0, 1.0, 0.0, 5.0, 0.05))
         assert time.perf_counter() - start < 30
         assert list(tmp_path.iterdir()) == []
-        _no_child_left()
-        # the caller's signal mask is restored
+        no_child_left()
+        # the caller's signal mask and CPU affinity are restored
         assert signal.SIGINT not in signal.pthread_sigmask(signal.SIG_BLOCK, ())
+        assert os.sched_getaffinity(0) == AFFINITY
 
     @pytest.mark.parametrize("out", [False, True], ids=["stdout", "out"])
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("failure", ["raises", "exits", "interrupt"])
     def test_sweep_child_failure_or_interrupt_leaves_nothing(self, tmp_path, split_into,
-                                                            monkeypatch, failure, fmt, out):
+                                                            child_claims_first, monkeypatch,
+                                                            failure, fmt, out):
         parent, row = os.getpid(), cli._sweep_row
 
         def failing(*args):
@@ -845,7 +877,7 @@ class TestSplitWriter:
 
         monkeypatch.setattr(cli, "_sweep_row", failing)
         flags = ["--integrator", "vp", "--grid=0.5:1.5:0.1", "--format", fmt]
-        split_into(3)
+        split_into(2)
         start = time.perf_counter()
         if failure == "interrupt":
             with pytest.raises(KeyboardInterrupt), redirect_stdout(io.StringIO()) as stdout:
@@ -855,11 +887,12 @@ class TestSplitWriter:
             assert list(tmp_path.iterdir()) == []
         else:
             message = ("error: disk on fire\n" if failure == "raises" else
-                       "error: a row range writer failed with exit status 3\n")
+                       "error: a forked worker sent no report (exit status 3)\n")
             assert _sweep_call(tmp_path, flags, out) == (1, "", message, {})
-        _no_child_left()
+        no_child_left()
 
-    def test_success_leaves_no_child(self, tmp_path, split_into):
+    def test_success_leaves_no_child(self, tmp_path, split_into, child_claims_first):
         split_into(2)
         write_trajectory_csv(tmp_path / "t", *_euler_case(0.66, 0, 1.0, 0.0, 5.0, 0.05))
-        _no_child_left()
+        no_child_left()
+        assert os.sched_getaffinity(0) == AFFINITY

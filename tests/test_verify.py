@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 import random
 import struct
@@ -7,11 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shadowosc import verify
+from shadowosc import tables, verify
 from shadowosc.algebra import Mat2C, max_diff
 from shadowosc.classifier import CaseTag, classify
 from shadowosc.cli import main
-from shadowosc.errors import NonFinite, UnknownIntegrator
+from shadowosc.errors import NonFinite, OutOfRange, UnknownIntegrator
 from shadowosc.flow import continuous_state, discrete_orbit, flow_matrix, sample_times
 from shadowosc.integrators import custom, euler, make, vp
 from shadowosc.shadow import (
@@ -29,9 +30,12 @@ from shadowosc.verify import (
     check_regime_map,
     full_suite,
     locate_vp_critical_tau,
+    report_table,
     series_exp,
     taylor_exp,
 )
+
+from conftest import no_child_left
 
 
 def branch_generator(r, m):
@@ -449,6 +453,39 @@ class TestFullSuite:
         monkeypatch.setattr(verify, "locate_vp_critical_tau", unreachable)
         with pytest.raises(ValueError, match="trials"):
             full_suite(trials=trials)
+
+    @pytest.mark.parametrize("args", [
+        {"seed": 7}, {"seed": 1729}, {"seed": 99, "trials": 1}, {"seed": 123456, "trials": 3},
+        {"seed": 7, "perturb": 1e-3}, {"seed": 1729, "perturb": -1e-9},
+        {"seed": 7, "perturb": 1e300}], ids=str)
+    def test_split_suite_equals_one_pass(self, split_into, child_claims_first, args):
+        split_into(1)
+        single = full_suite(**args)
+        split_into(2)
+        assert tables.process_count(20, 1) == 2
+        split = full_suite(**args)
+        no_child_left()
+        # as text: a perturbed exponential's residual may be NaN
+        assert report_table(split) == report_table(single)
+        assert (json.dumps([r.to_json_dict() for r in split])
+                == json.dumps([r.to_json_dict() for r in single]))
+        # the negative controls still fail
+        assert all(r.passed for r in split) == ("perturb" not in args)
+
+    def test_subject_failing_in_a_later_chunk_reads_as_one_pass(self, split_into,
+                                                                child_claims_first,
+                                                                monkeypatch):
+        # every conservation case raises, in chunks 15 to 19: the first one's
+        # error is raised, whichever process ran it
+        def failing(h, g, trials, seed):
+            raise OutOfRange(f"flow<{h.case}> tau={h.tau:g} m={h.branch} fails")
+
+        monkeypatch.setattr(verify, "check_conservation", failing)
+        for k in (1, 2):
+            split_into(k)
+            with pytest.raises(OutOfRange, match=r"^flow<i-a> tau=0.66 m=-1 fails$"):
+                full_suite(trials=2)
+            no_child_left()
 
     @pytest.mark.parametrize("perturb", [math.nan, math.inf, -math.inf])
     def test_non_finite_perturb_rejected_before_any_check(self, monkeypatch, perturb):
