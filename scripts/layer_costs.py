@@ -7,10 +7,11 @@ Usage:
 Each layer is one call timed with ``timeit``: the best of 7 repeats of N
 calls, in microseconds per call; the slow layers, a 1,000-sample flow pass,
 ``build_parser`` and the two verify oracles, take N/100 calls per repeat,
-and "flow_file", "sweep_window" and "verify_suite" take N/1000.  The map is ``vp``
-at tau = 0.66 (an i-a map) with branches m = -1, 0, 1, the family a
-``sweep`` grid point builds; "sweep_point" is ``cli._sweep_row``, the
-code ``sweep`` runs per grid point, and "sweep_window" one whole
+and "flow_file", "flow_call", "sweep_window" and "verify_suite" take N/1000.
+The map is ``vp`` at tau = 0.66 (an i-a map) with branches m = -1, 0, 1,
+the family a ``sweep`` grid point builds; "sweep_point" is
+``cli._sweep_row``, the code ``sweep`` runs per grid point, and
+"sweep_window" one whole
 ``sweep --integrator vp --grid=0.001:0.500:0.001`` through ``cli.main``
 with its stdout captured, in microseconds per window: the 500-point window
 of the sweep-fine benchmark workload, and the one layer that sees a grid
@@ -20,8 +21,13 @@ pattern.  "flow_file" is one ``flow.write_trajectory_csv`` of the closed-form
 Euler flow at tau = 0.66 on [0, 150] at step 0.01 (15,001 rows, the Euler file
 of the flow-dense benchmark workload) into a temporary directory, in
 microseconds per file: the one layer that sees a file written as several
-row ranges.  "coincidence" is one ``verify.check_coincidence`` of the
-three generators against 20 trial orbits of the map, and "conservation" one
+row ranges.  "flow_call" is one whole ``flow`` through ``cli.main``, the
+JSON call of flow-dense (position-verlet at tau = 0.66, m = -1..1 on [0, 30]
+at step 0.01: three branch files of 3,001 rows after the discrete orbit)
+into a temporary directory, in microseconds per call: the one layer that
+sees a call's branch files written as one job.  "coincidence" is one
+``verify.check_coincidence`` of the three generators against 20 trial orbits
+of the map, and "conservation" one
 ``verify.check_conservation`` of the m = 0 branch's Hamiltonian with 5
 trials, the two oracles ``verify`` runs per map and per conservation case.
 "verify_suite" is one whole ``verify`` (seed 1729, 20 trials) through
@@ -60,9 +66,12 @@ BRANCHES = range(-1, 2)
 REPEAT = 7
 FLOW_SAMPLES = 1000
 SWEEP_WINDOW = ["sweep", "--integrator", "vp", "--grid=0.001:0.500:0.001"]
+FLOW_CALL = ["flow", "--integrator", "position-verlet", "--tau", "0.66", "--m-min=-1",
+             "--m-max=1", "--t-end", "30", "--dt", "0.01", "--format", "json"]
 VERIFY_SUITE = ["verify", "--seed", "1729"]
-SLOW = {"flow_sample": 100, "build_parser": 100, "flow_file": 1000, "sweep_window": 1000,
-        "verify_suite": 1000, "coincidence": 100, "conservation": 100}  # N / divisor calls
+SLOW = {"flow_sample": 100, "build_parser": 100, "flow_file": 1000, "flow_call": 1000,
+        "sweep_window": 1000, "verify_suite": 1000, "coincidence": 100,
+        "conservation": 100}  # N / divisor calls
 
 
 def layers(directory: Path) -> dict:
@@ -100,6 +109,7 @@ def layers(directory: Path) -> dict:
         "csv_row": (lambda: flow._CSV_ROW % row, 1),
         "flow_file": (lambda: flow.write_trajectory_csv(directory / "flow.csv", euler_file,
                                                         euler_h), 1),
+        "flow_call": (whole(FLOW_CALL + ["--out", str(directory / "flow_call")]), 1),
         "build_parser": (cli.build_parser, 1),
         "coincidence": (lambda: verify.check_coincidence(family, r, 20), 1),
         "conservation": (lambda: verify.check_conservation(h, g, 5), 1),
@@ -112,8 +122,8 @@ def main() -> int:
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--number", type=int, default=2000,
                         help="calls per repeat (N/100 for the flow pass, build_parser and "
-                             "the verify oracles, N/1000 for flow_file, sweep_window and "
-                             "verify_suite)")
+                             "the verify oracles, N/1000 for flow_file, flow_call, "
+                             "sweep_window and verify_suite)")
     args = parser.parse_args()
     if args.number < 1:
         parser.error("--number must be at least 1")

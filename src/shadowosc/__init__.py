@@ -38,7 +38,6 @@ from .flow import (
     discrete_orbit,
     euler_closed_form,
     euler_trajectory,
-    measure_period,
     rotation_sense,
     sample_trajectory,
     write_trajectory_csv,

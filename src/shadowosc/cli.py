@@ -7,9 +7,12 @@ through ``tables.sink``: an ``--out`` file appears only whole (``flow --out``
 names a directory it creates), and stdout receives nothing from a command
 that fails.  A sweep row depends only on its own grid point
 tau_k = start + k*step, so ``sweep`` writes its grid through
-``tables.write_ranges``, split into chunks that two processes claim where
+``tables.write_table``, split into chunks that two processes claim where
 the grid has at least 2 * _MIN_SWEEP_POINTS points and two CPUs are usable;
 ``verify`` runs its suite's subjects the same way (``verify.full_suite``).
+``flow`` writes the discrete orbit first, in one pass, then its branch files
+as one such job (``flow.trajectory_files``), with at most one fork per call;
+``_write_trajectory`` returns once its file is whole.
 A grid whose start, stop or step is not finite, or that has more than
 2**52 points, is a usage error.
 """
@@ -32,6 +35,7 @@ from .flow import (
     euler_trajectory,
     sample_times,
     sample_trajectory,
+    trajectory_files,
     whole_steps,
     write_trajectory_csv,
     write_trajectory_json,
@@ -51,7 +55,7 @@ from .shadow import (
     hamiltonian_from_generator,
     real_valued,
 )
-from .tables import listed_json, sink, write_listed, write_ranges
+from .tables import Table, listed_json, listed_table, sink, write_table
 from .verify import DEFAULT_SEED, full_suite, report_table
 
 USAGE_ERROR = 2
@@ -262,15 +266,22 @@ def cmd_flow(args) -> int:
         trajectories = [sample_trajectory(g, args.q0, args.p0, args.t_end, args.dt)
                         for g in family.generators]
 
-    for trajectory, h in zip(trajectories, rows):
-        path = outdir / f"flow_m{h.branch}.{suffix}"
-        _write_trajectory(path, trajectory, h, args.format)
-        written.append(path)
+    with trajectory_files(trajectories, rows, args.format, outdir) as commit:
+        for trajectory, h in zip(trajectories, rows):
+            path = outdir / f"flow_m{h.branch}.{suffix}"
+            _write_trajectory(path, trajectory, h, args.format, commit)
+            written.append(path)
     print("\n".join(str(p) for p in written))
     return 0
 
 
-def _write_trajectory(path: Path, trajectory, hamiltonian, fmt: str) -> None:
+def _write_trajectory(path: Path, trajectory, hamiltonian, fmt: str, commit=None) -> None:
+    """Write one trajectory's file, whole once this returns: by ``commit``,
+    where given, which writes the next file of the ``flow.trajectory_files``
+    job holding this trajectory's rows, else alone."""
+    if commit is not None:
+        commit(path)
+        return
     write = write_trajectory_json if fmt == "json" else write_trajectory_csv
     write(path, trajectory, hamiltonian)
 
@@ -300,15 +311,14 @@ def cmd_sweep(args) -> int:
 
     if args.format == "json":
         keys = ("tau", "case", "trace", "criticality_gap", "n_real")
-        write_listed(args.out, count, _MIN_SWEEP_POINTS,
-                     {"integrator": args.integrator, "rows": []},
-                     lambda first, stop: (listed_json(dict(zip(keys, row)))
-                                          for row in rows(first, stop)))
+        table = listed_table(count, {"integrator": args.integrator, "rows": []},
+                             lambda first, stop: (listed_json(dict(zip(keys, row)))
+                                                  for row in rows(first, stop)))
     else:
-        write_ranges(args.out, count, _MIN_SWEEP_POINTS,
-                     lambda first, stop: map("%.17g,%s,%.17g,%.17g,%d\n".__mod__,
-                                             rows(first, stop)),
-                     "tau,case,trace,criticality_gap,n_real_hamiltonians\n", "")
+        table = Table(count, lambda first, stop: map("%.17g,%s,%.17g,%.17g,%d\n".__mod__,
+                                                     rows(first, stop)),
+                      "tau,case,trace,criticality_gap,n_real_hamiltonians\n", "")
+    write_table(args.out, table, _MIN_SWEEP_POINTS)
     return 0
 
 

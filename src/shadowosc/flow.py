@@ -27,17 +27,14 @@ generator (``euler_trajectory``), whose delta is read off its rate.  A flow
 whose state leaves double range raises ``OutOfRange`` naming the first such
 t; a writer that fails removes its partial file.
 
-A flow row depends only on its own t, so a flow file of at least
-2 * _MIN_RANGE_ROWS closed-form rows is written through
-``tables.write_ranges``, which ``sweep`` uses for its grids too: where two
-CPUs are usable, the rows are cut into chunks that this process and a forked
-child claim in turn, giving the bytes of a single pass.  The discrete orbit,
-a recurrence, is always written in one pass.
-
-Deviations between states are reported relative to max(1, |reference|):
-bounded orbits are then compared absolutely, while diverging orbits
-(real eigenvalue pairs, tau > 2) are compared to the precision double
-arithmetic can represent at their scale.
+A flow row depends only on its own t, so closed-form files are tables of
+``tables.writing``, which ``sweep`` uses for its grids too: where two CPUs
+are usable and the rows number at least 2 * _MIN_RANGE_ROWS, they are cut
+into chunks that this process and one forked child claim in turn, giving the
+bytes of a single pass.  A ``flow`` call's branch files are one such job
+(``trajectory_files``), with one fork, whose files are committed one at a
+time, in order; a file written alone is a job of its own.  The discrete
+orbit, a recurrence, is always written in one pass.
 
 CSV schema (one row per sample, %.17g formatting):
 
@@ -61,13 +58,14 @@ from .classifier import CaseTag
 from .errors import NotApplicable, OutOfRange
 from .integrators import TransitionMatrix
 from .shadow import Generator, ShadowHamiltonian, euler_rate
-from .tables import listed_json, write_listed, write_ranges
+from .tables import Table, listed_json, listed_table, write_table, writing
 
 CSV_HEADER = "t,q_re,q_im,p_re,p_im,H_re,H_im"
 _CSV_ROW = ",".join(["%.17g"] * 7) + "\n"
-# Fewest rows per process: below 2 * _MIN_RANGE_ROWS a file is written in one
-# pass, since a fork, its exit and the copy of the parts cost more than they
-# save (on a 2-core host, 3,000-row CSV files read even; see README, "Split
+# Fewest rows per process: a job of fewer than 2 * _MIN_RANGE_ROWS rows (a
+# file alone, or all the branch files of a flow call) is written in one pass,
+# since a fork, its exit and the copy of the parts cost more than they save
+# (on a 2-core host, 3,000-row CSV files read even; see README, "Split
 # tables").
 _MIN_RANGE_ROWS = 2000
 # Above 2**52 samples, k*step no longer rounds to distinct values for every k.
@@ -167,12 +165,6 @@ class Trajectory(Sequence):
 
     def __getitem__(self, k: int) -> PhaseState:
         return PhaseState(*next(islice(self.rows(), range(len(self))[k], None)))
-
-
-def state_deviation(a: PhaseState, b: PhaseState) -> float:
-    """Distance between states relative to max(1, |b|)."""
-    scale = max(1.0, math.hypot(abs(b.q), abs(b.p)))
-    return a.distance(b) / scale
 
 
 def _orbit_rows(r: TransitionMatrix, q0: float, p0: float,
@@ -337,51 +329,6 @@ def rotation_sense(h: ShadowHamiltonian) -> str:
     return "clockwise" if pdot < 0 else "counter-clockwise"
 
 
-def measure_period(g: Generator, q0: float, p0: float, dt: float) -> float:
-    """First return time to the initial state, located without assuming it.
-
-    Marches the flow at step dt until the distance to the start has risen
-    above half the initial radius and come back below it, then refines
-    the local minimum of the squared distance by ternary search.  The
-    orbit must be bounded (case i-a) and the start nonzero.
-    """
-    if g.case is not CaseTag.IA:
-        raise NotApplicable("period is defined for bounded orbits only")
-    radius = math.hypot(q0, p0)
-    if radius == 0.0:
-        raise NotApplicable("the origin is a fixed point")
-    start = PhaseState(complex(q0), complex(p0), 0.0)
-
-    def dist(t: float) -> float:
-        return continuous_state(g, q0, p0, t).distance(start)
-
-    armed = False
-    previous = 0.0
-    k = 0
-    limit = int(math.ceil(40.0 * (2.0 * math.pi + g.tau) / dt))
-    while k < limit:
-        k += 1
-        d = dist(k * dt)
-        if not armed:
-            armed = d > 0.5 * radius
-        elif d < 0.45 * radius and d > previous:
-            break
-        previous = d
-    else:
-        raise NotApplicable("no return detected; decrease dt or check the orbit")
-
-    lo, hi = (k - 2) * dt, k * dt
-    for _ in range(200):
-        third = (hi - lo) / 3.0
-        if third < 1e-14:
-            break
-        if dist(lo + third) < dist(hi - third):
-            hi = hi - third
-        else:
-            lo = lo + third
-    return (lo + hi) / 2.0
-
-
 def _energy(state: PhaseState, h: ShadowHamiltonian | None) -> complex:
     if h is None:
         return (state.q * state.q + state.p * state.p) / 2.0
@@ -413,14 +360,18 @@ def _fewest_rows(trajectory: Trajectory) -> int:
     return _MIN_RANGE_ROWS if trajectory.closed_form else len(trajectory) + 1
 
 
+def _csv_table(trajectory: Trajectory, hamiltonian: ShadowHamiltonian | None) -> Table:
+    return Table(len(trajectory),
+                 lambda start, stop: map(_CSV_ROW.__mod__,
+                                         _values(trajectory.rows(start, stop), hamiltonian)),
+                 CSV_HEADER + "\n", "")
+
+
 def write_trajectory_csv(path: str | Path, trajectory: Trajectory,
                          hamiltonian: ShadowHamiltonian | None = None) -> None:
     """Emit the CSV schema; without a Hamiltonian the H column reports the
     unperturbed oscillator energy (q**2 + p**2)/2."""
-    write_ranges(path, len(trajectory), _fewest_rows(trajectory),
-                 lambda start, stop: map(_CSV_ROW.__mod__,
-                                         _values(trajectory.rows(start, stop), hamiltonian)),
-                 CSV_HEADER + "\n", "")
+    write_table(path, _csv_table(trajectory, hamiltonian), _fewest_rows(trajectory))
 
 
 def _state_json(t, q_re, q_im, p_re, p_im, h_re, h_im) -> dict:
@@ -439,14 +390,32 @@ def _json_state(values: tuple[float, ...]) -> str:
     return text
 
 
+def _json_table(trajectory: Trajectory, hamiltonian: ShadowHamiltonian | None) -> Table:
+    return listed_table(len(trajectory),
+                        {"source": _source_json(trajectory, hamiltonian), "states": []},
+                        lambda start, stop: map(_json_state,
+                                                _values(trajectory.rows(start, stop),
+                                                        hamiltonian)))
+
+
 def write_trajectory_json(path: str | Path, trajectory: Trajectory,
                           hamiltonian: ShadowHamiltonian | None = None) -> None:
     """Emit ``json.dumps(trajectory_to_json(trajectory, hamiltonian), indent=2)``
     and a newline, one state at a time."""
-    write_listed(path, len(trajectory), _fewest_rows(trajectory),
-                 {"source": _source_json(trajectory, hamiltonian), "states": []},
-                 lambda start, stop: map(_json_state,
-                                         _values(trajectory.rows(start, stop), hamiltonian)))
+    write_table(path, _json_table(trajectory, hamiltonian), _fewest_rows(trajectory))
+
+
+def trajectory_files(trajectories: Sequence[Trajectory],
+                     hamiltonians: Sequence[ShadowHamiltonian | None], fmt: str,
+                     directory: str | Path):
+    """The files of closed-form trajectories, in ``fmt`` ("csv" or "json"), as
+    one ``tables.writing`` job whose part files are in ``directory``: the
+    context yields ``commit(path)``, which writes the next trajectory's file,
+    whole, to path.  A process runs at least _MIN_RANGE_ROWS of all the files'
+    rows, so the files split as one job or are written in one pass."""
+    table = _json_table if fmt == "json" else _csv_table
+    return writing([table(t, h) for t, h in zip(trajectories, hamiltonians)],
+                   _MIN_RANGE_ROWS, directory)
 
 
 def _source_json(trajectory: Trajectory, hamiltonian: ShadowHamiltonian | None) -> dict:

@@ -1,23 +1,31 @@
 """Jobs cut into chunks that claiming processes run: the one place that forks.
 
 Three callers cut their work into chunks whose results depend only on their
-own index: a flow file (a flow sample is closed-form in its own t), a
-``sweep`` grid (a row depends only on its own tau_k) and ``verify``'s suite
-(one subject per chunk, through ``results``).  Where ``process_count``
-allows two processes, a pipe holds one byte per chunk index (at most 255)
-before one child is forked, and both processes claim the next index with a
-one-byte ``os.read``, which cannot split, until the pipe is empty; so the
-process on the faster CPU runs more chunks.  Each process is pinned to a
-CPU of its own for the job: left to the scheduler, a young child often
-shares its parent's CPU, and the split is then slower than one pass.  The
-child sends its chunks' results, pickled, down a report pipe.  A table's
-chunk writes its rows to its process's anonymous part file, so memory stays
-independent of the table's length, and the spans are copied to the sink in
-index order: the bytes of a single pass.
+own index: the flow files of one ``flow`` call, or one flow file alone (a
+flow sample is closed-form in its own t), a ``sweep`` grid (a row depends
+only on its own tau_k) and ``verify``'s suite (one subject per chunk,
+through ``results``).  Where ``process_count`` allows two processes, a pipe
+holds one byte per chunk index (at most 255) before one child is forked, and
+both processes claim the next index with a one-byte ``os.read``, which
+cannot split, until the pipe is empty; so the process on the faster CPU runs
+more chunks.  Each process is pinned to a CPU of its own for the job: left
+to the scheduler, a young child often shares its parent's CPU, and the
+split is then slower than one pass.  The child sends each chunk's results,
+pickled, down a report pipe as it finishes the chunk.
+
+``writing`` runs every table of a job with one fork: the rows of all the
+tables, numbered in order across them, are cut into chunks, and a chunk may
+straddle two tables.  A chunk writes its rows to its process's anonymous
+part file, so memory stays independent of the tables' length, and reports
+its span there in each table it covers.  The caller commits the tables one
+at a time, in order: this process claims chunks until every chunk of the
+table has been claimed, collects the table's spans and copies them to the
+sink, by ``os.copy_file_range`` into a file: the bytes of a single pass.
 
 A chunk that raises ends its process's claims and empties the pipe; every
-lower chunk has been claimed by then and runs to its end, and the lowest
-failing chunk's error, that of a single pass, is raised.  On any error or
+lower chunk has been claimed by then and runs to its end.  The error of the
+lowest failing chunk, that of a single pass, is raised by the commit of the
+table it fails in, so every earlier table is whole.  On any error or
 interrupt the children are killed and reaped and the part files removed.
 ``sink`` is where a table goes: its ``--out`` file, written under a
 ``.part`` name and renamed when complete, or stdout, once the table is whole.
@@ -29,11 +37,10 @@ import io
 import json
 import os
 import sys
-from collections.abc import Callable, Iterator, Sequence
-from contextlib import contextmanager
+from collections.abc import Callable, Iterable, Iterator, Sequence
+from contextlib import ExitStack, contextmanager
 from functools import partial
-from itertools import chain, islice
-from operator import itemgetter
+from itertools import accumulate, chain, islice, pairwise
 from pathlib import Path
 
 _CHUNK = 1024  # rows per write
@@ -43,7 +50,19 @@ _MAX_CHUNKS = 255
 # mask that _usable_cpus reads does not narrow for a cgroup CPU quota, so a
 # larger count could fork many children onto one or two CPUs.
 _MAX_PROCESSES = 2
-_COPY = 1 << 20  # bytes per read when a span is copied to the sink
+_COPY = 1 << 20  # bytes per read when a span is copied by reading
+
+
+class Table:
+    """n rows between a head and a tail: ``texts(start, stop)`` gives the
+    texts of rows start <= k < stop in order, each depending on its k alone.
+    (A plain class: a NamedTuple costs about 0.2 ms more to import.)"""
+
+    __slots__ = ("n", "texts", "head", "tail")
+
+    def __init__(self, n: int, texts: Callable[[int, int], Iterator[str]], head: str,
+                 tail: str):
+        self.n, self.texts, self.head, self.tail = n, texts, head, tail
 
 
 @contextmanager
@@ -116,30 +135,33 @@ def _chunk_ranges(n: int, least: int) -> list[tuple[int, int]]:
     return [(n * i // count, n * (i + 1) // count) for i in range(count)]
 
 
-# What a process reports: the results of the chunks it ran, by index, and its
-# failing chunk's index and error, if one failed.
-Report = tuple[dict, "tuple[int, BaseException] | None"]
+# A chunk as run: its index, the results its work yielded, and its error, if
+# the work raised.
+Event = tuple[int, list, "BaseException | None"]
 # A child: its pid and the read end of its report pipe.
 Child = tuple[int, io.BufferedReader]
 
 
-def _claim(claims: int, work: Callable[[int], object]) -> Report:
-    """Claim chunk indices from the pipe ``claims`` until it is empty, running
-    ``work(index)`` for each; a chunk that raises ends the claims and empties
-    the pipe, so that no process claims a later chunk."""
-    done = {}
+def _claim(claims: int, work: Callable[[int], Iterable]) -> Iterator[Event]:
+    """Claim chunk indices from the pipe ``claims`` until it is empty, yielding
+    each chunk's event once ``work(index)`` has yielded all its results; a
+    chunk that raises ends the claims and empties the pipe, so that no process
+    claims a later chunk."""
     while claimed := os.read(claims, 1):
-        index = claimed[0]
+        index, done, error = claimed[0], [], None
         try:
-            done[index] = work(index)
+            for result in work(index):
+                done.append(result)
         except BaseException as exc:  # reported to the caller, which raises it
+            error = exc
             while os.read(claims, _MAX_CHUNKS):
                 pass
-            return done, (index, exc)
-    return done, None
+        yield index, done, error
+        if error is not None:
+            return
 
 
-def _fork_claimer(claims: int, work: Callable[[int], object], cpu: int | None,
+def _fork_claimer(claims: int, work: Callable[[int], Iterable], cpu: int | None,
                   children: list[Child]) -> None:
     """Fork a child that claims chunks on ``cpu`` alone (None: any of the
     caller's), and append it to ``children``.
@@ -157,13 +179,13 @@ def _fork_claimer(claims: int, work: Callable[[int], object], cpu: int | None,
         signal.pthread_sigmask(signal.SIG_SETMASK, mask)
 
 
-def _forked(claims: int, work: Callable[[int], object], cpu: int | None) -> Child:
+def _forked(claims: int, work: Callable[[int], Iterable], cpu: int | None) -> Child:
     """The child's pid and the read end of its report pipe.
 
-    The child sends its pickled ``_claim`` report down the pipe.  It ends only
-    through ``os._exit``, so it never flushes a buffer it inherited (the
-    caller's stdout, say); a child that cannot send its report exits with
-    status 1 and sends nothing.
+    The child sends each ``_claim`` event, pickled, down the pipe as its chunk
+    ends.  It ends only through ``os._exit``, so it never flushes a buffer it
+    inherited (the caller's stdout, say); a child that cannot send an event
+    exits with status 1 and sends no more.
     """
     read, write = os.pipe()
     try:
@@ -178,31 +200,17 @@ def _forked(claims: int, work: Callable[[int], object], cpu: int | None) -> Chil
             os.close(read)
             if cpu is not None:
                 os.sched_setaffinity(0, {cpu})
-            report = _claim(claims, work)
-            import pickle  # here and in _report: only a split job needs it
+            import pickle  # here and in _Claims: only a split job needs it
 
-            sent = pickle.dumps(report)
             with open(write, "wb") as pipe:
-                pipe.write(sent)
+                for event in _claim(claims, work):
+                    pipe.write(pickle.dumps(event))
+                    pipe.flush()
             code = 0
         finally:
             os._exit(code)
     os.close(write)
     return pid, open(read, "rb")
-
-
-def _report(pid: int, pipe: io.BufferedReader) -> Report:
-    """A child's report, read to the end of its pipe; a child that sent none
-    fails, and is reaped to read its exit status."""
-    with pipe:
-        sent = pipe.read()
-    if not sent:
-        status = os.waitpid(pid, 0)[1]
-        raise ChildProcessError(f"a forked worker sent no report (exit status "
-                                f"{os.waitstatus_to_exitcode(status)})")
-    import pickle
-
-    return pickle.loads(sent)
 
 
 def _stop(children: list[Child]) -> None:
@@ -221,18 +229,76 @@ def _stop(children: list[Child]) -> None:
             os.waitpid(pid, 0)
 
 
+class _Claims:
+    """A running job's chunks as this process sees them: the chunks it claims
+    itself, when asked to, and the events its children report."""
+
+    def __init__(self, count: int, mine: Iterator[Event], children: list[Child]):
+        self._count, self._mine, self._children = count, mine, children
+        self._claimed = -1  # every chunk up to this index has been claimed
+        self._reported = {pid: -1 for pid, _ in children}  # each child's last index
+        self._events: dict[int, tuple[list, BaseException | None]] = {}
+
+    def claim_through(self, index: int) -> None:
+        """Run this process's claims until every chunk up to ``index`` has been
+        claimed; a chunk's error that is no ``Exception`` (an interrupt, say)
+        is raised at once, any other when its result is asked for."""
+        while self._claimed < index:
+            event = next(self._mine, None)
+            if event is None:  # the pipe is empty
+                self._claimed = self._count
+                return
+            self._claimed, done, error = event
+            self._events[self._claimed] = done, error
+            if error is not None and not isinstance(error, Exception):
+                raise error
+
+    def result(self, index: int, k: int):
+        """Chunk ``index``'s k-th result, or the chunk's error if it raised
+        before yielding it.  Asked for in order, every lower chunk's result
+        having been read, the error raised is that of the lowest failing
+        chunk: the error of a single pass."""
+        self.claim_through(index)
+        while index not in self._events:
+            self._receive(index)
+        done, error = self._events[index]
+        if k < len(done):
+            return done[k]
+        raise error
+
+    def _receive(self, index: int) -> None:
+        """Read the next event of a child that may hold chunk ``index``, which
+        this process did not claim; one that ends with no such event reaped."""
+        import pickle
+
+        holders = [child for child in self._children if self._reported[child[0]] < index]
+        if not holders:
+            raise ChildProcessError(f"no forked worker reported chunk {index}")
+        pid, pipe = child = holders[0]
+        try:
+            index_reported, done, error = pickle.load(pipe)
+        except EOFError:  # the child has ended: one that failed fails the job
+            self._children.remove(child)
+            pipe.close()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            if code:
+                raise ChildProcessError(f"a forked worker sent no report "
+                                        f"(exit status {code})") from None
+            return
+        self._reported[pid] = index_reported
+        self._events[index_reported] = done, error
+
+
 @contextmanager
-def _claimed(count: int, processes: int, work: Callable[[int, int], object]) -> Iterator[list]:
-    """``[work(slot, index) for index in range(count)]`` (count at most
-    _MAX_CHUNKS), where ``processes`` processes claim the indices and slot
-    numbers the process that ran the chunk: 0 for this one.  A child's
-    results reach this process pickled.
+def _claimed(count: int, processes: int,
+             work: Callable[[int, int], Iterable]) -> Iterator[_Claims]:
+    """The chunks 0 <= index < count (at most _MAX_CHUNKS) of a job that
+    ``processes`` processes claim, ``work(slot, index)`` yielding a chunk's
+    results in the process numbered slot: 0 for this one.  A child's results
+    reach this process pickled.
 
     The children are reaped when the block completes, so that their exits
-    overlap its work.  On any error they are killed and reaped.  A chunk's
-    error is raised only once every lower chunk has run, and the lowest
-    failing chunk's is raised; one that is no ``Exception`` (an interrupt,
-    say) in this process is raised at once.
+    overlap its work.  On any error they are killed and reaped.
     """
     claims, fill = os.pipe()
     try:
@@ -249,18 +315,9 @@ def _claimed(count: int, processes: int, work: Callable[[int, int], object]) -> 
             _fork_claimer(claims, partial(work, slot), cpus[slot % len(cpus)], children)
         if mask:
             os.sched_setaffinity(0, {cpus[0]})
-        done, failure = _claim(claims, partial(work, 0))
-        if failure is not None and not isinstance(failure[1], Exception):
-            raise failure[1]
-        failures = [failure] if failure else []
+        yield _Claims(count, _claim(claims, partial(work, 0)), children)
         for pid, pipe in children:
-            theirs, failure = _report(pid, pipe)
-            done.update(theirs)
-            failures += [failure] if failure else []
-        if failures:
-            raise min(failures, key=itemgetter(0))[1]
-        yield [done[index] for index in range(count)]
-        for pid, _ in children:
+            pipe.close()  # a child still sending then fails, and cannot block
             os.waitpid(pid, 0)
     except BaseException:
         _stop(children)
@@ -281,64 +338,117 @@ def results(calls: Sequence[Callable[[], object]]) -> list:
     processes = process_count(len(calls), 1)
     if processes == 1:
         return [call() for call in calls]
-    with _claimed(len(calls), processes, lambda slot, index: calls[index]()) as done:
-        return done
+    with _claimed(len(calls), processes, lambda slot, index: (calls[index](),)) as job:
+        job.claim_through(len(calls) - 1)
+        return [job.result(index, 0) for index in range(len(calls))]
 
 
-def write_ranges(out: str | Path | None, n: int, least: int,
-                 texts: Callable[[int, int], Iterator[str]], head: str, tail: str) -> None:
-    """Write head, ``texts(start, stop)`` for consecutive ranges of the n rows
-    in order, and tail, to ``sink(out)``; a process runs at least ``least`` rows.
+@contextmanager
+def writing(tables: Sequence[Table], least: int,
+            directory: str | Path | None) -> Iterator[Callable[[str | Path | None], None]]:
+    """Yield ``commit(out)``, which writes the next of ``tables``, whole, to
+    ``sink(out)``; a process runs at least ``least`` of the tables' rows.
 
-    Each row must depend only on its own index, so that the bytes are those
-    of a single pass.  Split, the rows are cut into chunks that the processes
-    claim.  Each process writes its chunks to its own anonymous part file,
-    beside ``out`` or in the system's temporary directory for stdout, and
-    each chunk's span there is copied to the sink in order.
+    Split, the processes claim the chunks of all the tables' rows, and each
+    writes its chunks to its own anonymous part file in ``directory`` (None:
+    the system's temporary directory).  A commit claims chunks here until
+    every chunk of its table has been claimed, then copies the table's spans
+    to the sink in order.  A chunk's error is raised by the commit of the
+    table it fails in, so the tables before it are whole.
     """
-    processes = process_count(n, least)
-    with sink(out) as f:
-        f.write(head)
-        if processes == 1:
-            for block in _blocks(texts(0, n)):
-                f.write(block)
-        else:
-            _write_claimed(f, n, least, processes, texts, Path(out).parent if out else None)
-        f.write(tail)
+    processes = process_count(sum(table.n for table in tables), least)
+    if processes == 1:
+        left = iter(tables)
 
+        def commit(out: str | Path | None) -> None:
+            table = next(left)
+            with sink(out) as f:
+                f.write(table.head)
+                for block in _blocks(table.texts(0, table.n)):
+                    f.write(block)
+                f.write(table.tail)
 
-def _write_claimed(f, n: int, least: int, processes: int,
-                   texts: Callable[[int, int], Iterator[str]], directory: Path | None) -> None:
-    """Write ``texts(start, stop)`` for the chunks of the n rows to ``f`` in
-    order, the chunks claimed by ``processes`` processes, each of which writes
-    to its own part file in ``directory``."""
-    import codecs
+        yield commit
+        return
     import tempfile
 
-    ranges = _chunk_ranges(n, least)
-    parts = []
-    try:
-        for _ in range(processes):
-            parts.append(tempfile.TemporaryFile(dir=directory))
+    starts = list(accumulate((table.n for table in tables), initial=0))
+    # each chunk's pieces, (table, start, stop) in order, and each table's
+    # pieces, (chunk, piece)
+    pieces = [[(i, max(a, lo) - lo, min(b, hi) - lo)
+               for i, (lo, hi) in enumerate(pairwise(starts)) if lo < b and a < hi]
+              for a, b in _chunk_ranges(starts[-1], least)]
+    held: list[list[tuple[int, int]]] = [[] for _ in tables]
+    for index, chunk in enumerate(pieces):
+        for k, (i, _, _) in enumerate(chunk):
+            held[i].append((index, k))
+    with ExitStack() as parts_open:
+        parts = [parts_open.enter_context(tempfile.TemporaryFile(dir=directory))
+                 for _ in range(processes)]
 
-        def work(slot: int, index: int) -> tuple[int, int, int]:
+        def work(slot: int, index: int) -> Iterator[tuple[int, int, int]]:
             part = parts[slot]
-            start = part.tell()
-            for block in _blocks(texts(*ranges[index])):
-                part.write(block.encode())
-            part.flush()
-            return slot, start, part.tell()
+            for i, start, stop in pieces[index]:
+                begin = part.tell()
+                for block in _blocks(tables[i].texts(start, stop)):
+                    part.write(block.encode())
+                part.flush()
+                yield slot, begin, part.tell()
 
-        decode = codecs.getincrementaldecoder("utf-8")().decode
-        with _claimed(len(ranges), processes, work) as spans:
-            for slot, start, stop in spans:
-                part = parts[slot]
-                part.seek(start)
-                for offset in range(start, stop, _COPY):
-                    f.write(decode(part.read(min(_COPY, stop - offset))))
-    finally:
-        for part in parts:
-            part.close()
+        with _claimed(len(pieces), processes, work) as job:
+            left = iter(enumerate(tables))
+
+            def commit(out: str | Path | None) -> None:
+                i, table = next(left)
+                # claim through the table's last chunk first: asked for one
+                # by one, a chunk the child runs would leave this process idle
+                job.claim_through(held[i][-1][0] if held[i] else -1)
+                spans = [job.result(index, k) for index, k in held[i]]
+                with sink(out) as f:
+                    f.write(table.head)
+                    _copy(spans, parts, f)
+                    f.write(table.tail)
+
+            yield commit
+
+
+def _copy(spans: Iterable[tuple[int, int, int]], parts: Sequence, f) -> None:
+    """Copy each span (slot, start, stop) of the part files to ``f`` in order:
+    into a file by ``os.copy_file_range``; into stdout's buffer, and from a
+    kernel copy that raises OSError on, by reading and writing.
+
+    Offsets are explicit, so that a child still writing to its part file
+    keeps its file position.
+    """
+    import codecs
+
+    decode = codecs.getincrementaldecoder("utf-8")().decode
+    target = None
+    if hasattr(os, "copy_file_range") and not isinstance(f, io.StringIO):
+        f.flush()
+        target = f.fileno()
+    for slot, start, stop in spans:
+        source = parts[slot].fileno()
+        while start < stop:
+            if target is not None:
+                try:
+                    copied = os.copy_file_range(source, target, stop - start, start)
+                except OSError:
+                    copied = 0
+                if copied:
+                    start += copied
+                    continue
+                target = None  # read and write the rest
+            data = os.pread(source, min(_COPY, stop - start), start)
+            f.write(decode(data))
+            start += len(data)
+
+
+def write_table(out: str | Path | None, table: Table, least: int) -> None:
+    """Write ``table`` to ``sink(out)``: the one-table job of ``writing``, its
+    part files beside ``out``, or for stdout in the temporary directory."""
+    with writing([table], least, Path(out).parent if out else None) as commit:
+        commit(out)
 
 
 def listed_json(item) -> str:
@@ -347,11 +457,10 @@ def listed_json(item) -> str:
     return ",\n    " + json.dumps(item, indent=2).replace("\n", "\n    ")
 
 
-def write_listed(out: str | Path | None, n: int, least: int, head: dict,
-                 items: Callable[[int, int], Iterator[str]]) -> None:
-    """Write ``json.dumps(head, indent=2)`` and a newline through
-    ``write_ranges``, where head's last value is an empty list that
-    ``items(start, stop)`` fills with ``listed_json`` texts."""
+def listed_table(n: int, head: dict, items: Callable[[int, int], Iterator[str]]) -> Table:
+    """``json.dumps(head, indent=2)`` and a newline as a table, where head's
+    last value is an empty list that ``items(start, stop)`` fills with the
+    ``listed_json`` texts of its n items."""
     text = json.dumps(head, indent=2)
 
     def texts(start: int, stop: int) -> Iterator[str]:
@@ -360,4 +469,4 @@ def write_listed(out: str | Path | None, n: int, least: int, head: dict,
             return chain((next(listed)[1:],), listed)
         return listed
 
-    write_ranges(out, n, least, texts, text[:-len("]\n}")], "\n  ]\n}\n")
+    return Table(n, texts, text[:-len("]\n}")], "\n  ]\n}\n")

@@ -26,6 +26,10 @@ real part, neither of which abs() reads (``_propagators``).  Elsewhere the
 loop stays complex and keeps abs(): math.hypot of the two parts differs
 from it in the last bit for some inputs.
 
+``measure_period`` reads a bounded branch flow's first return time off
+``flow.continuous_state`` without assuming it: the oracle for the period
+that the branch's rate predicts, which the suite does not run.
+
 ``full_suite`` runs its 20 subjects (regime maps, generator maps and
 conservation cases) as the chunks of ``tables.results``, which two processes
 claim where two CPUs are usable.  A subject's reports depend only on its own
@@ -42,12 +46,10 @@ from functools import partial
 
 from .algebra import Mat2C, Value, closed_exps, max_diff
 from .classifier import CaseTag, classify
-from .errors import NonFinite, UnknownIntegrator
-from .flow import sample_times
-# continuous_state is not called here (the oracles apply each generator's
-# propagators, from closed_exps, to every trial at once); bench/tracer.py
-# looks it up on this module.
-from .flow import continuous_state  # noqa: F401
+from .errors import NonFinite, NotApplicable, UnknownIntegrator
+# The suite's oracles apply each generator's propagators, from closed_exps, to
+# every trial at once; only measure_period samples continuous_state.
+from .flow import PhaseState, continuous_state, sample_times
 from .integrators import TransitionMatrix, custom, make, vp
 from .shadow import (
     CaseIIParams,
@@ -330,6 +332,51 @@ def check_conservation(h: ShadowHamiltonian, g: Generator, trials: int = 5,
         f"flow<{h.case}> tau={h.tau:g} m={h.branch}",
         (CheckResult.of("H conserved along flow", worst, BOUND),),
     )
+
+
+def measure_period(g: Generator, q0: float, p0: float, dt: float) -> float:
+    """First return time to the initial state, located without assuming it.
+
+    Marches the flow at step dt until the distance to the start has risen
+    above half the initial radius and come back below it, then refines
+    the local minimum of the squared distance by ternary search.  The
+    orbit must be bounded (case i-a) and the start nonzero.
+    """
+    if g.case is not CaseTag.IA:
+        raise NotApplicable("period is defined for bounded orbits only")
+    radius = math.hypot(q0, p0)
+    if radius == 0.0:
+        raise NotApplicable("the origin is a fixed point")
+    start = PhaseState(complex(q0), complex(p0), 0.0)
+
+    def dist(t: float) -> float:
+        return continuous_state(g, q0, p0, t).distance(start)
+
+    armed = False
+    previous = 0.0
+    k = 0
+    limit = int(math.ceil(40.0 * (2.0 * math.pi + g.tau) / dt))
+    while k < limit:
+        k += 1
+        d = dist(k * dt)
+        if not armed:
+            armed = d > 0.5 * radius
+        elif d < 0.45 * radius and d > previous:
+            break
+        previous = d
+    else:
+        raise NotApplicable("no return detected; decrease dt or check the orbit")
+
+    lo, hi = (k - 2) * dt, k * dt
+    for _ in range(200):
+        third = (hi - lo) / 3.0
+        if third < 1e-14:
+            break
+        if dist(lo + third) < dist(hi - third):
+            hi = hi - third
+        else:
+            lo = lo + third
+    return (lo + hi) / 2.0
 
 
 def locate_vp_critical_tau(lo: float = 2.0, hi: float = 3.0) -> float:

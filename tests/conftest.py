@@ -1,3 +1,4 @@
+import math
 import os
 import select
 
@@ -15,6 +16,12 @@ def to_numpy(m) -> np.ndarray:
     return np.array([[m.r1, m.r2], [m.r3, m.r4]], dtype=float)
 
 
+def state_deviation(a, b) -> float:
+    """Distance between PhaseStates relative to max(1, |b|)."""
+    scale = max(1.0, math.hypot(abs(b.q), abs(b.p)))
+    return a.distance(b) / scale
+
+
 def quadratic_roots(tr: complex, det: complex) -> tuple[complex, complex]:
     """Roots of x**2 - tr*x + det by the plain quadratic formula."""
     import cmath
@@ -27,7 +34,8 @@ def quadratic_roots(tr: complex, det: complex) -> tuple[complex, complex]:
 def split_into(monkeypatch):
     """Let every job run in k processes (at most k) and cut into at most c
     chunks, with one row per chunk where it has fewer rows: every closed-form
-    flow file, every sweep grid and every verify suite."""
+    flow file or flow call's branch files, every sweep grid and every verify
+    suite."""
     def force(k: int, c: int = 255) -> None:
         monkeypatch.setattr(tables, "_usable_cpus", lambda: k)
         monkeypatch.setattr(tables, "_MAX_PROCESSES", k)

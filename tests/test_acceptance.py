@@ -22,10 +22,8 @@ from shadowosc.flow import (
     continuous_state,
     discrete_orbit,
     euler_closed_form,
-    measure_period,
     rotation_sense,
     sample_times,
-    state_deviation,
 )
 from shadowosc.integrators import custom, double_euler, euler, make, position_verlet, velocity_verlet
 from shadowosc.shadow import (
@@ -38,7 +36,9 @@ from shadowosc.shadow import (
     generators_for,
     hamiltonian_from_generator,
 )
-from shadowosc.verify import series_exp
+from shadowosc.verify import measure_period, series_exp
+
+from conftest import state_deviation
 
 BUILTIN_NAMES = ("euler", "velocity-verlet", "position-verlet", "double-euler", "vp")
 

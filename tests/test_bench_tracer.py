@@ -12,6 +12,7 @@ sees.  The tracer is loaded from its file, unchanged.
 import importlib
 import importlib.util
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -130,3 +131,52 @@ def test_traced_verify_applies_propagators_without_flow_states(capsys, monkeypat
     assert tracer.calls("algebra.closed_exp.under_flow") == 0
     for (module, attr), original in before.items():
         assert getattr(getattr(package, module), attr) is original
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_traced_split_flow_writes_each_file_whole_in_its_call(tmp_path, capsys, monkeypatch,
+                                                               split_into, child_claims_first,
+                                                               fmt):
+    # the three branch files are one split job with one fork, yet each
+    # _write_trajectory call returns with its file whole, where the tracer
+    # reads its size and rows
+    import shadowosc.cli
+    import shadowosc.verify  # noqa: F401
+
+    package = importlib.import_module("shadowosc")
+    forks, fork = [], os.fork
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    split_into(2)
+    tracer = _tracer.Tracer(package)
+    returned = []
+    traced = package.cli._write_trajectory
+
+    def recording(path, *args):
+        traced(path, *args)
+        returned.append((path.name, os.path.getsize(path)))
+
+    package.cli._write_trajectory = recording  # uninstall restores the original
+    try:
+        code = package.cli.main(["flow", "--integrator", "velocity-verlet", "--tau", "0.66",
+                                 "--t-end", "3", "--dt", "0.1", "--format", fmt,
+                                 "--out", str(tmp_path)])
+    finally:
+        tracer.uninstall()
+    assert code == 0 and len(forks) == 1
+    names = [f"{name}.{fmt}" for name in ("discrete", "flow_m-1", "flow_m0", "flow_m1")]
+    assert returned == [(name, (tmp_path / name).stat().st_size) for name in names]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(names)
+    assert tracer.calls("cli._write_trajectory") == 4
+    assert tracer.bytes_written == sum(size for _, size in returned)
+    if fmt == "json":
+        written = sum(len(json.loads((tmp_path / name).read_text())["states"]) for name in names)
+    else:
+        written = sum(len((tmp_path / name).read_text().splitlines()) - 1 for name in names)
+    assert tracer.rows_serialized == written == 5 + 3 * 31

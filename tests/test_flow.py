@@ -1,3 +1,4 @@
+import errno
 import io
 import json
 import math
@@ -29,11 +30,9 @@ from shadowosc.flow import (
     euler_closed_form,
     euler_trajectory,
     flow_matrix,
-    measure_period,
     rotation_sense,
     sample_times,
     sample_trajectory,
-    state_deviation,
     trajectory_to_json,
     whole_steps,
     write_trajectory_csv,
@@ -51,9 +50,9 @@ from shadowosc.shadow import (
     generators_for,
     hamiltonian_from_generator,
 )
-from shadowosc.verify import full_suite, series_exp
+from shadowosc.verify import full_suite, measure_period, series_exp
 
-from conftest import no_child_left, to_numpy
+from conftest import no_child_left, state_deviation, to_numpy
 
 AFFINITY = os.sched_getaffinity(0)
 
@@ -559,6 +558,22 @@ def _sweep_call(directory, flags, out=False):
     return code, stdout.getvalue(), err.getvalue(), files
 
 
+def _flow_files(directory, flags):
+    """(exit code, stdout, stderr, {file name: bytes}) of one ``flow --out
+    directory``, the directory written <out> in stdout."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(["flow", *flags, "--out", str(directory)])
+    files = {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+    return code, out.getvalue().replace(str(directory), "<out>"), err.getvalue(), files
+
+
+# Three branch files of 101 rows each, after an 8-row discrete orbit.  Split,
+# one chunk holds all 303 rows; of two or seven chunks, one straddles each
+# file boundary; 255 chunks hold one or two rows each.
+THREE_BRANCHES = ["--tau", "0.66", "--t-end", "5", "--dt", "0.05"]
+
+
 # (processes, chunks) of the split writes compared with one pass
 SPLITS = [(2, 1), (2, 2), (2, 7), (2, 255)]
 
@@ -889,6 +904,94 @@ class TestSplitWriter:
             message = ("error: disk on fire\n" if failure == "raises" else
                        "error: a forked worker sent no report (exit status 3)\n")
             assert _sweep_call(tmp_path, flags, out) == (1, "", message, {})
+        no_child_left()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_flow_call_is_one_job_with_single_pass_bytes(self, tmp_path, split_into,
+                                                         child_claims_first, monkeypatch, fmt):
+        forks, fork = [], os.fork
+
+        def counted_fork():
+            pid = fork()
+            if pid:
+                forks.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", counted_fork)
+        for integrator in ("velocity-verlet", "euler"):
+            flags = ["--integrator", integrator, *THREE_BRANCHES, "--format", fmt]
+            split_into(1)
+            single = _flow_files(tmp_path / f"{integrator}-single", flags)
+            assert single[0] == 0 and single[2] == "" and forks == []
+            assert list(single[3]) == [f"{name}.{fmt}" for name in
+                                       ("discrete", "flow_m-1", "flow_m0", "flow_m1")]
+            assert single[1] == "".join(f"<out>/{name}\n" for name in single[3])
+            for k, c in SPLITS:
+                split_into(k, c)
+                assert _flow_files(tmp_path / f"{integrator}-{k}-{c}", flags) == single
+                assert len(forks) == 1, (k, c)
+                forks.clear()
+                no_child_left()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_later_branch_failure_reads_as_single_pass(self, tmp_path, split_into,
+                                                       child_claims_first, monkeypatch, fmt):
+        # the m = 0 branch fails at t = 2.5, its row 50, in whichever process
+        # samples it; m = -1 is whole before it and m = 1 is never written
+        rows = flow._flow_rows
+
+        def failing_at_m0(z, delta, tau, name, q0, p0, times):
+            for row in rows(z, delta, tau, name, q0, p0, times):
+                if name.endswith(" m=0") and row[2] >= 2.5:
+                    raise OutOfRange(f"{name} fails at t = {row[2]:.17g}")
+                yield row
+
+        monkeypatch.setattr(flow, "_flow_rows", failing_at_m0)
+        flags = ["--integrator", "velocity-verlet", *THREE_BRANCHES, "--format", fmt]
+        split_into(1)
+        single = _flow_files(tmp_path / "single", flags)
+        assert single[:3] == (1, "", "error: flow<i-a> m=0 fails at t = 2.5\n")
+        assert list(single[3]) == [f"discrete.{fmt}", f"flow_m-1.{fmt}"]
+        for k, c in SPLITS:
+            split_into(k, c)
+            directory = tmp_path / f"split-{k}-{c}"
+            directory.mkdir()
+            (directory / f"flow_m1.{fmt}").write_bytes(b"kept\n")
+            # no m = 0 file and no part file; the existing m = 1 file keeps its bytes
+            assert _flow_files(directory, flags) == (
+                *single[:3], {**single[3], f"flow_m1.{fmt}": b"kept\n"})
+            no_child_left()
+
+    @pytest.mark.parametrize("copies", [0, 1], ids=["first-copy", "second-copy"])
+    def test_kernel_copy_error_falls_back_to_reading(self, tmp_path, split_into,
+                                                     child_claims_first, monkeypatch, copies):
+        # os.copy_file_range raising OSError (EXDEV: part file and --out file on
+        # two file systems, say) at its first or second call of each file; the
+        # rest of that file's spans are read and written
+        flags = ["--integrator", "euler", *THREE_BRANCHES]
+        split_into(1)
+        single = _flow_files(tmp_path / "single", flags)
+        calls, copy = [], os.copy_file_range
+
+        def counted(*args):
+            calls.append(args)
+            return copy(*args)
+
+        monkeypatch.setattr(os, "copy_file_range", counted)
+        split_into(2, 7)
+        assert _flow_files(tmp_path / "kernel", flags) == single
+        assert len(calls) >= 3  # at least one span of each branch file
+
+        def failing(*args):
+            calls.append(args)
+            if len(calls) > copies:
+                raise OSError(errno.EXDEV, os.strerror(errno.EXDEV))
+            return copy(*args)
+
+        calls.clear()
+        monkeypatch.setattr(os, "copy_file_range", failing)
+        assert _flow_files(tmp_path / "fallback", flags) == single
+        assert len(calls) == 3 + copies  # each file falls back once
         no_child_left()
 
     def test_success_leaves_no_child(self, tmp_path, split_into, child_claims_first):

@@ -36,7 +36,8 @@ def test_layer_costs(tmp_path):
         "Mat2C", "closed_exp", "make_vp", "classify", "generators_for_3",
         "hamiltonian_from_generator", "real_valued", "sweep_point", "sweep_window",
         "flow_sample", "csv_row",
-        "flow_file", "build_parser", "coincidence", "conservation", "verify_suite"])
+        "flow_file", "flow_call", "build_parser", "coincidence", "conservation",
+        "verify_suite"])
     assert all(cost > 0 for cost in costs.values())
 
 
