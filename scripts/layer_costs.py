@@ -33,6 +33,10 @@ trials, the two oracles ``verify`` runs per map and per conservation case.
 "verify_suite" is one whole ``verify`` (seed 1729, 20 trials) through
 ``cli.main`` with its stdout captured, in microseconds per suite: the one
 layer that sees a suite whose subjects two processes claim.
+"cli_import" is what every shell call pays before its command runs:
+``import shadowosc.cli`` and ``build_parser()``, timed inside each of
+CLI_IMPORT_RUNS fresh ``python -I -S`` interpreters (interpreter start
+excluded), in microseconds, the median of the runs.
 Times are raw, not scaled to a reference speed, so compare numbers taken on
 one machine in one session.
 """
@@ -41,6 +45,8 @@ import argparse
 import io
 import json
 import platform
+import statistics
+import subprocess
 import sys
 import tempfile
 import timeit
@@ -48,7 +54,8 @@ from collections import deque
 from contextlib import redirect_stdout
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+SRC = Path(__file__).resolve().parent.parent / "src"
+sys.path.insert(0, str(SRC))
 
 from shadowosc import cli, flow, verify
 from shadowosc.algebra import Mat2C, closed_exp
@@ -72,6 +79,10 @@ VERIFY_SUITE = ["verify", "--seed", "1729"]
 SLOW = {"flow_sample": 100, "build_parser": 100, "flow_file": 1000, "flow_call": 1000,
         "sweep_window": 1000, "verify_suite": 1000, "coincidence": 100,
         "conservation": 100}  # N / divisor calls
+CLI_IMPORT_RUNS = 21
+CLI_IMPORT = ("import sys, time; sys.path.insert(0, sys.argv[1]); start = time.perf_counter(); "
+              "import shadowosc.cli; shadowosc.cli.build_parser(); "
+              "print(time.perf_counter() - start)")
 
 
 def layers(directory: Path) -> dict:
@@ -117,6 +128,15 @@ def layers(directory: Path) -> dict:
     }
 
 
+def cli_import_us() -> float:
+    """Median over CLI_IMPORT_RUNS fresh ``-I -S`` interpreters of the time to
+    import the CLI and build its parser, in microseconds."""
+    runs = [float(subprocess.run([sys.executable, "-I", "-S", "-c", CLI_IMPORT, str(SRC)],
+                                 capture_output=True, text=True, check=True).stdout)
+            for _ in range(CLI_IMPORT_RUNS)]
+    return round(statistics.median(runs) * 1e6, 3)
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -134,6 +154,7 @@ def main() -> int:
             number = max(1, args.number // SLOW.get(name, 1))
             best = min(timeit.repeat(call, number=number, repeat=REPEAT))
             costs[name] = round(best / number / per * 1e6, 3)
+    costs["cli_import"] = cli_import_us()
     print(json.dumps({"python": platform.python_version(), "integrator": "vp",
                       "tau": TAU, "branches": list(BRANCHES), "number": args.number,
                       "repeat": REPEAT, "unit": "us per call", "layers": costs},

@@ -16,9 +16,22 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from shadowosc.classifier import CaseTag
 from shadowosc.cli import main as cli_main
-from shadowosc.flow import rotation_sense
+from shadowosc.errors import NotApplicable
 from shadowosc.shadow import euler_hamiltonian
+
+
+def rotation_sense(h) -> str:
+    """Turning sense of the bounded orbit at (q, p) = (1, 0).
+
+    The momentum derivative there is -2*c_qq; a negative value turns the
+    phase point clockwise.  Defined only for the bounded real case.
+    """
+    if h.case is not CaseTag.IA:
+        raise NotApplicable(f"rotation sense undefined for case {h.case}")
+    pdot = -2.0 * h.c_qq.real
+    return "clockwise" if pdot < 0 else "counter-clockwise"
 
 
 def main() -> int:

@@ -5,6 +5,8 @@ oscillator, this package classifies its eigenstructure, constructs the
 complete branch family of traceless matrix logarithms and the quadratic
 Hamiltonians they generate (or proves that none exists), and rebuilds
 continuous trajectories that pass through every discrete phase point.
+The independent checks of those answers live in ``shadowosc.verify``, which
+the package root does not import: a CLI call that runs no check loads none.
 """
 
 from .algebra import (
@@ -38,7 +40,6 @@ from .flow import (
     discrete_orbit,
     euler_closed_form,
     euler_trajectory,
-    rotation_sense,
     sample_trajectory,
     write_trajectory_csv,
     write_trajectory_json,
@@ -61,23 +62,10 @@ from .shadow import (
     ShadowHamiltonian,
     euler_hamiltonian,
     euler_rate,
-    generator_distinct,
     generator_jordan,
     generator_scalar,
     generators_for,
     hamiltonian_from_generator,
-)
-from .verify import (
-    CheckResult,
-    VerificationReport,
-    check_coincidence,
-    check_conservation,
-    check_exponential,
-    check_regime_map,
-    full_suite,
-    locate_vp_critical_tau,
-    series_exp,
-    taylor_exp,
 )
 
 __version__ = "0.1.0"

@@ -15,16 +15,20 @@ as one such job (``flow.trajectory_files``), with at most one fork per call;
 ``_write_trajectory`` returns once its file is whole.
 A grid whose start, stop or step is not finite, or that has more than
 2**52 points, is a usage error.
+
+Every call is a fresh interpreter, so a module a command alone needs is
+imported where that command runs: ``json`` for JSON output, ``pathlib`` for
+``flow``'s directory and an ``--out`` file, and ``verify``'s oracles by
+``verify`` alone.  The names ``bench/tracer.py`` wraps on this module stay
+bound at import.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import re
 import sys
-from pathlib import Path
 
 from .algebra import re_im
 from .classifier import CaseTag, classify, criticality_gap
@@ -56,7 +60,6 @@ from .shadow import (
     real_valued,
 )
 from .tables import Table, listed_json, listed_table, sink, write_table
-from .verify import DEFAULT_SEED, full_suite, report_table
 
 USAGE_ERROR = 2
 
@@ -145,6 +148,12 @@ def _emit(text: str, out: str | None) -> None:
         f.write(text + "\n")
 
 
+def _emit_json(payload: dict, out: str | None) -> None:
+    import json  # here: a call with no JSON output does not load it
+
+    _emit(json.dumps(payload, indent=2), out)
+
+
 def cmd_classify(args) -> int:
     r = _resolve_matrix(args)
     tag, eigen = classify(r)
@@ -168,7 +177,7 @@ def cmd_classify(args) -> int:
                       "e21": re_im(b.e21), "e22": re_im(b.e22)},
         }
     if args.format == "json":
-        _emit(json.dumps(payload, indent=2), args.out)
+        _emit_json(payload, args.out)
         return 0
     lines = [
         f"integrator      {r.label}",
@@ -207,17 +216,15 @@ def cmd_hamiltonian(args) -> int:
     if family.obstruction is not None:
         message = f"case {family.case.value}: {family.obstruction}"
         if args.format == "json":
-            _emit(json.dumps({"case": family.case.value, "tau": r.tau,
-                              "hamiltonians": [], "obstruction": message}, indent=2),
-                  args.out)
+            _emit_json({"case": family.case.value, "tau": r.tau,
+                        "hamiltonians": [], "obstruction": message}, args.out)
         else:
             _emit(HAMILTONIAN_CSV_HEADER + "\n# " + message, args.out)
         return 0
     rows = _hamiltonian_rows(r, family, branches)
     if args.format == "json":
-        _emit(json.dumps({"case": family.case.value, "tau": r.tau,
-                          "hamiltonians": [h.to_json_dict() for h in rows]}, indent=2),
-              args.out)
+        _emit_json({"case": family.case.value, "tau": r.tau,
+                    "hamiltonians": [h.to_json_dict() for h in rows]}, args.out)
         return 0
     lines = [HAMILTONIAN_CSV_HEADER]
     for h in rows:
@@ -236,6 +243,8 @@ def cmd_hamiltonian(args) -> int:
 
 
 def cmd_flow(args) -> int:
+    from pathlib import Path
+
     params = _resolve_params(args)
     branches = _branches(args)
     sample_times(args.t_end, args.dt)  # rejects dt and t_end before any file is written
@@ -275,7 +284,7 @@ def cmd_flow(args) -> int:
     return 0
 
 
-def _write_trajectory(path: Path, trajectory, hamiltonian, fmt: str, commit=None) -> None:
+def _write_trajectory(path, trajectory, hamiltonian, fmt: str, commit=None) -> None:
     """Write one trajectory's file, whole once this returns: by ``commit``,
     where given, which writes the next file of the ``flow.trajectory_files``
     job holding this trajectory's rows, else alone."""
@@ -323,17 +332,20 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    reports = full_suite(seed=args.seed, trials=args.trials, perturb=args.perturb)
+    from .verify import DEFAULT_SEED, full_suite, report_table
+
+    seed = DEFAULT_SEED if args.seed is None else args.seed
+    reports = full_suite(seed=seed, trials=args.trials, perturb=args.perturb)
     failed = [r for r in reports if not r.passed]
     text = report_table(reports)
     print(text)
     print(f"\n{len(reports) - len(failed)}/{len(reports)} subjects passed")
     if args.out:
-        payload = {"seed": args.seed, "trials": args.trials,
+        payload = {"seed": seed, "trials": args.trials,
                    "perturb": args.perturb,
                    "passed": not failed,
                    "reports": [r.to_json_dict() for r in reports]}
-        _emit(json.dumps(payload, indent=2), args.out)
+        _emit_json(payload, args.out)
     return 1 if failed else 0
 
 
@@ -395,7 +407,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = subs.add_parser("verify", help="run the full residual check suite")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    # None reads as verify.DEFAULT_SEED in cmd_verify, the one command that
+    # imports verify
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--perturb", type=float, default=0.0,
                    help="negative-control shift applied to every generator")

@@ -48,14 +48,14 @@ from __future__ import annotations
 
 import cmath
 import math
+import os
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from functools import partial
 from itertools import chain, islice, starmap
-from pathlib import Path
 
 from .algebra import Mat2C, Value, closed_exp, exp_constants, re_im
 from .classifier import CaseTag
-from .errors import NotApplicable, OutOfRange
+from .errors import OutOfRange
 from .integrators import TransitionMatrix
 from .shadow import Generator, ShadowHamiltonian, euler_rate
 from .tables import Table, listed_json, listed_table, write_table, writing
@@ -317,18 +317,6 @@ def euler_trajectory(tau: float, branch: int, q0: float, p0: float,
                       closed_form=True)
 
 
-def rotation_sense(h: ShadowHamiltonian) -> str:
-    """Turning sense of the bounded orbit at (q, p) = (1, 0).
-
-    The momentum derivative there is -2*c_qq; a negative value turns the
-    phase point clockwise.  Defined only for the bounded real case.
-    """
-    if h.case is not CaseTag.IA:
-        raise NotApplicable(f"rotation sense undefined for case {h.case}")
-    pdot = -2.0 * h.c_qq.real
-    return "clockwise" if pdot < 0 else "counter-clockwise"
-
-
 def _energy(state: PhaseState, h: ShadowHamiltonian | None) -> complex:
     if h is None:
         return (state.q * state.q + state.p * state.p) / 2.0
@@ -367,7 +355,7 @@ def _csv_table(trajectory: Trajectory, hamiltonian: ShadowHamiltonian | None) ->
                  CSV_HEADER + "\n", "")
 
 
-def write_trajectory_csv(path: str | Path, trajectory: Trajectory,
+def write_trajectory_csv(path: str | os.PathLike, trajectory: Trajectory,
                          hamiltonian: ShadowHamiltonian | None = None) -> None:
     """Emit the CSV schema; without a Hamiltonian the H column reports the
     unperturbed oscillator energy (q**2 + p**2)/2."""
@@ -379,8 +367,10 @@ def _state_json(t, q_re, q_im, p_re, p_im, h_re, h_im) -> dict:
             "H": {"re": h_re, "im": h_im}}
 
 
-# %r is float.__repr__, the form json gives every finite float.
-_JSON_STATE = listed_json(_state_json(*["%r"] * 7)).replace('"%r"', "%r")
+# A JSON state with %r (float.__repr__, the form json gives every finite float)
+# for each value: built by the first JSON table, so that a process writing
+# none does not import json, and read once per row.
+_JSON_STATE = ""
 
 
 def _json_state(values: tuple[float, ...]) -> str:
@@ -391,6 +381,9 @@ def _json_state(values: tuple[float, ...]) -> str:
 
 
 def _json_table(trajectory: Trajectory, hamiltonian: ShadowHamiltonian | None) -> Table:
+    global _JSON_STATE
+    if not _JSON_STATE:
+        _JSON_STATE = listed_json(_state_json(*["%r"] * 7)).replace('"%r"', "%r")
     return listed_table(len(trajectory),
                         {"source": _source_json(trajectory, hamiltonian), "states": []},
                         lambda start, stop: map(_json_state,
@@ -398,7 +391,7 @@ def _json_table(trajectory: Trajectory, hamiltonian: ShadowHamiltonian | None) -
                                                         hamiltonian)))
 
 
-def write_trajectory_json(path: str | Path, trajectory: Trajectory,
+def write_trajectory_json(path: str | os.PathLike, trajectory: Trajectory,
                           hamiltonian: ShadowHamiltonian | None = None) -> None:
     """Emit ``json.dumps(trajectory_to_json(trajectory, hamiltonian), indent=2)``
     and a newline, one state at a time."""
@@ -407,7 +400,7 @@ def write_trajectory_json(path: str | Path, trajectory: Trajectory,
 
 def trajectory_files(trajectories: Sequence[Trajectory],
                      hamiltonians: Sequence[ShadowHamiltonian | None], fmt: str,
-                     directory: str | Path):
+                     directory: str | os.PathLike):
     """The files of closed-form trajectories, in ``fmt`` ("csv" or "json"), as
     one ``tables.writing`` job whose part files are in ``directory``: the
     context yields ``commit(path)``, which writes the next trajectory's file,

@@ -236,11 +236,6 @@ def _validated(z: Mat2C, branch: int, r: TransitionMatrix, case: CaseTag,
     return Generator(z, branch, r.tau, case, log)
 
 
-def generator_distinct(r: TransitionMatrix, eigen: EigenStructure, branch: int) -> Generator:
-    """Branch-m generator for a map with distinct eigenvalues T/2 +- d."""
-    return _distinct_generators(r, eigen, (branch,))[0]
-
-
 def _distinct_generators(r: TransitionMatrix, eigen: EigenStructure,
                          branches: Iterable[int]) -> tuple[Generator, ...]:
     """Branch generators, in the order of ``branches``, for a map with distinct

@@ -34,14 +34,12 @@ interrupt the children are killed and reaped and the part files removed.
 from __future__ import annotations
 
 import io
-import json
 import os
 import sys
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from contextlib import ExitStack, contextmanager
 from functools import partial
 from itertools import accumulate, chain, islice, pairwise
-from pathlib import Path
 
 _CHUNK = 1024  # rows per write
 # Most chunks in a job: one byte in the claim pipe holds a chunk's index.
@@ -66,9 +64,11 @@ class Table:
 
 
 @contextmanager
-def _replacing(path: str | Path):
+def _replacing(path: str | os.PathLike):
     """Text file on a temporary name beside ``path``, renamed to ``path`` when
     the block completes and removed if it raises, so ``path`` is never partial."""
+    from pathlib import Path  # here and in write_table: only an --out file needs it
+
     path = Path(path)
     part = path.with_name(path.name + ".part")
     try:
@@ -81,7 +81,7 @@ def _replacing(path: str | Path):
 
 
 @contextmanager
-def sink(out: str | Path | None):
+def sink(out: str | os.PathLike | None):
     """Where a command's table goes: the file ``out`` through ``_replacing``,
     or, for no ``out``, a buffer written to stdout once the block completes,
     so that a command that fails prints none of its table."""
@@ -345,7 +345,7 @@ def results(calls: Sequence[Callable[[], object]]) -> list:
 
 @contextmanager
 def writing(tables: Sequence[Table], least: int,
-            directory: str | Path | None) -> Iterator[Callable[[str | Path | None], None]]:
+            directory: str | os.PathLike | None) -> Iterator[Callable[[str | os.PathLike | None], None]]:
     """Yield ``commit(out)``, which writes the next of ``tables``, whole, to
     ``sink(out)``; a process runs at least ``least`` of the tables' rows.
 
@@ -360,7 +360,7 @@ def writing(tables: Sequence[Table], least: int,
     if processes == 1:
         left = iter(tables)
 
-        def commit(out: str | Path | None) -> None:
+        def commit(out: str | os.PathLike | None) -> None:
             table = next(left)
             with sink(out) as f:
                 f.write(table.head)
@@ -398,7 +398,7 @@ def writing(tables: Sequence[Table], least: int,
         with _claimed(len(pieces), processes, work) as job:
             left = iter(enumerate(tables))
 
-            def commit(out: str | Path | None) -> None:
+            def commit(out: str | os.PathLike | None) -> None:
                 i, table = next(left)
                 # claim through the table's last chunk first: asked for one
                 # by one, a chunk the child runs would leave this process idle
@@ -444,16 +444,23 @@ def _copy(spans: Iterable[tuple[int, int, int]], parts: Sequence, f) -> None:
             start += len(data)
 
 
-def write_table(out: str | Path | None, table: Table, least: int) -> None:
+def write_table(out: str | os.PathLike | None, table: Table, least: int) -> None:
     """Write ``table`` to ``sink(out)``: the one-table job of ``writing``, its
     part files beside ``out``, or for stdout in the temporary directory."""
-    with writing([table], least, Path(out).parent if out else None) as commit:
+    directory = None
+    if out:
+        from pathlib import Path
+
+        directory = Path(out).parent
+    with writing([table], least, directory) as commit:
         commit(out)
 
 
 def listed_json(item) -> str:
     """An item as json.dumps(..., indent=2) lays it out in a list that is the
     last value of the top-level object, with the separator before it."""
+    import json  # here and in listed_table: only a JSON table needs it
+
     return ",\n    " + json.dumps(item, indent=2).replace("\n", "\n    ")
 
 
@@ -461,6 +468,8 @@ def listed_table(n: int, head: dict, items: Callable[[int, int], Iterator[str]])
     """``json.dumps(head, indent=2)`` and a newline as a table, where head's
     last value is an empty list that ``items(start, stop)`` fills with the
     ``listed_json`` texts of its n items."""
+    import json
+
     text = json.dumps(head, indent=2)
 
     def texts(start: int, stop: int) -> Iterator[str]:

@@ -7,6 +7,9 @@ import pytest
 
 from shadowosc import cli, flow, tables
 from shadowosc.algebra import Mat2C
+from shadowosc.classifier import CaseTag
+from shadowosc.errors import NotApplicable
+from shadowosc.shadow import _distinct_generators
 
 
 def to_numpy(m) -> np.ndarray:
@@ -20,6 +23,23 @@ def state_deviation(a, b) -> float:
     """Distance between PhaseStates relative to max(1, |b|)."""
     scale = max(1.0, math.hypot(abs(b.q), abs(b.p)))
     return a.distance(b) / scale
+
+
+def rotation_sense(h) -> str:
+    """Turning sense of the bounded orbit at (q, p) = (1, 0).
+
+    The momentum derivative there is -2*c_qq; a negative value turns the
+    phase point clockwise.  Defined only for the bounded real case.
+    """
+    if h.case is not CaseTag.IA:
+        raise NotApplicable(f"rotation sense undefined for case {h.case}")
+    pdot = -2.0 * h.c_qq.real
+    return "clockwise" if pdot < 0 else "counter-clockwise"
+
+
+def generator_distinct(r, eigen, branch: int):
+    """Branch-m generator for a map with distinct eigenvalues T/2 +- d."""
+    return _distinct_generators(r, eigen, (branch,))[0]
 
 
 def quadratic_roots(tr: complex, det: complex) -> tuple[complex, complex]:

@@ -22,7 +22,6 @@ from shadowosc.flow import (
     continuous_state,
     discrete_orbit,
     euler_closed_form,
-    rotation_sense,
     sample_times,
 )
 from shadowosc.integrators import custom, double_euler, euler, make, position_verlet, velocity_verlet
@@ -30,7 +29,6 @@ from shadowosc.shadow import (
     CaseIIParams,
     euler_hamiltonian,
     euler_rate,
-    generator_distinct,
     generator_jordan,
     generator_scalar,
     generators_for,
@@ -38,7 +36,7 @@ from shadowosc.shadow import (
 )
 from shadowosc.verify import measure_period, series_exp
 
-from conftest import state_deviation
+from conftest import generator_distinct, rotation_sense, state_deviation
 
 BUILTIN_NAMES = ("euler", "velocity-verlet", "position-verlet", "double-euler", "vp")
 

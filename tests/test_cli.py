@@ -1,7 +1,10 @@
 import json
 import math
 import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +25,9 @@ from shadowosc.flow import flow_matrix
 from shadowosc.integrators import BUILDERS, euler, make
 from shadowosc.shadow import generators_for
 from shadowosc.verify import BOUND, locate_vp_critical_tau
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -724,3 +730,54 @@ def test_unknown_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as err:
         main(["frobnicate"])
     assert err.value.code == 2
+
+
+# Each call in a fresh interpreter, as from a shell: what an earlier
+# in-process call would have imported or built (a JSON row template, say) is
+# not there.  The sweeps of 500 points and the 3 x 3,001-row JSON flow split
+# where two CPUs are usable.
+FRESH_CALLS = [
+    ["classify", "--integrator", "vp", "--tau", "0.66"],
+    ["classify", "--integrator", "double-euler", "--tau", "4", "--format", "json"],
+    ["hamiltonian", "--integrator", "euler", "--tau", "1"],
+    ["hamiltonian", "--integrator", "vp", "--tau", "3", "--format", "json"],
+    ["hamiltonian", "--integrator", "euler", "--tau", "2", "--format", "json"],
+    ["sweep", "--integrator", "vp", "--grid=0.001:0.500:0.001"],
+    ["sweep", "--integrator", "vp", "--grid=0.001:0.500:0.001", "--format", "json"],
+    ["sweep", "--integrator", "euler", "--grid=0.5:4:0.5", "--out", "sweep.csv"],
+    ["sweep", "--integrator", "euler", "--grid=0.5:4:0.5", "--format", "json",
+     "--out", "sweep.json"],
+    ["flow", "--integrator", "euler", "--tau", "0.66", "--t-end", "5", "--out", "flow_csv"],
+    ["flow", "--integrator", "position-verlet", "--tau", "0.66", "--t-end", "30",
+     "--format", "json", "--out", "flow_json"],
+    ["verify", "--trials", "5", "--out", "verify.json"],
+    ["verify", "--seed", "seven"],
+]
+
+
+def _files(root: Path) -> dict[str, bytes]:
+    return {p.relative_to(root).as_posix(): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize("argv", FRESH_CALLS, ids=[
+    "classify-csv", "classify-json", "hamiltonian-csv", "hamiltonian-json",
+    "hamiltonian-obstruction-json", "sweep-csv", "sweep-json", "sweep-csv-out",
+    "sweep-json-out", "flow-csv-out", "flow-json-out", "verify-out", "verify-bad-seed"])
+def test_fresh_process_call_reads_as_in_process(capsys, tmp_path, monkeypatch, argv):
+    fresh, here = tmp_path / "fresh", tmp_path / "here"
+    fresh.mkdir()
+    here.mkdir()
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); from shadowosc.cli import main; "
+            "sys.exit(main(sys.argv[2:]))")
+    done = subprocess.run([sys.executable, "-I", "-S", "-c", code, str(SRC), *argv],
+                          cwd=fresh, capture_output=True, text=True, timeout=120)
+    monkeypatch.chdir(here)
+    try:
+        status = main(list(argv))
+    except SystemExit as exc:
+        status = exc.code
+    captured = capsys.readouterr()
+    assert status == (2 if argv[-1] == "seven" else 0), captured.err
+    assert (done.returncode, done.stdout, done.stderr) == (status, captured.out, captured.err)
+    assert _files(fresh) == _files(here)

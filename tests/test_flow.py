@@ -30,7 +30,6 @@ from shadowosc.flow import (
     euler_closed_form,
     euler_trajectory,
     flow_matrix,
-    rotation_sense,
     sample_times,
     sample_trajectory,
     trajectory_to_json,
@@ -44,7 +43,6 @@ from shadowosc.shadow import (
     Generator,
     euler_hamiltonian,
     euler_rate,
-    generator_distinct,
     generator_jordan,
     generator_scalar,
     generators_for,
@@ -52,7 +50,7 @@ from shadowosc.shadow import (
 )
 from shadowosc.verify import full_suite, measure_period, series_exp
 
-from conftest import no_child_left, state_deviation, to_numpy
+from conftest import generator_distinct, no_child_left, rotation_sense, state_deviation, to_numpy
 
 AFFINITY = os.sched_getaffinity(0)
 

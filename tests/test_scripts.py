@@ -37,7 +37,7 @@ def test_layer_costs(tmp_path):
         "hamiltonian_from_generator", "real_valued", "sweep_point", "sweep_window",
         "flow_sample", "csv_row",
         "flow_file", "flow_call", "build_parser", "coincidence", "conservation",
-        "verify_suite"])
+        "verify_suite", "cli_import"])
     assert all(cost > 0 for cost in costs.values())
 
 

@@ -30,7 +30,6 @@ from shadowosc.shadow import (
     _validated,
     euler_hamiltonian,
     euler_rate,
-    generator_distinct,
     generator_jordan,
     generator_scalar,
     generators_for,
@@ -46,7 +45,7 @@ from shadowosc.verify import (
     taylor_exp,
 )
 
-from conftest import quadratic_roots
+from conftest import generator_distinct, quadratic_roots
 
 IDENTITY = custom(1.0, 0.0, 0.0, 1.0, 1.0, label="+identity")
 MINUS_IDENTITY = custom(-1.0, 0.0, 0.0, -1.0, 1.0, label="-identity")

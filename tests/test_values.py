@@ -182,3 +182,19 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[]\n"
+
+
+def test_cli_query_loads_only_what_it_runs():
+    """A csv ``classify`` in a fresh interpreter imports none of the modules
+    that only JSON output, an ``--out`` file, a split job or ``verify`` need."""
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import shadowosc.cli as cli; "
+            "cli.build_parser(); "
+            "code = cli.main(['classify', '--integrator', 'euler', '--tau', '1', "
+            "'--format', 'csv']); "
+            "print(code, sorted({'json', 'pathlib', 'random', 'pickle', 'tempfile', "
+            "'shadowosc.verify'} & set(sys.modules)))")
+    done = subprocess.run([sys.executable, "-I", "-S", "-c", code, str(SRC)],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("integrator      euler\n")
+    assert done.stdout.splitlines()[-1] == "0 []"
