@@ -8,18 +8,19 @@ through ``results``).  Where ``process_count`` allows two processes, a pipe
 holds one byte per chunk index (at most 255) before one child is forked, and
 both processes claim the next index with a one-byte ``os.read``, which
 cannot split, until the pipe is empty; so the process on the faster CPU runs
-more chunks.  Each process is pinned to a CPU of its own for the job: left
-to the scheduler, a young child often shares its parent's CPU, and the
-split is then slower than one pass.  The child sends each chunk's results,
-pickled, down a report pipe as it finishes the chunk.
+more chunks.  No process is pinned to a CPU: the scheduler places them.  The
+child sends each chunk's results, pickled, down a report pipe as it
+finishes the chunk.  ``_run`` runs a job to its end: this process claims
+until the pipe is empty, then reads the child's reports to their end and
+reaps it, the one wait for the child per job.
 
 ``writing`` runs every table of a job with one fork: the rows of all the
 tables, numbered in order across them, are cut into chunks, and a chunk may
 straddle two tables.  A chunk writes its rows to its process's anonymous
 part file, so memory stays independent of the tables' length, and reports
 its span there in each table it covers.  The caller commits the tables one
-at a time, in order: this process claims chunks until every chunk of the
-table has been claimed, collects the table's spans and copies them to the
+at a time, in order.  The first commit runs the job, so the child has been
+reaped before any copy; each commit then copies its table's spans to the
 sink, by ``os.copy_file_range`` into a file: the bytes of a single pass.
 
 A chunk that raises ends its process's claims and empties the pipe; every
@@ -37,7 +38,7 @@ import io
 import os
 import sys
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from contextlib import ExitStack, contextmanager
+from contextlib import ExitStack, contextmanager, suppress
 from functools import partial
 from itertools import accumulate, chain, islice, pairwise
 
@@ -109,8 +110,8 @@ def _usable_cpus() -> int:
 def process_count(n: int, least: int) -> int:
     """Processes for a job of n items, each running at least ``least`` of them.
 
-    min(_MAX_PROCESSES, usable CPUs, n // least), at least one, where
-    ``os.fork`` exists, the caller runs no second thread (a forked child gets
+    min(_MAX_PROCESSES, usable CPUs, n // least), at least one, where the
+    system can fork, the caller runs no second thread (a forked child gets
     only the forking thread, and could inherit a lock another one holds) and
     SIGCHLD is not ignored (the system would reap the children, and waitpid
     fail); else one.
@@ -161,56 +162,42 @@ def _claim(claims: int, work: Callable[[int], Iterable]) -> Iterator[Event]:
             return
 
 
-def _fork_claimer(claims: int, work: Callable[[int], Iterable], cpu: int | None,
-                  children: list[Child]) -> None:
-    """Fork a child that claims chunks on ``cpu`` alone (None: any of the
-    caller's), and append it to ``children``.
-
-    SIGINT stays blocked from before the fork until the child is listed, so an
-    interrupt cannot leave a child the caller does not know of; the child
-    keeps it blocked, and the caller kills it if the interrupt stops the job.
-    """
-    import signal
-
-    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})  # the caller's
-    try:
-        children.append(_forked(claims, work, cpu))
-    finally:
-        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-
-
-def _forked(claims: int, work: Callable[[int], Iterable], cpu: int | None) -> Child:
-    """The child's pid and the read end of its report pipe.
+def _forked(claims: int, work: Callable[[int], Iterable], children: list[Child]) -> None:
+    """Fork a child that claims chunks, and append it to ``children``: its pid
+    and the read end of its report pipe.
 
     The child sends each ``_claim`` event, pickled, down the pipe as its chunk
     ends.  It ends only through ``os._exit``, so it never flushes a buffer it
     inherited (the caller's stdout, say); a child that cannot send an event
-    exits with status 1 and sends no more.
+    exits with status 1 and sends no more.  SIGINT stays blocked from before
+    the fork until the child is listed, so an interrupt cannot leave a child
+    the caller does not know of; the child keeps it blocked, and the caller
+    kills it if the interrupt stops the job.
     """
+    import pickle  # here and in _run: only a split job needs it
+    import signal
+
     read, write = os.pipe()
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})  # the caller's
     try:
         pid = os.fork()
-    except OSError:
+        if pid == 0:
+            try:
+                os.close(read)
+                with open(write, "wb") as pipe:
+                    for event in _claim(claims, work):
+                        pipe.write(pickle.dumps(event))
+                        pipe.flush()
+            except BaseException:
+                os._exit(1)
+            os._exit(0)
+        children.append((pid, open(read, "rb")))
+    except BaseException:
         os.close(read)
-        os.close(write)
         raise
-    if pid == 0:
-        code = 1
-        try:
-            os.close(read)
-            if cpu is not None:
-                os.sched_setaffinity(0, {cpu})
-            import pickle  # here and in _Claims: only a split job needs it
-
-            with open(write, "wb") as pipe:
-                for event in _claim(claims, work):
-                    pipe.write(pickle.dumps(event))
-                    pipe.flush()
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(write)
-    return pid, open(read, "rb")
+    finally:
+        os.close(write)
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
 
 
 def _stop(children: list[Child]) -> None:
@@ -229,103 +216,62 @@ def _stop(children: list[Child]) -> None:
             os.waitpid(pid, 0)
 
 
-class _Claims:
-    """A running job's chunks as this process sees them: the chunks it claims
-    itself, when asked to, and the events its children report."""
+def _run(count: int, processes: int,
+         work: Callable[[int, int], Iterable]) -> list[tuple[list, BaseException | None]]:
+    """Each chunk's results and error (None: none), by index, of the job of
+    chunks 0 <= index < count (at most _MAX_CHUNKS) that ``processes``
+    processes claim, ``work(slot, index)`` yielding a chunk's results in the
+    process numbered slot: 0 for this one.
 
-    def __init__(self, count: int, mine: Iterator[Event], children: list[Child]):
-        self._count, self._mine, self._children = count, mine, children
-        self._claimed = -1  # every chunk up to this index has been claimed
-        self._reported = {pid: -1 for pid, _ in children}  # each child's last index
-        self._events: dict[int, tuple[list, BaseException | None]] = {}
-
-    def claim_through(self, index: int) -> None:
-        """Run this process's claims until every chunk up to ``index`` has been
-        claimed; a chunk's error that is no ``Exception`` (an interrupt, say)
-        is raised at once, any other when its result is asked for."""
-        while self._claimed < index:
-            event = next(self._mine, None)
-            if event is None:  # the pipe is empty
-                self._claimed = self._count
-                return
-            self._claimed, done, error = event
-            self._events[self._claimed] = done, error
-            if error is not None and not isinstance(error, Exception):
-                raise error
-
-    def result(self, index: int, k: int):
-        """Chunk ``index``'s k-th result, or the chunk's error if it raised
-        before yielding it.  Asked for in order, every lower chunk's result
-        having been read, the error raised is that of the lowest failing
-        chunk: the error of a single pass."""
-        self.claim_through(index)
-        while index not in self._events:
-            self._receive(index)
-        done, error = self._events[index]
-        if k < len(done):
-            return done[k]
-        raise error
-
-    def _receive(self, index: int) -> None:
-        """Read the next event of a child that may hold chunk ``index``, which
-        this process did not claim; one that ends with no such event reaped."""
-        import pickle
-
-        holders = [child for child in self._children if self._reported[child[0]] < index]
-        if not holders:
-            raise ChildProcessError(f"no forked worker reported chunk {index}")
-        pid, pipe = child = holders[0]
-        try:
-            index_reported, done, error = pickle.load(pipe)
-        except EOFError:  # the child has ended: one that failed fails the job
-            self._children.remove(child)
-            pipe.close()
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            if code:
-                raise ChildProcessError(f"a forked worker sent no report "
-                                        f"(exit status {code})") from None
-            return
-        self._reported[pid] = index_reported
-        self._events[index_reported] = done, error
-
-
-@contextmanager
-def _claimed(count: int, processes: int,
-             work: Callable[[int, int], Iterable]) -> Iterator[_Claims]:
-    """The chunks 0 <= index < count (at most _MAX_CHUNKS) of a job that
-    ``processes`` processes claim, ``work(slot, index)`` yielding a chunk's
-    results in the process numbered slot: 0 for this one.  A child's results
-    reach this process pickled.
-
-    The children are reaped when the block completes, so that their exits
-    overlap its work.  On any error they are killed and reaped.
+    This process forks, then claims chunks until the pipe is empty; an error
+    of its own that is no ``Exception`` (an interrupt, say) is raised at once.
+    It then reads each child's reports to their end and reaps the child.  A
+    chunk that no process reported has the error of a child that ended
+    without a report; a chunk that none claimed lies above a failing one.  On
+    any error the children are killed and reaped.
     """
+    import pickle
+
     claims, fill = os.pipe()
     try:
         os.write(fill, bytes(range(count)))  # fewer bytes than any pipe holds
     finally:
         os.close(fill)
     children: list[Child] = []
-    # Each process on a CPU of its own, where the mask can be set: left to the
-    # scheduler, a child often shares its parent's CPU for the whole job.
-    mask = os.sched_getaffinity(0) if hasattr(os, "sched_setaffinity") else None
-    cpus = sorted(mask) if mask else [None]
+    ran: dict[int, tuple[list, BaseException | None]] = {}
+    lost: BaseException = ChildProcessError("no process ran the chunk")
     try:
         for slot in range(1, processes):
-            _fork_claimer(claims, partial(work, slot), cpus[slot % len(cpus)], children)
-        if mask:
-            os.sched_setaffinity(0, {cpus[0]})
-        yield _Claims(count, _claim(claims, partial(work, 0)), children)
+            _forked(claims, partial(work, slot), children)
+        for index, done, error in _claim(claims, partial(work, 0)):
+            if error is not None and not isinstance(error, Exception):
+                raise error
+            ran[index] = done, error
         for pid, pipe in children:
-            pipe.close()  # a child still sending then fails, and cannot block
-            os.waitpid(pid, 0)
+            with pipe, suppress(EOFError):
+                while True:
+                    index, done, error = pickle.load(pipe)
+                    ran[index] = done, error
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            if code:
+                lost = ChildProcessError(f"a forked worker sent no report (exit status {code})")
     except BaseException:
         _stop(children)
         raise
     finally:
-        if mask:
-            os.sched_setaffinity(0, mask)
         os.close(claims)
+    return [ran.get(index, ([], lost)) for index in range(count)]
+
+
+def _result(ran: list[tuple[list, BaseException | None]], index: int, k: int):
+    """Chunk ``index``'s k-th result in ``_run``'s list, or the chunk's error
+    if it raised before yielding it.  Asked for in order, every lower chunk's
+    result having been read, the error raised is that of the lowest failing
+    chunk: the error of a single pass."""
+    done, error = ran[index]
+    if k < len(done):
+        return done[k]
+    raise error
 
 
 def results(calls: Sequence[Callable[[], object]]) -> list:
@@ -338,9 +284,8 @@ def results(calls: Sequence[Callable[[], object]]) -> list:
     processes = process_count(len(calls), 1)
     if processes == 1:
         return [call() for call in calls]
-    with _claimed(len(calls), processes, lambda slot, index: (calls[index](),)) as job:
-        job.claim_through(len(calls) - 1)
-        return [job.result(index, 0) for index in range(len(calls))]
+    ran = _run(len(calls), processes, lambda slot, index: (calls[index](),))
+    return [_result(ran, index, 0) for index in range(len(calls))]
 
 
 @contextmanager
@@ -351,10 +296,10 @@ def writing(tables: Sequence[Table], least: int,
 
     Split, the processes claim the chunks of all the tables' rows, and each
     writes its chunks to its own anonymous part file in ``directory`` (None:
-    the system's temporary directory).  A commit claims chunks here until
-    every chunk of its table has been claimed, then copies the table's spans
-    to the sink in order.  A chunk's error is raised by the commit of the
-    table it fails in, so the tables before it are whole.
+    the system's temporary directory).  The first commit runs the job to its
+    end; each commit then copies its table's spans to the sink in order.  A
+    chunk's error is raised by the commit of the table it fails in, so the
+    tables before it are whole.
     """
     processes = process_count(sum(table.n for table in tables), least)
     if processes == 1:
@@ -373,15 +318,10 @@ def writing(tables: Sequence[Table], least: int,
     import tempfile
 
     starts = list(accumulate((table.n for table in tables), initial=0))
-    # each chunk's pieces, (table, start, stop) in order, and each table's
-    # pieces, (chunk, piece)
+    # each chunk's pieces, (table, start, stop) in order
     pieces = [[(i, max(a, lo) - lo, min(b, hi) - lo)
                for i, (lo, hi) in enumerate(pairwise(starts)) if lo < b and a < hi]
               for a, b in _chunk_ranges(starts[-1], least)]
-    held: list[list[tuple[int, int]]] = [[] for _ in tables]
-    for index, chunk in enumerate(pieces):
-        for k, (i, _, _) in enumerate(chunk):
-            held[i].append((index, k))
     with ExitStack() as parts_open:
         parts = [parts_open.enter_context(tempfile.TemporaryFile(dir=directory))
                  for _ in range(processes)]
@@ -395,30 +335,27 @@ def writing(tables: Sequence[Table], least: int,
                 part.flush()
                 yield slot, begin, part.tell()
 
-        with _claimed(len(pieces), processes, work) as job:
-            left = iter(enumerate(tables))
+        ran = []
+        left = iter(enumerate(tables))
 
-            def commit(out: str | os.PathLike | None) -> None:
-                i, table = next(left)
-                # claim through the table's last chunk first: asked for one
-                # by one, a chunk the child runs would leave this process idle
-                job.claim_through(held[i][-1][0] if held[i] else -1)
-                spans = [job.result(index, k) for index, k in held[i]]
-                with sink(out) as f:
-                    f.write(table.head)
-                    _copy(spans, parts, f)
-                    f.write(table.tail)
+        def commit(out: str | os.PathLike | None) -> None:
+            i, table = next(left)
+            if not ran:
+                ran.extend(_run(len(pieces), processes, work))
+            spans = [_result(ran, index, k) for index, chunk in enumerate(pieces)
+                     for k, piece in enumerate(chunk) if piece[0] == i]
+            with sink(out) as f:
+                f.write(table.head)
+                _copy(spans, parts, f)
+                f.write(table.tail)
 
-            yield commit
+        yield commit
 
 
 def _copy(spans: Iterable[tuple[int, int, int]], parts: Sequence, f) -> None:
     """Copy each span (slot, start, stop) of the part files to ``f`` in order:
     into a file by ``os.copy_file_range``; into stdout's buffer, and from a
     kernel copy that raises OSError on, by reading and writing.
-
-    Offsets are explicit, so that a child still writing to its part file
-    keeps its file position.
     """
     import codecs
 

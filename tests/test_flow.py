@@ -997,3 +997,60 @@ class TestSplitWriter:
         write_trajectory_csv(tmp_path / "t", *_euler_case(0.66, 0, 1.0, 0.0, 5.0, 0.05))
         no_child_left()
         assert os.sched_getaffinity(0) == AFFINITY
+
+    def test_split_jobs_set_no_cpu_affinity(self, tmp_path, split_into, monkeypatch):
+        # a split flow call, sweep and verify suite leave every CPU mask to the
+        # scheduler: a process pinned for a job stays on that CPU after it
+        calls, forks, fork = [], [], os.fork
+
+        def counted_fork():
+            pid = fork()
+            if pid:
+                forks.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "sched_setaffinity", lambda *args: calls.append(args))
+        monkeypatch.setattr(os, "fork", counted_fork)
+        split_into(2)
+        flow_call = ["--integrator", "velocity-verlet", *THREE_BRANCHES]
+        assert _flow_files(tmp_path / "flow", flow_call)[0] == 0
+        sweep = ["--integrator", "vp", "--grid=0.5:1.5:0.1"]
+        assert _sweep_call(tmp_path / "sweep", sweep)[0] == 0
+        assert all(report.passed for report in full_suite(trials=2))
+        assert len(forks) == 3 and calls == []
+        assert os.sched_getaffinity(0) == AFFINITY
+        no_child_left()
+
+    def test_trajectory_files_run_their_job_at_the_first_commit(self, tmp_path, split_into,
+                                                                  monkeypatch):
+        # the rows both processes sample, counted as one byte each that they
+        # append to one file: none before the first commit, all of them by
+        # its end, and none after it, when commits only copy
+        counter = tmp_path / "rows"
+        counted = os.open(counter, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+        values = flow._values
+
+        def counting(rows, h):
+            for row in values(rows, h):
+                os.write(counted, b".")
+                yield row
+
+        monkeypatch.setattr(flow, "_values", counting)
+        split_into(2)
+        cases = [_euler_case(0.66, m, 1.0, 0.0, 5.0, 0.05) for m in (-1, 0, 1)]
+        directory = tmp_path / "files"
+        directory.mkdir()
+        try:
+            with flow.trajectory_files([traj for traj, _ in cases], [h for _, h in cases],
+                                       "csv", directory) as commit:
+                assert counter.stat().st_size == 0
+                for m in (-1, 0, 1):
+                    commit(directory / f"flow_m{m}.csv")
+                    assert counter.stat().st_size == 3 * 101
+        finally:
+            os.close(counted)
+        no_child_left()
+        for m, (traj, h) in zip((-1, 0, 1), cases):
+            assert (directory / f"flow_m{m}.csv").read_bytes() == _parent_csv(traj, h)
+        assert sorted(p.name for p in directory.iterdir()) == [
+            "flow_m-1.csv", "flow_m0.csv", "flow_m1.csv"]
