@@ -6,10 +6,13 @@ Usage:
 
 Each layer is one call timed with ``timeit``: the best of 7 repeats of N
 calls, in microseconds per call; the slow layers, a 1,000-sample flow pass,
-``build_parser`` and the two verify oracles, take N/100 calls per repeat,
-and "flow_file", "flow_call", "sweep_window" and "verify_suite" take N/1000.
-The map is ``vp`` at tau = 0.66 (an i-a map) with branches m = -1, 0, 1,
-the family a ``sweep`` grid point builds; "sweep_point" is
+``build_parser`` and the two verify oracles, and the whole commands,
+"flow_file", "flow_call", "sweep_window" and "verify_suite", take N/100
+calls per repeat: 20 whole commands at the default N, so that a repeat
+spans about a second of them.  The map is ``vp`` at tau = 0.66 (an i-a
+map) with branches m = -1, 0, 1, the branches a ``sweep`` grid point
+counts: "real_count" is ``shadow.real_count``, the count itself,
+"sweep_point" is
 ``cli._sweep_row``, the code ``sweep`` runs per grid point, and
 "sweep_window" one whole
 ``sweep --integrator vp --grid=0.001:0.500:0.001`` through ``cli.main``
@@ -65,7 +68,7 @@ from shadowosc.shadow import (
     euler_hamiltonian,
     generators_for,
     hamiltonian_from_generator,
-    real_valued,
+    real_count,
 )
 
 TAU = 0.66
@@ -76,8 +79,8 @@ SWEEP_WINDOW = ["sweep", "--integrator", "vp", "--grid=0.001:0.500:0.001"]
 FLOW_CALL = ["flow", "--integrator", "position-verlet", "--tau", "0.66", "--m-min=-1",
              "--m-max=1", "--t-end", "30", "--dt", "0.01", "--format", "json"]
 VERIFY_SUITE = ["verify", "--seed", "1729"]
-SLOW = {"flow_sample": 100, "build_parser": 100, "flow_file": 1000, "flow_call": 1000,
-        "sweep_window": 1000, "verify_suite": 1000, "coincidence": 100,
+SLOW = {"flow_sample": 100, "build_parser": 100, "flow_file": 100, "flow_call": 100,
+        "sweep_window": 100, "verify_suite": 100, "coincidence": 100,
         "conservation": 100}  # N / divisor calls
 CLI_IMPORT_RUNS = 21
 CLI_IMPORT = ("import sys, time; sys.path.insert(0, sys.argv[1]); start = time.perf_counter(); "
@@ -113,7 +116,7 @@ def layers(directory: Path) -> dict:
         "classify": (lambda: classify(r), 1),
         "generators_for_3": (lambda: generators_for(r, BRANCHES), 1),
         "hamiltonian_from_generator": (lambda: hamiltonian_from_generator(g), 1),
-        "real_valued": (lambda: real_valued(g), 1),
+        "real_count": (lambda: real_count(r, BRANCHES), 1),
         "sweep_point": (lambda: cli._sweep_row("vp", TAU, BRANCHES, None), 1),
         "sweep_window": (whole(SWEEP_WINDOW), 1),
         "flow_sample": (lambda: deque(trajectory.rows(), 0), len(trajectory)),
@@ -141,9 +144,9 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--number", type=int, default=2000,
-                        help="calls per repeat (N/100 for the flow pass, build_parser and "
-                             "the verify oracles, N/1000 for flow_file, flow_call, "
-                             "sweep_window and verify_suite)")
+                        help="calls per repeat (N/100 for the flow pass, build_parser, "
+                             "the verify oracles, flow_file, flow_call, sweep_window and "
+                             "verify_suite)")
     args = parser.parse_args()
     if args.number < 1:
         parser.error("--number must be at least 1")

@@ -6,7 +6,10 @@ byte-identical for identical configurations and seeds.  Every table goes
 through ``tables.sink``: an ``--out`` file appears only whole (``flow --out``
 names a directory it creates), and stdout receives nothing from a command
 that fails.  A sweep row depends only on its own grid point
-tau_k = start + k*step, so ``sweep`` writes its grid through
+tau_k = start + k*step: its map's tag and real-branch count come from
+``shadow.real_count``, which builds no generator record for distinct
+eigenvalues, and a JSON row is filled into one template
+(``tables.listed_texts``).  So ``sweep`` writes its grid through
 ``tables.write_table``, split into chunks that two processes claim where
 the grid has at least 2 * _MIN_SWEEP_POINTS points and two CPUs are usable;
 ``verify`` runs its suite's subjects the same way (``verify.full_suite``).
@@ -57,9 +60,9 @@ from .shadow import (
     euler_hamiltonian,
     generators_for,
     hamiltonian_from_generator,
-    real_valued,
+    real_count,
 )
-from .tables import Table, listed_json, listed_table, sink, write_table
+from .tables import Table, listed_table, listed_texts, sink, write_table
 
 USAGE_ERROR = 2
 
@@ -298,11 +301,11 @@ def _write_trajectory(path, trajectory, hamiltonian, fmt: str, commit=None) -> N
 def _sweep_row(integrator: str, tau: float, branches: range,
               params: CaseIIParams | None) -> tuple[float, str, float, float, int]:
     """One ``sweep`` grid point: tau, case, trace, |T^2 - 4| and the number of
-    real branch Hamiltonians, read off the generators without building them."""
+    real branch Hamiltonians, counted by ``shadow.real_count`` without
+    building a generator or a Hamiltonian where the eigenvalues are distinct."""
     r = make(integrator, tau)
-    family = generators_for(r, branches, params)
-    return (tau, family.case.value, r.trace(), criticality_gap(r),
-            sum(map(real_valued, family.generators)))
+    tag, n_real = real_count(r, branches, params)
+    return tau, tag.value, r.trace(), criticality_gap(r), n_real
 
 
 def cmd_sweep(args) -> int:
@@ -320,9 +323,9 @@ def cmd_sweep(args) -> int:
 
     if args.format == "json":
         keys = ("tau", "case", "trace", "criticality_gap", "n_real")
+        row_text = listed_texts(lambda *row: dict(zip(keys, row)), ("%r", "%s", "%r", "%r", "%d"))
         table = listed_table(count, {"integrator": args.integrator, "rows": []},
-                             lambda first, stop: (listed_json(dict(zip(keys, row)))
-                                                  for row in rows(first, stop)))
+                             lambda first, stop: map(row_text, rows(first, stop)))
     else:
         table = Table(count, lambda first, stop: map("%.17g,%s,%.17g,%.17g,%d\n".__mod__,
                                                      rows(first, stop)),

@@ -58,7 +58,7 @@ from .classifier import CaseTag
 from .errors import OutOfRange
 from .integrators import TransitionMatrix
 from .shadow import Generator, ShadowHamiltonian, euler_rate
-from .tables import Table, listed_json, listed_table, write_table, writing
+from .tables import Table, listed_table, listed_texts, write_table, writing
 
 CSV_HEADER = "t,q_re,q_im,p_re,p_im,H_re,H_im"
 _CSV_ROW = ",".join(["%.17g"] * 7) + "\n"
@@ -367,28 +367,12 @@ def _state_json(t, q_re, q_im, p_re, p_im, h_re, h_im) -> dict:
             "H": {"re": h_re, "im": h_im}}
 
 
-# A JSON state with %r (float.__repr__, the form json gives every finite float)
-# for each value: built by the first JSON table, so that a process writing
-# none does not import json, and read once per row.
-_JSON_STATE = ""
-
-
-def _json_state(values: tuple[float, ...]) -> str:
-    text = _JSON_STATE % values
-    if "n" in text:  # nan or inf, which json writes as NaN, Infinity, -Infinity
-        text = listed_json(_state_json(*values))
-    return text
-
-
 def _json_table(trajectory: Trajectory, hamiltonian: ShadowHamiltonian | None) -> Table:
-    global _JSON_STATE
-    if not _JSON_STATE:
-        _JSON_STATE = listed_json(_state_json(*["%r"] * 7)).replace('"%r"', "%r")
+    state = listed_texts(_state_json, ["%r"] * 7)
     return listed_table(len(trajectory),
                         {"source": _source_json(trajectory, hamiltonian), "states": []},
-                        lambda start, stop: map(_json_state,
-                                                _values(trajectory.rows(start, stop),
-                                                        hamiltonian)))
+                        lambda start, stop: map(state, _values(trajectory.rows(start, stop),
+                                                               hamiltonian)))
 
 
 def write_trajectory_json(path: str | os.PathLike, trajectory: Trajectory,

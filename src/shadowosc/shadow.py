@@ -21,11 +21,13 @@ reaches exp(Z) scaled by both.  For distinct eigenvalues exp(Z) - R has the
 exact form (cosh L - T/2) I + (sinh L / d - 1) K, two scalars per branch;
 the scalar and Jordan generators are checked through ``closed_exp``.
 
-The three coefficients are read off Z by one helper, which
-``hamiltonian_from_generator`` and ``real_valued`` share: ``real_valued(g)``
-is the Hamiltonian's ``real_valued`` flag, with the same trace and
-finiteness checks, but builds no ``ShadowHamiltonian``; ``sweep`` counts
-real branches with it.
+The three coefficients are read off Z's entries by one helper, which
+``hamiltonian_from_generator`` and ``real_count`` share: ``real_count``
+counts the real-valued Hamiltonians of a map's branches, with the same
+validation, finiteness checks and realness rule, and for distinct
+eigenvalues builds no ``Generator`` or ``ShadowHamiltonian``, only the
+validated branch scalars (``_distinct_branches``); ``sweep`` counts real
+branches with it.
 
 For the explicit Euler map the branch family also has a closed form,
 H = rate * (p**2 + q**2 - tau*p*q) / (tau * sqrt(|4 - tau**2|)); see
@@ -236,15 +238,18 @@ def _validated(z: Mat2C, branch: int, r: TransitionMatrix, case: CaseTag,
     return Generator(z, branch, r.tau, case, log)
 
 
-def _distinct_generators(r: TransitionMatrix, eigen: EigenStructure,
-                         branches: Iterable[int]) -> tuple[Generator, ...]:
-    """Branch generators, in the order of ``branches``, for a map with distinct
-    eigenvalues T/2 +- d; r and eigen are read once for all of them.
+def _distinct_branches(r: TransitionMatrix, eigen: EigenStructure,
+                       branches: Iterable[int]) -> list[tuple[int, complex, complex, complex,
+                                                              complex]]:
+    """Each requested branch's (m, L, Z11, Z12, Z21), in the order of
+    ``branches``, for a map with distinct eigenvalues T/2 +- d; r and eigen
+    are read once for all of them, and every branch is validated before the
+    list is returned, so a caller reads no branch before all have passed.
 
     Z = (L / d) * K with L = log(y, m), y = T/2 + d and K = R - (T/2) I, whose
-    eigenvalues are +-d: Z is traceless with eigenvalues +-L, and
-    exp(Z) = cosh(L) I + sinh(L)/d K = (T/2) I + K = R.  Each branch carries
-    L and is validated on exp(Z) - R = a I + b K with the two scalars
+    eigenvalues are +-d: Z is traceless (Z22 = -Z11) with eigenvalues +-L,
+    and exp(Z) = cosh(L) I + sinh(L)/d K = (T/2) I + K = R.  Each branch is
+    validated on exp(Z) - R = a I + b K with the two scalars
     a = cosh(L) - T/2 and b = sinh(L)/d - 1; no entry of Z enters them, so
     they keep their digits where Z's entries, about L/|d| near a ridge, are
     large.
@@ -258,15 +263,13 @@ def _distinct_generators(r: TransitionMatrix, eigen: EigenStructure,
     d = eigen.d
     log_abs, angle = math.asinh(abs(d.real)), eigen.angle
     k11, k12, k21, _ = r.traceless()
-    half_trace, tau = r.trace() / 2.0, r.tau
-    case = CaseTag.IB if d.real > 0.0 else CaseTag.IC if d.real < 0.0 else CaseTag.IA
+    half_trace = r.trace() / 2.0
     cosh, sinh = cmath.cosh, cmath.sinh
-    gens = []
+    validated = []
     for branch in branches:
         log = complex(log_abs, angle + 2.0 * math.pi * branch)
         factor = log / d
         diag, z12, z21 = factor * k11, factor * k12, factor * k21
-        z = Mat2C(diag, z12, z21, -diag)
         a = cosh(log) - half_trace
         b = sinh(log) / d - 1.0
         bk11 = b * k11
@@ -278,9 +281,18 @@ def _distinct_generators(r: TransitionMatrix, eigen: EigenStructure,
         e11, e12, e21, e22 = abs(a + bk11), abs(b * k12), abs(b * k21), abs(a - bk11)
         if not (e11 + e12 + e21 + e22 <= TOL
                 and abs(diag) + abs(z12) + abs(z21) < math.inf):
-            _check_exp(nan_max(e11, e12, e21, e22), z, r)
-        gens.append(Generator(z, branch, tau, case, log))
-    return tuple(gens)
+            _check_exp(nan_max(e11, e12, e21, e22), Mat2C(diag, z12, z21, -diag), r)
+        validated.append((branch, log, diag, z12, z21))
+    return validated
+
+
+def _distinct_generators(r: TransitionMatrix, eigen: EigenStructure,
+                         branches: Iterable[int]) -> tuple[Generator, ...]:
+    """The ``Generator`` records of ``_distinct_branches``, each carrying its L."""
+    d, tau = eigen.d.real, r.tau
+    case = CaseTag.IB if d > 0.0 else CaseTag.IC if d < 0.0 else CaseTag.IA
+    return tuple(Generator(Mat2C(diag, z12, z21, -diag), m, tau, case, log)
+                 for m, log, diag, z12, z21 in _distinct_branches(r, eigen, branches))
 
 
 def generator_scalar(r: TransitionMatrix, branch: int,
@@ -326,30 +338,22 @@ def _is_real(c_pp: complex, c_qq: complex, c_pq: complex) -> bool:
     return imag == 0.0 or not exceeds(imag, max(abs(c_pp), abs(c_qq), abs(c_pq)))
 
 
-def _coefficients(g: Generator) -> tuple[complex, complex, complex]:
-    """(c_pp, c_qq, c_pq) of a generator traceless to TOL * max(1, |Z|)."""
+def _coefficients(z11: complex, z12: complex, z21: complex,
+                  tau: float) -> tuple[complex, complex, complex]:
+    """(c_pp, c_qq, c_pq) of the traceless generator with entries z11, z12, z21."""
+    return z12 / (2.0 * tau), -z21 / (2.0 * tau), z11 / tau
+
+
+def hamiltonian_from_generator(g: Generator) -> ShadowHamiltonian:
+    """Read the quadratic coefficients off a generator traceless to TOL * max(1, |Z|)."""
     z = g.matrix
     trace = abs(z.trace())
     # generators built here have trace exactly 0 and need no scale
     if trace and exceeds(trace, max(1.0, z.max_abs())):
         raise NotTraceless(f"trace residual {trace:.3e}")
-    tau = g.tau
-    return z.e12 / (2.0 * tau), -z.e21 / (2.0 * tau), z.e11 / tau
-
-
-def hamiltonian_from_generator(g: Generator) -> ShadowHamiltonian:
-    """Read the quadratic coefficients off a generator traceless to TOL * max(1, |Z|)."""
-    c_pp, c_qq, c_pq = _coefficients(g)
+    c_pp, c_qq, c_pq = _coefficients(z.e11, z.e12, z.e21, g.tau)
     return ShadowHamiltonian(c_pp, c_qq, c_pq, g.tau, g.branch, g.case,
                              _is_real(c_pp, c_qq, c_pq))
-
-
-def real_valued(g: Generator) -> bool:
-    """``hamiltonian_from_generator(g).real_valued``, with its checks, but
-    without building the Hamiltonian."""
-    c_pp, c_qq, c_pq = _coefficients(g)
-    _check_finite(c_pp, c_qq, c_pq, g.tau, g.branch)
-    return _is_real(c_pp, c_qq, c_pq)
 
 
 def euler_rate(tau: float, branch: int) -> complex:
@@ -400,7 +404,13 @@ def generators_for(r: TransitionMatrix, branches: Iterable[int],
     eigenvalue -1 gives an empty family carrying the obstruction.
     """
     tag, eigen = classify(r)
-    ordered = sorted(set(map(int, branches)))
+    return _family(r, tag, eigen, sorted(set(map(int, branches))), params)
+
+
+def _family(r: TransitionMatrix, tag: CaseTag, eigen: EigenStructure, ordered: list[int],
+            params: CaseIIParams | None) -> GeneratorFamily:
+    """``generators_for`` of a map classified as (tag, eigen), for the
+    branches ``ordered``, sorted and without repeats."""
     if tag in DISTINCT_TAGS:
         return GeneratorFamily(tag, eigen, _distinct_generators(r, eigen, ordered))
     if tag in SCALAR_TAGS:
@@ -409,3 +419,33 @@ def generators_for(r: TransitionMatrix, branches: Iterable[int],
     if tag is CaseTag.IIIA:
         return GeneratorFamily(tag, eigen, (_jordan_generator(r, tag, eigen),))
     return GeneratorFamily(tag, eigen, (), OBSTRUCTION)
+
+
+def real_count(r: TransitionMatrix, branches: Iterable[int],
+               params: CaseIIParams | None = None) -> tuple[CaseTag, int]:
+    """The case tag of r and how many of the requested branches have a
+    real-valued Hamiltonian: ``generators_for(r, branches, params)`` and the
+    sum of ``hamiltonian_from_generator(g).real_valued`` over its generators,
+    raising what they raise, in their order, but classifying r once and
+    building no ``ShadowHamiltonian``.
+
+    Every branch is validated before any coefficient is read, as
+    ``generators_for`` validates them all first.  For distinct eigenvalues
+    the coefficients are read off the validated branch scalars, with no
+    ``Generator`` built; any other tag reads the entries of its (at most one
+    per branch) generators.  Generators built here are traceless exactly, so
+    ``hamiltonian_from_generator``'s trace check passes on every one of them.
+    """
+    tag, eigen = classify(r)
+    ordered = sorted(set(map(int, branches)))
+    if tag in DISTINCT_TAGS:
+        validated = _distinct_branches(r, eigen, ordered)
+    else:
+        validated = [(g.branch, g.log, g.matrix.e11, g.matrix.e12, g.matrix.e21)
+                     for g in _family(r, tag, eigen, ordered, params).generators]
+    tau, count = r.tau, 0
+    for branch, _, z11, z12, z21 in validated:
+        c_pp, c_qq, c_pq = _coefficients(z11, z12, z21, tau)
+        _check_finite(c_pp, c_qq, c_pq, tau, branch)
+        count += _is_real(c_pp, c_qq, c_pq)
+    return tag, count

@@ -401,6 +401,27 @@ def listed_json(item) -> str:
     return ",\n    " + json.dumps(item, indent=2).replace("\n", "\n    ")
 
 
+def listed_texts(build: Callable[..., dict], formats: Sequence[str]) -> Callable[[tuple], str]:
+    """``values -> listed_json(build(*values))`` from one %-template, the
+    ``listed_json`` text of ``build(*formats)`` with each "%r" and "%d" value
+    unquoted: %r takes a float, which json writes as its repr where finite,
+    %d an int and %s a str that json writes as it is.  A text holding more
+    "n" than the template, so a nan or inf (json's NaN, Infinity), goes
+    through ``listed_json`` instead."""
+    template = listed_json(build(*formats)).replace('"%r"', "%r").replace('"%d"', "%d")
+    fixed = template.count("n")
+
+    def texts(values: tuple) -> str:
+        text = template % values
+        # "in" first: it scans faster than count, and a template with no "n"
+        # (a flow state's) needs no count
+        if "n" in text and text.count("n") > fixed:
+            text = listed_json(build(*values))
+        return text
+
+    return texts
+
+
 def listed_table(n: int, head: dict, items: Callable[[int, int], Iterator[str]]) -> Table:
     """``json.dumps(head, indent=2)`` and a newline as a table, where head's
     last value is an empty list that ``items(start, stop)`` fills with the

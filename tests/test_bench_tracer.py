@@ -63,26 +63,47 @@ def test_tracer_counts_the_rows_written_and_uninstalls(tmp_path, capsys, fmt):
         assert getattr(getattr(package, module), attr) is original
 
 
-def test_traced_sweep_classifies_each_point_once(capsys):
-    # one classify and one family per grid point; a distinct family validates
-    # its branches from two scalars each and calls no closed_exp.  41 points
-    # are below 2 * cli._MIN_SWEEP_POINTS, so the grid is one range, and the
-    # tracer sees every point
+def _traced_sweep(capsys, integrator, grid):
+    """The tracer after one ``sweep`` of the grid, and the rows it printed."""
     import shadowosc.cli
     import shadowosc.verify  # noqa: F401
 
     package = importlib.import_module("shadowosc")
     tracer = _tracer.Tracer(package)
     try:
-        code = package.cli.main(["sweep", "--integrator", "vp", "--grid", "2.3:2.7:0.01"])
+        code = package.cli.main(["sweep", "--integrator", integrator, "--grid", grid])
     finally:
         tracer.uninstall()
     assert code == 0
-    points = len(capsys.readouterr().out.splitlines()) - 1
+    return tracer, len(capsys.readouterr().out.splitlines()) - 1
+
+
+def test_traced_sweep_classifies_each_point_once(capsys):
+    # one classify per grid point and no generators_for: shadow.real_count
+    # counts a distinct family's real branches off the two validating scalars
+    # of each branch, building no generator and calling no closed_exp.  41
+    # points are below 2 * cli._MIN_SWEEP_POINTS, so the grid is one range,
+    # and the tracer sees every point
+    tracer, points = _traced_sweep(capsys, "vp", "2.3:2.7:0.01")
     assert points == 41
-    assert tracer.calls("classifier.classify") == tracer.calls("shadow.generators_for") == points
-    assert tracer.generators_built == 3 * points
+    assert tracer.calls("classifier.classify") == points
+    assert tracer.calls("shadow.generators_for") == tracer.generators_built == 0
     assert tracer.calls("algebra.closed_exp.under_shadow") == 0
+
+
+@pytest.mark.parametrize("integrator, grid, jordan", [
+    ("double-euler", "3:5:0.5", 1),  # tau = 4 is iii-a, R - I its one generator
+    ("euler", "1:3:0.5", 0),  # tau = 2 is iii-b, with no generator
+])
+def test_traced_sweep_builds_generators_only_at_jordan_points(capsys, integrator, grid,
+                                                              jordan):
+    # a defective map's count reads its generator, validated through one
+    # closed_exp, and is still classified once, without generators_for
+    tracer, points = _traced_sweep(capsys, integrator, grid)
+    assert points == 5
+    assert tracer.calls("classifier.classify") == points
+    assert tracer.calls("shadow.generators_for") == 0
+    assert tracer.calls("algebra.closed_exp.under_shadow") == jordan
 
 
 def test_traced_split_sweep_counts_the_parent_range_only(capsys, monkeypatch,
@@ -103,8 +124,8 @@ def test_traced_split_sweep_counts_the_parent_range_only(capsys, monkeypatch,
         tracer.uninstall()
     assert code == 0
     assert len(capsys.readouterr().out.splitlines()) - 1 == points
-    parents = tracer.calls("classifier.classify")
-    assert parents == tracer.calls("shadow.generators_for") < points
+    assert tracer.calls("classifier.classify") < points
+    assert tracer.calls("shadow.generators_for") == 0
 
 
 def test_traced_verify_applies_propagators_without_flow_states(capsys, monkeypatch):

@@ -401,6 +401,49 @@ class TestRealBranchPattern:
         assert (row["case"], row["n_real"]) == ("i-b", 0)
 
 
+SWEEP_KEYS = ("tau", "case", "trace", "criticality_gap", "n_real")
+
+
+def _sweep_json(capsys, tmp_path, to_file, integrator, grid):
+    """The JSON table ``sweep`` writes for m = -3..3, from stdout or --out."""
+    out = ["--out", str(tmp_path / "sweep.json")] if to_file else []
+    code, printed, err = run(capsys, "sweep", "--integrator", integrator, f"--grid={grid}",
+                             "--m-min=-3", "--m-max=3", "--format", "json", *out)
+    assert (code, err) == (0, "")
+    if to_file:
+        assert printed == ""
+        return (tmp_path / "sweep.json").read_text()
+    return printed
+
+
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+@pytest.mark.parametrize("integrator, grid", [
+    ("vp", "0.001:10:0.01"), ("double-euler", "3.99:4.01:0.001"), ("euler", "1.99:2.01:0.001"),
+    ("double-euler", "2.818:2.838:0.001"),
+    ("vp", f"{locate_vp_critical_tau() - 0.01!r}:{locate_vp_critical_tau() + 0.01!r}:0.001")])
+def test_sweep_json_rows_read_as_json_dumps(capsys, tmp_path, integrator, grid, to_file):
+    # every row comes from one %-template: the bytes are json.dumps(indent=2)
+    # of the whole table and a newline, as when each row went through json
+    start, step, count = cli._parse_grid(grid)
+    rows = [dict(zip(SWEEP_KEYS, cli._sweep_row(integrator, start + k * step, range(-3, 4),
+                                                 None)))
+            for k in range(count)]
+    want = json.dumps({"integrator": integrator, "rows": rows}, indent=2) + "\n"
+    assert _sweep_json(capsys, tmp_path, to_file, integrator, grid) == want
+
+
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+def test_sweep_json_writes_non_finite_values_as_json_does(capsys, tmp_path, monkeypatch,
+                                                          to_file):
+    # a row holding nan or inf goes through json, which writes NaN, Infinity
+    values = [(math.nan, "i-a", 1.0, 2.0, 3), (0.5, "i-c", -math.inf, math.inf, 0),
+              (0.25, "ii(+)", 1e300, -0.0, 7), (1.5, "iii-b", 2.0, math.nan, 0)]
+    monkeypatch.setattr(cli, "_sweep_row", lambda integrator, tau, *_: values[round(tau)])
+    want = json.dumps({"integrator": "euler",
+                       "rows": [dict(zip(SWEEP_KEYS, row)) for row in values]}, indent=2)
+    assert _sweep_json(capsys, tmp_path, to_file, "euler", "0:3:1") == want + "\n"
+
+
 def test_sweep_builds_no_hamiltonian_record(capsys, monkeypatch):
     built = []
     init = shadow.ShadowHamiltonian.__init__

@@ -34,7 +34,7 @@ def test_layer_costs(tmp_path):
     costs = json.loads(done.stdout)["layers"]
     assert sorted(costs) == sorted([
         "Mat2C", "closed_exp", "make_vp", "classify", "generators_for_3",
-        "hamiltonian_from_generator", "real_valued", "sweep_point", "sweep_window",
+        "hamiltonian_from_generator", "real_count", "sweep_point", "sweep_window",
         "flow_sample", "csv_row",
         "flow_file", "flow_call", "build_parser", "coincidence", "conservation",
         "verify_suite", "cli_import"])

@@ -34,7 +34,7 @@ from shadowosc.shadow import (
     generator_scalar,
     generators_for,
     hamiltonian_from_generator,
-    real_valued,
+    real_count,
 )
 from shadowosc.flow import flow_matrix
 from shadowosc.verify import (
@@ -593,17 +593,33 @@ class TestRealValuedAtLargeTau:
             assert not any(euler_hamiltonian(tau, m).real_valued for m in range(-2, 3))
 
 
-def outcome(read, g):
-    """read(g), or the type and message of the error it raises."""
+# (built-in, tau at which its trace is +-2): the T = +-2 ridges, and double-euler's
+# R = -I point, where |d| -> 0 and Z's entries grow like |L| / |d|
+RIDGES = [("euler", 2.0), ("velocity-verlet", 2.0), ("position-verlet", 2.0),
+          ("double-euler", 4.0), ("double-euler", 2.0 * math.sqrt(2.0)),
+          ("vp", locate_vp_critical_tau())]
+
+
+def outcome(read, *args):
+    """read(*args), or the type and message of the error it raises."""
     try:
-        return read(g)
+        return read(*args)
     except ShadowOscError as exc:
         return type(exc), str(exc)
 
 
-def assert_real_valued_agrees(g):
-    want = outcome(lambda x: hamiltonian_from_generator(x).real_valued, g)
-    assert outcome(real_valued, g) == want
+def counted_by_records(r, branches, params=None):
+    """``real_count``'s reference: the tag of the family and how many of its
+    generators give a real-valued Hamiltonian record."""
+    family = generators_for(r, branches, params)
+    return family.case, sum(hamiltonian_from_generator(g).real_valued
+                            for g in family.generators)
+
+
+def assert_real_count_agrees(r, branches=range(-3, 4), params=None):
+    want = outcome(counted_by_records, r, branches, params)
+    assert outcome(real_count, r, branches, params) == want
+    return want
 
 
 def conjugated(x, shear, hyperbolic, tau):
@@ -614,39 +630,57 @@ def conjugated(x, shear, hyperbolic, tau):
 
 
 class TestRealValuedReadsTheGenerator:
-    """``real_valued(g)`` is ``hamiltonian_from_generator(g).real_valued``,
-    and raises what building the Hamiltonian raises."""
+    """``real_count(r, branches, params)`` is the tag of ``generators_for`` and
+    the number of its generators whose ``hamiltonian_from_generator`` record
+    is real-valued, and raises what building the family and the records
+    raises, with the same message."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.sampled_from(sorted(BUILDERS)), st.floats(-12.0, 6.0).map(lambda e: 10.0 ** e))
     def test_built_ins(self, name, tau):
-        for g in generators_for(make(name, tau), range(-3, 4)).generators:
-            assert_real_valued_agrees(g)
+        assert_real_count_agrees(make(name, tau))
 
     @settings(max_examples=200, deadline=None)
     @given(st.floats(0.1, 3.0), st.floats(0.0, 3.0).map(lambda e: 10.0 ** e), st.booleans(),
            st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e))
     def test_conjugated_rotations_and_boosts(self, x, shear, hyperbolic, tau):
-        for g in generators_for(conjugated(x, shear, hyperbolic, tau), range(-3, 4)).generators:
-            assert_real_valued_agrees(g)
+        assert_real_count_agrees(conjugated(x, shear, hyperbolic, tau))
 
     @pytest.mark.parametrize("preset", sorted(PARAM_PRESETS))
     @pytest.mark.parametrize("r", [IDENTITY, MINUS_IDENTITY], ids=["I", "-I"])
     def test_scalar_maps_under_every_preset(self, r, preset):
-        for m in range(-3, 4):
-            assert_real_valued_agrees(generator_scalar(r, m, PARAM_PRESETS[preset]()))
+        tag, count = assert_real_count_agrees(r, params=PARAM_PRESETS[preset]())
+        assert tag in (CaseTag.II_PLUS, CaseTag.II_MINUS) and 0 <= count <= 7
 
     @pytest.mark.parametrize("name", sorted(BUILDERS))
     def test_overflowing_coefficients_raise_alike(self, name):
-        (g,) = generators_for(make(name, 1e-310), [-3]).generators
-        assert outcome(real_valued, g)[0] is OutOfRange
-        assert_real_valued_agrees(g)
+        r = make(name, 1e-310)
+        assert outcome(real_count, r, [-3])[0] is OutOfRange
+        assert_real_count_agrees(r, [-3])
+        assert_real_count_agrees(r)
+
+    def test_every_branch_is_validated_before_any_coefficient_is_read(self):
+        # branch -3's coefficients overflow at tau = 1e-310, and branch 1e307's
+        # Z overflows, failing its exp check: validation's error comes first
+        x = 0.01
+        r = custom(math.cos(x), math.sin(x), -math.sin(x), math.cos(x), 1e-310)
+        error = assert_real_count_agrees(r, [-3, 10 ** 307])
+        assert error == (NotTraceless, "exp(Z) reproduces custom only to nan")
+        assert outcome(real_count, r, [-3])[0] is OutOfRange
+
+    @pytest.mark.parametrize("name, ridge", RIDGES, ids=[f"{n}-{t:.6g}" for n, t in RIDGES])
+    def test_built_ins_near_every_ridge(self, name, ridge):
+        # ridge +- 10**-k, k = 2..8, and the ridge itself, whose Jordan maps
+        # count through their records
+        for tau in [ridge] + [ridge + sign * 10.0 ** -k for sign in (1, -1) for k in range(2, 9)]:
+            assert_real_count_agrees(make(name, tau))
 
     @pytest.mark.parametrize("z", [Mat2C(1.0, 0.0, 0.0, 0.0), Mat2C(math.nan, 1.0, 1.0, 0.0)])
     def test_a_generator_with_a_trace_raises_alike(self, z):
+        # real_count builds its own, traceless generators; a record from
+        # elsewhere is still held to the trace check
         g = Generator(z, 0, 1.0, CaseTag.IA)
-        assert outcome(real_valued, g)[0] is NotTraceless
-        assert_real_valued_agrees(g)
+        assert outcome(hamiltonian_from_generator, g)[0] is NotTraceless
 
 
 class TestExponentialIdentityProperty:
@@ -673,13 +707,6 @@ class TestExponentialIdentityProperty:
                 x1, _ = eigenvalues(g.matrix)
                 assert abs(x1) < 8.0
                 assert max_diff(taylor_exp(g.matrix, 40), r.as_mat2c()) <= 1e-9
-
-
-# (built-in, tau at which its trace is +-2): the T = +-2 ridges, and double-euler's
-# R = -I point, where |d| -> 0 and Z's entries grow like |L| / |d|
-RIDGES = [("euler", 2.0), ("velocity-verlet", 2.0), ("position-verlet", 2.0),
-          ("double-euler", 4.0), ("double-euler", 2.0 * math.sqrt(2.0)),
-          ("vp", locate_vp_critical_tau())]
 
 
 def assert_family_passes_through_r(r):
