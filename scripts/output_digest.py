@@ -39,7 +39,11 @@ order:
 - ``verify --seed k`` for k = 1..K (default 12), then ``verify`` at the
   default seed with each of ``VERIFY_OPTIONS`` (fewer and more trials, and
   perturbations that fail every check, down to one whose flows leave
-  double range), each with ``--out``.
+  double range), each with ``--out``;
+- argparse's own text (``PARSER_CALLS``): ``-h``, an unknown flag, missing
+  required arguments, a bad choice and an unknown subcommand, at the top
+  level and for each subcommand, each with ``COLUMNS`` set to each of
+  ``PARSER_COLUMNS``; their lines also hold ``columns``.
 
 The same arguments give the same call set, so comparing two trees is a
 ``diff`` of their outputs:
@@ -54,11 +58,13 @@ import hashlib
 import io
 import json
 import math
+import os
 import random
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest.mock import patch
 
 BUILT_INS = ("double-euler", "euler", "position-verlet", "velocity-verlet", "vp")
 BRANCHES = ("--m-min", "-3", "--m-max", "3")
@@ -89,6 +95,22 @@ FLOW_CALLS = (
     (["--integrator", "euler", "--tau", "3"], "1500", "csv"),
     (["--integrator", "velocity-verlet", "--tau", "3"], "1200", "json"),
 )
+
+# the required flags of each subcommand, for its unknown-flag and bad-choice calls
+PARSER_REQUIRED = {"classify": ["--integrator", "euler", "--tau", "1"],
+                   "hamiltonian": ["--integrator", "euler", "--tau", "1"],
+                   "flow": ["--integrator", "euler", "--tau", "1"],
+                   "sweep": ["--integrator", "euler", "--grid", "1:2:1"],
+                   "verify": []}
+PARSER_CALLS = (["-h"], ["--bogus"], [], ["frobnicate"], *(
+    argv for command, required in PARSER_REQUIRED.items() for argv in (
+        [command, "-h"],
+        [command, *required, "--bogus"],
+        *([[command]] if required else []),
+        [command, "--integrator", "nope", *required[2:]] if required
+        else [command, "--format", "xml"])))
+# the terminal width help and usage text are wrapped to
+PARSER_COLUMNS = ("30", "200")
 
 
 def _conjugated(rng: random.Random, hyperbolic: bool) -> tuple[float, ...]:
@@ -171,9 +193,12 @@ def call_set(count: int, grid: str, verify_seeds: int, flow_dt: float,
     return calls
 
 
-def digest(main, argv: list[str]) -> dict:
+def digest(main, argv: list[str], columns: str | None = None) -> dict:
+    """The line of one call; with ``columns``, run with COLUMNS set to it."""
     out, err = io.StringIO(), io.StringIO()
-    with tempfile.TemporaryDirectory() as tmp, redirect_stdout(out), redirect_stderr(err):
+    environ = {} if columns is None else {"COLUMNS": columns}
+    with tempfile.TemporaryDirectory() as tmp, redirect_stdout(out), redirect_stderr(err), \
+            patch.dict(os.environ, environ):
         try:
             code = main([a.replace(OUT, tmp) for a in argv])
         except SystemExit as exc:  # argparse's usage errors
@@ -186,6 +211,8 @@ def digest(main, argv: list[str]) -> dict:
     line = {"argv": argv, "exit": code,
             "stdout": hashlib.sha256(stdout.encode()).hexdigest(),
             "stderr": hashlib.sha256(err.getvalue().encode()).hexdigest()}
+    if columns is not None:
+        line["columns"] = columns
     if any(OUT in a for a in argv):
         line["files"] = files
     return line
@@ -207,6 +234,9 @@ def main() -> int:
     for argv in call_set(args.count, args.grid, args.verify_seeds, args.flow_dt,
                          verify.locate_vp_critical_tau()):
         print(json.dumps(digest(cli.main, argv)), flush=True)
+    for columns in PARSER_COLUMNS:
+        for argv in PARSER_CALLS:
+            print(json.dumps(digest(cli.main, argv, columns)), flush=True)
     return 0
 
 

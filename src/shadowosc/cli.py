@@ -23,7 +23,9 @@ Every call is a fresh interpreter, so a module a command alone needs is
 imported where that command runs: ``json`` for JSON output, ``pathlib`` for
 ``flow``'s directory and an ``--out`` file, and ``verify``'s oracles by
 ``verify`` alone.  The names ``bench/tracer.py`` wraps on this module stay
-bound at import.
+bound at import.  The parser's help formatters are set up only when help or
+usage text is printed (``_DeferredHelpFormatter``), so ``shutil``, which
+argparse loads to read the terminal width, loads only then.
 """
 
 from __future__ import annotations
@@ -374,25 +376,52 @@ def _add_output_flags(sub):
     sub.add_argument("--format", default="csv", choices=("csv", "json"))
 
 
+class _DeferredHelpFormatter(argparse.HelpFormatter):
+    """``argparse.HelpFormatter`` that runs its ``__init__``, with the
+    arguments it was given, at the first read of an attribute not yet set.
+
+    ``add_argument`` builds a formatter per argument only to call
+    ``_format_args``, which reads no formatter state, and each
+    ``HelpFormatter.__init__`` reads the terminal size through ``shutil``.
+    So a call that prints no help or usage sets up no formatter and never
+    imports ``shutil``; one that does formats exactly as the stock class.
+    """
+
+    def __init__(self, *args, **kwargs):
+        self._deferred = (args, kwargs)
+
+    def __getattr__(self, name: str):
+        deferred = self.__dict__.pop("_deferred", None)
+        if deferred is None:
+            raise AttributeError(name)
+        args, kwargs = deferred
+        super().__init__(*args, **kwargs)
+        return getattr(self, name)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="shadowosc",
+        prog="shadowosc", formatter_class=_DeferredHelpFormatter,
         description=("Interpolating Hamiltonians, classification and flows for "
                      "discrete symplectic maps of the unit harmonic oscillator"))
-    subs = parser.add_subparsers(dest="command", required=True)
+    # prog is the usage text add_subparsers would format for this parser
+    subs = parser.add_subparsers(dest="command", required=True, prog="shadowosc")
 
-    p = subs.add_parser("classify", help="taxonomy tag and eigenstructure")
+    def add_parser(name: str, help: str) -> argparse.ArgumentParser:
+        return subs.add_parser(name, help=help, formatter_class=_DeferredHelpFormatter)
+
+    p = add_parser("classify", help="taxonomy tag and eigenstructure")
     _add_matrix_flags(p)
     _add_output_flags(p)
     p.set_defaults(func=cmd_classify)
 
-    p = subs.add_parser("hamiltonian", help="per-branch coefficient table")
+    p = add_parser("hamiltonian", help="per-branch coefficient table")
     _add_matrix_flags(p)
     _add_branch_flags(p)
     _add_output_flags(p)
     p.set_defaults(func=cmd_hamiltonian)
 
-    p = subs.add_parser("flow", help="trajectory files plus discrete companion")
+    p = add_parser("flow", help="trajectory files plus discrete companion")
     _add_matrix_flags(p)
     _add_branch_flags(p)
     p.add_argument("--q0", type=float, default=1.0)
@@ -402,14 +431,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(p)
     p.set_defaults(func=cmd_flow)
 
-    p = subs.add_parser("sweep", help="regime table over a tau grid")
+    p = add_parser("sweep", help="regime table over a tau grid")
     p.add_argument("--integrator", required=True, choices=sorted(BUILDERS))
     p.add_argument("--grid", required=True, metavar="START:STOP:STEP")
     _add_branch_flags(p)
     _add_output_flags(p)
     p.set_defaults(func=cmd_sweep)
 
-    p = subs.add_parser("verify", help="run the full residual check suite")
+    p = add_parser("verify", help="run the full residual check suite")
     # None reads as verify.DEFAULT_SEED in cmd_verify, the one command that
     # imports verify
     p.add_argument("--seed", type=int, default=None)

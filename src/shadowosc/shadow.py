@@ -15,9 +15,12 @@ exactly one generator (eigenvalue +1) or none at all (eigenvalue -1).
 Every generator is traceless by construction and carries its eigenvalue
 delta (Z's eigenvalues are +-delta) as ``Generator.log``: log(y, m) for the
 distinct cases, x1 for the scalar case and 0 for the Jordan case.  It is
-kept only if Z is finite and exp(Z), read with that delta, meets R to
+kept only if Z is finite and exp(Z) meets R to
 TOL * max(1, |R|) * max(1, |Z|), |.| the largest entry modulus: Z's rounding
-reaches exp(Z) scaled by both.  For distinct eigenvalues exp(Z) - R has the
+reaches exp(Z) scaled by both.  exp(Z) is read with the carried delta,
+except for the Jordan case, whose check reads delta off Z: the 0 it
+carries is what the builder assumed, and a check that read it would not
+see a K that is not nilpotent.  For distinct eigenvalues exp(Z) - R has the
 exact form (cosh L - T/2) I + (sinh L / d - 1) K, two scalars per branch;
 the scalar and Jordan generators are checked through ``closed_exp``.
 
@@ -230,9 +233,10 @@ def _check_exp(exp_resid: float, z: Mat2C, r: TransitionMatrix) -> None:
 
 
 def _validated(z: Mat2C, branch: int, r: TransitionMatrix, case: CaseTag,
-               log: complex) -> Generator:
-    """The generator, once closed_exp(Z) read with its eigenvalue ``log`` meets R."""
-    e = closed_exp(z, 1.0, log)
+               log: complex, delta: complex | None = None) -> Generator:
+    """The generator carrying ``log``, once closed_exp(Z) read with the
+    eigenvalue ``delta`` (None: read from Z) meets R."""
+    e = closed_exp(z, 1.0, delta)
     _check_exp(nan_max(abs(e.e11 - r.r1), abs(e.e12 - r.r2), abs(e.e21 - r.r3),
                        abs(e.e22 - r.r4)), z, r)
     return Generator(z, branch, r.tau, case, log)
@@ -310,7 +314,7 @@ def generator_scalar(r: TransitionMatrix, branch: int,
     diag = x1 * params.c1
     z = Mat2C(diag, x1 * params.c2, x1 * params.c3, -diag)
     case = CaseTag.II_PLUS if plus else CaseTag.II_MINUS
-    return _validated(z, branch, r, case, x1)
+    return _validated(z, branch, r, case, x1, x1)
 
 
 def generator_jordan(r: TransitionMatrix) -> Generator:
@@ -329,6 +333,9 @@ def _jordan_generator(r: TransitionMatrix, tag: CaseTag, eigen: EigenStructure) 
         raise NoHamiltonian(r.label, r.tau, eigen)
     if tag is not CaseTag.IIIA:
         raise NotDefective(f"{r.label} at tau={r.tau:g} classifies as {tag}")
+    # exp(Z) with the eigenvalue read off Z, not the 0 the record carries: a
+    # check that took K**2 = 0 as given would read only R's I part, and pass
+    # a large-entry K that classify's band took for nilpotent
     return _validated(Mat2C(*r.traceless()), 0, r, CaseTag.IIIA, 0j)
 
 

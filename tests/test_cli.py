@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -103,6 +104,20 @@ class TestHamiltonian:
         lines = out.strip().split("\n")
         assert len(lines) == 2
         assert ",iii-a," in lines[1]
+
+    def test_large_entry_near_quarter_turn_is_refused(self, capsys):
+        # tagged iii-a, but its K is not nilpotent: Z = K misses R by 1.6e4
+        code, out, err = run(capsys, "hamiltonian", "--integrator", "custom",
+                             "--r", "1e5,1e5,-99999.99999,-1e5", "--tau", "0.5")
+        assert (code, out) == (1, "")
+        assert err == "error: exp(Z) reproduces custom only to 1.585e+04\n"
+
+    @pytest.mark.parametrize("tau", ["4", "4.0000000001", "4.000000000001"])
+    def test_double_euler_near_tau_4_keeps_its_jordan_row(self, capsys, tau):
+        code, out, _ = run(capsys, "hamiltonian", "--integrator", "double-euler", "--tau", tau)
+        assert code == 0
+        rows = out.strip().split("\n")[1:]
+        assert len(rows) == 1 and rows[0].startswith("0,iii-a,")
 
     def test_obstruction_row(self, capsys):
         code, out, _ = run(capsys, "hamiltonian", "--integrator", "euler", "--tau", "2")
@@ -773,6 +788,63 @@ def test_unknown_subcommand_exits_2(capsys):
     with pytest.raises(SystemExit) as err:
         main(["frobnicate"])
     assert err.value.code == 2
+
+
+# argparse's own text: -h, an unknown flag, missing required arguments, a bad
+# choice and an unknown subcommand, at the top level and for each subcommand
+_REQUIRED = {"classify": ["--integrator", "euler", "--tau", "1"],
+             "hamiltonian": ["--integrator", "euler", "--tau", "1"],
+             "flow": ["--integrator", "euler", "--tau", "1"],
+             "sweep": ["--integrator", "euler", "--grid", "1:2:1"],
+             "verify": []}
+PARSER_CALLS = [["-h"], ["--bogus"], [], ["frobnicate"]] + [
+    argv for command, required in _REQUIRED.items() for argv in (
+        [command, "-h"],
+        [command, *required, "--bogus"],
+        *([[command]] if required else []),
+        [command, "--integrator", "nope", *required[2:]] if required
+        else [command, "--format", "xml"])]
+
+
+def _parsed(capsys, argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("columns", [None, "30", "200"])
+@pytest.mark.parametrize("argv", PARSER_CALLS, ids=" ".join)
+def test_parser_text_reads_as_stock_argparse(capsys, monkeypatch, argv, columns):
+    if columns is None:
+        monkeypatch.delenv("COLUMNS", raising=False)
+    else:
+        monkeypatch.setenv("COLUMNS", columns)
+    ours = _parsed(capsys, argv)
+    # the same parser with argparse's own formatter, and the subcommands'
+    # prog derived by add_subparsers from the top parser's usage
+    add_subparsers = argparse.ArgumentParser.add_subparsers
+
+    def deriving_prog(self, **kwargs):
+        kwargs.pop("prog")
+        return add_subparsers(self, **kwargs)
+
+    with monkeypatch.context() as stock:
+        stock.setattr(cli, "_DeferredHelpFormatter", argparse.HelpFormatter)
+        stock.setattr(argparse.ArgumentParser, "add_subparsers", deriving_prog)
+        assert ours == _parsed(capsys, argv)
+    assert ours[0] in (0, 2) and (ours[1] or ours[2])
+
+
+def test_a_call_that_prints_no_help_never_imports_shutil():
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); from shadowosc.cli import main; "
+            "status = main(['classify', '--integrator', 'euler', '--tau', '1']); "
+            "print(status, 'shutil' in sys.modules, file=sys.stderr)")
+    done = subprocess.run([sys.executable, "-I", "-S", "-c", code, str(SRC)],
+                          capture_output=True, text=True, timeout=120)
+    assert done.stderr == "0 False\n"
 
 
 # Each call in a fresh interpreter, as from a shell: what an earlier

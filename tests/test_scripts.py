@@ -62,8 +62,19 @@ def test_output_digest(tmp_path):
     lines = [json.loads(line) for line in done.stdout.splitlines()]
     # 10 sweeps to stdout and 10 to --out, 15 failing one-point sweeps, 4 sweeps
     # failing in a later range, 90 near-ridge calls, 8 built-in and 8 custom
-    # draws of two calls each, 26 flows, one verify per seed and five more
-    assert len(lines) == 20 + 15 + 4 + 90 + 2 * 8 + 2 * 8 + 26 + 1 + 5
+    # draws of two calls each, 26 flows, one verify per seed and five more,
+    # then 23 parser calls at each of two widths
+    assert len(lines) == 20 + 15 + 4 + 90 + 2 * 8 + 2 * 8 + 26 + 1 + 5 + 2 * 23
+    lines, parser_lines = lines[:-46], lines[-46:]
+    assert [line["columns"] for line in parser_lines] == ["30"] * 23 + ["200"] * 23
+    assert [line["argv"] for line in parser_lines[:23]] == [
+        line["argv"] for line in parser_lines[23:]]
+    # -h exits 0 and prints help, every other parser call is a usage error;
+    # the help text is wrapped to the width
+    assert [line["exit"] for line in parser_lines] == [
+        0 if "-h" in line["argv"] else 2 for line in parser_lines]
+    assert parser_lines[0]["argv"] == ["-h"]
+    assert parser_lines[0]["stdout"] != parser_lines[23]["stdout"]
     assert lines[0]["argv"] == ["sweep", "--integrator", "double-euler", "--grid", "1:2:0.5",
                                 "--format", "csv"]
     sweeps_out, flows, verifies = lines[10:20], lines[-32:-6], lines[-6:]

@@ -289,6 +289,15 @@ class TestGeneratorJordan:
         with pytest.raises(NotDefective):
             generator_jordan(euler(1.0))
 
+    def test_k_off_nilpotent_beyond_the_bound_is_refused(self):
+        # classify's band tags this large-entry near quarter turn iii-a, but
+        # K**2 is about -I: exp(K) misses R by 1.6e4, far above the bound of
+        # about 10.  Read with K's eigenvalue taken as 0, it met R to about 1.
+        r = custom(1e5, 1e5, -99999.99999, -1e5, 0.5)
+        assert classify(r)[0] is CaseTag.IIIA
+        with pytest.raises(NotTraceless, match=r"reproduces custom only to 1\.585e\+04"):
+            generator_jordan(r)
+
     def test_euler_critical_has_no_hamiltonian(self):
         with pytest.raises(NoHamiltonian) as err:
             generator_jordan(euler(2.0))
