@@ -22,6 +22,8 @@ order:
 - ``sweep`` on ``LATER_RANGE_GRID`` for Euler and velocity-verlet, in CSV and
   JSON: 501 points whose first failure, at k = 319, lies in a later chunk of
   a split grid;
+- ``sweep`` on each of ``COUNT_GRIDS`` for each built-in, in CSV and JSON:
+  grids whose point count rests on the exact quotient of their decimal fields;
 - ``classify`` and ``hamiltonian --m-min -3 --m-max 3`` for N draws of a
   built-in and tau log-uniform in [1e-12, 1e6], the format alternating;
 - ``hamiltonian --m-min -3 --m-max 3`` for each built-in at tau = ridge +-
@@ -73,6 +75,10 @@ SEED = 16
 # large that the map's entries, or at 1e154 Euler's eigenvalue arithmetic, overflow
 ERROR_GRIDS = ("1e-310:1e-310:1", "1e300:1e300:1", "1e154:1e154:1")
 LATER_RANGE_GRID = "1e77:2e77:2e74"
+# grids whose float quotient (stop - start) / step lies a few parts in 1e10
+# off its exact value: 9.999999999 (0:0.9999999999:0.1 shifted by 1, as
+# tau = 0 is refused), 10 points; and exactly 10, 11 points, stop the last
+COUNT_GRIDS = ("1:1.9999999999:0.1", "9.881:9.881006:6e-7")
 OUT = "<out>"  # a call's output directory
 VERIFY_OUT = f"{OUT}/verify.json"
 VERIFY_OPTIONS = (["--trials", "1"], ["--trials", "3"], ["--perturb", "1e-3"],
@@ -160,6 +166,11 @@ def call_set(count: int, grid: str, verify_seeds: int, flow_dt: float,
         for fmt in ("csv", "json"):
             calls.append(["sweep", "--integrator", name, f"--grid={LATER_RANGE_GRID}",
                           "--format", fmt])
+    for count_grid in COUNT_GRIDS:
+        for name in BUILT_INS:
+            for fmt in ("csv", "json"):
+                calls.append(["sweep", "--integrator", name, f"--grid={count_grid}",
+                              "--format", fmt])
     ridges = {"double-euler": 4.0, "euler": 2.0, "position-verlet": 2.0,
               "velocity-verlet": 2.0, "vp": vp_ridge}
     for name, ridge in ridges.items():

@@ -2,12 +2,13 @@
 
 Everything is plain double precision on top of ``cmath``; matrices, like
 every record of the package, are immutable ``Value``s.  ``closed_exps`` is
-the package's one matrix exponential, exp(s Z) at many s from Z's constants
-read once; ``closed_exp`` is its one-s case.  It is every flow's propagator
-and validates the scalar-case and Jordan generators.  A generator that carries
-its eigenvalue delta passes it in, so exp(s Z) reads delta as built, not as
-recomputed from Z's entries.  Its oracles (``taylor_exp``, ``series_exp``)
-live in ``verify``.
+the package's one evaluator of exp(s Z): a lazy iterator that reads Z's
+constants once and yields exp(s Z)'s entries for one s at a time, holding
+none; ``closed_exp`` is its one-s case.  Every flow sample and every
+propagator ``verify`` checks come from it, and it validates the scalar-case
+and Jordan generators.  A generator that carries its eigenvalue delta passes
+it in, so exp(s Z) reads delta as built, not as recomputed from Z's entries.
+Its oracles (``taylor_exp``, ``series_exp``) live in ``verify``.
 
 Branch convention used throughout the package: a nonzero complex number is
 written modulus * exp(i*theta) with theta in (-pi, pi], negative reals at
@@ -28,7 +29,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from operator import attrgetter
 
 from .errors import ZeroEigenvalue
@@ -179,28 +180,11 @@ def log_branch(y: complex, branch: int) -> complex:
     return complex(math.log(modulus), theta + 2.0 * math.pi * branch)
 
 
-def exp_constants(z: Mat2C, delta: complex | None = None
-                  ) -> tuple[complex, complex, complex, complex, complex, complex]:
-    """(mu, k11, z12, z21, k22, delta) of z: its half-trace mu, the diagonal of
-    K = z - mu I and the eigenvalue delta of K, all that exp(s z) reads of z.
-
-    A given ``delta`` is taken as it is; without one, delta is
-    sqrt(k11**2 + z12*z21), which loses about |K|**2 / |delta|**2 of its
-    digits where those products cancel.
-    """
-    z11, z12, z21, z22 = z.entries()
-    mu = (z11 + z22) / 2.0
-    k11, k22 = z11 - mu, z22 - mu
-    if delta is None:
-        delta = cmath.sqrt(k11 * k11 + z12 * z21)
-    return mu, k11, z12, z21, k22, delta
-
-
 def closed_exps(z: Mat2C, ss: Iterable[float], delta: complex | None = None
-                ) -> list[tuple[complex, complex, complex, complex]]:
-    """The entries (e11, e12, e21, e22) of exp(s z) for each s in ss, reading
-    z's constants (``exp_constants``) once; in closed form (Higham,
-    *Functions of Matrices*, SIAM 2008, ch. 10).
+                ) -> Iterator[tuple[complex, complex, complex, complex]]:
+    """The entries (e11, e12, e21, e22) of exp(s z) for each s in ss, in turn,
+    reading z's constants once; in closed form (Higham, *Functions of
+    Matrices*, SIAM 2008, ch. 10).
 
     With K = z - mu I, mu the half-trace and +-delta the eigenvalues of K,
 
@@ -209,13 +193,19 @@ def closed_exps(z: Mat2C, ss: Iterable[float], delta: complex | None = None
     and (cosh, sinh/delta) = (1, s) when delta is exactly 0, where K is
     nilpotent; e^(s mu) multiplies in only for mu != 0.  sinh(s delta)/delta
     has no cancellation for any nonzero delta, so no series is needed.  Either
-    sign of delta gives the same result; ``delta`` is recomputed from z when
-    not given.  Every entry is complex.
+    sign of delta gives the same result.  A given ``delta`` is taken as it is;
+    without one, delta is sqrt(k11**2 + z12*z21), which loses about
+    |K|**2 / |delta|**2 of its digits where those products cancel.  Every
+    entry is complex.  Lazy: an s is read only when its entries are asked
+    for, and no entries are kept, so a pass over any number of s takes the
+    same memory; past double range cmath raises where the s is read.
     """
-    mu, k11, z12, z21, k22, delta = exp_constants(z, delta)
+    z11, z12, z21, z22 = z.entries()
+    mu = (z11 + z22) / 2.0
+    k11, k22 = z11 - mu, z22 - mu
+    if delta is None:
+        delta = cmath.sqrt(k11 * k11 + z12 * z21)
     cosh, sinh, exp = cmath.cosh, cmath.sinh, cmath.exp
-    entries = []
-    append = entries.append
     for s in ss:
         if delta:
             a = s * delta
@@ -224,16 +214,15 @@ def closed_exps(z: Mat2C, ss: Iterable[float], delta: complex | None = None
             c, h = 1.0, s
         if mu:
             scale = exp(s * mu)
-            append((scale * (c + h * k11), scale * (h * z12), scale * (h * z21),
-                    scale * (c + h * k22)))
+            yield (scale * (c + h * k11), scale * (h * z12), scale * (h * z21),
+                   scale * (c + h * k22))
         else:
-            append((c + h * k11, h * z12, h * z21, c + h * k22))
-    return entries
+            yield c + h * k11, h * z12, h * z21, c + h * k22
 
 
 def closed_exp(z: Mat2C, s: float = 1.0, delta: complex | None = None) -> Mat2C:
     """exp(s z) of a 2x2 complex matrix in closed form: ``closed_exps`` at one s."""
-    e11, e12, e21, e22 = closed_exps(z, (s,), delta)[0]
+    e11, e12, e21, e22 = next(closed_exps(z, (s,), delta))
     # the entries are complex already: set them without the constructor's coercion
     m = _new_mat2c(Mat2C)
     _set_e11(m, e11)

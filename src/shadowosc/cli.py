@@ -39,7 +39,6 @@ from .algebra import re_im
 from .classifier import CaseTag, classify, criticality_gap
 from .errors import ShadowOscError
 from .flow import (
-    MAX_SAMPLES,
     discrete_orbit,
     euler_trajectory,
     sample_times,
@@ -108,7 +107,8 @@ def _parse_quad(text: str) -> tuple[float, float, float, float]:
 
 def _parse_grid(text: str) -> tuple[float, float, int]:
     """start:stop:step as (start, step, count), the grid being start + k*step
-    for 0 <= k < count, inclusive of stop up to rounding; count 0 is empty."""
+    for 0 <= k < count, inclusive of stop up to rounding (``_grid_rounding``);
+    count 0 is empty."""
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError("grid must be start:stop:step")
@@ -117,11 +117,21 @@ def _parse_grid(text: str) -> tuple[float, float, int]:
         raise ValueError(f"grid {text}: start, stop and step must be finite")
     if step <= 0 or stop < start:
         return start, step, 0
-    steps = (stop - start) / step + 1e-9  # inf where the quotient overflows
-    if not steps < MAX_SAMPLES:
-        raise ValueError(f"grid {text}: (stop - start) / step = {steps:g}; "
-                         f"at most 2**52 steps are supported")
-    return start, step, math.floor(steps) + 1
+    return start, step, whole_steps(
+        stop - start, step, math.floor,
+        f"grid {text}: (stop - start) / step = %g; at most 2**52 steps are supported",
+        _grid_rounding(start, stop, step)) + 1
+
+
+def _grid_rounding(start: float, stop: float, step: float) -> float:
+    """A bound on how far (stop - start) / step, in floats, lies from the quotient
+    of the decimal fields it was parsed from: half an ulp of each parsed field
+    and of the difference, carried through the division, and half an ulp of
+    the quotient; to first order, as each term is far below the quotient."""
+    diff = stop - start
+    quotient = diff / step
+    return ((math.ulp(start) + math.ulp(stop) + math.ulp(diff)) / (2.0 * step)
+            + quotient * math.ulp(step) / (2.0 * step) + math.ulp(quotient) / 2.0)
 
 
 def _resolve_matrix(args) -> TransitionMatrix:
@@ -258,7 +268,8 @@ def cmd_flow(args) -> int:
     r = _resolve_matrix(args)
     family = generators_for(r, branches, params)
     rows = () if family.obstruction is not None else _hamiltonian_rows(r, family, branches)
-    steps = whole_steps(args.t_end, r.tau, math.floor, "t_end / tau = %g discrete steps")
+    steps = whole_steps(args.t_end, r.tau, math.floor,
+                        "t_end / tau = %g discrete steps; at most 2**52 are supported")
     outdir = Path(args.out) if args.out else Path(".")
     outdir.mkdir(parents=True, exist_ok=True)
     suffix = "json" if args.format == "json" else "csv"
@@ -304,7 +315,9 @@ def _sweep_row(integrator: str, tau: float, branches: range,
               params: CaseIIParams | None) -> tuple[float, str, float, float, int]:
     """One ``sweep`` grid point: tau, case, trace, |T^2 - 4| and the number of
     real branch Hamiltonians, counted by ``shadow.real_count`` without
-    building a generator or a Hamiltonian where the eigenvalues are distinct."""
+    building a generator or a Hamiltonian where the eigenvalues are distinct.
+    ``branches`` is a range, so it is in the order real_count reads, with no
+    sort per point."""
     r = make(integrator, tau)
     tag, n_real = real_count(r, branches, params)
     return tau, tag.value, r.trace(), criticality_gap(r), n_real

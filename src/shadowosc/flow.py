@@ -8,20 +8,21 @@ for every branch.
 
 A ``Trajectory`` holds no states.  It keeps its source, its sample times
 (a ``SampleTimes`` progression, itself computed on demand) and a sampler
-that reads the per-trajectory constants once per pass: Z's half-trace,
-the diagonal of its traceless part and that part's eigenvalue delta for a
-flow (``algebra.exp_constants``), and R for the discrete orbit.  delta is
-the generator's own ``Generator.log``, the eigenvalue it was built from and
-validated with; only a generator built without one (verify's perturbed
-generators, a user's) has delta recomputed from Z's entries, which near a
-ridge lose digits to cancellation.  Each pass over ``Trajectory.rows()``
-then yields (q, p, t) sample by sample, and the writers format and write
-each row as it is produced, so writing a file takes memory independent of
-its number of samples.  One exponential serves every flow: a sample costs
-one cosh and one sinh of (t/tau) delta, and its state is bit-for-bit equal
-to ``flow_matrix(g, t).apply(q0, p0)``, where ``flow_matrix`` is
-``algebra.closed_exp(Z, t/tau, g.log)``; verify's oracles check the same
-propagators, taken at all their times at once from ``algebra.closed_exps``.
+that reads the per-trajectory constants once per pass: for a flow, one
+``algebra.closed_exps`` pass over the times, which reads Z's constants once,
+and for the discrete orbit, R.  A flow's delta is the generator's own
+``Generator.log``, the eigenvalue it was built from and validated with;
+only a generator built without one (verify's perturbed generators, a
+user's) has delta recomputed from Z's entries, which near a ridge lose
+digits to cancellation.  Each pass over ``Trajectory.rows()`` then yields
+(q, p, t) sample by sample, and the writers format and write each row as it
+is produced, so writing a file takes memory independent of its number of
+samples.  One evaluator serves every flow: a sample is the propagator
+closed_exps yields for s = t/tau, one cosh and one sinh of s delta, applied
+to (q0, p0), so its state is bit-for-bit equal to
+``flow_matrix(g, t).apply(q0, p0)``, where ``flow_matrix`` is
+``algebra.closed_exp(Z, t/tau, g.log)``, closed_exps at one s; verify's
+oracles check the same propagators, from the same iterator.
 The closed-form Euler family is sampled as the flow of its own
 generator (``euler_trajectory``), whose delta is read off its rate.  A flow
 whose state leaves double range raises ``OutOfRange`` naming the first such
@@ -51,9 +52,10 @@ import math
 import os
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from functools import partial
-from itertools import chain, islice, starmap
+from itertools import chain, islice, repeat, starmap, tee
+from operator import truediv
 
-from .algebra import Mat2C, Value, closed_exp, exp_constants, re_im
+from .algebra import Mat2C, Value, closed_exp, closed_exps, re_im
 from .classifier import CaseTag
 from .errors import OutOfRange
 from .integrators import TransitionMatrix
@@ -188,36 +190,19 @@ def discrete_orbit(r: TransitionMatrix, q0: float, p0: float, n: int) -> Traject
 
 def _flow_rows(z: Mat2C, delta: complex | None, tau: float, name: str, q0: complex,
                p0: complex, times: Iterable[float]) -> Iterator[Row]:
-    """exp((t/tau) Z) (q0, p0) for each t, reading Z's constants once; Z's
-    eigenvalue delta is recomputed from its entries when None.
+    """exp((t/tau) Z) (q0, p0) for each t: each propagator that
+    ``algebra.closed_exps`` yields, applied to the start as ``Mat2C.apply``
+    does; Z's eigenvalue delta is recomputed from its entries when None.
 
-    The arithmetic of ``closed_exp`` followed by ``Mat2C.apply``, written
-    out so that the loop calls only cosh, sinh, exp and isfinite, with one
-    statement per value: packing and unpacking four-tuples costs about a
-    tenth of a sample.
+    The times are read twice in step (``tee``): closed_exps reads t/tau, and
+    this loop reads t only after closed_exps has yielded for it, so where
+    cmath raises on a t the loop has not read it yet and names it next.
     """
-    mu, k11, z12, z21, k22, delta = exp_constants(z, delta)
-    cosh, sinh, exp, isfinite = cmath.cosh, cmath.sinh, cmath.exp, cmath.isfinite
+    times, divided = tee(times)
+    propagators = closed_exps(z, map(truediv, divided, repeat(tau)), delta)
+    isfinite = cmath.isfinite
     try:
-        for t in times:
-            s = t / tau
-            if delta:
-                a = s * delta
-                c = cosh(a)
-                h = sinh(a) / delta
-            else:
-                c = 1.0
-                h = s
-            e11 = c + h * k11
-            e12 = h * z12
-            e21 = h * z21
-            e22 = c + h * k22
-            if mu:
-                scale = exp(s * mu)
-                e11 = scale * e11
-                e12 = scale * e12
-                e21 = scale * e21
-                e22 = scale * e22
+        for (e11, e12, e21, e22), t in zip(propagators, times):
             q = e11 * q0 + e12 * p0
             p = e21 * q0 + e22 * p0
             if not (isfinite(q) and isfinite(p)):
@@ -226,7 +211,7 @@ def _flow_rows(z: Mat2C, delta: complex | None, tau: float, name: str, q0: compl
         else:
             return
     except OverflowError:
-        pass
+        t = next(times)
     raise OutOfRange(f"{name} leaves double range at t = {t:.17g}")
 
 
@@ -268,15 +253,19 @@ def euler_closed_form(tau: float, branch: int, q0: float, p0: float, t: float) -
                       (tau * p0 - 2.0 * q0) * osc / root + p0 * base, t)
 
 
-def whole_steps(t_end: float, h: float, off_grid: Callable[[float], int], counted: str) -> int:
+def whole_steps(t_end: float, h: float, off_grid: Callable[[float], int], counted: str,
+                rounding: float = 0.0) -> int:
     """Whole steps of size h to t_end >= 0: round(t_end / h) within 4 ulps of it
-    (n*h rounded, divided by h, is within 2 ulps of n), else ``off_grid(t_end / h)``;
-    ``counted`` names the ratio in the 2**52 error: "t_end / dt = %g samples"."""
+    (n*h rounded, divided by h, is within 2 ulps of n) plus ``rounding``, the
+    error a caller's own arithmetic brought into t_end and h, else
+    ``off_grid(t_end / h)``; ``counted`` is the error past 2**52 steps, %g
+    standing for the ratio: "t_end / dt = %g samples; at most 2**52 are supported"."""
     ratio = t_end / h
     if not ratio < MAX_SAMPLES:
-        raise ValueError(f"{counted % ratio}; at most 2**52 are supported")
+        raise ValueError(counted % ratio)
     steps = round(ratio)
-    return steps if abs(ratio - steps) <= 4.0 * math.ulp(ratio) else off_grid(ratio)
+    return (steps if abs(ratio - steps) <= 4.0 * math.ulp(ratio) + rounding
+            else off_grid(ratio))
 
 
 def sample_times(t_end: float, dt: float) -> SampleTimes:
@@ -285,7 +274,9 @@ def sample_times(t_end: float, dt: float) -> SampleTimes:
         raise ValueError("dt must be positive")
     if t_end < 0:
         raise ValueError("t_end must be >= 0")
-    return SampleTimes(dt, whole_steps(t_end, dt, math.ceil, "t_end / dt = %g samples"), t_end)
+    count = whole_steps(t_end, dt, math.ceil,
+                        "t_end / dt = %g samples; at most 2**52 are supported")
+    return SampleTimes(dt, count, t_end)
 
 
 def sample_trajectory(g: Generator, q0: complex, p0: complex,

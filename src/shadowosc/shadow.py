@@ -30,7 +30,7 @@ counts the real-valued Hamiltonians of a map's branches, with the same
 validation, finiteness checks and realness rule, and for distinct
 eigenvalues builds no ``Generator`` or ``ShadowHamiltonian``, only the
 validated branch scalars (``_distinct_branches``); ``sweep`` counts real
-branches with it.
+branches with it, handing it the branches already in order.
 
 For the explicit Euler map the branch family also has a closed form,
 H = rate * (p**2 + q**2 - tau*p*q) / (tau * sqrt(|4 - tau**2|)); see
@@ -45,7 +45,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 
 from .algebra import TOL, Mat2C, Value, closed_exp, exceeds, nan_max, re_im
 from .classifier import (
@@ -428,13 +428,15 @@ def _family(r: TransitionMatrix, tag: CaseTag, eigen: EigenStructure, ordered: l
     return GeneratorFamily(tag, eigen, (), OBSTRUCTION)
 
 
-def real_count(r: TransitionMatrix, branches: Iterable[int],
+def real_count(r: TransitionMatrix, ordered: Sequence[int],
                params: CaseIIParams | None = None) -> tuple[CaseTag, int]:
-    """The case tag of r and how many of the requested branches have a
-    real-valued Hamiltonian: ``generators_for(r, branches, params)`` and the
+    """The case tag of r and how many of the branches ``ordered`` (ints, sorted
+    and without repeats, as ``generators_for`` orders its request) have a
+    real-valued Hamiltonian: ``generators_for(r, ordered, params)`` and the
     sum of ``hamiltonian_from_generator(g).real_valued`` over its generators,
     raising what they raise, in their order, but classifying r once and
-    building no ``ShadowHamiltonian``.
+    building no ``ShadowHamiltonian``.  ``sweep`` orders its branches once per
+    grid, not per point.
 
     Every branch is validated before any coefficient is read, as
     ``generators_for`` validates them all first.  For distinct eigenvalues
@@ -444,7 +446,6 @@ def real_count(r: TransitionMatrix, branches: Iterable[int],
     ``hamiltonian_from_generator``'s trace check passes on every one of them.
     """
     tag, eigen = classify(r)
-    ordered = sorted(set(map(int, branches)))
     if tag in DISTINCT_TAGS:
         validated = _distinct_branches(r, eigen, ordered)
     else:

@@ -14,8 +14,9 @@ exact in binary floating point and squaring is plain multiplication, so
 independence from the closed form is preserved at every scale.
 
 The flow oracles compare each branch's propagators E(t) = exp((t/tau) Z),
-all of a generator's computed at once by ``algebra.closed_exps``, with
-what the flow must reproduce: the discrete orbits, and H at the start.
+a generator's taken from one pass of ``algebra.closed_exps``, the evaluator
+every flow sample reads, with what the flow must reproduce: the discrete
+orbits, and H at the start.
 The orbits are stored by time, so each propagator runs one inner loop
 over every trial.  Where a generator's propagators are real at every time
 (31 of the default suite's 42 generators) and, for conservation, H's
@@ -244,7 +245,7 @@ def _propagators(g: Generator, times: Sequence[float]) -> tuple[list, list | Non
     float result is inf; the oracles score both inf.
     """
     flows = [(e, max(abs(e[0]), abs(e[1]), abs(e[2]), abs(e[3])))
-             for e in closed_exps(g.matrix, [t / g.tau for t in times], g.log)]
+             for e in closed_exps(g.matrix, (t / g.tau for t in times), g.log)]
     for (e11, e12, e21, e22), _ in flows:
         if not e11.imag == e12.imag == e21.imag == e22.imag == 0.0:
             return flows, None

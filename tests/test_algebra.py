@@ -1,5 +1,6 @@
 import cmath
 import copy
+import itertools
 import math
 import pickle
 import struct
@@ -12,8 +13,16 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shadowosc.algebra import Mat2C, closed_exp, log_branch, max_diff, principal_polar
+from shadowosc.algebra import (
+    Mat2C,
+    closed_exp,
+    closed_exps,
+    log_branch,
+    max_diff,
+    principal_polar,
+)
 from shadowosc.errors import ZeroEigenvalue
+from shadowosc.flow import sample_times
 from shadowosc.verify import series_exp, taylor_exp
 
 from conftest import to_numpy
@@ -135,6 +144,38 @@ class TestTaylorExp:
     def test_terms_validated(self):
         with pytest.raises(ValueError):
             taylor_exp(Mat2C(0.0, 0.0, 0.0, 0.0), 0)
+
+
+class TestClosedExpsIsLazy:
+    """closed_exps reads an s only when its entries are asked for and keeps
+    none, so a flow file's memory does not grow with its sample count."""
+
+    z = Mat2C(0.3, 1.0, -1.5, -0.3)
+
+    def test_first_propagator_of_endless_times(self):
+        read = []
+
+        def endless():
+            # times without end, as far as a lazy reader can tell; an eager
+            # one (``list(times)``) meets the tripwire instead of hanging
+            for k in itertools.count():
+                if k == 1000:
+                    raise AssertionError("closed_exps read ahead of its caller")
+                read.append(k)
+                yield 0.25 * k
+
+        exps = closed_exps(self.z, endless())
+        assert next(exps) == closed_exp(self.z, 0.0).entries()
+        assert read == [0]
+        assert next(exps) == closed_exp(self.z, 0.25).entries()
+        assert read == [0, 1]
+
+    def test_one_shot_span(self):
+        times = sample_times(2.0, 0.3)
+        span = times.span(2, len(times))
+        assert list(closed_exps(self.z, span)) == [closed_exp(self.z, times[k]).entries()
+                                                   for k in range(2, len(times))]
+        assert list(span) == []
 
 
 class TestClosedExp:

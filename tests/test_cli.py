@@ -5,9 +5,13 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from shadowosc import cli, shadow, tables
 from shadowosc.algebra import max_diff
@@ -251,6 +255,63 @@ def test_sweep_grid_keeps_its_last_point():
     # the 500-point window 4.001:4.5 reads (stop - start) / step 6 ulps below 499
     assert cli._parse_grid("4.001:4.5:0.001") == (4.001, 0.001, 500)
     assert cli._parse_grid("0:4503599627370495:1")[2] == 2 ** 52
+
+
+def _decimal_grid(start, step, steps, off):
+    """start:stop:step in decimal text, stop being start + steps*step + off."""
+    return f"{start}:{start + steps * step + off}:{step}"
+
+
+def _decimals(least, most, low, high):
+    """Decimals digits * 10**exponent, least <= digits <= most, low <= exponent <= high."""
+    return st.builds(lambda digits, exponent: Decimal(digits).scaleb(exponent),
+                     st.integers(least, most), st.integers(low, high))
+
+
+decimal_grids = st.builds(_decimal_grid, _decimals(-10 ** 9, 10 ** 9, -12, 3),
+                          _decimals(1, 10 ** 6, -12, 2), st.integers(0, 10 ** 6),
+                          st.one_of(st.just(Decimal(0)), _decimals(-999, 999, -30, 0)))
+
+
+@settings(max_examples=1000)
+@given(decimal_grids)
+@example("0:0.9999999999:0.1")  # exact quotient 9.999999999: 10 points, not 11
+@example("9.881:9.881006:6e-7")  # exact quotient 10: stop is the 11th point
+@example("4.001:4.5:0.001")  # 6 ulps below 499 in floats
+@example("8.001:8.5:0.001")  # 10 ulps above 499
+def test_grid_count_is_the_exact_count_of_its_decimal_fields(grid):
+    """The count is floor((stop - start) / step) + 1 of the fields' exact
+    values wherever the exact quotient is a whole number, or lies further
+    from one than the rounding the count allows for; and that rounding
+    bounds how far the float quotient lies from the exact one."""
+    start, stop, step = (Fraction(v) for v in grid.split(":"))
+    assume(stop >= start)
+    fields = [float(v) for v in grid.split(":")]
+    quotient = (fields[1] - fields[0]) / fields[2]
+    assume(quotient < 2 ** 52)
+    rounding = cli._grid_rounding(*fields)
+    # past half a step of rounding no float count can tell the nearest
+    # whole quotient from its neighbours
+    assume(4.0 * math.ulp(quotient) + rounding < 0.5)
+    exact = (stop - start) / step
+    assert abs(Fraction(quotient) - exact) <= rounding
+    count = cli._parse_grid(grid)[2]
+    nearest = round(exact)
+    if exact == nearest:
+        assert count == nearest + 1
+    elif abs(exact - nearest) > 4.0 * math.ulp(quotient) + 2.0 * rounding:
+        assert count == math.floor(exact) + 1
+
+
+@pytest.mark.parametrize("grid, taus", [
+    # 0:0.9999999999:0.1 shifted by 1, as tau = 0 is refused: no point past stop
+    ("1:1.9999999999:0.1", [1.0 + k * 0.1 for k in range(10)]),
+    ("9.881:9.881006:6e-7", [9.881 + k * 6e-7 for k in range(11)]),  # stop is a point
+])
+def test_sweep_emits_the_exact_grid(capsys, grid, taus):
+    code, out, _ = run(capsys, "sweep", "--integrator", "euler", f"--grid={grid}")
+    assert code == 0
+    assert [float(line.split(",")[0]) for line in out.splitlines()[1:]] == taus
 
 
 def test_flow_too_many_discrete_steps_is_usage_error(capsys, tmp_path):

@@ -61,10 +61,10 @@ def test_output_digest(tmp_path):
     assert done.returncode == 0, done.stderr
     lines = [json.loads(line) for line in done.stdout.splitlines()]
     # 10 sweeps to stdout and 10 to --out, 15 failing one-point sweeps, 4 sweeps
-    # failing in a later range, 90 near-ridge calls, 8 built-in and 8 custom
-    # draws of two calls each, 26 flows, one verify per seed and five more,
-    # then 23 parser calls at each of two widths
-    assert len(lines) == 20 + 15 + 4 + 90 + 2 * 8 + 2 * 8 + 26 + 1 + 5 + 2 * 23
+    # failing in a later range, 20 sweeps on the two count grids, 90 near-ridge
+    # calls, 8 built-in and 8 custom draws of two calls each, 26 flows, one
+    # verify per seed and five more, then 23 parser calls at each of two widths
+    assert len(lines) == 20 + 15 + 4 + 20 + 90 + 2 * 8 + 2 * 8 + 26 + 1 + 5 + 2 * 23
     lines, parser_lines = lines[:-46], lines[-46:]
     assert [line["columns"] for line in parser_lines] == ["30"] * 23 + ["200"] * 23
     assert [line["argv"] for line in parser_lines[:23]] == [
@@ -93,6 +93,10 @@ def test_output_digest(tmp_path):
     # Euler fails its exp check (exit 1), velocity-verlet its det check (exit 2)
     assert [line["argv"][2] for line in lines[35:39]] == ["euler"] * 2 + ["velocity-verlet"] * 2
     assert [line["exit"] for line in lines[35:39]] == [1, 1, 2, 2]
+    # every built-in sweeps both count grids in both formats
+    assert [line["argv"][3] for line in lines[39:59]] == (
+        ["--grid=1:1.9999999999:0.1"] * 10 + ["--grid=9.881:9.881006:6e-7"] * 10)
+    assert all(line["exit"] == 0 for line in lines[39:59])
     assert {line["exit"] for line in lines} == {0, 1, 2}
     # each flow call lists every file its directory holds: three branches and the
     # discrete orbit, the shear's one branch, iii-b's discrete file alone, and the
