@@ -20,7 +20,7 @@ with its stdout captured, in microseconds per window: the 500-point window
 of the sweep-fine benchmark workload, and the one layer that sees a grid
 written as several ranges.  "flow_sample" is one row of that
 streamed flow and "csv_row" formats one such row with the flow CSV's %.17g
-pattern.  "flow_file" is one ``flow.write_trajectory_csv`` of the closed-form
+pattern.  "flow_file" is one ``flow.write_trajectory_csv`` of the branch-0
 Euler flow at tau = 0.66 on [0, 150] at step 0.01 (15,001 rows, the Euler file
 of the flow-dense benchmark workload) into a temporary directory, in
 microseconds per file: the one layer that sees a file written as several
@@ -64,12 +64,7 @@ from shadowosc import cli, flow, verify
 from shadowosc.algebra import Mat2C, closed_exp
 from shadowosc.classifier import classify
 from shadowosc.integrators import make
-from shadowosc.shadow import (
-    euler_hamiltonian,
-    generators_for,
-    hamiltonian_from_generator,
-    real_count,
-)
+from shadowosc.shadow import generators_for, hamiltonian_from_generator, real_count
 
 TAU = 0.66
 BRANCHES = range(-1, 2)
@@ -99,8 +94,9 @@ def layers(directory: Path) -> dict:
     q, p, t = next(trajectory.rows())
     energy = h.evaluate(q, p)
     row = (t, q.real, q.imag, p.real, p.imag, energy.real, energy.imag)
-    euler_file = flow.euler_trajectory(TAU, 0, 1.0, 0.0, 150.0, 0.01)
-    euler_h = euler_hamiltonian(TAU, 0)
+    (euler_g,) = generators_for(make("euler", TAU), [0]).generators
+    euler_file = flow.sample_trajectory(euler_g, 1.0, 0.0, 150.0, 0.01)
+    euler_h = hamiltonian_from_generator(euler_g)
 
     def whole(argv):
         def call():

@@ -18,10 +18,10 @@ order:
 - ``sweep --grid GRID`` for each built-in, in CSV and JSON (default grid
   0.001:10:0.001), to stdout, then the same calls with ``--out``;
 - ``sweep --m-min -3 --m-max 3`` for each built-in on the one-point grids
-  ``ERROR_GRIDS``, each of which exits with an error;
+  ``ERROR_GRIDS``, each of which but Euler at 1e154 exits with an error;
 - ``sweep`` on ``LATER_RANGE_GRID`` for Euler and velocity-verlet, in CSV and
-  JSON: 501 points whose first failure, at k = 319, lies in a later chunk of
-  a split grid;
+  JSON: 501 points; velocity-verlet's first failure, at k = 319, lies in a
+  later chunk of a split grid, and Euler answers every point;
 - ``sweep`` on each of ``COUNT_GRIDS`` for each built-in, in CSV and JSON:
   grids whose point count rests on the exact quotient of their decimal fields;
 - ``classify`` and ``hamiltonian --m-min -3 --m-max 3`` for N draws of a
@@ -72,7 +72,8 @@ BUILT_INS = ("double-euler", "euler", "position-verlet", "velocity-verlet", "vp"
 BRANCHES = ("--m-min", "-3", "--m-max", "3")
 SEED = 16
 # one point each: a tau so small that the coefficients overflow, and taus so
-# large that the map's entries, or at 1e154 Euler's eigenvalue arithmetic, overflow
+# large that the map's entries overflow (at 1e154, all but Euler's, which
+# gets its family there)
 ERROR_GRIDS = ("1e-310:1e-310:1", "1e300:1e300:1", "1e154:1e154:1")
 LATER_RANGE_GRID = "1e77:2e77:2e74"
 # grids whose float quotient (stop - start) / step lies a few parts in 1e10

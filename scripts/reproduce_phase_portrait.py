@@ -19,7 +19,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from shadowosc.classifier import CaseTag
 from shadowosc.cli import main as cli_main
 from shadowosc.errors import NotApplicable
-from shadowosc.shadow import euler_hamiltonian
+from shadowosc.integrators import euler
+from shadowosc.shadow import generators_for, hamiltonian_from_generator
 
 
 def rotation_sense(h) -> str:
@@ -50,9 +51,10 @@ def main() -> int:
     ])
     if code != 0:
         return code
-    for m in (-1, 0, 1):
-        h = euler_hamiltonian(args.tau, m)
-        print(f"m={m:+d}: rate={h.rate.real:.6f}, {rotation_sense(h)}")
+    # the flow rate of a bounded branch is the imaginary part of its L
+    for g in generators_for(euler(args.tau), (-1, 0, 1)).generators:
+        h = hamiltonian_from_generator(g)
+        print(f"m={g.branch:+d}: rate={g.log.imag:.6f}, {rotation_sense(h)}")
     print(f"data in {args.out}/ (flow_m*.csv + discrete.csv)")
     return 0
 

@@ -9,13 +9,7 @@ The independent checks of those answers live in ``shadowosc.verify``, which
 the package root does not import: a CLI call that runs no check loads none.
 """
 
-from .algebra import (
-    Mat2C,
-    closed_exp,
-    log_branch,
-    max_diff,
-    principal_polar,
-)
+from .algebra import Mat2C, closed_exp, max_diff
 from .classifier import CaseTag, EigenStructure, classify, criticality_gap
 from .errors import (
     BadParams,
@@ -38,8 +32,6 @@ from .flow import (
     Trajectory,
     continuous_state,
     discrete_orbit,
-    euler_closed_form,
-    euler_trajectory,
     sample_trajectory,
     write_trajectory_csv,
     write_trajectory_json,
@@ -60,8 +52,6 @@ from .shadow import (
     Generator,
     GeneratorFamily,
     ShadowHamiltonian,
-    euler_hamiltonian,
-    euler_rate,
     generator_jordan,
     generator_scalar,
     generators_for,

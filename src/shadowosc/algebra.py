@@ -1,4 +1,4 @@
-"""Complex 2x2 matrix arithmetic: branch logarithms and the exponential.
+"""Complex 2x2 matrix arithmetic and the exponential.
 
 Everything is plain double precision on top of ``cmath``; matrices, like
 every record of the package, are immutable ``Value``s.  ``closed_exps`` is
@@ -19,9 +19,9 @@ as asinh|Re d|: exact to rounding however close y is to +-1.
 
 Tolerance policy: every runtime check reads ``TOL`` against the scale of
 its own data through ``exceeds``; only two read rounding instead: the
-scalar-map test in ``classify`` (``ROUNDING``) and the determinant of a
-``TransitionMatrix``, held to its forward error floored at ``TOL`` (and a
-``compose`` product's, which may also reach the rounding its factors bring).
+scalar-map test in ``classify`` (``ROUNDING``) and a ``TransitionMatrix``'s
+determinant and k11, held to their forward error (and a ``compose``
+product's, which may also reach the rounding its factors bring).
 """
 
 from __future__ import annotations
@@ -31,8 +31,6 @@ import math
 import sys
 from collections.abc import Iterable, Iterator
 from operator import attrgetter
-
-from .errors import ZeroEigenvalue
 
 ROUNDING = 16.0 * sys.float_info.epsilon
 TOL = 1e-9
@@ -157,27 +155,6 @@ def max_diff(a: Mat2C, b: Mat2C) -> float:
 def nan_max(*values: float) -> float:
     """Largest of non-negative values; NaN if any is, as their sum is (``max`` may drop it)."""
     return math.nan if math.isnan(sum(values)) else max(values)
-
-
-def principal_polar(y: complex) -> tuple[float, float]:
-    """Write y = modulus * exp(i*theta) with theta in (-pi, pi].
-
-    Negative reals map to theta = +pi exactly.  Raises ZeroEigenvalue for
-    y = 0, which would correspond to a singular transition matrix.
-    """
-    y = complex(y)
-    if y == 0:
-        raise ZeroEigenvalue("zero has no polar angle or logarithm")
-    # adding 0.0 normalizes a negative-zero imaginary part so that
-    # atan2 lands on +pi for negative reals
-    theta = math.atan2(y.imag + 0.0, y.real)
-    return abs(y), theta
-
-
-def log_branch(y: complex, branch: int) -> complex:
-    """Branch-m logarithm: log|y| + i*theta + i*2*pi*branch."""
-    modulus, theta = principal_polar(y)
-    return complex(math.log(modulus), theta + 2.0 * math.pi * branch)
 
 
 def closed_exps(z: Mat2C, ss: Iterable[float], delta: complex | None = None

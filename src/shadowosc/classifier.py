@@ -12,15 +12,19 @@ k11 = (r1 - r4)/2.
     i-c   d**2 > 0, T < 0        real pair y < -1 < 1/y < 0
 
 K = 0 means max|K| <= ROUNDING * max|R|, so a map 1e-9 from +-I is still
-distinct; d**2 = 0 means |d**2| <= TOL * (k11**2 + |r2*r3|), the scale of
-its terms.  The representative eigenvalue y = T/2 + d, d with the sign of
-T when real, has no cancellation: angle in (0, pi) for i-a, y > 1 for i-b,
-y < -1 for i-c.  ``criticality_gap`` gives |T**2 - 4| to flag near-ridge input.
+distinct; a built-in's K (``TransitionMatrix.k11`` given) is held to
+ROUNDING * max|R| * min(1, tau) at a normal tau, so a step of tau = 1e-100
+is a rotation, not the identity.  d**2 = 0 means |d**2| <= TOL * (k11**2 +
+|r2*r3|), the scale of its terms.  The representative eigenvalue
+y = T/2 + d, d with the sign of T when real, has no cancellation: angle in
+(0, pi) for i-a, y > 1 for i-b, y < -1 for i-c.  ``criticality_gap`` gives
+|T**2 - 4| to flag near-ridge input.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from enum import Enum
 
 from .algebra import ROUNDING, Mat2C, Value, exceeds
@@ -42,6 +46,7 @@ class CaseTag(str, Enum):
 
 DISTINCT_TAGS = (CaseTag.IA, CaseTag.IB, CaseTag.IC)
 SCALAR_TAGS = (CaseTag.II_PLUS, CaseTag.II_MINUS)
+_NORMAL = sys.float_info.min  # the smallest normal float
 
 
 class EigenStructure(Value):
@@ -81,20 +86,30 @@ def classify(r: TransitionMatrix) -> tuple[CaseTag, EigenStructure]:
     """Assign the taxonomy tag and extract the representative eigenstructure."""
     t = r.trace()
     k11, k12, k21, k22 = r.traceless()
-    off = k12 * k21
-    d_sq = k11 * k11 + off
+    square, off = k11 * k11, k12 * k21
+    # where the band k11**2 + |k12*k21| is not normal, and only there (a blanket
+    # rescale may underflow k12*k21), read d**2 on K / 2**e, 2**e about |d|; scale d back
+    e = 0 if _NORMAL <= square + abs(off) < math.inf else \
+        math.frexp(max(abs(k11), math.sqrt(abs(k12)) * math.sqrt(abs(k21))))[1]
+    if e:
+        square, off = math.ldexp(k11, -e) ** 2, math.ldexp(k12, -e) * math.ldexp(k21, -e)
+    d_sq = square + off
     plus = t > 0
-    if max(abs(k11), abs(k12), abs(k21)) <= ROUNDING * r.max_abs():
+    # a built-in's step moves by about tau, so below tau = 1 its K rounds on
+    # that scale; a subnormal tau, whose K has lost digits, is read as any map's
+    k_max, bound = max(abs(k11), abs(k12), abs(k21)), ROUNDING * r.max_abs()
+    if k_max <= bound and (r.k11 is None or r.tau < _NORMAL or k_max <= bound * r.tau):
         tag, basis = (CaseTag.II_PLUS if plus else CaseTag.II_MINUS), None
-    elif not exceeds(abs(d_sq), k11 * k11 + abs(off)):
+    elif not exceeds(abs(d_sq), square + abs(off)):
         tag = CaseTag.IIIA if plus else CaseTag.IIIB
         basis = _jordan_basis(k11, k12, k21, k22)
     else:
+        root = math.ldexp(math.sqrt(abs(d_sq)), e)
         if d_sq < 0.0:
-            tag, d = CaseTag.IA, complex(0.0, math.sqrt(-d_sq))
+            tag, d = CaseTag.IA, complex(0.0, root)
         else:
             tag = CaseTag.IB if plus else CaseTag.IC
-            d = complex(math.sqrt(d_sq) if plus else -math.sqrt(d_sq), 0.0)
+            d = complex(root if plus else -root, 0.0)
         y = t / 2.0 + d
         return tag, EigenStructure(y, math.atan2(y.imag, y.real), abs(y), False, d)
     y = complex(1.0 if plus else -1.0, 0.0)

@@ -19,6 +19,10 @@ as one such job (``flow.trajectory_files``), with at most one fork per call;
 A grid whose start, stop or step is not finite, or that has more than
 2**52 points, is a usage error.
 
+Every map, Euler's included, takes one route: rows from
+``shadow.hamiltonian_from_generator``, flows from ``flow.sample_trajectory``.
+Only Euler's rows fill the ``lambda`` column (``_rate``).
+
 Every call is a fresh interpreter, so a module a command alone needs is
 imported where that command runs: ``json`` for JSON output, ``pathlib`` for
 ``flow``'s directory and an ``--out`` file, and ``verify``'s oracles by
@@ -40,7 +44,6 @@ from .classifier import CaseTag, classify, criticality_gap
 from .errors import ShadowOscError
 from .flow import (
     discrete_orbit,
-    euler_trajectory,
     sample_times,
     sample_trajectory,
     trajectory_files,
@@ -48,17 +51,13 @@ from .flow import (
     write_trajectory_csv,
     write_trajectory_json,
 )
-# The Euler rows are sampled through euler_trajectory and JSON is written by
-# write_trajectory_json; bench/tracer.py still looks these names up on the CLI
-# module.
+# No call here reaches these two; bench/tracer.py looks them up on this module.
 from .flow import euler_closed_form, trajectory_to_json  # noqa: F401
 from .integrators import BUILDERS, TransitionMatrix, custom, make
 from .shadow import (
     CaseIIParams,
     PARAM_PRESETS,
-    GeneratorFamily,
-    ShadowHamiltonian,
-    euler_hamiltonian,
+    Generator,
     generators_for,
     hamiltonian_from_generator,
     real_count,
@@ -213,14 +212,12 @@ def cmd_classify(args) -> int:
     return 0
 
 
-def _hamiltonian_rows(r: TransitionMatrix, family: GeneratorFamily,
-                      branches: range) -> tuple[ShadowHamiltonian, ...]:
-    """Per-branch Hamiltonians of an unobstructed family; the Euler map uses
-    its closed form so the reported rate column matches the coefficients
-    row by row."""
-    if r.label == "euler":
-        return tuple(euler_hamiltonian(r.tau, m) for m in branches)
-    return tuple(hamiltonian_from_generator(g) for g in family.generators)
+def _rate(r: TransitionMatrix, g: Generator) -> complex | None:
+    """The ``lambda`` column, Euler's flow rate read off the generator's L:
+    -iL (real) for tau < 2, -L for tau > 2; None for every other map."""
+    if r.label != "euler":
+        return None
+    return complex(g.log.imag) if g.case is CaseTag.IA else -g.log
 
 
 def cmd_hamiltonian(args) -> int:
@@ -236,7 +233,7 @@ def cmd_hamiltonian(args) -> int:
         else:
             _emit(HAMILTONIAN_CSV_HEADER + "\n# " + message, args.out)
         return 0
-    rows = _hamiltonian_rows(r, family, branches)
+    rows = [hamiltonian_from_generator(g, _rate(r, g)) for g in family.generators]
     if args.format == "json":
         _emit_json({"case": family.case.value, "tau": r.tau,
                     "hamiltonians": [h.to_json_dict() for h in rows]}, args.out)
@@ -267,7 +264,7 @@ def cmd_flow(args) -> int:
         raise ValueError(f"q0 and p0 must be finite, got {args.q0!r}, {args.p0!r}")
     r = _resolve_matrix(args)
     family = generators_for(r, branches, params)
-    rows = () if family.obstruction is not None else _hamiltonian_rows(r, family, branches)
+    rows = [hamiltonian_from_generator(g, _rate(r, g)) for g in family.generators]
     steps = whole_steps(args.t_end, r.tau, math.floor,
                         "t_end / tau = %g discrete steps; at most 2**52 are supported")
     outdir = Path(args.out) if args.out else Path(".")
@@ -284,12 +281,8 @@ def cmd_flow(args) -> int:
               f"wrote discrete points to {discrete_path}")
         return 0
 
-    if r.label == "euler":
-        trajectories = [euler_trajectory(r.tau, h.branch, args.q0, args.p0,
-                                         args.t_end, args.dt) for h in rows]
-    else:
-        trajectories = [sample_trajectory(g, args.q0, args.p0, args.t_end, args.dt)
-                        for g in family.generators]
+    trajectories = [sample_trajectory(g, args.q0, args.p0, args.t_end, args.dt)
+                    for g in family.generators]
 
     with trajectory_files(trajectories, rows, args.format, outdir) as commit:
         for trajectory, h in zip(trajectories, rows):

@@ -22,11 +22,10 @@ closed_exps yields for s = t/tau, one cosh and one sinh of s delta, applied
 to (q0, p0), so its state is bit-for-bit equal to
 ``flow_matrix(g, t).apply(q0, p0)``, where ``flow_matrix`` is
 ``algebra.closed_exp(Z, t/tau, g.log)``, closed_exps at one s; verify's
-oracles check the same propagators, from the same iterator.
-The closed-form Euler family is sampled as the flow of its own
-generator (``euler_trajectory``), whose delta is read off its rate.  A flow
-whose state leaves double range raises ``OutOfRange`` naming the first such
-t; a writer that fails removes its partial file.
+oracles check the same propagators, from the same iterator.  Every map's
+flows, Euler's included, are sampled this way.  A flow whose state leaves
+double range raises ``OutOfRange`` naming the first such t; a writer that
+fails removes its partial file.
 
 A flow row depends only on its own t, so closed-form files are tables of
 ``tables.writing``, which ``sweep`` uses for its grids too: where two CPUs
@@ -59,7 +58,7 @@ from .algebra import Mat2C, Value, closed_exp, closed_exps, re_im
 from .classifier import CaseTag
 from .errors import OutOfRange
 from .integrators import TransitionMatrix
-from .shadow import Generator, ShadowHamiltonian, euler_rate
+from .shadow import Generator, ShadowHamiltonian
 from .tables import Table, listed_table, listed_texts, write_table, writing
 
 CSV_HEADER = "t,q_re,q_im,p_re,p_im,H_re,H_im"
@@ -230,27 +229,10 @@ def continuous_state(g: Generator, q0: complex, p0: complex, t: float) -> PhaseS
 
 
 def euler_closed_form(tau: float, branch: int, q0: float, p0: float, t: float) -> PhaseState:
-    """Closed-form branch flow of the explicit Euler map.
+    """``verify.euler_closed_form``, bound here for ``bench/tracer.py``."""
+    from .verify import euler_closed_form
 
-    With s = rate * t / tau,
-
-        q(t) = (2 p0 - tau q0) sin(s)/sqrt(4 - tau**2) + q0 cos(s)
-        p(t) = (tau p0 - 2 q0) sin(s)/sqrt(4 - tau**2) + p0 cos(s)
-
-    for 0 < tau < 2, and the same shape with sinh, cosh and
-    sqrt(tau**2 - 4) for tau > 2, where s is then complex.  An oracle for
-    ``euler_trajectory``, which shares none of this arithmetic.
-    """
-    rate = euler_rate(tau, branch)
-    s = rate * t / tau
-    if tau < 2.0:
-        root = math.sqrt((2.0 - tau) * (2.0 + tau))
-        osc, base = cmath.sin(s), cmath.cos(s)
-    else:
-        root = math.sqrt((tau - 2.0) * (tau + 2.0))
-        osc, base = cmath.sinh(s), cmath.cosh(s)
-    return PhaseState((2.0 * p0 - tau * q0) * osc / root + q0 * base,
-                      (tau * p0 - 2.0 * q0) * osc / root + p0 * base, t)
+    return euler_closed_form(tau, branch, q0, p0, t)
 
 
 def whole_steps(t_end: float, h: float, off_grid: Callable[[float], int], counted: str,
@@ -286,26 +268,6 @@ def sample_trajectory(g: Generator, q0: complex, p0: complex,
     return Trajectory(source, sample_times(t_end, dt),
                       partial(_flow_rows, g.matrix, g.log, g.tau,
                               f"flow<{g.case}> m={g.branch}", q0, p0), closed_form=True)
-
-
-def euler_trajectory(tau: float, branch: int, q0: float, p0: float,
-                     t_end: float, dt: float) -> Trajectory:
-    """Dense samples of the closed-form Euler branch flow on [0, t_end].
-
-    The closed form is the flow of Z = (rate/root) [[-tau, 2], [-2, tau]],
-    root = sqrt(|4 - tau**2|), sampled like any branch generator's.  Z's
-    eigenvalues are +-i*rate for tau < 2, where the rate is real, and +-rate
-    for tau > 2, where its real part is negative; the sampler reads the one
-    with the sign of the principal square root, as recomputing it from Z
-    would give, so that zeros keep their sign.
-    """
-    rate = euler_rate(tau, branch)
-    factor = rate / math.sqrt(abs((2.0 - tau) * (2.0 + tau)))
-    z = Mat2C(-tau * factor, 2.0 * factor, -2.0 * factor, tau * factor)
-    delta = complex(0.0, abs(rate.real)) if tau < 2.0 else -rate
-    return Trajectory(TrajectorySource("euler", tau, None, branch), sample_times(t_end, dt),
-                      partial(_flow_rows, z, delta, tau, f"euler m={branch}", q0, p0),
-                      closed_form=True)
 
 
 def _energy(state: PhaseState, h: ShadowHamiltonian | None) -> complex:

@@ -4,6 +4,12 @@ The model is fixed, H0 = q**2/2 + p**2/2 in reduced units, so the
 elementary splitting steps are a kick p -> p - h*q and a drift
 q -> q + h*p.  Every builder returns a matrix with unit determinant that
 advances the phase vector (q, p) by one time increment tau.
+
+A built-in map carries k11, the diagonal of its traceless part
+K = R - (T/2) I, in closed form (h = tau/2): -tau**2/2 for Euler, whose
+stored r1 = 1 - tau**2 has rounded it away once tau**2 < eps, 0 for the
+Verlets, -(1 - h**2/2)*h**2 for double-euler and -(h**4/4)*(1 - h**2/8) for
+vp.  ``custom`` and ``compose`` read (r1 - r4)/2 off their entries.
 """
 
 from __future__ import annotations
@@ -45,11 +51,16 @@ class TransitionMatrix(Value):
     """Real 2x2 symplectic one-step map [[r1, r2], [r3, r4]] for increment tau.
 
     The determinant is held to its own forward error (``_check_unit_det``).
+    ``k11`` is a builder's closed-form traceless diagonal, None where K is
+    read off the entries.  A given one meets (r1 - r4)/2 within
+    DET_ROUNDING * max(|r1|, |r4|); a built-in's is off by 17 eps of that at
+    most, vp's at its R = I point tau = 4*sqrt(2).
     """
 
-    __slots__ = ("r1", "r2", "r3", "r4", "tau", "label")
+    __slots__ = ("r1", "r2", "r3", "r4", "tau", "label", "k11")
 
-    def __init__(self, r1: float, r2: float, r3: float, r4: float, tau: float, label: str):
+    def __init__(self, r1: float, r2: float, r3: float, r4: float, tau: float, label: str,
+                 k11: float | None = None):
         # NaN and inf are rejected as such before the determinant is read
         if not (math.isfinite(r1) and math.isfinite(r2) and math.isfinite(r3)
                 and math.isfinite(r4) and math.isfinite(tau)):
@@ -58,12 +69,17 @@ class TransitionMatrix(Value):
         if not tau > 0:
             raise InvalidTau(f"tau must be positive, got {tau!r}")
         _check_unit_det(r1, r2, r3, r4, label)
+        read = (r1 - r4) / 2.0
+        if k11 is not None and not abs(k11 - read) <= DET_ROUNDING * max(abs(r1), abs(r4)):
+            raise ValueError(f"{label}: k11 = {k11!r} is not (r1 - r4)/2 = {read!r} "
+                             "to rounding")
         _set_r1(self, r1)
         _set_r2(self, r2)
         _set_r3(self, r3)
         _set_r4(self, r4)
         _set_tau(self, tau)
         _set_label(self, label)
+        _set_k11(self, k11)
 
     def det(self) -> float:
         return self.r1 * self.r4 - self.r2 * self.r3
@@ -72,8 +88,10 @@ class TransitionMatrix(Value):
         return self.r1 + self.r4
 
     def traceless(self) -> tuple[float, float, float, float]:
-        """Entries of K = R - (T/2) I, exactly traceless; R - I bit for bit if T == 2.0."""
-        return ((self.r1 - self.r4) / 2.0, self.r2, self.r3, (self.r4 - self.r1) / 2.0)
+        """Entries (k11, r2, r3, -k11) of K = R - (T/2) I, exactly traceless; k22 is
+        +0.0 where k11 is zero, and a read K is R - I bit for bit if T == 2.0."""
+        k11 = (self.r1 - self.r4) / 2.0 if self.k11 is None else self.k11
+        return (k11, self.r2, self.r3, 0.0 - k11)
 
     def max_abs(self) -> float:
         return max(abs(self.r1), abs(self.r2), abs(self.r3), abs(self.r4))
@@ -87,7 +105,7 @@ class TransitionMatrix(Value):
 
 # Built for every map: the fields are set through the slot setters, as Mat2C
 # does; the constructor is their only writer.
-_set_r1, _set_r2, _set_r3, _set_r4, _set_tau, _set_label = TransitionMatrix._setters
+_set_r1, _set_r2, _set_r3, _set_r4, _set_tau, _set_label, _set_k11 = TransitionMatrix._setters
 
 
 def _cube(tau: float) -> float:
@@ -126,17 +144,17 @@ def _product(a: Entries, b: Entries) -> Entries:
 
 def euler(tau: float) -> TransitionMatrix:
     """Symplectic Euler step: kick by tau, then drift by tau."""
-    return TransitionMatrix(*_euler(tau), tau, "euler")
+    return TransitionMatrix(*_euler(tau), tau, "euler", -(tau * tau) / 2.0)
 
 
 def velocity_verlet(tau: float) -> TransitionMatrix:
     """Kick-drift-kick step with half kicks."""
-    return TransitionMatrix(*_velocity_verlet(tau), tau, "velocity-verlet")
+    return TransitionMatrix(*_velocity_verlet(tau), tau, "velocity-verlet", 0.0)
 
 
 def position_verlet(tau: float) -> TransitionMatrix:
     """Drift-kick-drift step with half drifts."""
-    return TransitionMatrix(*_position_verlet(tau), tau, "position-verlet")
+    return TransitionMatrix(*_position_verlet(tau), tau, "position-verlet", 0.0)
 
 
 def compose(a: TransitionMatrix, b: TransitionMatrix, label: str | None = None) -> TransitionMatrix:
@@ -160,13 +178,15 @@ def compose(a: TransitionMatrix, b: TransitionMatrix, label: str | None = None) 
 def double_euler(tau: float) -> TransitionMatrix:
     """Two symplectic Euler half-steps; regular where a single step is not."""
     half = _euler(tau / 2.0)
-    return TransitionMatrix(*_product(half, half), tau, "double-euler")
+    return TransitionMatrix(*_product(half, half), tau, "double-euler",
+                            -(1.0 - tau * tau / 8.0) * (tau * tau / 4.0))
 
 
 def vp(tau: float) -> TransitionMatrix:
     """Velocity-Verlet half-step followed by a position-Verlet half-step."""
+    sq = tau * tau
     return TransitionMatrix(*_product(_velocity_verlet(tau / 2.0), _position_verlet(tau / 2.0)),
-                            tau, "vp")
+                            tau, "vp", -(sq * sq / 64.0) * (1.0 - sq / 32.0))
 
 
 def custom(r1: float, r2: float, r3: float, r4: float, tau: float,

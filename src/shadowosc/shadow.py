@@ -32,12 +32,10 @@ eigenvalues builds no ``Generator`` or ``ShadowHamiltonian``, only the
 validated branch scalars (``_distinct_branches``); ``sweep`` counts real
 branches with it, handing it the branches already in order.
 
-For the explicit Euler map the branch family also has a closed form,
-H = rate * (p**2 + q**2 - tau*p*q) / (tau * sqrt(|4 - tau**2|)); see
-``euler_rate``.  For tau > 2 its branch labels run opposite to the
-generic construction (the closed form picks the reciprocal eigenvalue
-as representative): branch m in one labeling is branch -m-1 in the other,
-and the set of Hamiltonians over all integers m is identical.
+Every map, Euler's included, takes this construction.  K's diagonal is the
+map's ``TransitionMatrix.k11``, exact for the built-ins, so Z keeps the
+modified Hamiltonian's first-order term while k11, about tau**2, is a
+normal float: down to tau of about 1e-154.
 """
 
 from __future__ import annotations
@@ -57,8 +55,6 @@ from .classifier import (
 )
 from .errors import (
     BadParams,
-    CriticalTau,
-    InvalidTau,
     NoHamiltonian,
     NotDefective,
     NotTraceless,
@@ -351,8 +347,9 @@ def _coefficients(z11: complex, z12: complex, z21: complex,
     return z12 / (2.0 * tau), -z21 / (2.0 * tau), z11 / tau
 
 
-def hamiltonian_from_generator(g: Generator) -> ShadowHamiltonian:
-    """Read the quadratic coefficients off a generator traceless to TOL * max(1, |Z|)."""
+def hamiltonian_from_generator(g: Generator, rate: complex | None = None) -> ShadowHamiltonian:
+    """Read the quadratic coefficients off a generator traceless to TOL * max(1, |Z|);
+    ``rate``, where given, is recorded beside them."""
     z = g.matrix
     trace = abs(z.trace())
     # generators built here have trace exactly 0 and need no scale
@@ -360,46 +357,7 @@ def hamiltonian_from_generator(g: Generator) -> ShadowHamiltonian:
         raise NotTraceless(f"trace residual {trace:.3e}")
     c_pp, c_qq, c_pq = _coefficients(z.e11, z.e12, z.e21, g.tau)
     return ShadowHamiltonian(c_pp, c_qq, c_pq, g.tau, g.branch, g.case,
-                             _is_real(c_pp, c_qq, c_pq))
-
-
-def euler_rate(tau: float, branch: int) -> complex:
-    """Flow rate of the branch-m Hamiltonian of the explicit Euler map.
-
-    For 0 < tau < 2 the rate is real, 2*pi*m + 2*asin(tau/2) with the
-    branch-0 value in (0, pi): acos(1 - tau**2/2), without its loss of
-    precision as tau -> 0.  For tau > 2 it is complex,
-    i*(2m+1)*pi + log 2 - log(tau**2 - 2 + tau*sqrt(tau**2 - 4)).
-    """
-    if not tau > 0:
-        raise InvalidTau(f"tau must be positive, got {tau!r}")
-    if abs(tau - 2.0) <= 1e-12:
-        raise CriticalTau("the Euler map is defective with eigenvalue -1 at tau = 2")
-    if tau < 2.0:
-        return complex(2.0 * math.pi * branch + 2.0 * math.asin(tau / 2.0), 0.0)
-    root = math.sqrt((tau - 2.0) * (tau + 2.0))
-    return complex(math.log(2.0) - math.log(tau * tau - 2.0 + tau * root),
-                   (2 * branch + 1) * math.pi)
-
-
-def euler_hamiltonian(tau: float, branch: int) -> ShadowHamiltonian:
-    """Closed-form branch-m Hamiltonian of the explicit Euler map.
-
-    H = rate * (p**2 + q**2 - tau*p*q) / (tau * root) with
-    root = sqrt(4 - tau**2) for tau < 2 and sqrt(tau**2 - 4) for tau > 2.
-    An independent route to the same family as the generic construction.
-    """
-    rate = euler_rate(tau, branch)
-    if tau < 2.0:
-        root = math.sqrt((2.0 - tau) * (2.0 + tau))
-        case = CaseTag.IA
-    else:
-        root = math.sqrt((tau - 2.0) * (tau + 2.0))
-        case = CaseTag.IC
-    c_pp = rate / (tau * root)
-    c_pq = -rate / root
-    return ShadowHamiltonian(c_pp, c_pp, c_pq, tau, branch, case,
-                             _is_real(c_pp, c_pp, c_pq), rate=rate)
+                             _is_real(c_pp, c_qq, c_pq), rate)
 
 
 def generators_for(r: TransitionMatrix, branches: Iterable[int],

@@ -1,8 +1,8 @@
 """Independent residual checks for generators, flows, and regime maps.
 
-Oracles here are built from two primitives only, the raw exponential
-series and repeated matrix or matrix-vector multiplication, never from
-the closed-form exponential or the flow evaluator they validate.
+The exponential and flow oracles are built from two primitives only, the raw
+exponential series and repeated matrix or matrix-vector multiplication,
+never from the closed-form exponential or the flow evaluator they validate.
 
 ``taylor_exp`` is the bare partial sum of the series.  ``series_exp`` sums
 it on an exactly halved argument and squares back up.  The raw 40-term sum
@@ -31,6 +31,11 @@ from it in the last bit for some inputs.
 ``flow.continuous_state`` without assuming it: the oracle for the period
 that the branch's rate predicts, which the suite does not run.
 
+The tests alone read three more: Euler's family in closed form
+(``euler_rate``, ``euler_hamiltonian``, ``euler_closed_form``, whose branch m
+is the generic -m-1 for tau > 2), the branch log read off the polar form
+(``log_branch``) and ``exact_log``, the series of log R in ``fractions``.
+
 ``full_suite`` runs its 20 subjects (regime maps, generator maps and
 conservation cases) as the chunks of ``tables.results``, which two processes
 claim where two CPUs are usable.  A subject's reports depend only on its own
@@ -39,15 +44,18 @@ arguments, so the reports, their order and any error are those of one pass.
 
 from __future__ import annotations
 
+import cmath
 import math
 import random
 import sys
 from collections.abc import Sequence
+from fractions import Fraction
 from functools import partial
 
 from .algebra import Mat2C, Value, closed_exps, max_diff
 from .classifier import CaseTag, classify
-from .errors import NonFinite, NotApplicable, UnknownIntegrator
+from .errors import (CriticalTau, InvalidTau, NonFinite, NotApplicable, UnknownIntegrator,
+                     ZeroEigenvalue)
 # The suite's oracles apply each generator's propagators, from closed_exps, to
 # every trial at once; only measure_period samples continuous_state.
 from .flow import PhaseState, continuous_state, sample_times
@@ -378,6 +386,82 @@ def measure_period(g: Generator, q0: float, p0: float, dt: float) -> float:
         else:
             lo = lo + third
     return (lo + hi) / 2.0
+
+
+def principal_polar(y: complex) -> tuple[float, float]:
+    """(modulus, theta) of y = modulus * exp(i*theta), theta in (-pi, pi] and +pi
+    for negative reals; ZeroEigenvalue for y = 0, a singular map's."""
+    y = complex(y)
+    if y == 0:
+        raise ZeroEigenvalue("zero has no polar angle or logarithm")
+    # adding 0.0 normalizes a negative-zero imaginary part so that
+    # atan2 lands on +pi for negative reals
+    theta = math.atan2(y.imag + 0.0, y.real)
+    return abs(y), theta
+
+
+def log_branch(y: complex, branch: int) -> complex:
+    """Branch-m logarithm: log|y| + i*theta + i*2*pi*branch."""
+    modulus, theta = principal_polar(y)
+    return complex(math.log(modulus), theta + 2.0 * math.pi * branch)
+
+
+def exact_log(r1, r2, r3, r4) -> tuple[list[Fraction], Fraction]:
+    """The entries (e11, e12, e21, e22) of log R and det R, R = [[r1, r2], [r3, r4]]
+    in exact rationals (floats are the rationals they are): with X = R - I,
+    sum (-1)**(k+1) X**k / k until a term's largest entry is 1e-40 of X's at
+    most, a tail far below rounding where X's eigenvalues are within 1e-1 of 0."""
+    x = [Fraction(r1) - 1, Fraction(r2), Fraction(r3), Fraction(r4) - 1]
+    floor, total, term, k = max(map(abs, x)) / 10 ** 40, [0, 0, 0, 0], x, 1
+    while True:
+        total = [t + Fraction((-1) ** (k + 1), k) * e for t, e in zip(total, term)]
+        if max(map(abs, term)) <= floor:
+            return total, (x[0] + 1) * (x[3] + 1) - x[1] * x[2]
+        term = [term[0] * x[0] + term[1] * x[2], term[0] * x[1] + term[1] * x[3],
+                term[2] * x[0] + term[3] * x[2], term[2] * x[1] + term[3] * x[3]]
+        k += 1
+
+
+def euler_rate(tau: float, branch: int) -> complex:
+    """Flow rate of the branch-m Hamiltonian of the explicit Euler map.
+
+    For 0 < tau < 2 the rate is real, 2*pi*m + 2*asin(tau/2) with the
+    branch-0 value in (0, pi): acos(1 - tau**2/2), without its loss of
+    precision as tau -> 0.  For tau > 2 it is complex,
+    i*(2m+1)*pi + log 2 - log(tau**2 - 2 + tau*sqrt(tau**2 - 4)).
+    """
+    if not tau > 0:
+        raise InvalidTau(f"tau must be positive, got {tau!r}")
+    if abs(tau - 2.0) <= 1e-12:
+        raise CriticalTau("the Euler map is defective with eigenvalue -1 at tau = 2")
+    if tau < 2.0:
+        return complex(2.0 * math.pi * branch + 2.0 * math.asin(tau / 2.0), 0.0)
+    root = math.sqrt((tau - 2.0) * (tau + 2.0))
+    return complex(math.log(2.0) - math.log(tau * tau - 2.0 + tau * root),
+                   (2 * branch + 1) * math.pi)
+
+
+def euler_hamiltonian(tau: float, branch: int) -> ShadowHamiltonian:
+    """Closed-form branch-m Hamiltonian of the explicit Euler map,
+    H = rate * (p**2 + q**2 - tau*p*q) / (tau * sqrt(|4 - tau**2|))."""
+    rate = euler_rate(tau, branch)
+    root = math.sqrt(abs((2.0 - tau) * (2.0 + tau)))
+    c_pp = rate / (tau * root)
+    return ShadowHamiltonian(c_pp, c_pp, -rate / root, tau, branch,
+                             CaseTag.IA if tau < 2.0 else CaseTag.IC, tau < 2.0, rate=rate)
+
+
+def euler_closed_form(tau: float, branch: int, q0: float, p0: float, t: float) -> PhaseState:
+    """Closed-form branch flow of the explicit Euler map: with s = rate*t/tau,
+    q(t) = (2 p0 - tau q0) sin(s)/sqrt(4 - tau**2) + q0 cos(s) and
+    p(t) = (tau p0 - 2 q0) sin(s)/sqrt(4 - tau**2) + p0 cos(s) for tau < 2,
+    and the same with sinh, cosh and sqrt(tau**2 - 4) for tau > 2."""
+    s = euler_rate(tau, branch) * t / tau
+    trig = (cmath.sin, cmath.cos) if tau < 2.0 else (cmath.sinh, cmath.cosh)
+    osc, base = trig[0](s), trig[1](s)
+    root = math.sqrt(abs((2.0 - tau) * (2.0 + tau)))
+    return PhaseState((2.0 * p0 - tau * q0) * osc / root + q0 * base,
+                      (tau * p0 - 2.0 * q0) * osc / root + p0 * base, t)
 
 
 def locate_vp_critical_tau(lo: float = 2.0, hi: float = 3.0) -> float:

@@ -18,23 +18,22 @@ import pytest
 from shadowosc.algebra import Mat2C, closed_exp, max_diff
 from shadowosc.classifier import CaseTag, classify
 from shadowosc.errors import NoHamiltonian
-from shadowosc.flow import (
-    continuous_state,
-    discrete_orbit,
-    euler_closed_form,
-    sample_times,
-)
+from shadowosc.flow import continuous_state, discrete_orbit, sample_times
 from shadowosc.integrators import custom, double_euler, euler, make, position_verlet, velocity_verlet
 from shadowosc.shadow import (
     CaseIIParams,
-    euler_hamiltonian,
-    euler_rate,
     generator_jordan,
     generator_scalar,
     generators_for,
     hamiltonian_from_generator,
 )
-from shadowosc.verify import measure_period, series_exp
+from shadowosc.verify import (
+    euler_closed_form,
+    euler_hamiltonian,
+    euler_rate,
+    measure_period,
+    series_exp,
+)
 
 from conftest import generator_distinct, rotation_sense, state_deviation
 

@@ -29,7 +29,7 @@ from shadowosc.errors import (
 from shadowosc.flow import flow_matrix
 from shadowosc.integrators import BUILDERS, euler, make
 from shadowosc.shadow import generators_for
-from shadowosc.verify import BOUND, locate_vp_critical_tau
+from shadowosc.verify import BOUND, euler_hamiltonian, locate_vp_critical_tau
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -93,7 +93,9 @@ class TestHamiltonian:
         rows = payload["hamiltonians"]
         assert [r["m"] for r in rows] == [0, 1]
         for r in rows:
-            assert r["lambda"]["im"] == pytest.approx((2 * r["m"] + 1) * math.pi,
+            # generic branch m, the closed form's -m-1: lambda = -L has
+            # imaginary part -(2m+1)*pi
+            assert r["lambda"]["im"] == pytest.approx(-(2 * r["m"] + 1) * math.pi,
                                                       abs=1e-12)
             assert not r["real_valued"]
             # rate and coefficients must describe the same Hamiltonian
@@ -115,6 +117,20 @@ class TestHamiltonian:
                              "--r", "1e5,1e5,-99999.99999,-1e5", "--tau", "0.5")
         assert (code, out) == (1, "")
         assert err == "error: exp(Z) reproduces custom only to 1.585e+04\n"
+
+    @pytest.mark.parametrize("entries, c_pq, rows", [
+        # k11**2 overflows: read on K / 2**e; branch 0 is in hard_maps.HARD_MAPS
+        ("1e160,0,0,1e-160", "368.41361487904737", slice(None, None, 2)),
+        ("1e100,0,0,1e-100", "230.25850929940458", slice(None))])
+    def test_large_diagonal_map_gets_its_i_b_family(self, capsys, entries, c_pq, rows):
+        # cC = log(1e160) or log(1e100); only branch 0 is real
+        code, out, err = run(capsys, "hamiltonian", "--integrator", "custom", "--r", entries,
+                             "--tau", "1")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[1:][rows] == [
+            f"-1,i-b,1,0,0,-0,0,{c_pq},-6.2831853071795862,0,,",
+            f"0,i-b,1,0,0,-0,0,{c_pq},0,1,,",
+            f"1,i-b,1,0,0,-0,0,{c_pq},6.2831853071795862,0,,"][rows]
 
     @pytest.mark.parametrize("tau", ["4", "4.0000000001", "4.000000000001"])
     def test_double_euler_near_tau_4_keeps_its_jordan_row(self, capsys, tau):
@@ -194,7 +210,7 @@ class TestFlow:
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("integrator, label, t", [("velocity-verlet", "flow<i-c>", "1113"),
-                                                  ("euler", "euler", "1113")])
+                                                  ("euler", "flow<i-c>", "1113")])
 def test_flow_leaving_double_range_is_an_error(capsys, tmp_path, fmt, integrator, label, t):
     code, out, err = run(capsys, "flow", "--integrator", integrator, "--tau", "3",
                          "--t-end", "1500", "--dt", "7", "--format", fmt,
@@ -619,6 +635,22 @@ class TestEveryScaleOfTau:
         assert row[1] == "i-a"
         assert float(row[-2]) == pytest.approx(1e-8, rel=1e-15)
 
+    @pytest.mark.parametrize("tau", [1.5, 3.0, 1.99, 2.01, 1.9999, 2.0001, 1e-15, 1e-100, 1e-150]
+                             + [10.0 ** -k for k in range(3, 13)])
+    def test_euler_rows_are_the_closed_form(self, capsys, tau):
+        # generic branch m is the closed form's m for tau < 2 and -m-1 for tau > 2;
+        # cA, cC and lambda within 4 eps relative of it, and beside the ridge
+        # within the 1/|4 - tau**2| that d**2 = k11**2 + r2*r3 loses there
+        code, out, _ = run(capsys, "hamiltonian", "--integrator", "euler", "--tau", repr(tau),
+                           "--m-min", "-3", "--m-max", "3", "--format", "json")
+        assert code == 0
+        bound = 4.0 * sys.float_info.epsilon * max(1.0, 1.0 / abs(4.0 - tau * tau))
+        for row in json.loads(out)["hamiltonians"]:
+            want = euler_hamiltonian(tau, row["m"] if tau < 2.0 else -row["m"] - 1)
+            for key, value in (("cA", want.c_pp), ("cC", want.c_pq), ("lambda", want.rate)):
+                got = complex(row[key]["re"], row[key]["im"])
+                assert abs(got - value) <= bound * abs(value), key
+
     def test_large_tau_family(self, capsys):
         code, out, _ = run(capsys, "hamiltonian", "--integrator", "velocity-verlet",
                            "--tau", "1000", "--format", "json")
@@ -678,7 +710,7 @@ class TestNearRidgeHamiltonian:
         assert code == 0, err
         r = euler(tau)
         want = r.apply(0.0, 1.0)
-        # the closed form's branches are the generic family's, relabelled for tau > 2
+        # Euler's flows are the generic family's, as for every map
         z_scale = max(g.matrix.max_abs() for g in generators_for(r, range(-3, 4)).generators)
         for m in range(-3, 4):
             row = (tmp_path / f"flow_m{m}.csv").read_text().splitlines()[-1].split(",")

@@ -28,7 +28,6 @@ from shadowosc.flow import (
     continuous_state,
     discrete_orbit,
     euler_closed_form,
-    euler_trajectory,
     flow_matrix,
     sample_times,
     sample_trajectory,
@@ -41,14 +40,12 @@ from shadowosc.integrators import custom, double_euler, euler, make
 from shadowosc.shadow import (
     CaseIIParams,
     Generator,
-    euler_hamiltonian,
-    euler_rate,
     generator_jordan,
     generator_scalar,
     generators_for,
     hamiltonian_from_generator,
 )
-from shadowosc.verify import full_suite, measure_period, series_exp
+from shadowosc.verify import euler_hamiltonian, euler_rate, full_suite, measure_period, series_exp
 
 from conftest import generator_distinct, no_child_left, rotation_sense, state_deviation, to_numpy
 
@@ -241,10 +238,10 @@ class TestSampling:
         g = branch_generator(make("velocity-verlet", 3.0), 0)
         with pytest.raises(OutOfRange, match=r"flow<i-c> m=0 leaves double range at t = 1113$"):
             list(sample_trajectory(g, 1.0, 0.0, 1500.0, 7.0).states)
-        # the Euler closed form is sampled as its generator's flow, so it leaves
-        # double range where the generic flow of the same map does
-        with pytest.raises(OutOfRange, match=r"euler m=0 leaves double range at t = 1113$"):
-            list(euler_trajectory(3.0, 0, 1.0, 0.0, 1500.0, 7.0).states)
+        # Euler's flows are sampled the same way and name their case alike
+        g = branch_generator(euler(3.0), 0)
+        with pytest.raises(OutOfRange, match=r"flow<i-c> m=0 leaves double range at t = 1113$"):
+            list(sample_trajectory(g, 1.0, 0.0, 1500.0, 7.0).states)
 
 
 class TestRotationSense:
@@ -394,15 +391,19 @@ class TestEvaluatorIsClosedExp:
 
     @pytest.mark.parametrize("tau, m", [(0.66, -1), (0.66, 2), (3.0, 0), (3.0, -2)])
     def test_euler_trajectory_repeats_single_states(self, tau, m):
-        """Euler samples are euler_closed_form's propagator to rounding: its
-        columns are the closed form from (1, 0) and from (0, 1)."""
-        traj = euler_trajectory(tau, m, 0.3, -1.1, 5.0, 0.07)
-        assert traj.source == TrajectorySource("euler", tau, None, m)
-        columns = [euler_trajectory(tau, m, q0, p0, 5.0, 0.07) for q0, p0 in ((1, 0), (0, 1))]
+        """Euler's branch-m samples are euler_closed_form's propagator to
+        rounding: its columns are the closed form from (1, 0) and from (0, 1),
+        whose branch is m for tau < 2 and -m-1 for tau > 2."""
+        g = branch_generator(euler(tau), m)
+        traj = sample_trajectory(g, 0.3, -1.1, 5.0, 0.07)
+        assert traj.source == TrajectorySource(f"flow<{g.case}>", tau, g.case, m)
+        columns = [sample_trajectory(g, q0, p0, 5.0, 0.07) for q0, p0 in ((1, 0), (0, 1))]
+        closed = m if tau < 2.0 else -m - 1
         root = math.sqrt(abs(4.0 - tau * tau))
-        z_norm = abs(euler_rate(tau, m)) * max(2.0, tau) / root  # |Z| of the Euler generator
+        z_norm = abs(euler_rate(tau, closed)) * max(2.0, tau) / root  # |Z| of the generator
         for state, first, second in zip(traj.states, *columns):
-            a, b = (euler_closed_form(tau, m, q0, p0, state.t) for q0, p0 in ((1, 0), (0, 1)))
+            a, b = (euler_closed_form(tau, closed, q0, p0, state.t)
+                    for q0, p0 in ((1, 0), (0, 1)))
             exact = Mat2C(a.q, b.q, a.p, b.p)
             got = Mat2C(first.q, second.q, first.p, second.p)
             assert max_diff(got, exact) <= _rounding_bound(exact, state.t / tau * z_norm)
@@ -421,7 +422,11 @@ def _parent_csv(trajectory, h):
 
 
 def _euler_case(tau, m, q0, p0, t_end, dt):
-    return euler_trajectory(tau, m, q0, p0, t_end, dt), euler_hamiltonian(tau, m)
+    """Euler's branch-m flow and Hamiltonian, with its rate, as ``flow`` writes them."""
+    r = euler(tau)
+    g = branch_generator(r, m)
+    return (sample_trajectory(g, q0, p0, t_end, dt),
+            hamiltonian_from_generator(g, cli._rate(r, g)))
 
 
 def _generic_case(g, q0, p0, t_end, dt):
@@ -533,12 +538,14 @@ def _flow_call(directory, k_flags=()):
     return code, out.getvalue(), err.getvalue(), sorted(p.name for p in directory.iterdir())
 
 
-# sweep grids of 501 points whose first failing point, k = 319 (tau = 1.638e77),
-# lies after the child's first chunk; velocity-verlet's error pickles through
-# its own constructor arguments, not through its message
+# sweep grids of 501 points whose first failing point lies after the child's
+# first chunk: Euler's entries overflow from k = 301 (tau = 1.3408e154), and
+# velocity-verlet's det from k = 319 (tau = 1.638e77), whose error pickles
+# through its own constructor arguments, not through its message
 LATER_RANGE_FAILURES = [
-    (["--integrator", "euler", "--grid=1e77:2e77:2e74"], 1,
-     "error: exp(Z) reproduces euler only to nan\n"),
+    (["--integrator", "euler", "--grid=1.1e154:1.5e154:8e150"], 2,
+     "error: euler: entries and tau must be finite, got r = (-inf, 1.3408e+154, "
+     "-1.3408e+154, 1.0), tau = 1.3408e+154\n"),
     (["--integrator", "velocity-verlet", "--grid=1e77:2e77:2e74"], 2,
      "error: velocity-verlet: determinant differs from 1 by nan\n"),
 ]
@@ -628,7 +635,7 @@ class TestSplitWriter:
 
     def test_short_file_and_one_cpu_are_one_range(self, monkeypatch):
         def rows(n):
-            return euler_trajectory(0.66, 0, 1.0, 0.0, (n - 1) * 0.5, 0.5)
+            return _euler_case(0.66, 0, 1.0, 0.0, (n - 1) * 0.5, 0.5)[0]
 
         least = 2 * flow._MIN_RANGE_ROWS
         monkeypatch.setattr(tables, "_usable_cpus", lambda: 2)

@@ -36,8 +36,19 @@ and
 verify-seed-7, where 18 coincidence residuals changed (the largest fell from
 6.6e-15 to 3.7e-15) and every exit code and PASS/FAIL is unchanged.  The
 flow case euler-i-a-split, long enough to be written as several row ranges,
-was added with digests from the code before the writers split files.  Print
-the digests of the current code with
+was added with digests from the code before the writers split files.
+Eleven digests were retaken when the Euler map came to take the generic
+family like every map, and the built-ins to carry their traceless
+diagonal k11 in closed form: hamiltonian euler-i-a and euler-i-c (CSV and
+JSON), the flow cases euler-i-a, euler-i-c and double-euler-i-b, classify
+double-euler-i-b (text and JSON) and both verify seed-7 cases.  Euler's
+rows for tau > 2 take the generic labels (the closed form's branch m is row
+-m-1), its flow files and their JSON source read as every map's
+(``flow<i-c>`` with its case), and zeros changed sign.  Every other
+coefficient and eigenvalue moved by at most 3.3e-16 on a max(1, |x|)
+scale, flow states by at most 9.8e-16 on max(1, |q|, |p|) and energies by
+at most 5.8e-15 on max(1, |q|**2 + |p|**2); exit codes and every PASS/FAIL
+are unchanged.  Print the digests of the current code with
 
     PYTHONPATH=src python tests/test_golden.py
 """

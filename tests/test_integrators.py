@@ -273,7 +273,7 @@ def test_composite_is_checked_as_a_whole(monkeypatch):
     built = []
 
     def counting(*args):
-        built.append(args[-1])
+        built.append(args[5])  # the label; a built-in's k11 follows it
         return TransitionMatrix(*args)
 
     monkeypatch.setattr(shadowosc.integrators, "TransitionMatrix", counting)

@@ -87,12 +87,12 @@ def test_output_digest(tmp_path):
                and line["stdout"] == empty for line in sweeps_out)
     assert lines[20]["argv"] == ["sweep", "--integrator", "double-euler",
                                  "--grid=1e-310:1e-310:1", "--m-min", "-3", "--m-max", "3"]
-    # overflowing coefficients and Euler's overflowing eigenvalue arithmetic exit 1;
-    # non-finite entries and det far from 1 exit 2
-    assert [line["exit"] for line in lines[20:35]] == [1] * 5 + [2] * 5 + [2, 1, 2, 2, 2]
-    # Euler fails its exp check (exit 1), velocity-verlet its det check (exit 2)
+    # overflowing coefficients exit 1; non-finite entries and det far from 1
+    # exit 2; Euler at 1e154, whose k11**2 overflows, gets its family
+    assert [line["exit"] for line in lines[20:35]] == [1] * 5 + [2] * 5 + [2, 0, 2, 2, 2]
+    # velocity-verlet fails its det check (exit 2); Euler answers every point
     assert [line["argv"][2] for line in lines[35:39]] == ["euler"] * 2 + ["velocity-verlet"] * 2
-    assert [line["exit"] for line in lines[35:39]] == [1, 1, 2, 2]
+    assert [line["exit"] for line in lines[35:39]] == [0, 0, 2, 2]
     # every built-in sweeps both count grids in both formats
     assert [line["argv"][3] for line in lines[39:59]] == (
         ["--grid=1:1.9999999999:0.1"] * 10 + ["--grid=9.881:9.881006:6e-7"] * 10)

@@ -10,7 +10,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import shadowosc.shadow
-from shadowosc.algebra import TOL, Mat2C, closed_exp, log_branch, max_diff
+from shadowosc.algebra import TOL, Mat2C, closed_exp, max_diff
 from shadowosc.classifier import DISTINCT_TAGS, CaseTag, EigenStructure, classify
 from shadowosc.errors import (
     BadParams,
@@ -28,8 +28,6 @@ from shadowosc.shadow import (
     Generator,
     _check_exp,
     _validated,
-    euler_hamiltonian,
-    euler_rate,
     generator_jordan,
     generator_scalar,
     generators_for,
@@ -40,7 +38,11 @@ from shadowosc.flow import flow_matrix
 from shadowosc.verify import (
     BOUND,
     check_conservation,
+    euler_hamiltonian,
+    euler_rate,
+    exact_log,
     locate_vp_critical_tau,
+    log_branch,
     series_exp,
     taylor_exp,
 )
@@ -147,27 +149,6 @@ class TestFamilyIsBranchByBranch:
             [repr(g) for g in want]
 
 
-def exact_log(r):
-    """Exact rationals (log(I + X), det R) for X = R - I, the entries as stored.
-
-    log(I + X) is the series sum (-1)**(k+1) X**k / k, summed until a term's
-    largest entry is below 1e-40: X's eigenvalues are within 1e-1 of 0 for
-    the maps used here, so the tail is far below double rounding.
-    """
-    x = [[Fraction(r.r1) - 1, Fraction(r.r2)], [Fraction(r.r3), Fraction(r.r4) - 1]]
-    total = [[Fraction(0), Fraction(0)], [Fraction(0), Fraction(0)]]
-    term, k = x, 1
-    while True:
-        sign = Fraction(1 if k % 2 else -1, k)
-        total = [[t + sign * e for t, e in zip(trow, erow)] for trow, erow in zip(total, term)]
-        if max(abs(e) for row in term for e in row) < Fraction(1, 10 ** 40):
-            break
-        term = [[row[0] * x[0][j] + row[1] * x[1][j] for j in range(2)] for row in term]
-        k += 1
-    det = Fraction(r.r1) * Fraction(r.r4) - Fraction(r.r2) * Fraction(r.r3)
-    return total, det
-
-
 class TestLogarithmNearTheRidge:
     """Branch 0 beside double-euler's iii-a point tau = 4, against exact rationals.
 
@@ -180,11 +161,71 @@ class TestLogarithmNearTheRidge:
     def test_branch_zero_matches_exact_series(self, tau):
         r = double_euler(tau)
         (g,) = generators_for(r, [0]).generators
-        log_r, det = exact_log(r)
+        log_r, det = exact_log(r.r1, r.r2, r.r3, r.r4)
         bound = abs(det - 1) / 2 + Fraction(16 * sys.float_info.epsilon)
-        for got, want in zip(g.matrix.entries(), (e for row in log_r for e in row)):
+        for got, want in zip(g.matrix.entries(), log_r):
             assert got.imag == 0.0
             assert abs(Fraction(got.real) - want) <= bound * abs(want)
+
+
+def _times(*factors):
+    """The product of 2x2 matrices given as (r1, r2, r3, r4), left to right."""
+    a = factors[0]
+    for b in factors[1:]:
+        a = (a[0] * b[0] + a[1] * b[2], a[0] * b[1] + a[1] * b[3],
+             a[2] * b[0] + a[3] * b[2], a[2] * b[1] + a[3] * b[3])
+    return a
+
+
+def _kick(h):
+    return (1, 0, -h, 1)
+
+
+def _drift(h):
+    return (1, h, 0, 1)
+
+
+def _verlets(h):
+    return (_times(_kick(h / 2), _drift(h), _kick(h / 2)),
+            _times(_drift(h / 2), _kick(h), _drift(h / 2)))
+
+
+# each built-in's map in exact rationals, from its kick and drift steps
+EXACT_MAPS = {
+    "euler": lambda t: _times(_drift(t), _kick(t)),
+    "velocity-verlet": lambda t: _verlets(t)[0],
+    "position-verlet": lambda t: _verlets(t)[1],
+    "double-euler": lambda t: _times(_drift(t / 2), _kick(t / 2), _drift(t / 2), _kick(t / 2)),
+    "vp": lambda t: _times(*_verlets(t / 2)),
+}
+
+
+class TestSmallTauFamilyIsTheExactLog:
+    """Branch 0 of every built-in at tau = 1e-1 ... 1e-12 against the exact
+    log of its exact map, summed in rationals (``verify.exact_log``).
+
+    Read off the stored entries, k11 = (r1 - r4)/2 lost the first-order
+    term of the modified Hamiltonian as tau**2 fell below eps; the builders'
+    closed-form k11 keeps each nonzero entry within 8 eps.  The Verlets'
+    exact diagonal is 0, where the series leaves only its tail.
+    """
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    @pytest.mark.parametrize("name", sorted(EXACT_MAPS))
+    def test_branch_zero_within_rounding_of_the_exact_log(self, name, k):
+        tau = 10.0 ** -k
+        exact = EXACT_MAPS[name](Fraction(tau))
+        want, det = exact_log(*exact)
+        assert det == 1
+        (g,) = generators_for(make(name, tau), [0]).generators
+        floor = 8 * Fraction(sys.float_info.epsilon) * max(map(abs, want))
+        zero_diagonal = exact[0] == exact[3]
+        for j, (got, w) in enumerate(zip(g.matrix.entries(), want)):
+            assert got.imag == 0.0
+            if zero_diagonal and j in (0, 3):
+                assert abs(Fraction(got.real) - w) <= floor
+            else:
+                assert abs(Fraction(got.real) - w) <= 8 * Fraction(sys.float_info.epsilon) * abs(w)
 
 
 class TestGeneratorScalar:

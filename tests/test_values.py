@@ -21,7 +21,7 @@ from shadowosc.algebra import Mat2C, Value
 from shadowosc.classifier import CaseTag, EigenStructure
 from shadowosc.errors import BadParams, InvalidTau, NonFinite, NotSymplectic, OutOfRange
 from shadowosc.flow import PhaseState, TrajectorySource
-from shadowosc.integrators import TransitionMatrix
+from shadowosc.integrators import TransitionMatrix, euler
 from shadowosc.shadow import CaseIIParams, Generator, GeneratorFamily, ShadowHamiltonian
 from shadowosc.verify import CheckResult, VerificationReport
 
@@ -36,8 +36,9 @@ CASES = [
     (EigenStructure, {"eigenvalue": -1 + 0j, "angle": math.pi, "modulus": 1.0,
                       "degenerate": True, "d": 0j, "jordan_basis": Mat2C(1, 0, 0, 1)},
      {"jordan_basis": None}),
+    # k11 is None, read off the entries, unless a builder gives it
     (TransitionMatrix, {"r1": 0.875, "r2": 0.5, "r3": -0.46875, "r4": 0.875, "tau": 0.5,
-                        "label": "velocity-verlet"}, {}),
+                        "label": "velocity-verlet", "k11": 0.0}, {"k11": None}),
     (Generator, {"matrix": Mat2C(0, 1, -1, 0), "branch": 1, "tau": 0.5, "case": CaseTag.IA,
                  "log": 1j}, {"log": None}),
     (ShadowHamiltonian, {"c_pp": 0.25 + 0j, "c_qq": 0.5j, "c_pq": -1 + 0j, "tau": 0.5,
@@ -100,10 +101,20 @@ def test_same_fields_in_another_class_are_not_equal():
     assert Generator(matrix, 1, 0.5, CaseTag.IA, 1j) != Generator(matrix, 1, 0.5, CaseTag.IA)
 
 
+def test_a_built_in_k11_is_part_of_its_value():
+    # euler(1e-9) stores r1 = 1.0, whose (r1 - r4)/2 reads 0; its k11 is -tau**2/2
+    r = euler(1e-9)
+    assert r.k11 == -5e-19 and r.traceless() == (-5e-19, 1e-9, -1e-9, 5e-19)
+    read = TransitionMatrix(r.r1, r.r2, r.r3, r.r4, r.tau, r.label)
+    assert read.k11 is None and read.traceless() == (0.0, 1e-9, -1e-9, 0.0)
+    assert read != r and hash(read) != hash(r)
+    assert pickle.loads(pickle.dumps(r)) == r and copy.deepcopy(r).k11 == r.k11
+
+
 @pytest.mark.parametrize("value, text", [
     (TransitionMatrix(0.875, 0.5, -0.46875, 0.875, 0.5, "velocity-verlet"),
      "TransitionMatrix(r1=0.875, r2=0.5, r3=-0.46875, r4=0.875, tau=0.5, "
-     "label='velocity-verlet')"),
+     "label='velocity-verlet', k11=None)"),
     (Generator(Mat2C(0, 1, -1, 0), 1, 0.5, CaseTag.IA),
      "Generator(matrix=Mat2C(e11=0j, e12=(1+0j), e21=(-1+0j), e22=0j), branch=1, tau=0.5, "
      "case=<CaseTag.IA: 'i-a'>, log=None)"),
@@ -128,9 +139,10 @@ def test_pickle_and_copy_round_trips(cls, fields, defaults):
 @pytest.mark.parametrize("value, field, bad, error", [
     (TransitionMatrix(1.0, 0.5, 0.0, 1.0, 0.5, "x"), "r1", math.nan, NonFinite),
     (TransitionMatrix(1.0, 0.5, 0.0, 1.0, 0.5, "x"), "r1", 2.0, NotSymplectic),
+    (TransitionMatrix(1.0, 0.5, 0.0, 1.0, 0.5, "x"), "k11", 0.25, ValueError),
     (ShadowHamiltonian(0.5, 0.5, 0.0, 1.0, 0, CaseTag.IA, True), "c_pp", math.inf, OutOfRange),
     (CaseIIParams(0.0, 1.0, 1.0), "c1", 1.0, BadParams),
-], ids=["non-finite", "not-symplectic", "out-of-range", "bad-params"])
+], ids=["non-finite", "not-symplectic", "k11-off-the-entries", "out-of-range", "bad-params"])
 def test_round_trips_validate_again(value, field, bad, error):
     # write the slot past the constructor, as no caller of the package can
     type(value).__dict__[field].__set__(value, bad)
@@ -161,13 +173,15 @@ def test_assigning_or_deleting_raises_frozen_instance_error(cls, fields, default
      "tau must be positive, got 0.0"),
     (lambda: TransitionMatrix(2.0, 0.0, 0.0, 2.0, 1.0, "x"), NotSymplectic,
      "x: determinant differs from 1 by 3.000e+00"),
+    (lambda: TransitionMatrix(1.0, 0.5, 0.0, 1.0, 0.5, "x", 0.25), ValueError,
+     "x: k11 = 0.25 is not (r1 - r4)/2 = 0.0 to rounding"),
     (lambda: ShadowHamiltonian(math.inf, 0j, 0j, 0.5, 2, CaseTag.IA, True), OutOfRange,
      "branch m=2 Hamiltonian at tau=0.5 has non-finite coefficients cA = inf, cB = 0j, "
      "cC = 0j"),
     (lambda: CaseIIParams(1.0, 1.0, 1.0), BadParams, "c1**2 + c2*c3 = 1 violated by 1.000e+00"),
     (lambda: Mat2C(None, 0, 0, 0), TypeError, None),
-], ids=["non-finite-entry", "non-finite-tau", "invalid-tau", "not-symplectic", "out-of-range",
-        "bad-params", "mat2c-not-a-number"])
+], ids=["non-finite-entry", "non-finite-tau", "invalid-tau", "not-symplectic",
+        "k11-off-the-entries", "out-of-range", "bad-params", "mat2c-not-a-number"])
 def test_constructors_reject_bad_input(build, error, message):
     with pytest.raises(error) as raised:
         build()
