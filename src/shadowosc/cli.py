@@ -10,12 +10,15 @@ tau_k = start + k*step: its map's tag and real-branch count come from
 ``shadow.real_count``, which builds no generator record for distinct
 eigenvalues, and a JSON row is filled into one template
 (``tables.listed_texts``).  So ``sweep`` writes its grid through
-``tables.write_table``, split into chunks that two processes claim where
-the grid has at least 2 * _MIN_SWEEP_POINTS points and two CPUs are usable;
+``tables.write_table``, split into chunks that this process and one forked
+child claim where the grid has at least 2 * _MIN_SWEEP_POINTS points and two
+CPUs are usable (``tables.splits``), its part files beside the --out file;
 ``verify`` runs its suite's subjects the same way (``verify.full_suite``).
 ``flow`` writes the discrete orbit first, in one pass, then its branch files
 as one such job (``flow.trajectory_files``), with at most one fork per call;
-``_write_trajectory`` returns once its file is whole.
+``_write_trajectory`` returns once its file is whole.  ``verify --out``
+writes its JSON before it prints the report, so that no command prints to
+stdout and then fails.
 A grid whose start, stop or step is not finite, or that has more than
 2**52 points, is a usage error.
 
@@ -284,7 +287,7 @@ def cmd_flow(args) -> int:
     trajectories = [sample_trajectory(g, args.q0, args.p0, args.t_end, args.dt)
                     for g in family.generators]
 
-    with trajectory_files(trajectories, rows, args.format, outdir) as commit:
+    with trajectory_files(trajectories, rows, args.format) as commit:
         for trajectory, h in zip(trajectories, rows):
             path = outdir / f"flow_m{h.branch}.{suffix}"
             _write_trajectory(path, trajectory, h, args.format, commit)
@@ -348,15 +351,14 @@ def cmd_verify(args) -> int:
     seed = DEFAULT_SEED if args.seed is None else args.seed
     reports = full_suite(seed=seed, trials=args.trials, perturb=args.perturb)
     failed = [r for r in reports if not r.passed]
-    text = report_table(reports)
-    print(text)
-    print(f"\n{len(reports) - len(failed)}/{len(reports)} subjects passed")
-    if args.out:
+    if args.out:  # written before the report is printed: a failed write prints nothing
         payload = {"seed": seed, "trials": args.trials,
                    "perturb": args.perturb,
                    "passed": not failed,
                    "reports": [r.to_json_dict() for r in reports]}
         _emit_json(payload, args.out)
+    print(report_table(reports))
+    print(f"\n{len(reports) - len(failed)}/{len(reports)} subjects passed")
     return 1 if failed else 0
 
 

@@ -336,17 +336,15 @@ def write_trajectory_json(path: str | os.PathLike, trajectory: Trajectory,
 
 
 def trajectory_files(trajectories: Sequence[Trajectory],
-                     hamiltonians: Sequence[ShadowHamiltonian | None], fmt: str,
-                     directory: str | os.PathLike):
+                     hamiltonians: Sequence[ShadowHamiltonian | None], fmt: str):
     """The files of closed-form trajectories, in ``fmt`` ("csv" or "json"), as
-    one ``tables.writing`` job whose part files are in ``directory``: the
-    context yields ``commit(path)``, which writes the next trajectory's file,
-    whole, to path.  A process runs at least _MIN_RANGE_ROWS of all the
-    files' rows, so the files split as one job, whose first commit samples
-    every file's rows, or are written in one pass."""
+    one ``tables.writing`` job: the context yields ``commit(path)``, which
+    writes the next trajectory's file, whole, to path.  A process runs at
+    least _MIN_RANGE_ROWS of all the files' rows, so the files split as one
+    job, with one child, whose first commit samples every file's rows beside
+    its path, or are written in one pass."""
     table = _json_table if fmt == "json" else _csv_table
-    return writing([table(t, h) for t, h in zip(trajectories, hamiltonians)],
-                   _MIN_RANGE_ROWS, directory)
+    return writing([table(t, h) for t, h in zip(trajectories, hamiltonians)], _MIN_RANGE_ROWS)
 
 
 def _source_json(trajectory: Trajectory, hamiltonian: ShadowHamiltonian | None) -> dict:

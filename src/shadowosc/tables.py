@@ -1,33 +1,36 @@
-"""Jobs cut into chunks that claiming processes run: the one place that forks.
+"""Jobs cut into chunks that this process and one forked child claim: the
+one place that forks.
 
 Three callers cut their work into chunks whose results depend only on their
 own index: the flow files of one ``flow`` call, or one flow file alone (a
 flow sample is closed-form in its own t), a ``sweep`` grid (a row depends
 only on its own tau_k) and ``verify``'s suite (one subject per chunk,
-through ``results``).  Where ``process_count`` allows two processes, a pipe
-holds one byte per chunk index (at most 255) before one child is forked, and
-both processes claim the next index with a one-byte ``os.read``, which
-cannot split, until the pipe is empty; so the process on the faster CPU runs
-more chunks.  No process is pinned to a CPU: the scheduler places them.  The
-child sends each chunk's results, pickled, down a report pipe as it
-finishes the chunk.  ``_run`` runs a job to its end: this process claims
-until the pipe is empty, then reads the child's reports to their end and
-reaps it, the one wait for the child per job.
+through ``results``).  Where ``splits`` allows, a pipe holds one byte per
+chunk index (at most 255) before one child is forked, and both processes
+claim the next index with a one-byte ``os.read``, which cannot split, until
+the pipe is empty; so the process on the faster CPU runs more chunks.  No
+process is pinned to a CPU: the scheduler places them.  The child sends
+each chunk's results, pickled, down a report pipe as it finishes the chunk.
+``_run`` runs a job to its end: this process claims until the pipe is
+empty, then reads the child's reports to their end and reaps it, the one
+wait for the child per job.
 
 ``writing`` runs every table of a job with one fork: the rows of all the
 tables, numbered in order across them, are cut into chunks, and a chunk may
 straddle two tables.  A chunk writes its rows to its process's anonymous
 part file, so memory stays independent of the tables' length, and reports
 its span there in each table it covers.  The caller commits the tables one
-at a time, in order.  The first commit runs the job, so the child has been
-reaped before any copy; each commit then copies its table's spans to the
-sink, by ``os.copy_file_range`` into a file: the bytes of a single pass.
+at a time, in order.  The first commit opens the two part files beside its
+``out`` (in the system's temporary directory for stdout) and runs the job,
+so the child has been reaped before any copy; each commit then copies its
+table's spans to the sink, by ``os.copy_file_range`` into a file: the bytes
+of a single pass.
 
 A chunk that raises ends its process's claims and empties the pipe; every
 lower chunk has been claimed by then and runs to its end.  The error of the
 lowest failing chunk, that of a single pass, is raised by the commit of the
 table it fails in, so every earlier table is whole.  On any error or
-interrupt the children are killed and reaped and the part files removed.
+interrupt the child is killed and reaped and the part files removed.
 ``sink`` is where a table goes: its ``--out`` file, written under a
 ``.part`` name and renamed when complete, or stdout, once the table is whole.
 """
@@ -45,10 +48,6 @@ from itertools import accumulate, chain, islice, pairwise
 _CHUNK = 1024  # rows per write
 # Most chunks in a job: one byte in the claim pipe holds a chunk's index.
 _MAX_CHUNKS = 255
-# Most processes: two is the count measured, on a 2-core host.  The affinity
-# mask that _usable_cpus reads does not narrow for a cgroup CPU quota, so a
-# larger count could fork many children onto one or two CPUs.
-_MAX_PROCESSES = 2
 _COPY = 1 << 20  # bytes per read when a span is copied by reading
 
 
@@ -64,18 +63,31 @@ class Table:
         self.n, self.texts, self.head, self.tail = n, texts, head, tail
 
 
+def _naming(path: str | os.PathLike, call: Callable, *args):
+    """``call(*args)``, whose OSError names ``path``, the file a command
+    writes, in place of the temporary name ``call`` was given."""
+    try:
+        return call(*args)
+    except OSError as exc:
+        exc.filename = os.fspath(path)
+        del exc.filename2  # os.replace's second name; None would still print
+        raise
+
+
 @contextmanager
 def _replacing(path: str | os.PathLike):
     """Text file on a temporary name beside ``path``, renamed to ``path`` when
-    the block completes and removed if it raises, so ``path`` is never partial."""
-    from pathlib import Path  # here and in write_table: only an --out file needs it
+    the block completes and removed if it raises, so ``path`` is never partial.
+    An error opening or renaming it names ``path``."""
+    from pathlib import Path  # here: only an --out file needs it
 
     path = Path(path)
     part = path.with_name(path.name + ".part")
+    f = _naming(path, open, part, "w")  # opened, or there is no part to remove
     try:
-        with open(part, "w") as f:
+        with f:
             yield f
-        os.replace(part, path)
+        _naming(path, os.replace, part, path)
     except BaseException:
         part.unlink(missing_ok=True)
         raise
@@ -107,25 +119,26 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def process_count(n: int, least: int) -> int:
-    """Processes for a job of n items, each running at least ``least`` of them.
+def splits(n: int, least: int) -> bool:
+    """Whether a job of n items runs in this process and one forked child,
+    each running at least ``least`` of them: where n >= 2 * least, two CPUs
+    are usable, the system can fork, the caller runs no second thread (a
+    forked child gets only the forking thread, and could inherit a lock
+    another one holds) and SIGCHLD is not ignored (the system would reap the
+    child, and waitpid fail).
 
-    min(_MAX_PROCESSES, usable CPUs, n // least), at least one, where the
-    system can fork, the caller runs no second thread (a forked child gets
-    only the forking thread, and could inherit a lock another one holds) and
-    SIGCHLD is not ignored (the system would reap the children, and waitpid
-    fail); else one.
+    One child, however many CPUs: two processes are the count measured, on a
+    2-core host, and the affinity mask that _usable_cpus reads does not
+    narrow for a cgroup CPU quota, so more children could crowd one or two
+    CPUs.
     """
-    count = 1
     threading = sys.modules.get("threading")
-    if hasattr(os, "fork") and (threading is None or threading.active_count() == 1):
-        count = max(1, min(_MAX_PROCESSES, _usable_cpus(), n // least))
-    if count > 1:
-        import signal  # here and below: only a split job needs it
+    if not (n >= 2 * least and hasattr(os, "fork") and _usable_cpus() > 1
+            and (threading is None or threading.active_count() == 1)):
+        return False
+    import signal  # here and in _run: only a split job needs it
 
-        if signal.getsignal(signal.SIGCHLD) == signal.SIG_IGN:
-            count = 1
-    return count
+    return signal.getsignal(signal.SIGCHLD) != signal.SIG_IGN
 
 
 def _chunk_ranges(n: int, least: int) -> list[tuple[int, int]]:
@@ -139,8 +152,6 @@ def _chunk_ranges(n: int, least: int) -> list[tuple[int, int]]:
 # A chunk as run: its index, the results its work yielded, and its error, if
 # the work raised.
 Event = tuple[int, list, "BaseException | None"]
-# A child: its pid and the read end of its report pipe.
-Child = tuple[int, io.BufferedReader]
 
 
 def _claim(claims: int, work: Callable[[int], Iterable]) -> Iterator[Event]:
@@ -162,101 +173,75 @@ def _claim(claims: int, work: Callable[[int], Iterable]) -> Iterator[Event]:
             return
 
 
-def _forked(claims: int, work: Callable[[int], Iterable], children: list[Child]) -> None:
-    """Fork a child that claims chunks, and append it to ``children``: its pid
-    and the read end of its report pipe.
-
-    The child sends each ``_claim`` event, pickled, down the pipe as its chunk
-    ends.  It ends only through ``os._exit``, so it never flushes a buffer it
-    inherited (the caller's stdout, say); a child that cannot send an event
-    exits with status 1 and sends no more.  SIGINT stays blocked from before
-    the fork until the child is listed, so an interrupt cannot leave a child
-    the caller does not know of; the child keeps it blocked, and the caller
-    kills it if the interrupt stops the job.
-    """
-    import pickle  # here and in _run: only a split job needs it
-    import signal
-
-    read, write = os.pipe()
-    mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})  # the caller's
-    try:
-        pid = os.fork()
-        if pid == 0:
-            try:
-                os.close(read)
-                with open(write, "wb") as pipe:
-                    for event in _claim(claims, work):
-                        pipe.write(pickle.dumps(event))
-                        pipe.flush()
-            except BaseException:
-                os._exit(1)
-            os._exit(0)
-        children.append((pid, open(read, "rb")))
-    except BaseException:
-        os.close(read)
-        raise
-    finally:
-        os.close(write)
-        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-
-
-def _stop(children: list[Child]) -> None:
-    """Kill and reap every child not reaped yet; waitpid raises for a reaped
-    pid, which is then never signalled, since it may have been reused."""
-    import signal
-
-    for pid, pipe in children:
-        pipe.close()
-        try:
-            reaped = os.waitpid(pid, os.WNOHANG)[0]
-        except ChildProcessError:
-            continue
-        if not reaped:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-
-
-def _run(count: int, processes: int,
-         work: Callable[[int, int], Iterable]) -> list[tuple[list, BaseException | None]]:
+def _run(count: int,
+         work: Callable[[bool, int], Iterable]) -> list[tuple[list, BaseException | None]]:
     """Each chunk's results and error (None: none), by index, of the job of
-    chunks 0 <= index < count (at most _MAX_CHUNKS) that ``processes``
-    processes claim, ``work(slot, index)`` yielding a chunk's results in the
-    process numbered slot: 0 for this one.
+    chunks 0 <= index < count (at most _MAX_CHUNKS) that this process and one
+    forked child claim, ``work(in_child, index)`` yielding a chunk's results.
 
-    This process forks, then claims chunks until the pipe is empty; an error
-    of its own that is no ``Exception`` (an interrupt, say) is raised at once.
-    It then reads each child's reports to their end and reaps the child.  A
-    chunk that no process reported has the error of a child that ended
-    without a report; a chunk that none claimed lies above a failing one.  On
-    any error the children are killed and reaped.
+    The child sends each ``_claim`` event, pickled, down its report pipe as
+    the chunk ends.  It ends only through ``os._exit``, so it never flushes a
+    buffer it inherited (the caller's stdout, say); a child that cannot send
+    an event exits with status 1 and sends no more.  SIGINT stays blocked
+    from before the fork until the child's pid is bound here, so an interrupt
+    cannot leave a child this process does not know of; the child keeps it
+    blocked.
+
+    This process claims chunks until the pipe is empty; an error of its own
+    that is no ``Exception`` (an interrupt, say) is raised at once.  It then
+    reads the child's reports to their end and reaps the child.  A chunk that
+    no process reported has the error of a child that ended without a
+    report; a chunk that none claimed lies above a failing one.  On any
+    error the child is killed and reaped.
     """
     import pickle
+    import signal
 
     claims, fill = os.pipe()
     try:
         os.write(fill, bytes(range(count)))  # fewer bytes than any pipe holds
     finally:
         os.close(fill)
-    children: list[Child] = []
     ran: dict[int, tuple[list, BaseException | None]] = {}
     lost: BaseException = ChildProcessError("no process ran the chunk")
+    pid = 0
     try:
-        for slot in range(1, processes):
-            _forked(claims, partial(work, slot), children)
-        for index, done, error in _claim(claims, partial(work, 0)):
-            if error is not None and not isinstance(error, Exception):
-                raise error
-            ran[index] = done, error
-        for pid, pipe in children:
-            with pipe, suppress(EOFError):
+        read, write = os.pipe()
+        with open(read, "rb") as reports:
+            mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})  # the caller's
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    try:
+                        reports.close()
+                        with open(write, "wb") as pipe:
+                            for event in _claim(claims, partial(work, True)):
+                                pipe.write(pickle.dumps(event))
+                                pipe.flush()
+                    except BaseException:
+                        os._exit(1)
+                    os._exit(0)
+            finally:
+                os.close(write)
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+            for index, done, error in _claim(claims, partial(work, False)):
+                if error is not None and not isinstance(error, Exception):
+                    raise error
+                ran[index] = done, error
+            with suppress(EOFError):
                 while True:
-                    index, done, error = pickle.load(pipe)
+                    index, done, error = pickle.load(reports)
                     ran[index] = done, error
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            if code:
-                lost = ChildProcessError(f"a forked worker sent no report (exit status {code})")
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        if code:
+            lost = ChildProcessError(f"a forked worker sent no report (exit status {code})")
     except BaseException:
-        _stop(children)
+        # waitpid raises for a reaped pid, which is then never signalled,
+        # since it may have been reused
+        with suppress(ChildProcessError):
+            if pid and not os.waitpid(pid, os.WNOHANG)[0]:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
         raise
     finally:
         os.close(claims)
@@ -276,33 +261,33 @@ def _result(ran: list[tuple[list, BaseException | None]], index: int, k: int):
 
 def results(calls: Sequence[Callable[[], object]]) -> list:
     """``[call() for call in calls]``, one call per chunk (at most _MAX_CHUNKS),
-    computed by claiming processes where ``process_count`` allows.
+    claimed by this process and one forked child where ``splits`` allows.
 
     A child's results travel pickled, as the package's errors do; the error
     raised is that of the lowest failing call, the one a single pass raises.
     """
-    processes = process_count(len(calls), 1)
-    if processes == 1:
+    if not splits(len(calls), 1):
         return [call() for call in calls]
-    ran = _run(len(calls), processes, lambda slot, index: (calls[index](),))
+    ran = _run(len(calls), lambda in_child, index: (calls[index](),))
     return [_result(ran, index, 0) for index in range(len(calls))]
 
 
 @contextmanager
-def writing(tables: Sequence[Table], least: int,
-            directory: str | os.PathLike | None) -> Iterator[Callable[[str | os.PathLike | None], None]]:
+def writing(tables: Sequence[Table],
+            least: int) -> Iterator[Callable[[str | os.PathLike | None], None]]:
     """Yield ``commit(out)``, which writes the next of ``tables``, whole, to
     ``sink(out)``; a process runs at least ``least`` of the tables' rows.
 
-    Split, the processes claim the chunks of all the tables' rows, and each
-    writes its chunks to its own anonymous part file in ``directory`` (None:
-    the system's temporary directory).  The first commit runs the job to its
-    end; each commit then copies its table's spans to the sink in order.  A
-    chunk's error is raised by the commit of the table it fails in, so the
-    tables before it are whole.
+    Split, this process and its child claim the chunks of all the tables'
+    rows, and each writes its chunks to its own anonymous part file.  The
+    first commit opens the two part files beside its ``out``, so that
+    ``os.copy_file_range`` copies within one file system, or for stdout in
+    the system's temporary directory, and runs the job to its end; each
+    commit then copies its table's spans to the sink in order.  A chunk's
+    error is raised by the commit of the table it fails in, so the tables
+    before it are whole.
     """
-    processes = process_count(sum(table.n for table in tables), least)
-    if processes == 1:
+    if not splits(sum(table.n for table in tables), least):
         left = iter(tables)
 
         def commit(out: str | os.PathLike | None) -> None:
@@ -323,28 +308,30 @@ def writing(tables: Sequence[Table], least: int,
                for i, (lo, hi) in enumerate(pairwise(starts)) if lo < b and a < hi]
               for a, b in _chunk_ranges(starts[-1], least)]
     with ExitStack() as parts_open:
-        parts = [parts_open.enter_context(tempfile.TemporaryFile(dir=directory))
-                 for _ in range(processes)]
+        parts: list = []  # this process's part file, then the child's
 
-        def work(slot: int, index: int) -> Iterator[tuple[int, int, int]]:
-            part = parts[slot]
+        def work(in_child: bool, index: int) -> Iterator[tuple[bool, int, int]]:
+            part = parts[in_child]
             for i, start, stop in pieces[index]:
                 begin = part.tell()
                 for block in _blocks(tables[i].texts(start, stop)):
                     part.write(block.encode())
                 part.flush()
-                yield slot, begin, part.tell()
+                yield in_child, begin, part.tell()
 
         ran = []
         left = iter(enumerate(tables))
 
         def commit(out: str | os.PathLike | None) -> None:
             i, table = next(left)
-            if not ran:
-                ran.extend(_run(len(pieces), processes, work))
-            spans = [_result(ran, index, k) for index, chunk in enumerate(pieces)
-                     for k, piece in enumerate(chunk) if piece[0] == i]
             with sink(out) as f:
+                if not ran:
+                    directory = (os.path.dirname(out) or os.curdir) if out else None
+                    parts.extend(parts_open.enter_context(tempfile.TemporaryFile(dir=directory))
+                                 for _ in range(2))
+                    ran.extend(_run(len(pieces), work))
+                spans = [_result(ran, index, k) for index, chunk in enumerate(pieces)
+                         for k, piece in enumerate(chunk) if piece[0] == i]
                 f.write(table.head)
                 _copy(spans, parts, f)
                 f.write(table.tail)
@@ -352,10 +339,10 @@ def writing(tables: Sequence[Table], least: int,
         yield commit
 
 
-def _copy(spans: Iterable[tuple[int, int, int]], parts: Sequence, f) -> None:
-    """Copy each span (slot, start, stop) of the part files to ``f`` in order:
-    into a file by ``os.copy_file_range``; into stdout's buffer, and from a
-    kernel copy that raises OSError on, by reading and writing.
+def _copy(spans: Iterable[tuple[bool, int, int]], parts: Sequence, f) -> None:
+    """Copy each span (in_child, start, stop) of the part files to ``f`` in
+    order: into a file by ``os.copy_file_range``; into stdout's buffer, and
+    from a kernel copy that raises OSError on, by reading and writing.
     """
     import codecs
 
@@ -364,8 +351,8 @@ def _copy(spans: Iterable[tuple[int, int, int]], parts: Sequence, f) -> None:
     if hasattr(os, "copy_file_range") and not isinstance(f, io.StringIO):
         f.flush()
         target = f.fileno()
-    for slot, start, stop in spans:
-        source = parts[slot].fileno()
+    for in_child, start, stop in spans:
+        source = parts[in_child].fileno()
         while start < stop:
             if target is not None:
                 try:
@@ -382,14 +369,8 @@ def _copy(spans: Iterable[tuple[int, int, int]], parts: Sequence, f) -> None:
 
 
 def write_table(out: str | os.PathLike | None, table: Table, least: int) -> None:
-    """Write ``table`` to ``sink(out)``: the one-table job of ``writing``, its
-    part files beside ``out``, or for stdout in the temporary directory."""
-    directory = None
-    if out:
-        from pathlib import Path
-
-        directory = Path(out).parent
-    with writing([table], least, directory) as commit:
+    """Write ``table`` to ``sink(out)``: the one-table job of ``writing``."""
+    with writing([table], least) as commit:
         commit(out)
 
 

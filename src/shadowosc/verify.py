@@ -37,9 +37,10 @@ is the generic -m-1 for tau > 2), the branch log read off the polar form
 (``log_branch``) and ``exact_log``, the series of log R in ``fractions``.
 
 ``full_suite`` runs its 20 subjects (regime maps, generator maps and
-conservation cases) as the chunks of ``tables.results``, which two processes
-claim where two CPUs are usable.  A subject's reports depend only on its own
-arguments, so the reports, their order and any error are those of one pass.
+conservation cases) as the chunks of ``tables.results``, which this process
+and one forked child claim where two CPUs are usable.  A subject's reports
+depend only on its own arguments, so the reports, their order and any error
+are those of one pass.
 """
 
 from __future__ import annotations
@@ -584,8 +585,9 @@ def full_suite(seed: int = DEFAULT_SEED, trials: int = 20,
 
     The suite is 20 subjects: 5 regime maps, 10 maps whose branch generators
     are checked (exp(Z) = R and coincidence) and 5 conservation cases.  Each
-    is one chunk of ``tables.results``, so two processes claim them where
-    two CPUs are usable; the reports, and any error, are those of one pass.
+    is one chunk of ``tables.results``, so this process and one forked child
+    claim them where ``tables.splits`` allows (two CPUs usable); the reports,
+    and any error, are those of one pass.
     """
     if not math.isfinite(perturb):
         raise NonFinite(f"perturb must be finite, got {perturb!r}")

@@ -52,13 +52,12 @@ def quadratic_roots(tr: complex, det: complex) -> tuple[complex, complex]:
 
 @pytest.fixture
 def split_into(monkeypatch):
-    """Let every job run in k processes (at most k) and cut into at most c
-    chunks, with one row per chunk where it has fewer rows: every closed-form
-    flow file or flow call's branch files, every sweep grid and every verify
-    suite."""
+    """Let every job see k usable CPUs, so that it splits where k >= 2, and
+    cut it into at most c chunks, with one row per chunk where it has fewer
+    rows: every closed-form flow file or flow call's branch files, every
+    sweep grid and every verify suite."""
     def force(k: int, c: int = 255) -> None:
         monkeypatch.setattr(tables, "_usable_cpus", lambda: k)
-        monkeypatch.setattr(tables, "_MAX_PROCESSES", k)
         monkeypatch.setattr(tables, "_MAX_CHUNKS", c)
         monkeypatch.setattr(flow, "_MIN_RANGE_ROWS", 1)
         monkeypatch.setattr(cli, "_MIN_SWEEP_POINTS", 1)

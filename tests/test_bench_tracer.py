@@ -136,7 +136,7 @@ def test_traced_verify_applies_propagators_without_flow_states(capsys, monkeypat
     import shadowosc.verify  # noqa: F401
 
     package = importlib.import_module("shadowosc")
-    monkeypatch.setattr(package.tables, "_MAX_PROCESSES", 1)
+    monkeypatch.setattr(package.tables, "_usable_cpus", lambda: 1)
     before = {(module, attr): getattr(getattr(package, module), attr)
               for _, _, lookups, attr in WRAPPED for module in lookups}
     tracer = _tracer.Tracer(package)

@@ -361,12 +361,25 @@ UNWRITABLE_OUT_CALLS = {
 @pytest.mark.parametrize("command, out", [(c, "file/out") for c in UNWRITABLE_OUT_CALLS]
                          + [(c, "missing/out") for c in UNWRITABLE_OUT_CALLS if c != "flow"])
 def test_unwritable_out_is_an_error(capsys, tmp_path, command, out):
+    # a failed command prints nothing to stdout, and its error names the path
+    # it writes, not the temporary name the file is written under
     (tmp_path / "file").write_text("")
-    code, _, err = run(capsys, *UNWRITABLE_OUT_CALLS[command], "--out", str(tmp_path / out))
+    code, stdout, err = run(capsys, *UNWRITABLE_OUT_CALLS[command], "--out", str(tmp_path / out))
     assert code == 1
+    assert stdout == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+    assert f"'{tmp_path / out}'" in err and ".part" not in err
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["file"]
+
+
+def test_flow_file_in_the_way_is_named(capsys, tmp_path):
+    # a directory where flow writes a file fails its rename, which names that file
+    (tmp_path / "discrete.csv").mkdir()
+    code, stdout, err = run(capsys, *UNWRITABLE_OUT_CALLS["flow"], "--out", str(tmp_path))
+    assert (code, stdout) == (1, "")
+    assert err.endswith(f"'{tmp_path / 'discrete.csv'}'\n") and ".part" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["discrete.csv"]
 
 
 @pytest.mark.parametrize("command", [c for c in UNWRITABLE_OUT_CALLS if c != "flow"])

@@ -594,7 +594,7 @@ class TestSplitWriter:
             files = {}
             for k, c in [(1, 255), *SPLITS]:
                 split_into(k, c)
-                assert tables.process_count(len(traj), flow._fewest_rows(traj)) == k
+                assert tables.splits(len(traj), flow._fewest_rows(traj)) == (k > 1)
                 directory = tmp_path / f"{label}-{k}-{c}"
                 directory.mkdir()
                 write(directory / f"t.{fmt}", traj, h)
@@ -629,7 +629,7 @@ class TestSplitWriter:
     def test_discrete_orbit_is_one_range(self, split_into):
         split_into(2)
         orbit = discrete_orbit(euler(0.66), 1.0, 0.0, 100)
-        assert tables.process_count(len(orbit), flow._fewest_rows(orbit)) == 1
+        assert not tables.splits(len(orbit), flow._fewest_rows(orbit))
         with pytest.raises(ValueError, match="closed-form"):
             orbit.rows(50, 101)
 
@@ -639,21 +639,21 @@ class TestSplitWriter:
 
         least = 2 * flow._MIN_RANGE_ROWS
         monkeypatch.setattr(tables, "_usable_cpus", lambda: 2)
-        for n, processes in ((least, 2), (least - 1, 1)):
-            assert tables.process_count(len(rows(n)), flow._fewest_rows(rows(n))) == processes
+        for n, split in ((least, True), (least - 1, False)):
+            assert tables.splits(len(rows(n)), flow._fewest_rows(rows(n))) == split
         # a sweep grid: the bench's 500-point windows split, 399 points do not
-        assert tables.process_count(500, cli._MIN_SWEEP_POINTS) == 2
-        assert tables.process_count(2 * cli._MIN_SWEEP_POINTS - 1, cli._MIN_SWEEP_POINTS) == 1
+        assert tables.splits(500, cli._MIN_SWEEP_POINTS)
+        assert not tables.splits(2 * cli._MIN_SWEEP_POINTS - 1, cli._MIN_SWEEP_POINTS)
         monkeypatch.setattr(tables, "_usable_cpus", lambda: 1)
-        assert tables.process_count(least + 1, flow._MIN_RANGE_ROWS) == 1
-        assert tables.process_count(500, cli._MIN_SWEEP_POINTS) == 1
+        assert not tables.splits(least + 1, flow._MIN_RANGE_ROWS)
+        assert not tables.splits(500, cli._MIN_SWEEP_POINTS)
 
     def test_many_cpus_give_two_ranges(self, monkeypatch):
         # only two processes were measured, and the affinity mask that counts
         # the CPUs ignores a cgroup CPU quota
         monkeypatch.setattr(tables, "_usable_cpus", lambda: 64)
         n = 64 * flow._MIN_RANGE_ROWS
-        assert tables.process_count(n, flow._MIN_RANGE_ROWS) == 2
+        assert tables.splits(n, flow._MIN_RANGE_ROWS)
         # chunks cover the rows in order, at most 255 of them
         for n, least in ((n, flow._MIN_RANGE_ROWS), (500, cli._MIN_SWEEP_POINTS), (7, 1),
                          (3000, flow._MIN_RANGE_ROWS)):
@@ -661,6 +661,32 @@ class TestSplitWriter:
             assert 1 <= len(ranges) <= 255 and ranges[0][0] == 0 and ranges[-1][1] == n
             assert all(a[1] == b[0] and a[0] < a[1] for a, b in zip(ranges, ranges[1:]))
             assert min(stop - start for start, stop in ranges) >= min(n, least // 8)
+
+    def test_many_cpus_fork_one_child_per_job(self, tmp_path, split_into, monkeypatch):
+        # a split flow call, sweep and verify suite each fork one child,
+        # whatever the number of usable CPUs
+        forks, fork = [], os.fork
+
+        def counted_fork():
+            pid = fork()
+            if pid:
+                forks.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", counted_fork)
+        split_into(64)
+        flow_call = ["--integrator", "velocity-verlet", *THREE_BRANCHES]
+        assert _flow_files(tmp_path / "flow", flow_call)[0] == 0
+        assert len(forks) == 1
+        no_child_left()
+        for out in (False, True):
+            sweep = ["--integrator", "vp", "--grid=0.5:1.5:0.1"]
+            assert _sweep_call(tmp_path / f"sweep-{out}", sweep, out)[0] == 0
+            no_child_left()
+        assert len(forks) == 3
+        assert all(report.passed for report in full_suite(trials=2))
+        assert len(forks) == 4
+        no_child_left()
 
     def test_ignored_sigchld_is_one_range(self, tmp_path, split_into):
         # the system reaps the children of a process that ignores SIGCHLD,
@@ -699,24 +725,24 @@ class TestSplitWriter:
         traj, h = _euler_case(0.66, 0, 1.0, 0.0, 5.0, 0.05)
         sweep = ["--integrator", "vp", "--grid=0.5:1.5:0.1"]
         split_into(2)
-        assert tables.process_count(len(traj), 1) == 2
+        assert tables.splits(len(traj), 1)
         write_trajectory_csv(tmp_path / "split", traj, h)
         split = _sweep_call(tmp_path / "sweep-split", sweep)
         suite = full_suite(trials=2)
-        forks = []
+        forks, fork = [], os.fork
 
-        def counted_fork(*args):
-            forks.append(args)
-            return tables._forked(*args)
+        def counted_fork():
+            forks.append(os.getpid())
+            return fork()
 
         def write():
-            assert tables.process_count(len(traj), 1) == 1
+            assert not tables.splits(len(traj), 1)
             write_trajectory_csv(tmp_path / "t", traj, h)
             assert _sweep_call(tmp_path / "sweep", sweep) == split
             assert full_suite(trials=2) == suite
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(tables, "_forked", counted_fork)
+            patch.setattr(os, "fork", counted_fork)
             around(write)
         assert forks == []
         assert (tmp_path / "t").read_bytes() == (tmp_path / "split").read_bytes()
@@ -1049,7 +1075,7 @@ class TestSplitWriter:
         directory.mkdir()
         try:
             with flow.trajectory_files([traj for traj, _ in cases], [h for _, h in cases],
-                                       "csv", directory) as commit:
+                                       "csv") as commit:
                 assert counter.stat().st_size == 0
                 for m in (-1, 0, 1):
                     commit(directory / f"flow_m{m}.csv")

@@ -1,6 +1,7 @@
 """The scripts under scripts/ run to completion as separate processes."""
 
 import hashlib
+import importlib.util
 import json
 import subprocess
 import sys
@@ -115,3 +116,38 @@ def test_output_digest(tmp_path):
     assert all(list(line["files"]) == ["verify.json"] for line in verifies)
     assert [line["exit"] for line in verifies] == [0, 0, 0, 1, 1, 1]
     assert run_script(*args, cwd=tmp_path).stdout == done.stdout
+
+
+SOURCE = '''"""A module docstring,
+on two lines."""
+
+# a comment
+import os  # and a trailing one
+
+
+def f(x):
+    """A function docstring."""
+    text = """a string
+that is no docstring"""
+    return x
+
+
+class C:
+    """A class
+    docstring."""
+
+    y = 1
+'''
+
+
+def test_code_lines(tmp_path):
+    spec = importlib.util.spec_from_file_location("code_lines", SCRIPTS / "code_lines.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    # import, def, both lines of the string, return, class and y = 1
+    assert module.code_lines(SOURCE) == 7
+    done = run_script("code_lines.py", cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    *modules, total = [line.split() for line in done.stdout.splitlines()]
+    assert total[1] == "total" and "tables.py" in [name for _, name in modules]
+    assert int(total[0]) == sum(int(count) for count, _ in modules)

@@ -462,7 +462,7 @@ class TestFullSuite:
         split_into(1)
         single = full_suite(**args)
         split_into(2)
-        assert tables.process_count(20, 1) == 2
+        assert tables.splits(20, 1)
         split = full_suite(**args)
         no_child_left()
         # as text: a perturbed exponential's residual may be NaN
