@@ -24,6 +24,9 @@ order:
   later chunk of a split grid, and Euler answers every point;
 - ``sweep`` on each of ``COUNT_GRIDS`` for each built-in, in CSV and JSON:
   grids whose point count rests on the exact quotient of their decimal fields;
+- ``sweep`` on the one-point grid of each ``SCALAR_POINTS`` built-in, where
+  R = +-I, under each ``--params`` preset, in CSV and JSON; then ``sweep``
+  on each of ``EMPTY_GRIDS``, each a usage error;
 - ``classify`` and ``hamiltonian --m-min -3 --m-max 3`` for N draws of a
   built-in and tau log-uniform in [1e-12, 1e6], the format alternating;
 - ``hamiltonian --m-min -3 --m-max 3`` for each built-in at tau = ridge +-
@@ -80,6 +83,12 @@ LATER_RANGE_GRID = "1e77:2e77:2e74"
 # off its exact value: 9.999999999 (0:0.9999999999:0.1 shifted by 1, as
 # tau = 0 is refused), 10 points; and exactly 10, 11 points, stop the last
 COUNT_GRIDS = ("1:1.9999999999:0.1", "9.881:9.881006:6e-7")
+# built-ins at a tau where R = +-I (double-euler -I, vp I): the scalar branch of
+# the real count, which no 0.001 grid lands on
+SCALAR_POINTS = (("double-euler", "2.8284271247461903"), ("vp", "5.656854249492381"))
+PRESETS = ("default", "real-rotation", "hyperbolic")
+# stop below start, and steps that are zero and negative
+EMPTY_GRIDS = ("3:1:0.1", "0:1:0", "0:1:-1")
 OUT = "<out>"  # a call's output directory
 VERIFY_OUT = f"{OUT}/verify.json"
 VERIFY_OPTIONS = (["--trials", "1"], ["--trials", "3"], ["--perturb", "1e-3"],
@@ -172,6 +181,13 @@ def call_set(count: int, grid: str, verify_seeds: int, flow_dt: float,
             for fmt in ("csv", "json"):
                 calls.append(["sweep", "--integrator", name, f"--grid={count_grid}",
                               "--format", fmt])
+    for name, tau in SCALAR_POINTS:
+        for preset in PRESETS:
+            for fmt in ("csv", "json"):
+                calls.append(["sweep", "--integrator", name, f"--grid={tau}:{tau}:1",
+                              "--params", preset, "--format", fmt])
+    for empty_grid in EMPTY_GRIDS:
+        calls.append(["sweep", "--integrator", "euler", f"--grid={empty_grid}"])
     ridges = {"double-euler": 4.0, "euler": 2.0, "position-verlet": 2.0,
               "velocity-verlet": 2.0, "vp": vp_ridge}
     for name, ridge in ridges.items():
@@ -192,7 +208,7 @@ def call_set(count: int, grid: str, verify_seeds: int, flow_dt: float,
         matrix = ["--integrator", "custom", f"--r={text}",
                   "--tau", repr(10.0 ** rng.uniform(-3.0, 3.0))]
         fmt = ("csv", "json")[k % 2]
-        params = ["--params", rng.choice(["default", "real-rotation", "hyperbolic"])]
+        params = ["--params", rng.choice(PRESETS)]
         calls.append(["classify", *matrix, "--format", fmt])
         calls.append(["hamiltonian", *matrix, *BRANCHES, *params, "--format", fmt])
     for flags, t_end, fmt in FLOW_CALLS:

@@ -4,10 +4,12 @@ Everything is plain double precision on top of ``cmath``; matrices, like
 every record of the package, are immutable ``Value``s.  ``closed_exps`` is
 the package's one evaluator of exp(s Z): a lazy iterator that reads Z's
 constants once and yields exp(s Z)'s entries for one s at a time, holding
-none; ``closed_exp`` is its one-s case.  Every flow sample and every
-propagator ``verify`` checks come from it, and it validates the scalar-case
-and Jordan generators.  A generator that carries its eigenvalue delta passes
-it in, so exp(s Z) reads delta as built, not as recomputed from Z's entries.
+none.  Every flow sample and every propagator ``verify`` checks come from
+it.  ``closed_exp``, its one-s case, builds a ``Mat2C`` through the
+constructor: it validates the scalar-case and Jordan branches and serves
+``flow.flow_matrix``, neither of them per sample.  A generator that
+carries its eigenvalue delta passes it in, so exp(s Z) reads delta as
+built, not as recomputed from Z's entries.
 Its oracles (``taylor_exp``, ``series_exp``) live in ``verify``.
 
 Branch convention used throughout the package: a nonzero complex number is
@@ -48,6 +50,12 @@ class Value:
     and hash equal, print as ``Name(field=value, ...)``, pickle and copy through
     the constructor (validating again), and raise ``FrozenInstanceError`` (the
     only use of ``dataclasses``) when an attribute is assigned or deleted.
+
+    The records built per sweep point or per verify propagator (``Mat2C``,
+    ``TransitionMatrix``, ``EigenStructure``) unroll ``_store`` into one
+    module-level slot setter call per field: on a copy that ``_store``d them,
+    a sweep point and a verify suite were measurably slower.  Every other
+    record calls ``_store``.
     """
 
     __slots__ = ()
@@ -140,10 +148,7 @@ class Mat2C(Value):
         return max(abs(self.e11), abs(self.e12), abs(self.e21), abs(self.e22))
 
 
-# The constructor is the only writer of the entries, but for closed_exp, whose
-# entries are complex already.
 _set_e11, _set_e12, _set_e21, _set_e22 = Mat2C._setters
-_new_mat2c = object.__new__
 
 
 def max_diff(a: Mat2C, b: Mat2C) -> float:
@@ -199,14 +204,7 @@ def closed_exps(z: Mat2C, ss: Iterable[float], delta: complex | None = None
 
 def closed_exp(z: Mat2C, s: float = 1.0, delta: complex | None = None) -> Mat2C:
     """exp(s z) of a 2x2 complex matrix in closed form: ``closed_exps`` at one s."""
-    e11, e12, e21, e22 = next(closed_exps(z, (s,), delta))
-    # the entries are complex already: set them without the constructor's coercion
-    m = _new_mat2c(Mat2C)
-    _set_e11(m, e11)
-    _set_e12(m, e12)
-    _set_e21(m, e21)
-    _set_e22(m, e22)
-    return m
+    return Mat2C(*next(closed_exps(z, (s,), delta)))
 
 
 def re_im(z: complex) -> dict[str, float]:

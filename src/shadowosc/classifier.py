@@ -70,8 +70,6 @@ class EigenStructure(Value):
         _set_jordan_basis(self, jordan_basis)
 
 
-# Built for every map classified: the fields are set through the slot setters,
-# as Mat2C does; the constructor is their only writer.
 _set_eigenvalue, _set_angle, _set_modulus, _set_degenerate, _set_d, _set_jordan_basis = \
     EigenStructure._setters
 

@@ -7,20 +7,20 @@ through ``tables.sink``: an ``--out`` file appears only whole (``flow --out``
 names a directory it creates), and stdout receives nothing from a command
 that fails.  A sweep row depends only on its own grid point
 tau_k = start + k*step: its map's tag and real-branch count come from
-``shadow.real_count``, which builds no generator record for distinct
-eigenvalues, and a JSON row is filled into one template
-(``tables.listed_texts``).  So ``sweep`` writes its grid through
-``tables.write_table``, split into chunks that this process and one forked
-child claim where the grid has at least 2 * _MIN_SWEEP_POINTS points and two
-CPUs are usable (``tables.splits``), its part files beside the --out file;
+``shadow.real_count``, which builds no generator record, and a JSON row
+is filled into one template (``tables.listed_texts``).  So ``sweep``
+writes its grid through ``tables.write_table``, split into chunks that
+this process and one forked child claim where the grid has at least
+2 * _MIN_SWEEP_POINTS points and two CPUs are usable (``tables.splits``),
+its part files beside the --out file;
 ``verify`` runs its suite's subjects the same way (``verify.full_suite``).
 ``flow`` writes the discrete orbit first, in one pass, then its branch files
 as one such job (``flow.trajectory_files``), with at most one fork per call;
 ``_write_trajectory`` returns once its file is whole.  ``verify --out``
 writes its JSON before it prints the report, so that no command prints to
 stdout and then fails.
-A grid whose start, stop or step is not finite, or that has more than
-2**52 points, is a usage error.
+A grid that is empty, whose start, stop or step is not finite, or that has
+more than 2**52 points, is a usage error.
 
 Every map, Euler's included, takes one route: rows from
 ``shadow.hamiltonian_from_generator``, flows from ``flow.sample_trajectory``.
@@ -110,15 +110,17 @@ def _parse_quad(text: str) -> tuple[float, float, float, float]:
 def _parse_grid(text: str) -> tuple[float, float, int]:
     """start:stop:step as (start, step, count), the grid being start + k*step
     for 0 <= k < count, inclusive of stop up to rounding (``_grid_rounding``);
-    count 0 is empty."""
+    an empty grid is refused."""
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError("grid must be start:stop:step")
     start, stop, step = (float(v) for v in parts)
     if not (math.isfinite(start) and math.isfinite(stop) and math.isfinite(step)):
         raise ValueError(f"grid {text}: start, stop and step must be finite")
-    if step <= 0 or stop < start:
-        return start, step, 0
+    if step <= 0:
+        raise ValueError(f"grid {text}: step must be positive")
+    if stop < start:
+        raise ValueError(f"grid {text}: stop must not be below start")
     return start, step, whole_steps(
         stop - start, step, math.floor,
         f"grid {text}: (stop - start) / step = %g; at most 2**52 steps are supported",
@@ -311,9 +313,8 @@ def _sweep_row(integrator: str, tau: float, branches: range,
               params: CaseIIParams | None) -> tuple[float, str, float, float, int]:
     """One ``sweep`` grid point: tau, case, trace, |T^2 - 4| and the number of
     real branch Hamiltonians, counted by ``shadow.real_count`` without
-    building a generator or a Hamiltonian where the eigenvalues are distinct.
-    ``branches`` is a range, so it is in the order real_count reads, with no
-    sort per point."""
+    building a generator or a Hamiltonian.  ``branches`` is a range, so it
+    is in the order real_count reads, with no sort per point."""
     r = make(integrator, tau)
     tag, n_real = real_count(r, branches, params)
     return tau, tag.value, r.trace(), criticality_gap(r), n_real
@@ -321,9 +322,6 @@ def _sweep_row(integrator: str, tau: float, branches: range,
 
 def cmd_sweep(args) -> int:
     start, step, count = _parse_grid(args.grid)
-    if not count:
-        print("empty sweep grid", file=sys.stderr)
-        return USAGE_ERROR
     params = _resolve_params(args)
     branches = _branches(args)
 

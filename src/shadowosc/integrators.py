@@ -103,8 +103,6 @@ class TransitionMatrix(Value):
         return Mat2C(self.r1, self.r2, self.r3, self.r4)
 
 
-# Built for every map: the fields are set through the slot setters, as Mat2C
-# does; the constructor is their only writer.
 _set_r1, _set_r2, _set_r3, _set_r4, _set_tau, _set_label, _set_k11 = TransitionMatrix._setters
 
 

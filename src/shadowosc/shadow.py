@@ -24,13 +24,14 @@ see a K that is not nilpotent.  For distinct eigenvalues exp(Z) - R has the
 exact form (cosh L - T/2) I + (sinh L / d - 1) K, two scalars per branch;
 the scalar and Jordan generators are checked through ``closed_exp``.
 
-The three coefficients are read off Z's entries by one helper, which
-``hamiltonian_from_generator`` and ``real_count`` share: ``real_count``
-counts the real-valued Hamiltonians of a map's branches, with the same
-validation, finiteness checks and realness rule, and for distinct
-eigenvalues builds no ``Generator`` or ``ShadowHamiltonian``, only the
-validated branch scalars (``_distinct_branches``); ``sweep`` counts real
-branches with it, handing it the branches already in order.
+One function, ``_branches``, picks the builder for ``classify``'s tag and
+returns the validated branches as plain tuples (m, L, Z11, Z12, Z21, Z22).
+``generators_for`` wraps each in a ``Generator`` whose case is the tag,
+as do ``generator_scalar`` and ``generator_jordan`` for their one branch;
+``real_count`` reads the coefficients straight off them, with the same
+finiteness checks and realness rule as ``hamiltonian_from_generator``, and
+builds no ``Generator`` or ``ShadowHamiltonian`` for any tag; ``sweep``
+counts real branches with it, handing it the branches already in order.
 
 Every map, Euler's included, takes this construction.  K's diagonal is the
 map's ``TransitionMatrix.k11``, exact for the built-ins, so Z keeps the
@@ -66,6 +67,8 @@ PARAM_TOL = 1e-10
 _TERM_ROUNDING = 4.0 * sys.float_info.epsilon  # of c1**2 + c2*c3, per unit of its terms
 OBSTRUCTION = ("similar to a Jordan block with eigenvalue -1: any logarithm has "
                "equal nonzero eigenvalues and cannot be traceless")
+# a validated branch: (m, L, Z11, Z12, Z21, Z22), Z traceless with eigenvalues +-L
+Branch = tuple[int, complex, complex, complex, complex, complex]
 
 
 class Generator(Value):
@@ -81,16 +84,7 @@ class Generator(Value):
 
     def __init__(self, matrix: Mat2C, branch: int, tau: float, case: CaseTag,
                  log: complex | None = None):
-        _set_matrix(self, matrix)
-        _set_branch(self, branch)
-        _set_tau(self, tau)
-        _set_case(self, case)
-        _set_log(self, log)
-
-
-# The records built for every map and branch set their fields through the
-# slot setters, as Mat2C does; each constructor is its fields' only writer.
-_set_matrix, _set_branch, _set_tau, _set_case, _set_log = Generator._setters
+        self._store(matrix, branch, tau, case, log)
 
 
 def _check_finite(c_pp: complex, c_qq: complex, c_pq: complex, tau: float,
@@ -110,14 +104,7 @@ class ShadowHamiltonian(Value):
     def __init__(self, c_pp: complex, c_qq: complex, c_pq: complex, tau: float, branch: int,
                  case: CaseTag, real_valued: bool, rate: complex | None = None):
         _check_finite(c_pp, c_qq, c_pq, tau, branch)
-        _set_c_pp(self, c_pp)
-        _set_c_qq(self, c_qq)
-        _set_c_pq(self, c_pq)
-        _set_h_tau(self, tau)
-        _set_h_branch(self, branch)
-        _set_h_case(self, case)
-        _set_real_valued(self, real_valued)
-        _set_rate(self, rate)
+        self._store(c_pp, c_qq, c_pq, tau, branch, case, real_valued, rate)
 
     def evaluate(self, q: complex, p: complex) -> complex:
         return self.c_pp * p * p + self.c_qq * q * q + self.c_pq * p * q
@@ -140,10 +127,6 @@ class ShadowHamiltonian(Value):
         if self.rate is not None:
             out["lambda"] = re_im(self.rate)
         return out
-
-
-(_set_c_pp, _set_c_qq, _set_c_pq, _set_h_tau, _set_h_branch, _set_h_case, _set_real_valued,
- _set_rate) = ShadowHamiltonian._setters
 
 
 class CaseIIParams(Value):
@@ -205,13 +188,7 @@ class GeneratorFamily(Value):
 
     def __init__(self, case: CaseTag, eigen: EigenStructure, generators: tuple[Generator, ...],
                  obstruction: str | None = None):
-        _set_family_case(self, case)
-        _set_eigen(self, eigen)
-        _set_generators(self, generators)
-        _set_obstruction(self, obstruction)
-
-
-_set_family_case, _set_eigen, _set_generators, _set_obstruction = GeneratorFamily._setters
+        self._store(case, eigen, generators, obstruction)
 
 
 def _check_exp(exp_resid: float, z: Mat2C, r: TransitionMatrix) -> None:
@@ -228,23 +205,22 @@ def _check_exp(exp_resid: float, z: Mat2C, r: TransitionMatrix) -> None:
         )
 
 
-def _validated(z: Mat2C, branch: int, r: TransitionMatrix, case: CaseTag,
-               log: complex, delta: complex | None = None) -> Generator:
-    """The generator carrying ``log``, once closed_exp(Z) read with the
-    eigenvalue ``delta`` (None: read from Z) meets R."""
+def _validated(z: Mat2C, branch: int, r: TransitionMatrix, log: complex,
+               delta: complex | None = None) -> Branch:
+    """Branch ``branch`` of Z carrying ``log``, once closed_exp(Z) read with
+    the eigenvalue ``delta`` (None: read from Z) meets R."""
     e = closed_exp(z, 1.0, delta)
     _check_exp(nan_max(abs(e.e11 - r.r1), abs(e.e12 - r.r2), abs(e.e21 - r.r3),
                        abs(e.e22 - r.r4)), z, r)
-    return Generator(z, branch, r.tau, case, log)
+    return branch, log, z.e11, z.e12, z.e21, z.e22
 
 
 def _distinct_branches(r: TransitionMatrix, eigen: EigenStructure,
-                       branches: Iterable[int]) -> list[tuple[int, complex, complex, complex,
-                                                              complex]]:
-    """Each requested branch's (m, L, Z11, Z12, Z21), in the order of
-    ``branches``, for a map with distinct eigenvalues T/2 +- d; r and eigen
-    are read once for all of them, and every branch is validated before the
-    list is returned, so a caller reads no branch before all have passed.
+                       branches: Iterable[int]) -> list[Branch]:
+    """Each requested branch, in the order of ``branches``, for a map with
+    distinct eigenvalues T/2 +- d; r and eigen are read once for all of them,
+    and every branch is validated before the list is returned, so a caller
+    reads no branch before all have passed.
 
     Z = (L / d) * K with L = log(y, m), y = T/2 + d and K = R - (T/2) I, whose
     eigenvalues are +-d: Z is traceless (Z22 = -Z11) with eigenvalues +-L,
@@ -282,57 +258,69 @@ def _distinct_branches(r: TransitionMatrix, eigen: EigenStructure,
         if not (e11 + e12 + e21 + e22 <= TOL
                 and abs(diag) + abs(z12) + abs(z21) < math.inf):
             _check_exp(nan_max(e11, e12, e21, e22), Mat2C(diag, z12, z21, -diag), r)
-        validated.append((branch, log, diag, z12, z21))
+        validated.append((branch, log, diag, z12, z21, -diag))
     return validated
 
 
-def _distinct_generators(r: TransitionMatrix, eigen: EigenStructure,
-                         branches: Iterable[int]) -> tuple[Generator, ...]:
-    """The ``Generator`` records of ``_distinct_branches``, each carrying its L."""
-    d, tau = eigen.d.real, r.tau
-    case = CaseTag.IB if d > 0.0 else CaseTag.IC if d < 0.0 else CaseTag.IA
-    return tuple(Generator(Mat2C(diag, z12, z21, -diag), m, tau, case, log)
-                 for m, log, diag, z12, z21 in _distinct_branches(r, eigen, branches))
-
-
-def generator_scalar(r: TransitionMatrix, branch: int,
-                     params: CaseIIParams | None = None) -> Generator:
-    """Branch-m generator for a scalar map R = +-I.
+def _scalar_branch(r: TransitionMatrix, tag: CaseTag, branch: int,
+                   params: CaseIIParams | None) -> Branch:
+    """Branch m of a scalar map R = +-I, read as R = I for tag ii(+).
 
     Any traceless direction (c1, c2, c3) with c1**2 + c2*c3 = 1 works;
     the eigenvalue pair is +-x1 with x1 = 2*pi*i*m for R = I and
     x1 = (2m+1)*pi*i for R = -I.  R = I at branch 0 yields the valid
-    trivial Z = 0.  The generator carries x1 as its eigenvalue.
+    trivial Z = 0.  The branch carries x1 as its eigenvalue.
     """
     params = params if params is not None else CaseIIParams.default()
-    plus = r.trace() > 0
-    x1 = 1j * math.pi * (2 * branch if plus else 2 * branch + 1)
+    x1 = 1j * math.pi * (2 * branch if tag is CaseTag.II_PLUS else 2 * branch + 1)
     diag = x1 * params.c1
-    z = Mat2C(diag, x1 * params.c2, x1 * params.c3, -diag)
-    case = CaseTag.II_PLUS if plus else CaseTag.II_MINUS
-    return _validated(z, branch, r, case, x1, x1)
+    return _validated(Mat2C(diag, x1 * params.c2, x1 * params.c3, -diag), branch, r, x1, x1)
+
+
+def _branches(r: TransitionMatrix, tag: CaseTag, eigen: EigenStructure,
+              ordered: Sequence[int], params: CaseIIParams | None) -> list[Branch]:
+    """The validated branches of a map classified as (tag, eigen), for the
+    branches ``ordered``: one per branch for distinct eigenvalues and for
+    +-I, the one Jordan branch for iii-a whatever was asked for, none for
+    iii-b."""
+    if tag in DISTINCT_TAGS:
+        return _distinct_branches(r, eigen, ordered)
+    if tag in SCALAR_TAGS:
+        return [_scalar_branch(r, tag, m, params) for m in ordered]
+    if tag is CaseTag.IIIA:
+        # Z = K, nilpotent to tolerance, so exp(Z) = I + Z = R.  exp(Z) is read
+        # with the eigenvalue read off Z, not the 0 the branch carries: a check
+        # that took K**2 = 0 as given would read only R's I part, and pass a
+        # large-entry K that classify's band took for nilpotent
+        return [_validated(Mat2C(*r.traceless()), 0, r, 0j)]
+    return []
+
+
+def generator_scalar(r: TransitionMatrix, branch: int,
+                     params: CaseIIParams | None = None) -> Generator:
+    """Branch-m generator for a scalar map R = +-I (``_scalar_branch``).
+
+    A map that classify does not tag ii(+-) is read as +I or -I by the sign
+    of its trace, and the branch's exp check decides whether it passes.
+    """
+    tag, eigen = classify(r)
+    if tag not in SCALAR_TAGS:
+        tag = CaseTag.II_PLUS if r.trace() > 0 else CaseTag.II_MINUS
+    return _family(r, tag, eigen, (branch,), params).generators[0]
 
 
 def generator_jordan(r: TransitionMatrix) -> Generator:
     """The unique generator of a defective map with eigenvalue +1: Z = K.
 
-    K = R - (T/2) I is nilpotent to tolerance, so exp(Z) = I + Z = R.  A
-    defective map with eigenvalue -1 admits no traceless logarithm; that
+    A defective map with eigenvalue -1 admits no traceless logarithm; that
     outcome is reported through NoHamiltonian with the Jordan evidence.
     """
-    return _jordan_generator(r, *classify(r))
-
-
-def _jordan_generator(r: TransitionMatrix, tag: CaseTag, eigen: EigenStructure) -> Generator:
-    """``generator_jordan`` for a map already classified as (tag, eigen)."""
+    tag, eigen = classify(r)
     if tag is CaseTag.IIIB:
         raise NoHamiltonian(r.label, r.tau, eigen)
     if tag is not CaseTag.IIIA:
         raise NotDefective(f"{r.label} at tau={r.tau:g} classifies as {tag}")
-    # exp(Z) with the eigenvalue read off Z, not the 0 the record carries: a
-    # check that took K**2 = 0 as given would read only R's I part, and pass
-    # a large-entry K that classify's band took for nilpotent
-    return _validated(Mat2C(*r.traceless()), 0, r, CaseTag.IIIA, 0j)
+    return _family(r, tag, eigen, (), None).generators[0]
 
 
 def _is_real(c_pp: complex, c_qq: complex, c_pq: complex) -> bool:
@@ -372,18 +360,15 @@ def generators_for(r: TransitionMatrix, branches: Iterable[int],
     return _family(r, tag, eigen, sorted(set(map(int, branches))), params)
 
 
-def _family(r: TransitionMatrix, tag: CaseTag, eigen: EigenStructure, ordered: list[int],
-            params: CaseIIParams | None) -> GeneratorFamily:
+def _family(r: TransitionMatrix, tag: CaseTag, eigen: EigenStructure,
+            ordered: Sequence[int], params: CaseIIParams | None) -> GeneratorFamily:
     """``generators_for`` of a map classified as (tag, eigen), for the
     branches ``ordered``, sorted and without repeats."""
-    if tag in DISTINCT_TAGS:
-        return GeneratorFamily(tag, eigen, _distinct_generators(r, eigen, ordered))
-    if tag in SCALAR_TAGS:
-        gens = tuple(generator_scalar(r, m, params) for m in ordered)
-        return GeneratorFamily(tag, eigen, gens)
-    if tag is CaseTag.IIIA:
-        return GeneratorFamily(tag, eigen, (_jordan_generator(r, tag, eigen),))
-    return GeneratorFamily(tag, eigen, (), OBSTRUCTION)
+    branches, tau = _branches(r, tag, eigen, ordered, params), r.tau
+    generators = tuple(Generator(Mat2C(z11, z12, z21, z22), m, tau, tag, log)
+                       for m, log, z11, z12, z21, z22 in branches)
+    return GeneratorFamily(tag, eigen, generators,
+                           OBSTRUCTION if tag is CaseTag.IIIB else None)
 
 
 def real_count(r: TransitionMatrix, ordered: Sequence[int],
@@ -393,24 +378,15 @@ def real_count(r: TransitionMatrix, ordered: Sequence[int],
     real-valued Hamiltonian: ``generators_for(r, ordered, params)`` and the
     sum of ``hamiltonian_from_generator(g).real_valued`` over its generators,
     raising what they raise, in their order, but classifying r once and
-    building no ``ShadowHamiltonian``.  ``sweep`` orders its branches once per
-    grid, not per point.
-
-    Every branch is validated before any coefficient is read, as
-    ``generators_for`` validates them all first.  For distinct eigenvalues
-    the coefficients are read off the validated branch scalars, with no
-    ``Generator`` built; any other tag reads the entries of its (at most one
-    per branch) generators.  Generators built here are traceless exactly, so
-    ``hamiltonian_from_generator``'s trace check passes on every one of them.
+    building no ``Generator`` or ``ShadowHamiltonian``: the coefficients are
+    read off ``_branches``, whose every branch is validated before any
+    coefficient is read, and whose Z is traceless exactly, so
+    ``hamiltonian_from_generator``'s trace check would pass on each.
+    ``sweep`` orders its branches once per grid, not per point.
     """
     tag, eigen = classify(r)
-    if tag in DISTINCT_TAGS:
-        validated = _distinct_branches(r, eigen, ordered)
-    else:
-        validated = [(g.branch, g.log, g.matrix.e11, g.matrix.e12, g.matrix.e21)
-                     for g in _family(r, tag, eigen, ordered, params).generators]
     tau, count = r.tau, 0
-    for branch, _, z11, z12, z21 in validated:
+    for branch, _, z11, z12, z21, _ in _branches(r, tag, eigen, ordered, params):
         c_pp, c_qq, c_pq = _coefficients(z11, z12, z21, tau)
         _check_finite(c_pp, c_qq, c_pq, tau, branch)
         count += _is_real(c_pp, c_qq, c_pq)

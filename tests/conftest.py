@@ -9,7 +9,7 @@ from shadowosc import cli, flow, tables
 from shadowosc.algebra import Mat2C
 from shadowosc.classifier import CaseTag
 from shadowosc.errors import NotApplicable
-from shadowosc.shadow import _distinct_generators
+from shadowosc.shadow import Generator, _distinct_branches
 
 
 def to_numpy(m) -> np.ndarray:
@@ -38,8 +38,12 @@ def rotation_sense(h) -> str:
 
 
 def generator_distinct(r, eigen, branch: int):
-    """Branch-m generator for a map with distinct eigenvalues T/2 +- d."""
-    return _distinct_generators(r, eigen, (branch,))[0]
+    """Branch-m generator for a map with distinct eigenvalues T/2 +- d, its
+    case read off the sign of d."""
+    (m, log, *z), = _distinct_branches(r, eigen, (branch,))
+    d = eigen.d.real
+    case = CaseTag.IB if d > 0.0 else CaseTag.IC if d < 0.0 else CaseTag.IA
+    return Generator(Mat2C(*z), m, r.tau, case, log)
 
 
 def quadratic_roots(tr: complex, det: complex) -> tuple[complex, complex]:

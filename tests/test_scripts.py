@@ -62,10 +62,12 @@ def test_output_digest(tmp_path):
     assert done.returncode == 0, done.stderr
     lines = [json.loads(line) for line in done.stdout.splitlines()]
     # 10 sweeps to stdout and 10 to --out, 15 failing one-point sweeps, 4 sweeps
-    # failing in a later range, 20 sweeps on the two count grids, 90 near-ridge
-    # calls, 8 built-in and 8 custom draws of two calls each, 26 flows, one
-    # verify per seed and five more, then 23 parser calls at each of two widths
-    assert len(lines) == 20 + 15 + 4 + 20 + 90 + 2 * 8 + 2 * 8 + 26 + 1 + 5 + 2 * 23
+    # failing in a later range, 20 sweeps on the two count grids, 12 sweeps of
+    # the two scalar points, 3 empty grids, 90 near-ridge calls, 8 built-in and
+    # 8 custom draws of two calls each, 26 flows, one verify per seed and five
+    # more, then 23 parser calls at each of two widths
+    assert len(lines) == (20 + 15 + 4 + 20 + 12 + 3 + 90 + 2 * 8 + 2 * 8 + 26 + 1 + 5
+                          + 2 * 23)
     lines, parser_lines = lines[:-46], lines[-46:]
     assert [line["columns"] for line in parser_lines] == ["30"] * 23 + ["200"] * 23
     assert [line["argv"] for line in parser_lines[:23]] == [
@@ -98,6 +100,14 @@ def test_output_digest(tmp_path):
     assert [line["argv"][3] for line in lines[39:59]] == (
         ["--grid=1:1.9999999999:0.1"] * 10 + ["--grid=9.881:9.881006:6e-7"] * 10)
     assert all(line["exit"] == 0 for line in lines[39:59])
+    # each scalar point sweeps under each preset in both formats; every empty
+    # grid is a usage error
+    assert [line["argv"][2:4] for line in lines[59:71:6]] == [
+        ["double-euler", "--grid=2.8284271247461903:2.8284271247461903:1"],
+        ["vp", "--grid=5.656854249492381:5.656854249492381:1"]]
+    assert [line["argv"][5] for line in lines[59:71:2]] == [
+        "default", "real-rotation", "hyperbolic"] * 2
+    assert [line["exit"] for line in lines[59:74]] == [0] * 12 + [2] * 3
     assert {line["exit"] for line in lines} == {0, 1, 2}
     # each flow call lists every file its directory holds: three branches and the
     # discrete orbit, the shear's one branch, iii-b's discrete file alone, and the
@@ -151,3 +161,101 @@ def test_code_lines(tmp_path):
     *modules, total = [line.split() for line in done.stdout.splitlines()]
     assert total[1] == "total" and "tables.py" in [name for _, name in modules]
     assert int(total[0]) == sum(int(count) for count, _ in modules)
+
+
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _bench_run(side, seed, order, work, p50, error=None):
+    return {"side": side, "seed": seed, "order": order, "exit": 1 if error else 0,
+            "correct": None if error else True, "failed": None if error else 0,
+            "metrics": None if error else {"work_per_s": work, "latency_p50_ms": p50},
+            "error": error}
+
+
+def test_bench_pairs_summary():
+    pairs = _load("bench_pairs")
+    runs = [_bench_run("parent", 1, 1, 100.0, 10.0), _bench_run("change", 1, 2, 90.0, 9.0),
+            _bench_run("change", 2, 1, 110.0, 12.0), _bench_run("parent", 2, 2, 104.0, 11.0),
+            _bench_run("parent", 3, 1, 96.0, 10.5), _bench_run("change", 3, 2, 99.0, 10.0),
+            _bench_run("change", 4, 1, 0.0, 0.0, error="exit 1: boom"),
+            _bench_run("parent", 4, 2, 120.0, 8.0)]
+    summary = pairs.summarise(runs, {"work_per_s": "higher", "latency_p50_ms": "lower"})
+    assert summary["runs"] == runs
+    work, p50 = summary["metrics"]["work_per_s"], summary["metrics"]["latency_p50_ms"]
+    # the failed run counts in no median and no pair; the parent's four runs
+    # 96, 100, 104, 120 have inclusive quartiles 99 and 108, and 8, 10, 10.5,
+    # 11 have 9.5 and 10.625
+    assert work == {"better": "higher", "median": {"parent": 102.0, "change": 99.0},
+                    "parent_iqr": 9.0, "pairs": 3, "change_won": [2, 3]}
+    assert p50 == {"better": "lower", "median": {"parent": 10.25, "change": 10.0},
+                   "parent_iqr": 1.125, "pairs": 3, "change_won": [1, 3]}
+    # seed 1: the parent ran first and won; 2: the change ran first and won;
+    # 3: the parent ran first and lost
+    assert summary["first_side_won"] == {"work_per_s": 2, "pairs": 3}
+
+
+def test_bench_pairs_keeps_failed_and_malformed_runs():
+    pairs = _load("bench_pairs")
+    line = json.dumps({"correct": True, "attempted": 5, "failed": 1,
+                       "metrics": {"work_per_s": {"value": 12.5, "unit": "1/s"}}})
+    assert pairs.parse_run(0, f"# a raw line\n{line}\n", "") == {
+        "correct": True, "failed": 1, "metrics": {"work_per_s": 12.5}, "error": None}
+    bad = {"correct": None, "failed": None, "metrics": None}
+    assert pairs.parse_run(2, "", "error: no sources\n") == {
+        **bad, "error": "exit 2: error: no sources"}
+    assert pairs.parse_run(1, f"{line}\n", "") == {**bad, "error": f"exit 1: {line}"}
+    assert pairs.parse_run(0, "# a raw line\n{\"correct\": tr\n", "") == {
+        **bad, "error": "no result line: {\"correct\": tr"}
+    assert pairs.parse_run(0, "", "")["error"] == "no result line: "
+
+
+# a bench/run.py that logs its call to ../log and prints a result line of seed
+# + 0.5 for the change, seed for the parent, or fails the change's seed 8
+FAKE_BENCH = '''import json, os, sys
+args = dict(zip(sys.argv[1::2], sys.argv[2::2]))
+side = os.path.basename(os.getcwd())
+with open("../log", "a") as log:
+    log.write(f"{side} {args['--seed']} {args['--seconds']} {args['--trace']}\\n")
+if side == "change" and args["--seed"] == "8":
+    sys.exit("error: this run fails")
+work = int(args["--seed"]) + (0.5 if side == "change" else 0.0)
+print("# raw values")
+print(json.dumps({"correct": True, "attempted": 3, "failed": 0,
+                  "metrics": {"work_per_s": {"value": work, "unit": "1/s"}}}))
+'''
+
+
+def test_bench_pairs_alternates_the_first_side(tmp_path):
+    for side in ("parent", "change"):
+        (tmp_path / side / "bench").mkdir(parents=True)
+        (tmp_path / side / "bench" / "run.py").write_text(FAKE_BENCH)
+    done = run_script("bench_pairs.py", str(tmp_path / "parent"), str(tmp_path / "change"),
+                      "--workload", "sweep-fine", "--pairs", "4", "--seed", "7", cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    # every run lasts BENCHMARK.json's run_seconds
+    seconds = json.loads((SCRIPTS.parent / "BENCHMARK.json").read_text())["run_seconds"]
+    assert (tmp_path / "log").read_text().splitlines() == [
+        f"{side} {seed} {seconds} 0" for side, seed in [
+            ("parent", 7), ("change", 7), ("change", 8), ("parent", 8),
+            ("parent", 9), ("change", 9), ("change", 10), ("parent", 10)]]
+    summary = json.loads(done.stdout)
+    assert summary["run_seconds"] == seconds
+    assert [(run["side"], run["seed"], run["order"], run["exit"])
+            for run in summary["runs"]] == [
+        ("parent", 7, 1, 0), ("change", 7, 2, 0), ("change", 8, 1, 1), ("parent", 8, 2, 0),
+        ("parent", 9, 1, 0), ("change", 9, 2, 0), ("change", 10, 1, 0), ("parent", 10, 2, 0)]
+    assert summary["runs"][2]["error"] == "exit 1: error: this run fails"
+    assert summary["metrics"]["work_per_s"]["change_won"] == [7, 9, 10]
+    assert summary["first_side_won"] == {"work_per_s": 1, "pairs": 3}
+
+
+def test_bench_pairs_refuses_an_odd_pair_count(tmp_path):
+    done = run_script("bench_pairs.py", "parent", "change", "--workload", "sweep-fine",
+                      "--pairs", "3", "--seed", "1", cwd=tmp_path)
+    assert done.returncode == 2 and done.stdout == ""
+    assert "--pairs must be even" in done.stderr

@@ -21,7 +21,15 @@ from shadowosc.errors import (
     OutOfRange,
     ShadowOscError,
 )
-from shadowosc.integrators import BUILDERS, custom, double_euler, euler, make, velocity_verlet
+from shadowosc.integrators import (
+    BUILDERS,
+    custom,
+    double_euler,
+    euler,
+    make,
+    velocity_verlet,
+    vp,
+)
 from shadowosc.shadow import (
     PARAM_PRESETS,
     CaseIIParams,
@@ -570,7 +578,7 @@ class TestNanResidual:
         monkeypatch.setattr(shadowosc.shadow, "closed_exp",
                             lambda z, s=1.0, delta=None: Mat2C(*entries))
         with pytest.raises(NotTraceless):
-            _validated(Mat2C(0.0, 0.0, 0.0, 0.0), 0, r, CaseTag.IA, 0j)
+            _validated(Mat2C(0.0, 0.0, 0.0, 0.0), 0, r, 0j)
 
 
 maps_at_every_scale = st.one_of(
@@ -662,6 +670,8 @@ def counted_by_records(r, branches, params=None):
     """``real_count``'s reference: the tag of the family and how many of its
     generators give a real-valued Hamiltonian record."""
     family = generators_for(r, branches, params)
+    # the tag, not the sign of d, sets every generator's case
+    assert all(g.case is family.case for g in family.generators)
     return family.case, sum(hamiltonian_from_generator(g).real_valued
                             for g in family.generators)
 
@@ -697,7 +707,10 @@ class TestRealValuedReadsTheGenerator:
         assert_real_count_agrees(conjugated(x, shear, hyperbolic, tau))
 
     @pytest.mark.parametrize("preset", sorted(PARAM_PRESETS))
-    @pytest.mark.parametrize("r", [IDENTITY, MINUS_IDENTITY], ids=["I", "-I"])
+    # the built-ins at their scalar points carry a given k11
+    @pytest.mark.parametrize("r", [IDENTITY, MINUS_IDENTITY, double_euler(2 * math.sqrt(2)),
+                                   vp(4 * math.sqrt(2))],
+                             ids=["I", "-I", "double-euler", "vp"])
     def test_scalar_maps_under_every_preset(self, r, preset):
         tag, count = assert_real_count_agrees(r, params=PARAM_PRESETS[preset]())
         assert tag in (CaseTag.II_PLUS, CaseTag.II_MINUS) and 0 <= count <= 7
