@@ -27,6 +27,9 @@ order:
 - ``sweep`` on the one-point grid of each ``SCALAR_POINTS`` built-in, where
   R = +-I, under each ``--params`` preset, in CSV and JSON; then ``sweep``
   on each of ``EMPTY_GRIDS``, each a usage error;
+- ``hamiltonian``, ``flow`` (with ``--out``) and ``sweep`` of a scalar map
+  with the direction given both as ``--c1 --c2 --c3`` and as ``--params``
+  (``BOTH_DIRECTIONS``), each a usage error that writes no file;
 - ``classify`` and ``hamiltonian --m-min -3 --m-max 3`` for N draws of a
   built-in and tau log-uniform in [1e-12, 1e6], the format alternating;
 - ``hamiltonian --m-min -3 --m-max 3`` for each built-in at tau = ridge +-
@@ -90,6 +93,7 @@ PRESETS = ("default", "real-rotation", "hyperbolic")
 # stop below start, and steps that are zero and negative
 EMPTY_GRIDS = ("3:1:0.1", "0:1:0", "0:1:-1")
 OUT = "<out>"  # a call's output directory
+BOTH_DIRECTIONS = ("--c1", "0", "--c2", "1", "--c3", "1", "--params", "hyperbolic")
 VERIFY_OUT = f"{OUT}/verify.json"
 VERIFY_OPTIONS = (["--trials", "1"], ["--trials", "3"], ["--perturb", "1e-3"],
                   ["--perturb=-1e-9"], ["--perturb", "1e300"])
@@ -188,6 +192,11 @@ def call_set(count: int, grid: str, verify_seeds: int, flow_dt: float,
                               "--params", preset, "--format", fmt])
     for empty_grid in EMPTY_GRIDS:
         calls.append(["sweep", "--integrator", "euler", f"--grid={empty_grid}"])
+    identity = ["--integrator", "custom", "--r", "1,0,0,1", "--tau", "1"]
+    name, tau = SCALAR_POINTS[1]  # vp where R = I
+    calls.append(["hamiltonian", *identity, *BOTH_DIRECTIONS])
+    calls.append(["flow", *identity, *BOTH_DIRECTIONS, "--out", OUT])
+    calls.append(["sweep", "--integrator", name, f"--grid={tau}:{tau}:1", *BOTH_DIRECTIONS])
     ridges = {"double-euler": 4.0, "euler": 2.0, "position-verlet": 2.0,
               "velocity-verlet": 2.0, "vp": vp_ridge}
     for name, ridge in ridges.items():

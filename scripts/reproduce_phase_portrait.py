@@ -4,7 +4,8 @@
 (q, p) = (1, 0), plus the seven discrete points they all pass through.
 
 Writes CSV files into --out (default ./portrait_data) and prints a short
-summary with the rotation sense of each branch.
+summary with the rotation sense of each branch.  Only a bounded orbit
+(case i-a, tau < 2) has one; for any other branch the summary says so.
 
 Usage:
     python scripts/reproduce_phase_portrait.py [--out DIR] [--tau TAU]
@@ -18,19 +19,19 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from shadowosc.classifier import CaseTag
 from shadowosc.cli import main as cli_main
-from shadowosc.errors import NotApplicable
 from shadowosc.integrators import euler
 from shadowosc.shadow import generators_for, hamiltonian_from_generator
 
 
-def rotation_sense(h) -> str:
+def rotation_sense(h) -> str | None:
     """Turning sense of the bounded orbit at (q, p) = (1, 0).
 
     The momentum derivative there is -2*c_qq; a negative value turns the
-    phase point clockwise.  Defined only for the bounded real case.
+    phase point clockwise.  Defined only for the bounded real case: None
+    for any other.
     """
     if h.case is not CaseTag.IA:
-        raise NotApplicable(f"rotation sense undefined for case {h.case}")
+        return None
     pdot = -2.0 * h.c_qq.real
     return "clockwise" if pdot < 0 else "counter-clockwise"
 
@@ -53,8 +54,11 @@ def main() -> int:
         return code
     # the flow rate of a bounded branch is the imaginary part of its L
     for g in generators_for(euler(args.tau), (-1, 0, 1)).generators:
-        h = hamiltonian_from_generator(g)
-        print(f"m={g.branch:+d}: rate={g.log.imag:.6f}, {rotation_sense(h)}")
+        sense = rotation_sense(hamiltonian_from_generator(g))
+        if sense is None:
+            print(f"m={g.branch:+d}: no rotation sense (case {g.case})")
+        else:
+            print(f"m={g.branch:+d}: rate={g.log.imag:.6f}, {sense}")
     print(f"data in {args.out}/ (flow_m*.csv + discrete.csv)")
     return 0
 

@@ -5,26 +5,24 @@ oscillator, this package classifies its eigenstructure, constructs the
 complete branch family of traceless matrix logarithms and the quadratic
 Hamiltonians they generate (or proves that none exists), and rebuilds
 continuous trajectories that pass through every discrete phase point.
+A generator is got one way, ``generators_for``, whose family carries the
+iii-b obstruction with its Jordan evidence where no Hamiltonian exists.
 The independent checks of those answers live in ``shadowosc.verify``, which
-the package root does not import: a CLI call that runs no check loads none.
+the package root does not import: a CLI call that runs no check loads none,
+and the errors only those checks raise are defined there.
 """
 
 from .algebra import Mat2C, closed_exp, max_diff
 from .classifier import CaseTag, EigenStructure, classify, criticality_gap
 from .errors import (
     BadParams,
-    CriticalTau,
     InvalidTau,
-    NoHamiltonian,
     NonFinite,
-    NotApplicable,
-    NotDefective,
     NotSymplectic,
     NotTraceless,
     OutOfRange,
     ShadowOscError,
     UnknownIntegrator,
-    ZeroEigenvalue,
 )
 from .flow import (
     PhaseState,
@@ -52,8 +50,6 @@ from .shadow import (
     Generator,
     GeneratorFamily,
     ShadowHamiltonian,
-    generator_jordan,
-    generator_scalar,
     generators_for,
     hamiltonian_from_generator,
 )

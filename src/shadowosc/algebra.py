@@ -19,11 +19,23 @@ written modulus * exp(i*theta) with theta in (-pi, pi], negative reals at
 determinant gives |y| = sqrt(1 + d**2) + |d| for real d, so log|y| is taken
 as asinh|Re d|: exact to rounding however close y is to +-1.
 
-Tolerance policy: every runtime check reads ``TOL`` against the scale of
-its own data through ``exceeds``; only two read rounding instead: the
-scalar-map test in ``classify`` (``ROUNDING``) and a ``TransitionMatrix``'s
-determinant and k11, held to their forward error (and a ``compose``
-product's, which may also reach the rounding its factors bring).
+Tolerance policy: each runtime bound, read against the scale of its own
+data, and what it guards.
+
+- ``TOL`` (1e-9), through ``exceeds``: exp(Z) against R and a generator's
+  trace (``shadow``), the ridge band |d**2| of ``classify``, the realness
+  of a Hamiltonian's coefficients, and ``custom``'s determinant, a promise
+  about the caller's input rather than a rounding bound.
+- ``ROUNDING`` (16 eps): ``classify``'s scalar-map test, |K| against |R|.
+- ``integrators.DET_ROUNDING`` (1024 eps): a ``TransitionMatrix``'s
+  determinant and k11, held to their forward error, and a ``compose``
+  product's, which may also reach the rounding its factors bring.
+- ``shadow.PARAM_TOL`` (1e-10) and ``shadow._TERM_ROUNDING`` (4 eps):
+  ``CaseIIParams``' residual |c1**2 + c2*c3 - 1|, held to the larger of
+  PARAM_TOL and the rounding of the sum's larger term.
+- ``flow.whole_steps``' 4 ulps: a ratio t_end / h that close to a whole n
+  counts as n steps (a ``sweep`` grid adds the rounding of its own fields,
+  ``cli._grid_rounding``).
 """
 
 from __future__ import annotations

@@ -156,6 +156,8 @@ def _resolve_params(args) -> CaseIIParams | None:
     given = [v for v in (args.c1, args.c2, args.c3) if v is not None]
     if not given:
         return PARAM_PRESETS[args.params]() if args.params else None
+    if args.params:
+        raise ValueError("give --params or --c1, --c2 and --c3, not both")
     if len(given) != 3:
         raise ValueError("--c1, --c2 and --c3 must be given together")
     return CaseIIParams(*(_parse_complex(c) for c in given))

@@ -26,12 +26,14 @@ the scalar and Jordan generators are checked through ``closed_exp``.
 
 One function, ``_branches``, picks the builder for ``classify``'s tag and
 returns the validated branches as plain tuples (m, L, Z11, Z12, Z21, Z22).
-``generators_for`` wraps each in a ``Generator`` whose case is the tag,
-as do ``generator_scalar`` and ``generator_jordan`` for their one branch;
-``real_count`` reads the coefficients straight off them, with the same
-finiteness checks and realness rule as ``hamiltonian_from_generator``, and
-builds no ``Generator`` or ``ShadowHamiltonian`` for any tag; ``sweep``
-counts real branches with it, handing it the branches already in order.
+``generators_for``, the one way to get a generator, wraps each in a
+``Generator`` whose case is the tag, and for iii-b returns the empty family
+whose ``obstruction`` says why and whose ``eigen.jordan_basis`` is the
+evidence; ``real_count`` reads the coefficients straight off the tuples,
+with the same finiteness checks and realness rule as
+``hamiltonian_from_generator``, and builds no ``Generator`` or
+``ShadowHamiltonian`` for any tag; ``sweep`` counts real branches with it,
+handing it the branches already in order.
 
 Every map, Euler's included, takes this construction.  K's diagonal is the
 map's ``TransitionMatrix.k11``, exact for the built-ins, so Z keeps the
@@ -54,13 +56,7 @@ from .classifier import (
     EigenStructure,
     classify,
 )
-from .errors import (
-    BadParams,
-    NoHamiltonian,
-    NotDefective,
-    NotTraceless,
-    OutOfRange,
-)
+from .errors import BadParams, NotTraceless, OutOfRange
 from .integrators import TransitionMatrix
 
 PARAM_TOL = 1e-10
@@ -296,33 +292,6 @@ def _branches(r: TransitionMatrix, tag: CaseTag, eigen: EigenStructure,
     return []
 
 
-def generator_scalar(r: TransitionMatrix, branch: int,
-                     params: CaseIIParams | None = None) -> Generator:
-    """Branch-m generator for a scalar map R = +-I (``_scalar_branch``).
-
-    A map that classify does not tag ii(+-) is read as +I or -I by the sign
-    of its trace, and the branch's exp check decides whether it passes.
-    """
-    tag, eigen = classify(r)
-    if tag not in SCALAR_TAGS:
-        tag = CaseTag.II_PLUS if r.trace() > 0 else CaseTag.II_MINUS
-    return _family(r, tag, eigen, (branch,), params).generators[0]
-
-
-def generator_jordan(r: TransitionMatrix) -> Generator:
-    """The unique generator of a defective map with eigenvalue +1: Z = K.
-
-    A defective map with eigenvalue -1 admits no traceless logarithm; that
-    outcome is reported through NoHamiltonian with the Jordan evidence.
-    """
-    tag, eigen = classify(r)
-    if tag is CaseTag.IIIB:
-        raise NoHamiltonian(r.label, r.tau, eigen)
-    if tag is not CaseTag.IIIA:
-        raise NotDefective(f"{r.label} at tau={r.tau:g} classifies as {tag}")
-    return _family(r, tag, eigen, (), None).generators[0]
-
-
 def _is_real(c_pp: complex, c_qq: complex, c_pq: complex) -> bool:
     """Imaginary parts within TOL of the largest coefficient, which scales like 1/tau."""
     imag = abs(c_pp.imag) + abs(c_qq.imag) + abs(c_pq.imag)
@@ -357,16 +326,9 @@ def generators_for(r: TransitionMatrix, branches: Iterable[int],
     eigenvalue -1 gives an empty family carrying the obstruction.
     """
     tag, eigen = classify(r)
-    return _family(r, tag, eigen, sorted(set(map(int, branches))), params)
-
-
-def _family(r: TransitionMatrix, tag: CaseTag, eigen: EigenStructure,
-            ordered: Sequence[int], params: CaseIIParams | None) -> GeneratorFamily:
-    """``generators_for`` of a map classified as (tag, eigen), for the
-    branches ``ordered``, sorted and without repeats."""
-    branches, tau = _branches(r, tag, eigen, ordered, params), r.tau
-    generators = tuple(Generator(Mat2C(z11, z12, z21, z22), m, tau, tag, log)
-                       for m, log, z11, z12, z21, z22 in branches)
+    validated = _branches(r, tag, eigen, sorted(set(map(int, branches))), params)
+    generators = tuple(Generator(Mat2C(z11, z12, z21, z22), m, r.tau, tag, log)
+                       for m, log, z11, z12, z21, z22 in validated)
     return GeneratorFamily(tag, eigen, generators,
                            OBSTRUCTION if tag is CaseTag.IIIB else None)
 

@@ -35,6 +35,10 @@ The tests alone read three more: Euler's family in closed form
 (``euler_rate``, ``euler_hamiltonian``, ``euler_closed_form``, whose branch m
 is the generic -m-1 for tau > 2), the branch log read off the polar form
 (``log_branch``) and ``exact_log``, the series of log R in ``fractions``.
+The three errors that only verify's oracles raise are defined here, not in
+``errors``: ``CriticalTau`` (Euler's closed forms at tau = 2),
+``ZeroEigenvalue`` (the polar form of 0) and ``NotApplicable``
+(``measure_period`` off a bounded orbit).
 
 ``full_suite`` runs its 20 subjects (regime maps, generator maps and
 conservation cases) as the chunks of ``tables.results``, which this process
@@ -55,8 +59,7 @@ from functools import partial
 
 from .algebra import Mat2C, Value, closed_exps, max_diff
 from .classifier import CaseTag, classify
-from .errors import (CriticalTau, InvalidTau, NonFinite, NotApplicable, UnknownIntegrator,
-                     ZeroEigenvalue)
+from .errors import InvalidTau, NonFinite, ShadowOscError, UnknownIntegrator
 # The suite's oracles apply each generator's propagators, from closed_exps, to
 # every trial at once; only measure_period samples continuous_state.
 from .flow import PhaseState, continuous_state, sample_times
@@ -73,6 +76,20 @@ from .tables import results
 DEFAULT_SEED = 1729
 DEFAULT_EXP_TERMS = 40
 ORBIT_STEPS = 20  # check_coincidence compares the flow at t = 0, tau, ..., 20*tau
+
+
+class CriticalTau(ShadowOscError, ValueError):
+    """Closed forms for the explicit Euler family are undefined at tau = 2."""
+
+
+class ZeroEigenvalue(ShadowOscError):
+    """A zero eigenvalue has no logarithm; the map would be singular."""
+
+
+class NotApplicable(ShadowOscError):
+    """Operation defined only for bounded real orbits."""
+
+
 # Every check reads its residual over the forward-error scale of that
 # check's arithmetic (Higham, Accuracy and Stability of Numerical
 # Algorithms, 2nd ed., ch. 1-3) and holds the quotient to this one bound.

@@ -1,6 +1,8 @@
+import importlib.util
 import math
 import os
 import select
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +10,6 @@ import pytest
 from shadowosc import cli, flow, tables
 from shadowosc.algebra import Mat2C
 from shadowosc.classifier import CaseTag
-from shadowosc.errors import NotApplicable
 from shadowosc.shadow import Generator, _distinct_branches
 
 
@@ -25,16 +26,18 @@ def state_deviation(a, b) -> float:
     return a.distance(b) / scale
 
 
-def rotation_sense(h) -> str:
-    """Turning sense of the bounded orbit at (q, p) = (1, 0).
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
-    The momentum derivative there is -2*c_qq; a negative value turns the
-    phase point clockwise.  Defined only for the bounded real case.
-    """
-    if h.case is not CaseTag.IA:
-        raise NotApplicable(f"rotation sense undefined for case {h.case}")
-    pdot = -2.0 * h.c_qq.real
-    return "clockwise" if pdot < 0 else "counter-clockwise"
+
+def load_script(name: str):
+    """The module of scripts/<name>.py, loaded without running its main."""
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+rotation_sense = load_script("reproduce_phase_portrait").rotation_sense
 
 
 def generator_distinct(r, eigen, branch: int):

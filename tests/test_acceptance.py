@@ -13,17 +13,13 @@ import math
 import random
 
 import numpy as np
-import pytest
 
 from shadowosc.algebra import Mat2C, closed_exp, max_diff
 from shadowosc.classifier import CaseTag, classify
-from shadowosc.errors import NoHamiltonian
 from shadowosc.flow import continuous_state, discrete_orbit, sample_times
 from shadowosc.integrators import custom, double_euler, euler, make, position_verlet, velocity_verlet
 from shadowosc.shadow import (
     CaseIIParams,
-    generator_jordan,
-    generator_scalar,
     generators_for,
     hamiltonian_from_generator,
 )
@@ -77,8 +73,7 @@ def test_criterion_02_euler_regime_map():
     assert classify(euler(2.0))[0] is CaseTag.IIIB
     family = generators_for(euler(2.0), range(-3, 4))
     assert family.generators == () and family.obstruction is not None
-    with pytest.raises(NoHamiltonian):
-        generator_jordan(euler(2.0))
+    assert family.case is CaseTag.IIIB and family.eigen.jordan_basis is not None
     announce(2, "i-a on (0,2), iii-b at 2 with no-Hamiltonian outcome, i-c on (2,5]")
 
 
@@ -152,16 +147,16 @@ def test_criterion_06_scalar_family():
         params = CaseIIParams.projected(c1, c2)
         for r in (identity, minus):
             for m in range(-2, 3):
-                g = generator_scalar(r, m, params)
+                g = generators_for(r, [m], params).generators[0]
                 worst = max(worst, max_diff(closed_exp(g.matrix), r.as_mat2c()),
                             max_diff(series_exp(g.matrix), r.as_mat2c()))
     assert worst <= 1e-9
 
     h = hamiltonian_from_generator(
-        generator_scalar(identity, 1, CaseIIParams.real_rotation()))
+        generators_for(identity, [1], CaseIIParams.real_rotation()).generators[0])
     assert h.real_valued
 
-    g = generator_scalar(minus, 0, CaseIIParams.default())
+    g = generators_for(minus, [0], CaseIIParams.default()).generators[0]
     assert max_diff(closed_exp(g.matrix), minus.as_mat2c()) <= 1e-9
     announce(6, f"20 projected parameter draws x 5 branches x +-I: "
                 f"exp residual {worst:.2e}")
@@ -169,7 +164,9 @@ def test_criterion_06_scalar_family():
 
 def test_criterion_07_unique_solution_case():
     r = double_euler(4.0)
-    g = generator_jordan(r)
+    family = generators_for(r, range(-3, 4))  # iii-a: one branch whatever is asked
+    assert family.case is CaseTag.IIIA and len(family.generators) == 1
+    g = family.generators[0]
     assert max_diff(g.matrix, r.as_mat2c() - Mat2C.identity()) == 0.0
     assert (g.matrix @ g.matrix).max_abs() <= 1e-10
     h = hamiltonian_from_generator(g)
@@ -204,16 +201,13 @@ def test_criterion_09_conservation_and_volume():
     cases = [
         (euler(0.66), -1), (euler(0.66), 0), (euler(0.66), 1),
         (velocity_verlet(1.5), 0), (position_verlet(1.0), 1),
-        (double_euler(4.0), None), (euler(3.0), 0),
+        (double_euler(4.0), 0), (euler(3.0), 0),
         (custom(-1.0, 0.0, 0.0, -1.0, 1.0, label="-identity"), 0),
     ]
     worst_drift = 0.0
     worst_det = 0.0
     for r, m in cases:
-        if m is None:
-            g = generator_jordan(r)
-        else:
-            g = generators_for(r, [m]).generators[0]
+        g = generators_for(r, [m]).generators[0]
         h = hamiltonian_from_generator(g)
         h0 = h.evaluate(1.0, 0.0)
         for t in sample_times(10.0 * r.tau, r.tau / 16.0):

@@ -14,9 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shadowosc.algebra import Mat2C, closed_exp, closed_exps, max_diff
-from shadowosc.errors import ZeroEigenvalue
 from shadowosc.flow import sample_times
-from shadowosc.verify import log_branch, principal_polar, series_exp, taylor_exp
+from shadowosc.verify import ZeroEigenvalue, log_branch, principal_polar, series_exp, taylor_exp
 
 from conftest import to_numpy
 

@@ -18,9 +18,7 @@ from shadowosc.algebra import max_diff
 from shadowosc.cli import main
 from shadowosc.errors import (
     BadParams,
-    CriticalTau,
     InvalidTau,
-    NoHamiltonian,
     NonFinite,
     NotSymplectic,
     ShadowOscError,
@@ -29,7 +27,7 @@ from shadowosc.errors import (
 from shadowosc.flow import flow_matrix
 from shadowosc.integrators import BUILDERS, euler, make
 from shadowosc.shadow import generators_for
-from shadowosc.verify import BOUND, euler_hamiltonian, locate_vp_critical_tau
+from shadowosc.verify import BOUND, CriticalTau, euler_hamiltonian, locate_vp_critical_tau
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -863,6 +861,26 @@ def test_entries_with_a_named_integrator_are_a_usage_error(capsys, tmp_path, com
     assert list(tmp_path.iterdir()) == []
 
 
+DIRECTION_COMMANDS = [
+    ["hamiltonian", "--integrator", "custom", "--r", "1,0,0,1", "--tau", "1"],
+    ["flow", "--integrator", "custom", "--r", "1,0,0,1", "--tau", "1"],
+    ["sweep", "--integrator", "vp", "--grid=5.656854249492381:5.656854249492381:1"],
+]
+
+
+@pytest.mark.parametrize("c_flags", [["--c1", "0", "--c2", "1", "--c3", "1"], ["--c1", "0"]],
+                         ids=["three", "one"])
+@pytest.mark.parametrize("base", DIRECTION_COMMANDS, ids=lambda base: base[0])
+def test_direction_and_preset_together_are_a_usage_error(capsys, tmp_path, base, c_flags):
+    # the direction is the three c's or a preset: neither is ignored in silence,
+    # and flow writes no file
+    code, out, err = run(capsys, *base, *c_flags, "--params", "hyperbolic",
+                         "--out", str(tmp_path / "out"))
+    assert (code, out) == (2, "")
+    assert err == "error: give --params or --c1, --c2 and --c3, not both\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("integrator, tau", [("vp", "1e200"), ("double-euler", "1e103")])
 def test_composite_overflow_names_the_composite(capsys, integrator, tau):
     code, out, err = run(capsys, "classify", "--integrator", integrator, "--tau", tau)
@@ -877,8 +895,6 @@ USAGE_ERRORS = (InvalidTau, NonFinite, NotSymplectic, BadParams, CriticalTau, Un
 def _raise(error_type):
     if error_type is NotSymplectic:
         raise NotSymplectic(1.0)
-    if error_type is NoHamiltonian:
-        raise NoHamiltonian("stub", 1.0, None)
     raise error_type("stub")
 
 

@@ -18,7 +18,7 @@ from shadowosc import cli, flow, tables
 from shadowosc.algebra import Mat2C, closed_exp, max_diff
 from shadowosc.classifier import CaseTag, classify
 from shadowosc.cli import main
-from shadowosc.errors import CriticalTau, NotApplicable, OutOfRange
+from shadowosc.errors import OutOfRange
 from shadowosc.flow import (
     CSV_HEADER,
     PhaseState,
@@ -40,12 +40,18 @@ from shadowosc.integrators import custom, double_euler, euler, make
 from shadowosc.shadow import (
     CaseIIParams,
     Generator,
-    generator_jordan,
-    generator_scalar,
     generators_for,
     hamiltonian_from_generator,
 )
-from shadowosc.verify import euler_hamiltonian, euler_rate, full_suite, measure_period, series_exp
+from shadowosc.verify import (
+    CriticalTau,
+    NotApplicable,
+    euler_hamiltonian,
+    euler_rate,
+    full_suite,
+    measure_period,
+    series_exp,
+)
 
 from conftest import generator_distinct, no_child_left, rotation_sense, state_deviation, to_numpy
 
@@ -251,8 +257,7 @@ class TestRotationSense:
         assert rotation_sense(euler_hamiltonian(0.66, -1)) == "counter-clockwise"
 
     def test_undefined_beyond_critical(self):
-        with pytest.raises(NotApplicable):
-            rotation_sense(euler_hamiltonian(3.0, 0))
+        assert rotation_sense(euler_hamiltonian(3.0, 0)) is None
 
 
 class TestPeriod:
@@ -311,7 +316,7 @@ class TestOutput:
 class TestUniqueCaseFlow:
     def test_linear_interpolation_of_defective_map(self):
         r = double_euler(4.0)
-        g = generator_jordan(r)
+        g = generators_for(r, [0]).generators[0]
         orbit = discrete_orbit(r, 0.3, -1.1, 10)
         for ref in orbit.states:
             got = continuous_state(g, 0.3, -1.1, ref.t)
@@ -334,8 +339,8 @@ generators = st.one_of(
               entries, entries, entries, st.floats(1e-3, 10.0)),
     st.sampled_from([("euler", 0.66, -2), ("euler", 3.0, 1), ("velocity-verlet", 1.5, 3),
                      ("double-euler", 4.8, -1), ("vp", 5.0, 0)]).map(_built_in_generator),
-    st.just(generator_jordan(double_euler(4.0))),
-    st.just(generator_scalar(custom(1.0, 0.0, 0.0, 1.0, 1.0), 0)),
+    st.just(generators_for(double_euler(4.0), [0]).generators[0]),
+    st.just(generators_for(custom(1.0, 0.0, 0.0, 1.0, 1.0), [0]).generators[0]),
 )
 
 

@@ -1,13 +1,12 @@
 """The scripts under scripts/ run to completion as separate processes."""
 
 import hashlib
-import importlib.util
 import json
 import subprocess
 import sys
 from pathlib import Path
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+from conftest import SCRIPTS, load_script
 
 
 def run_script(name: str, *args: str, cwd: Path) -> subprocess.CompletedProcess:
@@ -27,6 +26,19 @@ def test_reproduce_phase_portrait(tmp_path):
     assert done.returncode == 0, done.stderr
     assert sorted(p.name for p in out.iterdir()) == [
         "discrete.csv", "flow_m-1.csv", "flow_m0.csv", "flow_m1.csv"]
+
+
+def test_reproduce_phase_portrait_past_the_critical_tau(tmp_path):
+    # at tau = 3 every branch is i-c, an unbounded orbit with no rotation sense
+    out = tmp_path / "portrait"
+    done = run_script("reproduce_phase_portrait.py", "--out", str(out), "--tau", "3",
+                      cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
+    assert sorted(p.name for p in out.iterdir()) == [
+        "discrete.csv", "flow_m-1.csv", "flow_m0.csv", "flow_m1.csv"]
+    assert [line for line in done.stdout.splitlines() if line.startswith("m=")] == [
+        f"m={m}: no rotation sense (case i-c)" for m in ("-1", "+0", "+1")]
 
 
 def test_layer_costs(tmp_path):
@@ -63,10 +75,11 @@ def test_output_digest(tmp_path):
     lines = [json.loads(line) for line in done.stdout.splitlines()]
     # 10 sweeps to stdout and 10 to --out, 15 failing one-point sweeps, 4 sweeps
     # failing in a later range, 20 sweeps on the two count grids, 12 sweeps of
-    # the two scalar points, 3 empty grids, 90 near-ridge calls, 8 built-in and
-    # 8 custom draws of two calls each, 26 flows, one verify per seed and five
-    # more, then 23 parser calls at each of two widths
-    assert len(lines) == (20 + 15 + 4 + 20 + 12 + 3 + 90 + 2 * 8 + 2 * 8 + 26 + 1 + 5
+    # the two scalar points, 3 empty grids, 3 calls given the direction twice,
+    # 90 near-ridge calls, 8 built-in and 8 custom draws of two calls each, 26
+    # flows, one verify per seed and five more, then 23 parser calls at each of
+    # two widths
+    assert len(lines) == (20 + 15 + 4 + 20 + 12 + 3 + 3 + 90 + 2 * 8 + 2 * 8 + 26 + 1 + 5
                           + 2 * 23)
     lines, parser_lines = lines[:-46], lines[-46:]
     assert [line["columns"] for line in parser_lines] == ["30"] * 23 + ["200"] * 23
@@ -81,7 +94,8 @@ def test_output_digest(tmp_path):
     assert lines[0]["argv"] == ["sweep", "--integrator", "double-euler", "--grid", "1:2:0.5",
                                 "--format", "csv"]
     sweeps_out, flows, verifies = lines[10:20], lines[-32:-6], lines[-6:]
-    others = lines[:10] + lines[20:-32]
+    both = lines[74:77]
+    others = lines[:10] + lines[20:74] + lines[77:-32]
     assert all(sorted(line) == ["argv", "exit", "stderr", "stdout"] for line in others)
     # a sweep with --out prints nothing and leaves its one file
     assert sweeps_out[0]["argv"] == lines[0]["argv"] + ["--out", "<out>/sweep"]
@@ -108,6 +122,13 @@ def test_output_digest(tmp_path):
     assert [line["argv"][5] for line in lines[59:71:2]] == [
         "default", "real-rotation", "hyperbolic"] * 2
     assert [line["exit"] for line in lines[59:74]] == [0] * 12 + [2] * 3
+    # the direction given as c's and as a preset is a usage error, and flow
+    # writes no file
+    assert [line["argv"][0] for line in both] == ["hamiltonian", "flow", "sweep"]
+    assert all(line["argv"][-8:] == ["--c1", "0", "--c2", "1", "--c3", "1",
+                                     "--params", "hyperbolic"] for line in both[::2])
+    assert [line["exit"] for line in both] == [2] * 3
+    assert both[1]["files"] == {} and all(line["stdout"] == empty for line in both)
     assert {line["exit"] for line in lines} == {0, 1, 2}
     # each flow call lists every file its directory holds: three branches and the
     # discrete orbit, the shear's one branch, iii-b's discrete file alone, and the
@@ -151,9 +172,7 @@ class C:
 
 
 def test_code_lines(tmp_path):
-    spec = importlib.util.spec_from_file_location("code_lines", SCRIPTS / "code_lines.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+    module = load_script("code_lines")
     # import, def, both lines of the string, return, class and y = 1
     assert module.code_lines(SOURCE) == 7
     done = run_script("code_lines.py", cwd=tmp_path)
@@ -161,13 +180,6 @@ def test_code_lines(tmp_path):
     *modules, total = [line.split() for line in done.stdout.splitlines()]
     assert total[1] == "total" and "tables.py" in [name for _, name in modules]
     assert int(total[0]) == sum(int(count) for count, _ in modules)
-
-
-def _load(name: str):
-    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def _bench_run(side, seed, order, work, p50, error=None):
@@ -178,7 +190,7 @@ def _bench_run(side, seed, order, work, p50, error=None):
 
 
 def test_bench_pairs_summary():
-    pairs = _load("bench_pairs")
+    pairs = load_script("bench_pairs")
     runs = [_bench_run("parent", 1, 1, 100.0, 10.0), _bench_run("change", 1, 2, 90.0, 9.0),
             _bench_run("change", 2, 1, 110.0, 12.0), _bench_run("parent", 2, 2, 104.0, 11.0),
             _bench_run("parent", 3, 1, 96.0, 10.5), _bench_run("change", 3, 2, 99.0, 10.0),
@@ -200,7 +212,7 @@ def test_bench_pairs_summary():
 
 
 def test_bench_pairs_keeps_failed_and_malformed_runs():
-    pairs = _load("bench_pairs")
+    pairs = load_script("bench_pairs")
     line = json.dumps({"correct": True, "attempted": 5, "failed": 1,
                        "metrics": {"work_per_s": {"value": 12.5, "unit": "1/s"}}})
     assert pairs.parse_run(0, f"# a raw line\n{line}\n", "") == {

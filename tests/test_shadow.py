@@ -14,9 +14,6 @@ from shadowosc.algebra import TOL, Mat2C, closed_exp, max_diff
 from shadowosc.classifier import DISTINCT_TAGS, CaseTag, EigenStructure, classify
 from shadowosc.errors import (
     BadParams,
-    CriticalTau,
-    NoHamiltonian,
-    NotDefective,
     NotTraceless,
     OutOfRange,
     ShadowOscError,
@@ -31,13 +28,12 @@ from shadowosc.integrators import (
     vp,
 )
 from shadowosc.shadow import (
+    OBSTRUCTION,
     PARAM_PRESETS,
     CaseIIParams,
     Generator,
     _check_exp,
     _validated,
-    generator_jordan,
-    generator_scalar,
     generators_for,
     hamiltonian_from_generator,
     real_count,
@@ -45,6 +41,7 @@ from shadowosc.shadow import (
 from shadowosc.flow import flow_matrix
 from shadowosc.verify import (
     BOUND,
+    CriticalTau,
     check_conservation,
     euler_hamiltonian,
     euler_rate,
@@ -63,6 +60,11 @@ MINUS_IDENTITY = custom(-1.0, 0.0, 0.0, -1.0, 1.0, label="-identity")
 
 def distinct_generator(r, branch):
     return generator_distinct(r, classify(r)[1], branch)
+
+
+def family_generator(r, branch=0, params=None):
+    """Branch ``branch`` of r's family; for iii-a its one branch whatever is asked."""
+    return generators_for(r, [branch], params).generators[0]
 
 
 def eigenvalues(z):
@@ -238,13 +240,13 @@ class TestSmallTauFamilyIsTheExactLog:
 
 class TestGeneratorScalar:
     def test_identity_branch_zero_is_trivial(self):
-        g = generator_scalar(IDENTITY, 0)
+        g = family_generator(IDENTITY, 0)
         assert g.matrix == Mat2C(0.0, 0.0, 0.0, 0.0)
         h = hamiltonian_from_generator(g)
         assert h.evaluate(1.3, -0.4) == 0.0
 
     def test_rotation_preset_gives_real_hamiltonian(self):
-        g = generator_scalar(IDENTITY, 1, CaseIIParams.real_rotation())
+        g = family_generator(IDENTITY, 1, CaseIIParams.real_rotation())
         assert max_diff(taylor_exp(g.matrix, 60), IDENTITY.as_mat2c()) <= 1e-9
         h = hamiltonian_from_generator(g)
         assert h.real_valued
@@ -254,7 +256,7 @@ class TestGeneratorScalar:
         assert h.c_pq == 0.0
 
     def test_default_params_minus_identity(self):
-        g = generator_scalar(MINUS_IDENTITY, 0)
+        g = family_generator(MINUS_IDENTITY, 0)
         x1, x2 = eigenvalues(g.matrix)
         assert abs(x1 - 1j * math.pi) <= 1e-14
         assert abs(x2 + 1j * math.pi) <= 1e-14
@@ -324,19 +326,15 @@ class TestGeneratorScalar:
 
 class TestGeneratorJordan:
     def test_shift_block(self):
-        g = generator_jordan(custom(1.0, 1.0, 0.0, 1.0, 1.0))
+        g = family_generator(custom(1.0, 1.0, 0.0, 1.0, 1.0))
         assert g.matrix == Mat2C(0.0, 1.0, 0.0, 0.0)
 
     def test_double_euler_critical(self):
         r = double_euler(4.0)
-        g = generator_jordan(r)
+        g = family_generator(r)
         assert g.matrix == Mat2C(4.0, -4.0, 4.0, -4.0)
         assert (g.matrix @ g.matrix).max_abs() == 0.0
         assert max_diff(taylor_exp(g.matrix, 40), r.as_mat2c()) <= 1e-10
-
-    def test_non_defective_map_rejected(self):
-        with pytest.raises(NotDefective):
-            generator_jordan(euler(1.0))
 
     def test_k_off_nilpotent_beyond_the_bound_is_refused(self):
         # classify's band tags this large-entry near quarter turn iii-a, but
@@ -345,13 +343,18 @@ class TestGeneratorJordan:
         r = custom(1e5, 1e5, -99999.99999, -1e5, 0.5)
         assert classify(r)[0] is CaseTag.IIIA
         with pytest.raises(NotTraceless, match=r"reproduces custom only to 1\.585e\+04"):
-            generator_jordan(r)
+            generators_for(r, [0])
 
     def test_euler_critical_has_no_hamiltonian(self):
-        with pytest.raises(NoHamiltonian) as err:
-            generator_jordan(euler(2.0))
-        assert err.value.tau == 2.0
-        assert err.value.eigen.jordan_basis is not None
+        # an empty family with the obstruction and its Jordan evidence:
+        # R P = P J, J the Jordan block with eigenvalue -1
+        r = euler(2.0)
+        family = generators_for(r, range(-1, 2))
+        assert (family.case, family.generators) == (CaseTag.IIIB, ())
+        assert family.obstruction == OBSTRUCTION
+        assert family.eigen.eigenvalue == -1.0 and family.eigen.degenerate
+        p = family.eigen.jordan_basis
+        assert max_diff(r.as_mat2c() @ p, p @ Mat2C(-1.0, 1.0, 0.0, -1.0)) == 0.0
 
 
 class TestHamiltonian:
@@ -364,7 +367,7 @@ class TestHamiltonian:
         assert h.real_valued
 
     def test_unique_case_coefficients(self):
-        h = hamiltonian_from_generator(generator_jordan(double_euler(4.0)))
+        h = hamiltonian_from_generator(family_generator(double_euler(4.0)))
         assert (h.c_pp, h.c_qq, h.c_pq) == (-0.5, -0.5, 1.0)
 
     @pytest.mark.parametrize("build", [velocity_verlet,
@@ -618,7 +621,7 @@ class TestEveryScaleHasAnAnswer:
     def test_jordan_generator_is_r_minus_identity_bit_for_bit(self):
         # Z = R - (T/2) I, and T == 2.0 exactly on both maps
         for r in (double_euler(4.0), custom(1.0, 1.0, 0.0, 1.0, 1.0)):
-            z = generator_jordan(r).matrix
+            z = family_generator(r).matrix
             assert repr(z) == repr(Mat2C(r.r1 - 1.0, r.r2, r.r3, r.r4 - 1.0))
 
 

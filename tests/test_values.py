@@ -19,7 +19,14 @@ import pytest
 
 from shadowosc.algebra import Mat2C, Value
 from shadowosc.classifier import CaseTag, EigenStructure
-from shadowosc.errors import BadParams, InvalidTau, NonFinite, NotSymplectic, OutOfRange
+from shadowosc.errors import (
+    BadParams,
+    InvalidTau,
+    NonFinite,
+    NotSymplectic,
+    OutOfRange,
+    ShadowOscError,
+)
 from shadowosc.flow import PhaseState, TrajectorySource
 from shadowosc.integrators import TransitionMatrix, euler
 from shadowosc.shadow import CaseIIParams, Generator, GeneratorFamily, ShadowHamiltonian
@@ -150,6 +157,34 @@ def test_round_trips_validate_again(value, field, bad, error):
         pickle.loads(pickle.dumps(value))
     with pytest.raises(error):
         copy.deepcopy(value)
+
+
+# every error class, verify's oracle errors included (this module imports verify)
+ERRORS = sorted(ShadowOscError.__subclasses__(), key=lambda cls: cls.__name__)
+
+
+def test_every_error_class_is_pickled_below():
+    assert [cls.__name__ for cls in ERRORS] == [
+        "BadParams", "CriticalTau", "InvalidTau", "NonFinite", "NotApplicable",
+        "NotSymplectic", "NotTraceless", "OutOfRange", "UnknownIntegrator", "ZeroEigenvalue"]
+
+
+@pytest.mark.parametrize("cls", ERRORS, ids=lambda cls: cls.__name__)
+def test_errors_unpickle_as_raised(cls):
+    # NotSymplectic's constructor takes the residual, not the message it
+    # stores: unpickling must not run it again
+    errors = ([NotSymplectic(0.25), NotSymplectic(3e-7, "custom: det is off")]
+              if cls is NotSymplectic else [cls("a message")])
+    for error in errors:
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            twin = pickle.loads(pickle.dumps(error, protocol))
+            assert type(twin) is cls
+            assert (str(twin), twin.args) == (str(error), error.args)
+            assert vars(twin) == vars(error)
+    if cls is NotSymplectic:
+        assert [str(e) for e in errors] == ["determinant differs from 1 by 2.500e-01",
+                                            "custom: det is off"]
+        assert [pickle.loads(pickle.dumps(e)).residual for e in errors] == [0.25, 3e-7]
 
 
 @every_value

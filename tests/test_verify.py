@@ -19,7 +19,6 @@ from shadowosc.shadow import (
     CaseIIParams,
     Generator,
     ShadowHamiltonian,
-    generator_scalar,
     generators_for,
     hamiltonian_from_generator,
 )
@@ -78,7 +77,7 @@ class TestCheckExponential:
 
     def test_trivial(self):
         ident = custom(1.0, 0.0, 0.0, 1.0, 1.0)
-        g = generator_scalar(ident, 0)
+        g = branch_generator(ident, 0)
         report = check_exponential(g, ident)
         assert report.passed
         assert report.checks[0].residual == 0.0
@@ -142,7 +141,7 @@ class TestCheckCoincidence:
 class TestCheckConservation:
     def test_zero_hamiltonian_has_zero_drift(self):
         ident = custom(1.0, 0.0, 0.0, 1.0, 1.0)
-        g = generator_scalar(ident, 0)
+        g = branch_generator(ident, 0)
         report = check_conservation(hamiltonian_from_generator(g), g)
         assert report.checks[0].residual == 0.0
 
